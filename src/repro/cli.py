@@ -89,10 +89,13 @@ _STATS_LINES = (
      "measured {seconds:.1f}s over {characterized} variants "
      "({skipped} skipped)"),
     ("memo",
-     "{memo_hits} hits, {memo_misses} misses; "
-     "kernel: {cycles_simulated} cycles simulated, "
+     "{memo_hits} hits, {memo_misses} misses"),
+    ("simulation",
+     "{cycles_simulated} cycles simulated, "
      "{cycles_extrapolated} extrapolated ({runs_extrapolated} runs), "
-     "{cycles_analytic} analytic ({runs_analytic} runs)"),
+     "{cycles_analytic} analytic ({runs_analytic} runs); "
+     "{runs_probe} probe runs ({probe_copies} copies), "
+     "{runs_full} full runs"),
     ("executor",
      "{experiments_planned} planned, {experiments_deduped} deduped, "
      "{experiments_measured} measured in {batches_dispatched} batches; "

@@ -82,6 +82,12 @@ class RunStatistics:
     #: answered with no kernel run at all, and the cycles they cover.
     runs_analytic: int = 0
     cycles_analytic: int = 0
+    #: Measurement-ladder rungs below the closed form: unroll targets
+    #: served off a simulated probe (as a prefix or extrapolated), the
+    #: copies those probes simulated, and targets simulated in full.
+    runs_probe: int = 0
+    probe_copies: int = 0
+    runs_full: int = 0
     #: Entries evicted from the backend's bounded in-process caches (see
     #: ``MeasurementConfig.max_cached_measurements``).
     cache_evictions: int = 0

@@ -120,10 +120,13 @@ class BackendStats(NamedTuple):
     cache_evictions: int
     runs_analytic: int = 0
     cycles_analytic: int = 0
+    runs_probe: int = 0
+    probe_copies: int = 0
+    runs_full: int = 0
 
     @classmethod
     def zero(cls) -> "BackendStats":
-        return cls(0, 0, 0, 0, 0, 0, 0, 0)
+        return cls(*[0] * len(cls._fields))
 
 
 class MeasurementBackend(Protocol):
@@ -163,13 +166,15 @@ class HardwareBackend:
        :class:`~repro.core.cache.MeasurementMemo` (injected — typically
        by the sweep engine — so worker shards share the blocking/chain
        sub-measurements instead of each re-simulating them),
-    3. the simulator itself.  With the event kernel, both unroll factors
-       of Algorithm 2 are read off **one** instrumented probe run via
-       steady-state extrapolation
-       (:func:`~repro.measure.extrapolate.unrolled_counters`), and the
-       deterministic ``repeats``/warmup runs are collapsed analytically;
-       with ``REPRO_SIM=reference`` the seed measurement loop runs
-       verbatim.  Both paths return bit-identical counters.
+    3. the simulator itself.  Both unroll factors of Algorithm 2 come
+       from one pass down the measurement ladder
+       (:func:`~repro.measure.extrapolate.unrolled_counters`): closed
+       form where the analytic tier answers, else one instrumented
+       probe run read as prefixes or extrapolated, else full
+       simulation; the deterministic ``repeats``/warmup runs are
+       collapsed analytically.  With ``REPRO_SIM=reference`` the seed
+       measurement loop runs verbatim.  All paths return bit-identical
+       counters.
     """
 
     def __init__(
@@ -188,6 +193,9 @@ class HardwareBackend:
         #: Per-(code, init) full-run counters at each simulated unroll
         #: factor — the run-level memo that collapses repeats/warmup.
         self._run_memo = LRUDict(bound)
+        #: The core's structural closed-form memo, bounded alike.
+        self._analytic_memo = LRUDict(bound)
+        self._core.analytic_memo = self._analytic_memo
         self.memo = memo
         #: Number of measure() invocations over the backend's lifetime.
         #: The sweep engine's tests use this to prove that a warm-cache
@@ -201,6 +209,11 @@ class HardwareBackend:
         #: analytic fast path; core-level ones live on the core).
         self._runs_analytic = 0
         self._cycles_analytic = 0
+        #: Unroll targets served by the probe and full-simulation rungs,
+        #: and the copies the probes simulated.
+        self.runs_probe = 0
+        self.probe_copies = 0
+        self.runs_full = 0
 
     @property
     def kernel(self) -> str:
@@ -222,7 +235,11 @@ class HardwareBackend:
 
     @property
     def cache_evictions(self) -> int:
-        return self._cache.evictions + self._run_memo.evictions
+        return (
+            self._cache.evictions
+            + self._run_memo.evictions
+            + self._analytic_memo.evictions
+        )
 
     def stats_tuple(self) -> BackendStats:
         """Snapshot of the perf counters RunStatistics aggregates."""
@@ -235,6 +252,9 @@ class HardwareBackend:
             self.cache_evictions,
             self.runs_analytic,
             self.cycles_analytic,
+            self.runs_probe,
+            self.probe_copies,
+            self.runs_full,
         )
 
     def measure(
@@ -371,6 +391,9 @@ class HardwareBackend:
             self.cycles_extrapolated += stats.cycles_extrapolated
             self._runs_analytic += stats.runs_analytic
             self._cycles_analytic += stats.cycles_analytic
+            self.runs_probe += stats.runs_probe
+            self.probe_copies += stats.probe_copies
+            self.runs_full += stats.runs_full
             if runs is None:
                 runs = {}
                 self._run_memo[key] = runs

@@ -33,15 +33,19 @@ e.g. a reservation-station fill pattern that repeats until the window
 drains — fails the check, and detection restarts on the longer probe.
 When no period survives within the longest target the caller falls back
 to full simulation, so extrapolation is an optimization, never a
-semantic change.
+semantic change.  When one doubling would reach the longest target
+anyway, the first probe is simply that long (:func:`_probe_copies`) and
+every target is a prefix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, fields, replace
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.isa.operands import Memory
 from repro.pipeline.analytic import schedule_arrays
 from repro.pipeline.event_kernel import timing_event_arrays
 from repro.pipeline.core import (
@@ -51,7 +55,10 @@ from repro.pipeline.core import (
     CounterValues,
     ProbeResult,
     RenameContext,
+    split_accesses,
 )
+from repro.pipeline.semantics import evaluate
+from repro.pipeline.state import MachineState
 from repro.uarch.uops import KIND_STORE_ADDR, KIND_STORE_DATA
 
 #: Minimum number of copies simulated by the instrumented probe.  Large
@@ -72,12 +79,35 @@ def _window(period: int) -> int:
 #: (the analytic tier's probe budget; see :func:`_analytic_unrolled`).
 SNAPSHOT_BUDGET = 12
 
+#: Categories whose implicit stack or string accesses move with a
+#: pointer register every copy updates (RSP, RSI, RDI).
+_MOVING_ACCESS_CATEGORIES = frozenset(
+    ("push", "pop", "call", "ret", "string_rep")
+)
+
+
+def _probe_copies(targets: Sequence[int]) -> int:
+    """Copies of the first probe for the sorted unroll *targets*.
+
+    The probe must be long enough for transients to settle
+    (:data:`MIN_PROBE`) and to cover the short target.  Verifying a
+    period doubles it, so when twice the probe reaches the longest
+    target anyway, one probe of exactly that length serves every
+    target as a prefix — cheaper, and exact with no period at all.
+    """
+    probe = min(targets[-1], max(MIN_PROBE, targets[0] + 2))
+    return targets[-1] if targets[-1] <= 2 * probe else probe
+
 
 @dataclass
 class ExtrapolationStats:
-    """What one :func:`unrolled_counters` call did (for RunStatistics)."""
+    """What one :func:`unrolled_counters` call did (for RunStatistics).
 
-    #: Unroll targets served off a periodic event-kernel probe (no
+    Every unroll target is served by exactly one rung, counted in one of
+    ``runs_analytic``, ``runs_probe`` or ``runs_full``.
+    """
+
+    #: Unroll targets served off a periodic probe's tail (no
     #: simulation of their own).
     runs_extrapolated: int = 0
     #: Cycles of the extrapolated tails (would have been simulated).
@@ -87,6 +117,21 @@ class ExtrapolationStats:
     runs_analytic: int = 0
     #: Cycles those closed-form answers cover.
     cycles_analytic: int = 0
+    #: Unroll targets served off a simulated probe, as a prefix or via
+    #: its periodic tail.
+    runs_probe: int = 0
+    #: Copies those probes simulated (verification probes included).
+    probe_copies: int = 0
+    #: Unroll targets simulated in full, one run each.
+    runs_full: int = 0
+
+    def add(self, other: "ExtrapolationStats") -> None:
+        for spec in fields(self):
+            setattr(
+                self,
+                spec.name,
+                getattr(self, spec.name) + getattr(other, spec.name),
+            )
 
 
 def _form_blockers(core: Core, instruction) -> Tuple[bool, bool]:
@@ -130,10 +175,36 @@ def _uses_stores(core: Core, code: Sequence) -> bool:
     """Static guard: any µop of *code* writes memory.
 
     Stores make rename value-dependent (store-to-load forwarding keys on
-    effective addresses), so the structural-rename fast path refuses
-    them and leaves such bodies to the event-kernel probe.
+    effective addresses), so the structural-rename fast path takes them
+    only when :func:`_fixed_addresses` holds.
     """
     return any(_form_blockers(core, i)[1] for i in code)
+
+
+def _fixed_addresses(code: Sequence) -> bool:
+    """Static guard: every copy of *code* computes the same addresses.
+
+    True when no instruction writes RSP or the base or index register
+    of any memory operand of the body (implicit operands included), and
+    the body has no access through a pointer register the instruction
+    itself advances (push, pop, call, ret, REP string moves).  Register
+    values that feed addresses then never change, so the accesses of
+    the first copy are those of every copy.  Pointer chases through
+    memory fail the guard and keep the emulating probe.
+    """
+    address_registers = {"RSP"}
+    for instruction in code:
+        if instruction.form.category in _MOVING_ACCESS_CATEGORIES:
+            return False
+        for operand in instruction.operands:
+            if isinstance(operand, Memory):
+                for reg in (operand.base, operand.index):
+                    if reg is not None:
+                        address_registers.add(reg.canonical)
+    return not any(
+        address_registers.intersection(instruction.registers_written())
+        for instruction in code
+    )
 
 
 def _rename_snapshot(context: RenameContext) -> Tuple:
@@ -163,10 +234,15 @@ def _rename_snapshot(context: RenameContext) -> Tuple:
         )
         for name, writer in context.flag_writer.items()
     ))
+    stores = tuple(sorted(
+        (address, n - producer.index, offset)
+        for address, (producer, offset) in context.mem_writer.items()
+    ))
     serialize = context.serialize_dep
     return (
         regs,
         flags,
+        stores,
         -1 if serialize is None else n - serialize.index,
         context.move_elim_counter % 3,
         context.vec_mode,
@@ -241,6 +317,7 @@ def _synthesize(templates: List[Tuple], order: List[int]):
 def _analytic_unrolled(
     core: Core,
     code: Sequence,
+    init: Optional[Dict[str, int]],
     targets: Sequence[int],
     stats: "ExtrapolationStats",
 ) -> Optional[Dict[int, CounterValues]]:
@@ -253,20 +330,28 @@ def _analytic_unrolled(
     recurrence — no kernel run, no value emulation, and rename cost
     bounded by :data:`SNAPSHOT_BUDGET` copies instead of the unroll
     factor.  Guards: divider forms (value-dependent timing), stores
-    (value-dependent forwarding), and the fusion/decoder extensions
-    (front-end state not covered by the snapshot) all return ``None``,
-    as does a recurrence abort or a missing snapshot match.
+    whose addresses can move between copies (:func:`_fixed_addresses`),
+    and the fusion/decoder extensions (front-end state not covered by
+    the snapshot) all return ``None``, as does a recurrence abort or a
+    missing snapshot match.
 
-    ``init`` register values are deliberately not consulted: under the
-    guards above, values influence neither the dependence graph nor any
+    ``init`` is consulted only for store bodies: one copy is evaluated
+    from it to learn the effective addresses every copy shares.  Without
+    stores, values influence neither the dependence graph nor any
     latency, so the counters are identical for every initial state.
     """
     if core.enable_macro_fusion or core.enable_decoder_model:
         return None
-    if _uses_divider(core, code) or _uses_stores(core, code):
+    if _uses_divider(core, code):
         return None
+    accesses = None
+    if _uses_stores(core, code):
+        if not _fixed_addresses(code):
+            return None
+        state = MachineState.initial(init)
+        accesses = [split_accesses(evaluate(i, state)) for i in code]
 
-    context = RenameContext(None, emulate=False)
+    context = RenameContext(None, emulate=False, accesses=accesses)
     snapshots: List[Tuple] = []
     templates: List[Tuple] = []
     transient = period = 0
@@ -291,20 +376,22 @@ def _analytic_unrolled(
 
     block_len = len(code)
     # Structural memo: experiments that differ only in register choice
-    # rename to identical relative templates, so the schedule (and every
-    # derived counter) is shared.  Keyed per core, which also scopes it
-    # to one uarch/extension configuration.
-    key = (tuple(templates), transient, period, tuple(targets), block_len)
+    # (or store address) rename to identical relative templates, so the
+    # schedule and every derived counter are shared.  Keyed per core,
+    # which also scopes it to one uarch/extension configuration, and by
+    # digest, so an entry costs its results rather than its templates.
+    key = hashlib.sha256(repr(
+        (tuple(templates), transient, period, tuple(targets), block_len)
+    ).encode("utf-8")).digest()
     memo = core.analytic_memo
     hit = memo.get(key)
     if hit is not None:
-        results, a_runs, a_cycles, e_runs, e_cycles = hit
-        stats.runs_analytic += a_runs
-        stats.cycles_analytic += a_cycles
-        stats.runs_extrapolated += e_runs
-        stats.cycles_extrapolated += e_cycles
+        results, served = hit
+        # Replays which rung served each target; a hit simulates nothing.
+        stats.add(replace(served, probe_copies=0))
         return results
 
+    served = ExtrapolationStats()
     uarch_ports = core.uarch.ports
     closed_form = True
 
@@ -328,6 +415,7 @@ def _analytic_unrolled(
                 [0] * len(lat_a), boundaries_a,
             )
             core.cycles_simulated += total_cycles
+            served.probe_copies += n
             bounds = [b if b >= 0 else None for b in bound_arr]
         else:
             total_cycles, _counts, finishes, bounds = scheduled
@@ -356,7 +444,7 @@ def _analytic_unrolled(
             total_cycles=total_cycles,
         )
 
-    probe = build_probe(min(targets[-1], max(MIN_PROBE, targets[0] + 2)))
+    probe = build_probe(_probe_copies(targets))
 
     results: Dict[int, CounterValues] = {}
     beyond = [t for t in targets if t > probe.copies]
@@ -370,35 +458,8 @@ def _analytic_unrolled(
         # The schedule is not periodic within the probe window: extend
         # to each long target exactly (cost is O(µops), not O(cycles)).
         for t in beyond:
-            order_t = _template_order(t, transient, period)
-            arrays_t = _synthesize(templates, order_t)
-            scheduled_t = (
-                schedule_arrays(core.uarch, *arrays_t)
-                if closed_form else None
-            )
-            if scheduled_t is not None:
-                cycles_t, counts_t = scheduled_t[0], scheduled_t[1]
-            else:
-                ports_t, lat_t, mins_t, deps_t, _bounds = arrays_t
-                cycles_t, counts_t, _f, _b = timing_event_arrays(
-                    core.uarch, ports_t, lat_t, mins_t, deps_t,
-                    [0] * len(lat_t),
-                )
-                core.cycles_simulated += cycles_t
-                closed_form = False
-            results[t] = CounterValues(
-                cycles=cycles_t,
-                port_uops=counts_t,
-                uops=sum(len(templates[ti][0]) for ti in order_t),
-                instructions=t * block_len,
-                uops_fused=sum(templates[ti][2] for ti in order_t),
-            )
-    a_runs = a_cycles = e_runs = e_cycles = 0
-    if not closed_form:
-        # The probe was simulated (array event kernel); only targets
-        # served off its periodic tail count as extrapolated, matching
-        # the event-probe path's accounting.
-        e_runs = sum(1 for t in beyond if t not in results)
+            probe_t = build_probe(t)
+            results[t] = _prefix_counters(probe_t, t, block_len, uarch_ports)
     for t in targets:
         if t in results:
             continue
@@ -409,15 +470,19 @@ def _analytic_unrolled(
                 probe, timing_period, t, block_len, uarch_ports
             )
             if not closed_form:
-                e_cycles += results[t].cycles - probe.total_cycles
+                # Only a simulated probe's tail counts as extrapolated,
+                # matching the event-probe path's accounting.
+                served.runs_extrapolated += 1
+                served.cycles_extrapolated += (
+                    results[t].cycles - probe.total_cycles
+                )
     if closed_form:
-        a_runs = len(targets)
-        a_cycles = sum(int(results[t].cycles) for t in targets)
-    stats.runs_analytic += a_runs
-    stats.cycles_analytic += a_cycles
-    stats.runs_extrapolated += e_runs
-    stats.cycles_extrapolated += e_cycles
-    memo[key] = (results, a_runs, a_cycles, e_runs, e_cycles)
+        served.runs_analytic = len(targets)
+        served.cycles_analytic = sum(int(results[t].cycles) for t in targets)
+    else:
+        served.runs_probe = len(targets)
+    stats.add(served)
+    memo[key] = (results, served)
     return results
 
 
@@ -560,58 +625,58 @@ def unrolled_counters(
 ) -> Tuple[Dict[int, CounterValues], ExtrapolationStats]:
     """Exact counters of ``code * t`` for every unroll factor in *targets*.
 
-    With the analytic kernel the whole ladder is attempted first in
-    closed form (:func:`_analytic_unrolled`): structural rename with a
+    The ladder, cheapest rung first.  With the analytic kernel (the
+    default) the whole ladder is attempted in closed form
+    (:func:`_analytic_unrolled`): structural rename with a
     snapshot-proved period plus the analytic recurrence, no kernel run
     at all.  Otherwise (or on analytic fallback) one instrumented probe
-    simulation serves every target either as an integer prefix of the
-    probe or by extrapolating the periodic steady state; each returned
-    :class:`CounterValues` is bit-identical to
-    ``core.run(list(code) * t, init)``.  Falls back to full simulation
-    per target when extrapolation does not apply (reference kernel,
-    divider forms, no period surviving verification).
+    simulation of :func:`_probe_copies` copies serves every target
+    either as an integer prefix of the probe or by extrapolating the
+    periodic steady state.  Last, full simulation per target when
+    neither applies (reference kernel, divider forms, no period
+    surviving verification).  Each returned :class:`CounterValues` is
+    bit-identical to ``core.run(list(code) * t, init)``.
     """
     stats = ExtrapolationStats()
     targets = sorted(set(targets))
 
-    def simulate_all() -> Dict[int, CounterValues]:
-        return {
-            t: core.run(list(code) * t, init) for t in targets
-        }
+    def simulate(t: int) -> CounterValues:
+        stats.runs_full += 1
+        return core.run(list(code) * t, init)
 
     if not code or not targets or core.kernel == KERNEL_REFERENCE:
-        return simulate_all(), stats
+        return {t: simulate(t) for t in targets}, stats
     if core.kernel == KERNEL_ANALYTIC:
-        analytic = _analytic_unrolled(core, code, targets, stats)
+        analytic = _analytic_unrolled(core, code, init, targets, stats)
         if analytic is not None:
             return analytic, stats
     if _uses_divider(core, code):
-        return simulate_all(), stats
+        return {t: simulate(t) for t in targets}, stats
 
-    probe_copies = min(targets[-1], max(MIN_PROBE, targets[0] + 2))
-    probe = core.run_instrumented(code, probe_copies, init)
+    def run_probe(n: int) -> ProbeResult:
+        stats.probe_copies += n
+        return core.run_instrumented(code, n, init)
+
+    probe = run_probe(_probe_copies(targets))
     block_len = len(code)
     ports = core.uarch.ports
 
     results: Dict[int, CounterValues] = {}
-    beyond = [t for t in targets if t > probe_copies]
+    beyond = [t for t in targets if t > probe.copies]
     period = None
     if beyond:
-        probe, period = _verified_period(
-            probe,
-            lambda n: core.run_instrumented(code, n, init),
-            targets[-1],
-        )
+        probe, period = _verified_period(probe, run_probe, targets[-1])
         beyond = [t for t in targets if t > probe.copies]
         if beyond and period is None:
             # No steady state survived verification: simulate the long
             # unrolls in full (the probe still serves the short ones as
             # prefixes).
             for t in beyond:
-                results[t] = core.run(list(code) * t, init)
+                results[t] = simulate(t)
     for t in targets:
         if t in results:
             continue
+        stats.runs_probe += 1
         if t <= probe.copies:
             results[t] = _prefix_counters(probe, t, block_len, ports)
         else:

@@ -54,14 +54,15 @@ KERNEL_REFERENCE = "reference"
 def kernel_mode(explicit: Optional[str] = None) -> str:
     """Resolve the timing-kernel selection.
 
-    ``REPRO_SIM=reference`` forces the original per-cycle loop (the
-    differential-test baseline and the escape hatch when debugging a
-    suspected kernel mismatch); ``REPRO_SIM=analytic`` opts into the
-    closed-form fast path (which falls back to the event kernel per run
-    when no closed form exists); anything else selects the event-driven
-    scheduler.
+    The default is the closed-form analytic tier, which falls back to
+    the event kernel per run when no closed form exists and is exact
+    wherever it answers.  ``REPRO_SIM=event`` pins the event-driven
+    scheduler and ``REPRO_SIM=reference`` the original per-cycle loop
+    (the differential-test baseline and the escape hatch when debugging
+    a suspected kernel mismatch); an explicit argument wins over the
+    environment.
     """
-    mode = explicit or os.environ.get(KERNEL_ENV) or KERNEL_EVENT
+    mode = explicit or os.environ.get(KERNEL_ENV) or KERNEL_ANALYTIC
     if mode not in (KERNEL_ANALYTIC, KERNEL_EVENT, KERNEL_REFERENCE):
         raise ValueError(
             f"unknown timing kernel {mode!r}; expected "
@@ -211,10 +212,14 @@ class RenameContext:
 
     ``emulate=False`` selects *structural* rename: architectural values
     are never computed (no :func:`~repro.pipeline.semantics.evaluate`
-    call, no divider operand classification, no store-address tracking).
-    Sound only for code without stores and without divider µops — there,
-    values influence neither the dependence graph nor any latency, so
-    the structural output is bit-identical to the emulating one.
+    call, no divider operand classification).  Sound only for code
+    without divider µops — there, values influence the dependence graph
+    only through the addresses of store-to-load forwarding.  Without
+    stores there is nothing to forward; with stores the caller passes
+    ``accesses``, one ``(reads, writes)`` pair of slot -> ``MemAccess``
+    maps per position of the block, which every renamed copy reuses —
+    exact when every copy computes the same effective addresses (see
+    :func:`repro.measure.extrapolate._fixed_addresses`).
     """
 
     __slots__ = (
@@ -234,11 +239,14 @@ class RenameContext:
         "decode_cycle",
         "decode_slots",
         "complex_used",
+        "accesses",
     )
 
-    def __init__(self, state: Optional[MachineState], emulate: bool = True):
+    def __init__(self, state: Optional[MachineState], emulate: bool = True,
+                 accesses: Optional[Sequence[Tuple[Dict, Dict]]] = None):
         self.state = state
         self.emulate = emulate
+        self.accesses = accesses
         self.reg_writer: Dict[str, Tuple[Optional[_RUop], int, str]] = {}
         self.flag_writer: Dict[str, Tuple[Optional[_RUop], int]] = {}
         self.mem_writer: Dict[int, Tuple[_RUop, int]] = {}
@@ -281,10 +289,10 @@ class Core:
                 work in the paper; off by default so that mainline
                 measurements see an ideal front end, on for the
                 decoder-characterization extension.
-            kernel: timing-kernel override (``"event"``/``"reference"``);
-                defaults to the ``REPRO_SIM`` environment variable, then
-                the event-driven scheduler.  Both kernels produce
-                bit-identical counters.
+            kernel: timing-kernel override (``"analytic"``/``"event"``/
+                ``"reference"``); defaults to the ``REPRO_SIM``
+                environment variable, then the analytic tier.  All three
+                produce bit-identical counters.
         """
         self.uarch = uarch
         self.enable_macro_fusion = enable_macro_fusion
@@ -303,8 +311,9 @@ class Core:
         self.runs_analytic = 0
         self.cycles_analytic = 0
         #: Structural memo of the measure-level analytic fast path:
-        #: relative rename templates -> closed-form unroll results
-        #: (see repro.measure.extrapolate._analytic_unrolled).
+        #: digest of the relative rename templates -> closed-form unroll
+        #: results (see repro.measure.extrapolate._analytic_unrolled).
+        #: The measurement backend swaps in a bounded LRU mapping.
         self.analytic_memo: Dict = {}
         #: Per-form cache of the fast-path guards (divider / store µops),
         #: filled lazily by repro.measure.extrapolate.
@@ -362,9 +371,10 @@ class Core:
         decode_cycle = context.decode_cycle
         decode_slots = context.decode_slots
         complex_used = context.complex_used
+        accesses = context.accesses
         next_index = len(uops)
 
-        for instruction in instructions:
+        for position, instruction in enumerate(instructions):
             form = instruction.form
             entry = self._entries.get(instruction)
             if entry is None:
@@ -418,12 +428,13 @@ class Core:
                 divider_fast = _divider_operands_fast(instruction, state)
 
             # Architectural execution (also yields memory addresses).
-            # Structural rename skips it: without stores there is
-            # nothing to forward, and addresses never gate timing.
+            # Structural rename skips it: addresses matter only for
+            # store-to-load forwarding, and store bodies hand in the
+            # per-position accesses their copies all share.
             if emulate:
-                accesses = evaluate(instruction, state)
-                reads = {a.slot: a for a in accesses if a.kind == "R"}
-                writes = {a.slot: a for a in accesses if a.kind == "W"}
+                reads, writes = split_accesses(evaluate(instruction, state))
+            elif accesses is not None:
+                reads, writes = accesses[position]
             else:
                 reads = {}
                 writes = {}
@@ -945,6 +956,13 @@ class Core:
     def supports(self, instruction_or_form) -> bool:
         form = getattr(instruction_or_form, "form", instruction_or_form)
         return build_entry(form, self.uarch) is not None
+
+
+def split_accesses(accesses) -> Tuple[Dict, Dict]:
+    """``(reads, writes)``: one instruction's memory accesses by slot."""
+    reads = {a.slot: a for a in accesses if a.kind == "R"}
+    writes = {a.slot: a for a in accesses if a.kind == "W"}
+    return reads, writes
 
 
 def _add_address_deps(instruction, slot, reg_writer, deps) -> None:

@@ -14,7 +14,6 @@ from repro.measure.backend import HardwareBackend
 from repro.uarch.configs import ALL_UARCHES, get_uarch
 
 _BACKENDS = {}
-_FAST_BACKENDS = {}
 _BLOCKING = {}
 
 
@@ -27,21 +26,6 @@ def backend_for(name: str) -> HardwareBackend:
     if name not in _BACKENDS:
         _BACKENDS[name] = HardwareBackend(get_uarch(name))
     return _BACKENDS[name]
-
-
-def fast_backend_for(name: str) -> HardwareBackend:
-    """A shared backend pinned to the analytic tier.
-
-    Bit-identical to the default backend (the cross-tier contract is
-    pinned by test_sim_differential.py and test_sim_fuzz.py), so
-    sweep-sized tests that exercise *infrastructure* — executors, sweep
-    engines, analysis tables — use it to keep tier-1 wall time down.
-    """
-    if name not in _FAST_BACKENDS:
-        _FAST_BACKENDS[name] = HardwareBackend(
-            get_uarch(name), kernel="analytic"
-        )
-    return _FAST_BACKENDS[name]
 
 
 def blocking_for(name: str, database):

@@ -10,7 +10,7 @@ from repro.analysis.casestudies import (
 )
 from repro.core.runner import CharacterizationRunner
 from repro.uarch.configs import get_uarch
-from tests.conftest import backend_for, fast_backend_for
+from tests.conftest import backend_for
 
 
 class TestSampling:
@@ -41,9 +41,7 @@ class TestSampling:
 class TestAgreement:
     @pytest.fixture(scope="class")
     def skl_row(self, db):
-        # Agreement is about the analysis tables, not the kernel: use
-        # the shared analytic-tier backend to keep the sweep affordable.
-        backend = fast_backend_for("SKL")
+        backend = backend_for("SKL")
         runner = CharacterizationRunner(backend, db)
         supported = runner.supported_forms()
         sample = stratified_sample(supported, 60)

@@ -75,21 +75,42 @@ class TestCommands:
         assert "loop-carried dependency" in out
 
     @pytest.mark.slow
-    def test_sweep_writes_xml(self, tmp_path, capsys, monkeypatch):
-        # The analytic tier is bit-identical (pinned elsewhere); this
-        # test is about the sweep CLI, caching and XML output.
-        monkeypatch.setenv("REPRO_SIM", "analytic")
+    def test_sweep_writes_xml(self, tmp_path, capsys):
+        import json
+
         output = tmp_path / "out.xml"
         cache_dir = tmp_path / "cache"
+        stats_json = tmp_path / "cold.json"
         assert main([
             "sweep", "SKL", "--sample", "5", "--output", str(output),
-            "--cache-dir", str(cache_dir),
+            "--cache-dir", str(cache_dir), "--stats-json", str(stats_json),
         ]) == 0
         assert output.exists()
         text = output.read_text()
         assert "<instruction" in text
         assert "ports=" in text
         assert cache_dir.joinpath("SKL.jsonl").exists()
+
+        # The cold run reports which ladder rung served the unroll
+        # targets: mostly the closed form, the rest probe or full runs.
+        stats = json.loads(stats_json.read_text())
+        assert stats["runs_analytic"] > stats["runs_probe"] > 0
+        assert stats["probe_copies"] >= stats["runs_probe"]
+        assert stats["runs_full"] > 0  # divider forms
+        simulation = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("simulation: ")
+        ]
+        assert simulation == [
+            f"simulation: {stats['cycles_simulated']} cycles simulated, "
+            f"{stats['cycles_extrapolated']} extrapolated "
+            f"({stats['runs_extrapolated']} runs), "
+            f"{stats['cycles_analytic']} analytic "
+            f"({stats['runs_analytic']} runs); "
+            f"{stats['runs_probe']} probe runs "
+            f"({stats['probe_copies']} copies), "
+            f"{stats['runs_full']} full runs"
+        ]
 
         # A warm re-run serves everything from the cache and emits
         # byte-identical XML.
@@ -136,12 +157,10 @@ class TestDistributedFlags:
         assert "kept 0 result(s)" in out
 
     @pytest.mark.slow
-    def test_enqueue_drain_gc_round_trip(self, tmp_path, capsys,
-                                         monkeypatch):
+    def test_enqueue_drain_gc_round_trip(self, tmp_path, capsys):
         import json
         import re
 
-        monkeypatch.setenv("REPRO_SIM", "analytic")
         cache_dir = tmp_path / "cache"
         # Coordinator plans the work without measuring anything.
         # (--sample is per stratum, so the unit count is catalog-sized.)
@@ -203,11 +222,9 @@ class TestDistributedFlags:
         assert rerun.read_bytes() == output.read_bytes()
 
     @pytest.mark.slow
-    def test_incremental_flag_skips_unchanged(self, tmp_path, capsys,
-                                              monkeypatch):
+    def test_incremental_flag_skips_unchanged(self, tmp_path, capsys):
         import json
 
-        monkeypatch.setenv("REPRO_SIM", "analytic")
         cache_dir = tmp_path / "cache"
         output = tmp_path / "out.xml"
         assert main([

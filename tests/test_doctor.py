@@ -312,9 +312,7 @@ class TestStrictSweep:
         forms = stratified_sample(engine.supported_forms(), 1)
         return forms[0].uid, len(forms)
 
-    def test_strict_exit_three_on_quarantine(self, tmp_path, capsys,
-                                             monkeypatch):
-        monkeypatch.setenv("REPRO_SIM", "analytic")
+    def test_strict_exit_three_on_quarantine(self, tmp_path, capsys):
         uid, _count = self._sampled_uid()
         argv = [
             "sweep", "SKL", "--sample", "1",
@@ -332,8 +330,7 @@ class TestStrictSweep:
             capsys.readouterr().err
         )
 
-    def test_strict_clean_sweep_exits_zero(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM", "analytic")
+    def test_strict_clean_sweep_exits_zero(self, tmp_path):
         assert cli.main([
             "sweep", "SKL", "--sample", "1", "--strict",
             "--output", str(tmp_path / "out.xml"),
@@ -342,10 +339,9 @@ class TestStrictSweep:
 
 
 class TestStrictDrain:
-    def test_drain_strict_exit_three(self, tmp_path, db, monkeypatch):
+    def test_drain_strict_exit_three(self, tmp_path, db):
         # Engine-level drain equivalent of the CLI path: enqueue two
         # forms, permanently fail one, drain with strict semantics.
-        monkeypatch.setenv("REPRO_SIM", "analytic")
         from repro.core.sweep import SweepEngine
 
         root = str(tmp_path)

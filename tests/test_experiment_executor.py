@@ -94,13 +94,8 @@ def _forms(uarch_name):
 
 
 def _characterize(uarch_name, forms, mode):
-    """A fresh backend/runner pair driven in the given executor mode.
-
-    Pinned to the analytic tier: this differential compares executor
-    dispatch strategies, not kernels (tier bit-identity has its own
-    suites), and the fast tier keeps the sweep-sized run affordable.
-    """
-    backend = HardwareBackend(get_uarch(uarch_name), kernel="analytic")
+    """A fresh backend/runner pair driven in the given executor mode."""
+    backend = HardwareBackend(get_uarch(uarch_name))
     executor = ExperimentExecutor(backend, mode=mode)
     runner = CharacterizationRunner(backend, DATABASE, executor=executor)
     encoded = {}

@@ -6,8 +6,8 @@ probe with periodic extrapolation, full per-target simulation — and
 every rung must (a) take the fallback it claims to take and (b) stay
 bit-identical to simulating each target outright.  Each edge gets a
 targeted test: reference-kernel opt-out, divider forms, store forms,
-sub-probe targets, undetected timing periods, rename-snapshot misses,
-recurrence aborts, and the structural memo.
+the probe-size rule, sub-probe targets, undetected timing periods,
+rename-snapshot misses, recurrence aborts, and the structural memo.
 """
 
 from __future__ import annotations
@@ -15,11 +15,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.codegen import independent_sequence, instantiate
+from repro.isa.assembler import parse_sequence
 from repro.isa.database import load_default_database
 from repro.measure import extrapolate
+from repro.measure.backend import HardwareBackend, MeasurementConfig
 from repro.measure.extrapolate import (
     MIN_PROBE,
+    _fixed_addresses,
     _form_blockers,
+    _probe_copies,
     _uses_divider,
     _uses_stores,
     unrolled_counters,
@@ -97,23 +101,78 @@ class TestDividerFallback:
 
 
 class TestStoresFallback:
-    """Stores make rename value-dependent: the closed form refuses and
-    the event probe takes over (extrapolation itself is still fine)."""
+    """Stores make rename value-dependent: the closed form takes them
+    only when every copy computes the same addresses, and otherwise the
+    event probe takes over (extrapolation itself is still fine)."""
 
     def test_analytic_tier_declines(self):
+        """Only guarded store shapes decline: a written address register
+        or a stack access moves the addresses between copies."""
+        for text in (
+            "MOV qword ptr [RAX], RBX\nADD RAX, RCX",
+            "PUSH RAX\nPOP RBX",
+        ):
+            code = parse_sequence(text, DATABASE)
+            core, _results, stats = check_ladder(
+                "SKL", "analytic", code, [2, 40]
+            )
+            assert stats.runs_analytic == 0
+            assert stats.cycles_analytic == 0
+            # The emulating event probe serves them instead.
+            assert stats.probe_copies >= MIN_PROBE
+            assert stats.runs_probe + stats.runs_full == 2
+
+    def test_loop_invariant_stores_served_in_closed_form(self):
         code = _body("MOV_M64_R64")
         core, _results, stats = check_ladder(
             "SKL", "analytic", code, [2, 40]
         )
-        assert stats.runs_analytic == 0
-        assert stats.cycles_analytic == 0
-        # The event probe still extrapolates the long target.
-        assert stats.runs_extrapolated == 1
+        assert stats.runs_analytic == 2
+        assert stats.probe_copies == 0
+        assert core.cycles_simulated == 0
 
     def test_guard_flags(self):
         core = build_core(get_uarch("SKL"), kernel="analytic")
         assert _uses_stores(core, _body("MOV_M64_R64"))
         assert not _uses_stores(core, _body("MOV_R64_M64"))
+        assert _fixed_addresses(_body("MOV_M64_R64"))
+        assert not _fixed_addresses(parse_sequence(
+            "MOV qword ptr [RAX], RBX\nMOV RAX, qword ptr [RAX]", DATABASE
+        ))
+
+
+class TestProbeRule:
+    """One probe when one doubling would reach the longest target."""
+
+    @pytest.mark.parametrize("targets, first", [
+        ((5, 25), 25), ((10, 110), MIN_PROBE), ((3, 7), 7),
+        ((2, 36), 36), ((2, 37), MIN_PROBE),
+    ])
+    def test_first_probe(self, targets, first):
+        assert _probe_copies(targets) == first
+
+    @pytest.mark.parametrize("targets, probes", [
+        ((5, 25), [25]), ((10, 110), [MIN_PROBE, 2 * MIN_PROBE]),
+    ])
+    def test_event_probes_simulated(self, targets, probes):
+        core = build_core(get_uarch("SKL"), kernel="event")
+        seen = []
+        original = core.run_instrumented
+
+        def spy(code, copies, init=None):
+            seen.append(copies)
+            return original(code, copies, init)
+
+        core.run_instrumented = spy
+        code = _body("ADD_R64_R64")
+        results, stats = unrolled_counters(core, code, None, targets)
+        assert seen == probes
+        assert stats.probe_copies == sum(probes)
+        assert stats.runs_probe == len(targets)
+        assert stats.runs_full == 0
+        expected = _expected("SKL", code, targets)
+        for t in targets:
+            assert_identical(results[t], expected[t], f"(x{t})")
 
 
 class TestShortProbes:
@@ -203,6 +262,8 @@ class TestRecurrenceAbort:
         assert stats.runs_analytic == 0
         assert core.cycles_simulated > 0
         assert stats.runs_extrapolated >= 1
+        assert stats.runs_probe == 2
+        assert stats.probe_copies >= MIN_PROBE
 
 
 class TestStructuralMemo:
@@ -237,6 +298,21 @@ class TestStructuralMemo:
             core, [instantiate(form)] * 2, None, [2, 40]
         )
         assert len(core.analytic_memo) == 2
+
+    def test_backend_memo_is_bounded_and_digest_keyed(self):
+        uarch = get_uarch("SKL")
+        backend = HardwareBackend(
+            uarch, MeasurementConfig(max_cached_measurements=1)
+        )
+        form = DATABASE.by_uid("ADD_R64_R64")
+        backend.measure(independent_sequence(form, 2))
+        backend.measure([instantiate(form)] * 2)
+        memo = backend._core.analytic_memo
+        assert len(memo) == 1 and memo.evictions == 1
+        assert all(isinstance(k, bytes) and len(k) == 32 for k in memo)
+        # Evictions of all three bounded stores are reported together.
+        assert backend.cache_evictions == 3
+        assert backend.stats_tuple().cache_evictions == 3
 
 
 class TestFormBlockerCache:

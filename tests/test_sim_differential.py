@@ -258,7 +258,9 @@ class TestExtrapolationCounters:
     def test_extrapolation_happens_and_saves_cycles(self):
         uarch = get_uarch("SKL")
         form = DATABASE.by_uid("ADD_R64_R64")
-        backend = HardwareBackend(uarch, MeasurementConfig.paper())
+        backend = HardwareBackend(
+            uarch, MeasurementConfig.paper(), kernel="event"
+        )
         backend.measure(independent_sequence(form, 4))
         assert backend.runs_extrapolated >= 1
         assert backend.cycles_extrapolated > 0

@@ -14,12 +14,14 @@ strategies over
   sets and latencies, divider value classes) injected into the ground
   truth entry cache, and
 * real-catalog experiment bodies (chains, parallel mixes, blocking-style
-  bodies) through the full measure path,
+  bodies) through the full measure path, and
+* real-catalog store bodies whose copies share one address, use
+  distinct addresses, reload the stored address, or move it every copy,
 
 asserting exact equality across all three tiers on SKL and NHM.
 
 Budget: ``REPRO_FUZZ_EXAMPLES`` scales every strategy (default 100 →
-100 + 80 + 34 = 214 generated cases per microarchitecture; the CI
+100 + 80 + 34 + 34 = 248 generated cases per microarchitecture; the CI
 ``sim-fuzz`` job raises it).  Failures print a ``@reproduce_failure``
 blob (``print_blob``); run CI with ``--hypothesis-seed=random`` so the
 seed itself is printed too.
@@ -34,7 +36,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.codegen import independent_sequence, instantiate
+from repro.isa.assembler import parse_sequence
 from repro.isa.database import load_default_database
+from repro.isa.operands import Memory
 from repro.measure.backend import HardwareBackend
 from repro.pipeline.analytic import schedule_analytic
 from repro.pipeline.core import Core, _RUop
@@ -361,6 +365,98 @@ class TestMeasureBodies:
         assert_identical(
             results["analytic"], results["event"],
             f"({uarch_name} measure body, analytic vs event)",
+        )
+
+
+# ----------------------------------------------------------------------
+# Strategy 4: store bodies — fixed and moving addresses.
+# ----------------------------------------------------------------------
+
+#: Memory-destination forms: plain stores, read-modify-writes, and the
+#: aliasing exchange/compare-exchange forms.
+_STORE_UIDS = [
+    "MOV_M64_R64",
+    "MOV_M8_R8",
+    "ADD_M64_R64",
+    "ADD_M32_I8",
+    "INC_M8",
+    "NOT_M16",
+    "SHL_M64_I8",
+    "XCHG_M16_R16",
+    "CMPXCHG_M32_R32",
+    "XADD_M64_R64",
+    "MOVAPS_M128_XMM",
+]
+
+
+def _store_forms(uarch_name):
+    core = Core(get_uarch(uarch_name))
+    forms = [
+        DATABASE.by_uid(uid) for uid in _STORE_UIDS
+        if core.supports(DATABASE.by_uid(uid))
+    ]
+    assert len(forms) >= 10
+    return forms
+
+
+@st.composite
+def store_bodies(draw, forms):
+    """Store bodies whose copies reuse one address (``same``: chains
+    through memory), use distinct addresses (``distinct``), mix both,
+    reload the stored address, or move it every copy (``moving``, which
+    the closed form must decline)."""
+    shape = draw(st.sampled_from(
+        ("same", "distinct", "mixed", "reload", "moving")
+    ))
+    form = draw(st.sampled_from(forms))
+    n = draw(st.integers(1, 6))
+    store = instantiate(form)
+    if shape == "same":
+        return [store] * n
+    if shape == "distinct":
+        return independent_sequence(form, n)
+    if shape == "mixed":
+        body = []
+        for inst in independent_sequence(form, n):
+            body.append(inst)
+            if draw(st.booleans()):
+                body.append(store)
+        return body
+    base = next(op.base for op in store.operands if isinstance(op, Memory))
+    if shape == "reload":
+        load = parse_sequence(
+            f"MOV R15, qword ptr [{base.name}]", DATABASE
+        )
+        return [store] * n + load
+    step = draw(st.sampled_from((8, 64, 0x10000)))
+    return [store] * n + parse_sequence(f"ADD {base.name}, {step}", DATABASE)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("uarch_name", UARCH_NAMES)
+class TestStoreBodies:
+    """HardwareBackend.measure over generated store bodies: the closed
+    form (fixed addresses), the emulating probe (moving addresses) and
+    the reference loop agree exactly."""
+
+    @given(data=st.data())
+    @settings(max_examples=max(_BUDGET // 3 + 1, 10), **_SETTINGS)
+    def test_three_tiers_identical(self, uarch_name, data):
+        uarch = get_uarch(uarch_name)
+        body = data.draw(
+            store_bodies(_store_forms(uarch_name)), label="body"
+        )
+        results = {
+            kernel: HardwareBackend(uarch, kernel=kernel).measure(body)
+            for kernel in KERNELS
+        }
+        assert_identical(
+            results["event"], results["reference"],
+            f"({uarch_name} store body, event vs reference)",
+        )
+        assert_identical(
+            results["analytic"], results["event"],
+            f"({uarch_name} store body, analytic vs event)",
         )
 
 

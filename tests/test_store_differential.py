@@ -1,0 +1,242 @@
+"""Differential tests: the closed-form store path vs. the reference loop.
+
+The analytic tier serves loop-invariant store bodies in closed form:
+one copy is evaluated to learn its memory accesses, and structural
+rename reuses them for every copy
+(:func:`repro.measure.extrapolate._analytic_unrolled`).  That is exact
+only while every copy computes the same effective addresses, which
+:func:`~repro.measure.extrapolate._fixed_addresses` guards.  These tests
+pin both halves with exact ``CounterValues`` equality against
+``kernel="reference"``:
+
+* every non-divider, memory-writing catalog form on SKL and NHM, in the
+  bodies the latency, throughput and port-usage planners build for it
+  (aliasing bodies such as ``XCHG_M16_R16`` and ``CMPXCHG_M32_R32``
+  included);
+* the guard: written address registers and push/pop/call/ret bodies
+  decline the closed form and stay exact on the event probe.
+
+Port-usage bodies are long (a blocking prefix of up to ~180
+instructions), so one per form is checked by default;
+``REPRO_FUZZ_EXAMPLES`` >= 400 (the CI ``sim-fuzz`` job) checks all.
+"""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+
+from repro.core.codegen import instantiate
+from repro.core.runner import CharacterizationRunner
+from repro.isa.assembler import parse_sequence
+from repro.isa.database import load_default_database
+from repro.measure.backend import HardwareBackend, MeasurementConfig
+from repro.measure.extrapolate import (
+    ExtrapolationStats,
+    _analytic_unrolled,
+    _fixed_addresses,
+    _uses_divider,
+    _uses_stores,
+    unrolled_counters,
+)
+from repro.pipeline.core import build_core
+from repro.uarch.configs import get_uarch
+
+from tests.test_sim_differential import assert_identical
+
+DATABASE = load_default_database()
+
+UARCH_NAMES = ["SKL", "NHM"]
+
+_CONFIG = MeasurementConfig()
+TARGETS = (_CONFIG.unroll_small, _CONFIG.unroll_large)
+
+#: Check every port-usage body at this fuzz budget (one per form below).
+_ALL_PORT_BODIES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "100")) >= 400
+
+
+class _RecordingBackend(HardwareBackend):
+    """A backend that keeps every experiment the planners dispatch."""
+
+    def __init__(self, uarch):
+        super().__init__(uarch)
+        self.experiments = {}
+
+    def measure_many(self, experiments):
+        for experiment in experiments:
+            self.experiments.setdefault(experiment, experiment.tag)
+        return super().measure_many(experiments)
+
+
+def _store_forms(core):
+    forms = []
+    for form in DATABASE:
+        if not core.supports(form):
+            continue
+        try:
+            instruction = instantiate(form)
+        except (KeyError, ValueError):
+            continue
+        if _uses_stores(core, [instruction]) and not _uses_divider(
+            core, [instruction]
+        ):
+            forms.append(form)
+    return forms
+
+
+_PLANNED = {}
+
+
+def planner_bodies(uarch_name):
+    """``(forms, [(tag, code, init)])``: every memory-writing,
+    non-divider body the planners build for the store forms."""
+    if uarch_name not in _PLANNED:
+        backend = _RecordingBackend(get_uarch(uarch_name))
+        runner = CharacterizationRunner(backend, DATABASE)
+        runner.blocking  # discovery bodies are not under test
+        backend.experiments.clear()
+        core = backend._core
+        forms = _store_forms(core)
+        for form in forms:
+            runner.characterize(form)
+        bodies = []
+        ports_seen = set()
+        for experiment, tag in sorted(
+            backend.experiments.items(), key=lambda item: item[1]
+        ):
+            code = experiment.code
+            if not _uses_stores(core, code) or _uses_divider(core, code):
+                continue
+            if tag.startswith("ports:") and not _ALL_PORT_BODIES:
+                form_uid = tag.split(":")[2]
+                if form_uid in ports_seen:
+                    continue
+                ports_seen.add(form_uid)
+            bodies.append((tag, code, experiment.init_dict()))
+        _PLANNED[uarch_name] = (forms, bodies)
+    return _PLANNED[uarch_name]
+
+
+@pytest.mark.parametrize("uarch_name", UARCH_NAMES)
+class TestPlannerStoreBodies:
+    """Every store form, every planner shape, exact against reference."""
+
+    def test_closed_form_matches_reference(self, uarch_name):
+        uarch = get_uarch(uarch_name)
+        forms, bodies = planner_bodies(uarch_name)
+        assert len(forms) > 200
+        reference = build_core(uarch, kernel="reference")
+        covered = set()
+        closed = declined = 0
+        for tag, code, init in bodies:
+            core = build_core(uarch, kernel="analytic")
+            stats = ExtrapolationStats()
+            results = _analytic_unrolled(core, code, init, TARGETS, stats)
+            if results is None:
+                assert not _fixed_addresses(code), tag
+                declined += 1
+                continue
+            closed += 1
+            covered.update(i.form.uid for i in code)
+            for t in TARGETS:
+                assert_identical(
+                    results[t],
+                    reference.run(list(code) * t, init),
+                    f"({uarch_name} {tag} x{t})",
+                )
+        # Every store form with loop-invariant addresses reaches the
+        # closed form, and the guard declines only a minority of bodies
+        # (stack forms and pointer-chasing latency chains).
+        assert {
+            form.uid for form in forms
+            if _fixed_addresses([instantiate(form)])
+        } <= covered
+        assert declined < closed / 4, (declined, closed)
+
+    @pytest.mark.parametrize("uid", ["XCHG_M16_R16", "CMPXCHG_M32_R32"])
+    def test_aliasing_bodies_through_the_ladder(self, uarch_name, uid):
+        """Store and reload of one address in one body: forwarding
+        dependencies are part of the templates, hence of the memo key."""
+        uarch = get_uarch(uarch_name)
+        _forms, bodies = planner_bodies(uarch_name)
+        reference = build_core(uarch, kernel="reference")
+        core = build_core(uarch, kernel="analytic")
+        mine = [
+            (tag, code, init) for tag, code, init in bodies
+            if uid in tag.split(":")
+        ]
+        assert any(tag.startswith("lat:") for tag, _c, _i in mine)
+        for tag, code, init in mine:
+            results, stats = unrolled_counters(core, code, init, TARGETS)
+            assert stats.runs_full == 0
+            for t in TARGETS:
+                assert_identical(
+                    results[t],
+                    reference.run(list(code) * t, init),
+                    f"({uarch_name} {tag} x{t})",
+                )
+
+
+#: Bodies whose addresses move between copies: the guard must decline.
+_MOVING = {
+    "written base": "MOV qword ptr [RAX], RBX\nADD RAX, RCX",
+    "pointer chase through memory": (
+        "MOV qword ptr [RAX], RBX\nMOV RAX, qword ptr [RAX]"
+    ),
+    "written index": "MOV qword ptr [RAX+RSI*8], RBX\nINC RSI",
+    "partial write of the base": "MOV qword ptr [RAX], RBX\nMOV AL, CL",
+    "push/pop": "PUSH RAX\nPOP RBX",
+    "push into a store": "MOV qword ptr [RDX], RBX\nPUSH RAX",
+    "call/ret": "CALL RAX\nRET",
+}
+
+#: Loop-invariant store bodies: the guard must accept.
+_FIXED = {
+    "store": "MOV qword ptr [RAX], RBX",
+    "store and reload": "MOV qword ptr [RAX], RBX\nMOV RCX, qword ptr [RAX]",
+    "read-modify-write": "ADD qword ptr [RAX], RBX\nADD RBX, RCX",
+    "exchange": "XCHG word ptr [RBX], CX",
+}
+
+
+@pytest.mark.parametrize("uarch_name", UARCH_NAMES)
+class TestGuard:
+
+    @pytest.mark.parametrize("name", sorted(_MOVING))
+    def test_moving_addresses_decline(self, uarch_name, name):
+        uarch = get_uarch(uarch_name)
+        code = parse_sequence(_MOVING[name], DATABASE)
+        assert not _fixed_addresses(code)
+        core = build_core(uarch, kernel="analytic")
+        if not all(core.supports(i) for i in code):
+            pytest.skip(f"{name}: unsupported on {uarch_name}")
+        assert _analytic_unrolled(
+            core, code, None, TARGETS, ExtrapolationStats()
+        ) is None
+        results, stats = unrolled_counters(core, code, None, TARGETS)
+        assert stats.runs_analytic == 0
+        reference = build_core(uarch, kernel="reference")
+        for t in TARGETS:
+            assert_identical(
+                results[t], reference.run(list(code) * t),
+                f"({uarch_name} {name} x{t})",
+            )
+
+    @pytest.mark.parametrize("name", sorted(_FIXED))
+    def test_fixed_addresses_accepted(self, uarch_name, name):
+        uarch = get_uarch(uarch_name)
+        code = parse_sequence(_FIXED[name], DATABASE)
+        assert _fixed_addresses(code)
+        core = build_core(uarch, kernel="analytic")
+        init = {"RBX": 7, "RCX": 0x20}
+        results = _analytic_unrolled(
+            core, code, init, TARGETS, ExtrapolationStats()
+        )
+        assert results is not None
+        reference = build_core(uarch, kernel="reference")
+        for t in TARGETS:
+            assert_identical(
+                results[t], reference.run(list(code) * t, init),
+                f"({uarch_name} {name} x{t})",
+            )

@@ -84,15 +84,6 @@ class TestSharding:
 
 @pytest.mark.slow
 class TestDifferential:
-    @pytest.fixture(autouse=True)
-    def _fast_workers(self, monkeypatch):
-        # Worker processes build their own cores; pin them to the
-        # analytic tier (bit-identical, pinned by the differential and
-        # fuzz suites) so the sharded sweeps don't dominate tier-1 time.
-        # The serial baseline keeps the default kernel, which makes the
-        # equality assertions below cross-tier checks for free.
-        monkeypatch.setenv("REPRO_SIM", "analytic")
-
     @pytest.fixture(scope="class")
     def serial_results(self, db, skl_backend):
         runner = CharacterizationRunner(skl_backend, db)
@@ -158,10 +149,6 @@ class TestQueueChaos:
     """Queue-mode fault tolerance: lease expiry + stealing replace the
     static path's watchdog/respawn supervision."""
 
-    @pytest.fixture(autouse=True)
-    def _fast_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM", "analytic")
-
     @pytest.fixture(scope="class")
     def serial_results(self, db, skl_backend):
         runner = CharacterizationRunner(skl_backend, db)
@@ -206,10 +193,6 @@ class TestQueueChaos:
 class TestDistributedDrain:
     """The --enqueue-only / --drain API: independent processes sharing
     one cache directory cooperate through the persistent queue."""
-
-    @pytest.fixture(autouse=True)
-    def _fast_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM", "analytic")
 
     def test_enqueue_then_drain_round_trip(self, db, skl_backend,
                                            tmp_path):
