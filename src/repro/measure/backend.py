@@ -187,7 +187,6 @@ class HardwareBackend:
         self.uarch = uarch
         self.name = f"hw-{uarch.name}"
         self.config = config or MeasurementConfig()
-        self._core = Core(uarch, kernel=kernel)
         bound = self.config.max_cached_measurements
         self._cache = LRUDict(bound)
         #: Per-(code, init) full-run counters at each simulated unroll
@@ -195,7 +194,8 @@ class HardwareBackend:
         self._run_memo = LRUDict(bound)
         #: The core's structural closed-form memo, bounded alike.
         self._analytic_memo = LRUDict(bound)
-        self._core.analytic_memo = self._analytic_memo
+        self._core = Core(uarch, kernel=kernel,
+                          analytic_memo=self._analytic_memo)
         self.memo = memo
         #: Number of measure() invocations over the backend's lifetime.
         #: The sweep engine's tests use this to prove that a warm-cache

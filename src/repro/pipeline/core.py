@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, MutableMapping, Optional, Sequence, Tuple
 
 from repro.isa.instruction import ATTR_MOVE, Instruction
 from repro.isa.operands import Memory, OperandKind, RegisterOperand
@@ -274,7 +274,8 @@ class Core:
     def __init__(self, uarch: UarchConfig,
                  enable_macro_fusion: bool = False,
                  enable_decoder_model: bool = False,
-                 kernel: Optional[str] = None):
+                 kernel: Optional[str] = None,
+                 analytic_memo: Optional[MutableMapping] = None):
         """Args:
             uarch: the generation to simulate.
             enable_macro_fusion: model macro-fusion of flag-setting
@@ -293,6 +294,9 @@ class Core:
                 ``"reference"``); defaults to the ``REPRO_SIM``
                 environment variable, then the analytic tier.  All three
                 produce bit-identical counters.
+            analytic_memo: mapping that holds the structural closed-form
+                memo (the measurement backend passes its bounded LRU);
+                a plain dict when omitted.
         """
         self.uarch = uarch
         self.enable_macro_fusion = enable_macro_fusion
@@ -313,8 +317,9 @@ class Core:
         #: Structural memo of the measure-level analytic fast path:
         #: digest of the relative rename templates -> closed-form unroll
         #: results (see repro.measure.extrapolate._analytic_unrolled).
-        #: The measurement backend swaps in a bounded LRU mapping.
-        self.analytic_memo: Dict = {}
+        self.analytic_memo: MutableMapping = (
+            {} if analytic_memo is None else analytic_memo
+        )
         #: Per-form cache of the fast-path guards (divider / store µops),
         #: filled lazily by repro.measure.extrapolate.
         self.fastpath_blockers: Dict = {}

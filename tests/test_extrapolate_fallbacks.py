@@ -204,15 +204,25 @@ class TestShortProbes:
 
 class TestNoPeriodFallback:
     """When no timing period is detected the long targets are simulated
-    in full while the probe still serves the short ones."""
+    in full while the probe still serves the short ones.  The long
+    target lies beyond one doubling of :data:`MIN_PROBE`, so the probe
+    stays short and the fallback is actually reached."""
+
+    TARGETS = [2, 40]
+
+    def test_targets_need_a_period(self):
+        assert _probe_copies(self.TARGETS) == MIN_PROBE < self.TARGETS[-1]
 
     def test_event_probe_falls_back(self, monkeypatch):
         monkeypatch.setattr(
             extrapolate, "_detect_period", lambda signatures: None
         )
         core, _results, stats = check_ladder(
-            "SKL", "event", _body("ADD_R64_R64"), [2, 30]
+            "SKL", "event", _body("ADD_R64_R64"), self.TARGETS
         )
+        assert stats.probe_copies == MIN_PROBE
+        assert stats.runs_probe == 1
+        assert stats.runs_full == 1
         assert stats.runs_extrapolated == 0
         assert stats.cycles_extrapolated == 0
 
@@ -224,9 +234,11 @@ class TestNoPeriodFallback:
             extrapolate, "_detect_period", lambda signatures: None
         )
         core, _results, stats = check_ladder(
-            "SKL", "analytic", _body("ADD_R64_R64"), [2, 30]
+            "SKL", "analytic", _body("ADD_R64_R64"), self.TARGETS
         )
-        assert stats.runs_analytic == len([2, 30])
+        assert stats.runs_analytic == len(self.TARGETS)
+        assert stats.probe_copies == 0
+        assert stats.runs_full == 0
         assert core.cycles_simulated == 0
 
 

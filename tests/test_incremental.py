@@ -47,9 +47,7 @@ INERT_ATTRIBUTE = "test_inert_edit"
 
 @pytest.fixture(scope="module")
 def fast_skl():
-    # Analytic tier (bit-identical, pinned by the differential suites):
-    # these tests probe staleness bookkeeping, not measurement.
-    return HardwareBackend(get_uarch("SKL"), kernel="analytic")
+    return HardwareBackend(get_uarch("SKL"))
 
 
 def _base_forms(db):

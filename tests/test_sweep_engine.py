@@ -13,7 +13,7 @@ import pytest
 from repro.core.cache import ResultCache, cache_key
 from repro.core.runner import CharacterizationRunner
 from repro.core.sweep import SweepEngine, estimate_cost, shard_uids
-from repro.measure.backend import MeasurementConfig
+from repro.measure.backend import HardwareBackend, MeasurementConfig
 from repro.uarch.configs import get_uarch
 
 #: Sampled so the differential covers ALU, vector, divider, branch,
@@ -36,6 +36,16 @@ NHM_UIDS = ("ADD_R64_R64", "BSWAP_R64", "DIV_R64", "NOP", "PUSH_R64",
 
 def _forms(db, uids):
     return [db.by_uid(uid) for uid in uids]
+
+
+@pytest.fixture(scope="module")
+def serial_results(db):
+    """Serial baseline on the event kernel.  Engines and workers run the
+    default analytic tier, so every equality against this baseline also
+    compares the two tiers across a whole sweep."""
+    backend = HardwareBackend(get_uarch("SKL"), kernel="event")
+    runner = CharacterizationRunner(backend, db)
+    return runner.characterize_all(_forms(db, SAMPLE_UIDS))
 
 
 class TestSharding:
@@ -84,11 +94,6 @@ class TestSharding:
 
 @pytest.mark.slow
 class TestDifferential:
-    @pytest.fixture(scope="class")
-    def serial_results(self, db, skl_backend):
-        runner = CharacterizationRunner(skl_backend, db)
-        return runner.characterize_all(_forms(db, SAMPLE_UIDS))
-
     def test_jobs1_matches_serial(self, db, skl_backend, serial_results):
         engine = SweepEngine("SKL", db, backend=skl_backend)
         assert engine.sweep(_forms(db, SAMPLE_UIDS)) == serial_results
@@ -148,11 +153,6 @@ class TestDifferential:
 class TestQueueChaos:
     """Queue-mode fault tolerance: lease expiry + stealing replace the
     static path's watchdog/respawn supervision."""
-
-    @pytest.fixture(scope="class")
-    def serial_results(self, db, skl_backend):
-        runner = CharacterizationRunner(skl_backend, db)
-        return runner.characterize_all(_forms(db, SAMPLE_UIDS))
 
     def test_killed_worker_units_are_stolen(self, db, serial_results):
         # One worker hard-crashes on NOP; the parent reaps it and
