@@ -84,7 +84,9 @@ class RunStatistics:
     cycles_analytic: int = 0
     #: Measurement-ladder rungs below the closed form: unroll targets
     #: served off a simulated probe (as a prefix or extrapolated), the
-    #: copies those probes simulated, and targets simulated in full.
+    #: copies those probes simulated, and targets scheduled at full
+    #: length (divider bodies, synthesized or simulated, and targets
+    #: with no probe period).
     runs_probe: int = 0
     probe_copies: int = 0
     runs_full: int = 0

@@ -22,9 +22,14 @@ function of issue order, issue/retire are in order, and a port always
 dispatches its oldest ready µop — so a younger µop can never delay an
 older one.  The single exception is the non-pipelined divider, whose
 occupancy lets a younger µop (dispatched while the older's operands were
-still in flight) stall an older divider µop; divider forms therefore
-bypass extrapolation entirely (they are also the value-dependent case,
-Section 5.2.5, where periodicity itself is not guaranteed).  A period
+still in flight) stall an older divider µop; divider bodies therefore
+never extrapolate and are never read off a probe prefix.  They are also
+the value-dependent case (Section 5.2.5): the closed-form path serves
+them by emulating only the backward slice of the divider operands
+(:func:`_value_slice`) to get each copy's value class, proving the
+rename period over the rename state *and* that class sequence, and
+scheduling every unroll target on its own exact-length synthesized
+stream.  A period
 detected on the probe window is additionally *verified* before use: the
 probe is doubled (capped at the longest unroll target) and the periodic
 prediction must reproduce the longer probe's per-copy signatures
@@ -43,7 +48,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.isa.operands import Memory
 from repro.pipeline.analytic import schedule_arrays
@@ -55,6 +60,7 @@ from repro.pipeline.core import (
     CounterValues,
     ProbeResult,
     RenameContext,
+    divider_operands_fast,
     split_accesses,
 )
 from repro.pipeline.semantics import evaluate
@@ -122,7 +128,10 @@ class ExtrapolationStats:
     runs_probe: int = 0
     #: Copies those probes simulated (verification probes included).
     probe_copies: int = 0
-    #: Unroll targets simulated in full, one run each.
+    #: Unroll targets scheduled at full length, one run each, not read
+    #: off a probe: divider bodies (on a synthesized stream in the
+    #: closed-form path, by ``Core.run`` otherwise) and long targets
+    #: whose probe found no period.
     runs_full: int = 0
 
     def add(self, other: "ExtrapolationStats") -> None:
@@ -166,7 +175,9 @@ def _uses_divider(core: Core, code: Sequence) -> bool:
     """Static guard: any µop of *code* can occupy the divider.
 
     Divider occupancy breaks the prefix property and divider timing is
-    operand-value dependent, so these forms never extrapolate.
+    operand-value dependent, so these bodies never extrapolate: the
+    closed-form path schedules each target at full length from its
+    class-aware templates, and every other rung simulates each target.
     """
     return any(_form_blockers(core, i)[0] for i in code)
 
@@ -205,6 +216,101 @@ def _fixed_addresses(code: Sequence) -> bool:
         address_registers.intersection(instruction.registers_written())
         for instruction in code
     )
+
+
+#: The one resource that stands for every status flag in the slice.
+_FLAGS = "flags"
+
+
+def _granules(accesses) -> Iterator[int]:
+    """The 8-byte memory granules the given ``MemAccess``es touch."""
+    for access in accesses:
+        for g in range(max(1, access.width // 64)):
+            yield access.address + 8 * g
+
+
+def _value_slice(
+    code: Sequence,
+    accesses: Sequence[Tuple[Dict, Dict]],
+    roots: Sequence[int],
+) -> List[int]:
+    """Positions of *code* whose values can reach the *roots*' operands.
+
+    A loop-carried backward slice over the fixed per-position
+    ``(reads, writes)`` accesses of one copy: starting from everything
+    the root instructions (the divider positions, always members) read,
+    any instruction that writes a resource in the set joins the slice
+    and adds its own reads, until nothing changes.  Position order is
+    ignored, since in an unrolled body a write anywhere reaches later
+    copies.  Resources, all conservative:
+
+    * canonical registers; a written register also counts as read,
+      because a partial write merges with the old value;
+    * one flags resource, written by every instruction (a handler may
+      set flags its form does not declare), read by flag-reading forms;
+    * memory, per 8-byte granule of the fixed accesses.
+
+    Every writer of what the slice reads is in the slice, so emulating
+    only the slice in program order reproduces each value a slice
+    instruction reads exactly as full emulation does.  Address
+    registers are read but never written (:func:`_fixed_addresses`).
+    """
+    reads: List[set] = []
+    writes: List[set] = []
+    for instruction, (mem_reads, mem_writes) in zip(code, accesses):
+        written = set(instruction.registers_written())
+        read = set(instruction.registers_read()) | written
+        if instruction.form.flags_read:
+            read.add(_FLAGS)
+        written.add(_FLAGS)
+        read.update(_granules(mem_reads.values()))
+        written.update(_granules(mem_writes.values()))
+        reads.append(read)
+        writes.append(written)
+    members = set(roots)
+    live = set().union(*(reads[p] for p in roots))
+    grown = True
+    while grown:
+        grown = False
+        for p, written in enumerate(writes):
+            if p not in members and not written.isdisjoint(live):
+                members.add(p)
+                live |= reads[p]
+                grown = True
+    return sorted(members)
+
+
+def _divider_classes(
+    core: Core,
+    code: Sequence,
+    accesses: Sequence[Tuple[Dict, Dict]],
+    init: Optional[Dict[str, int]],
+    copies: int,
+) -> List[Tuple[bool, ...]]:
+    """Each copy's divider value classes, one boolean per position.
+
+    Emulates only :func:`_value_slice` of the divider positions, for
+    ``copies`` copies from a fresh initial state, classifying each
+    divider's operands right before it executes — the values full
+    emulation would see, at O(slice x copies) ``evaluate`` calls.
+    """
+    roots = []
+    for p, instruction in enumerate(code):
+        entry = core._entries.get(instruction)
+        if entry is not None and entry.divider_class is not None:
+            roots.append(p)
+    dividers = set(roots)
+    positions = _value_slice(code, accesses, roots)
+    state = MachineState.initial(init)
+    row = [False] * len(code)
+    classes = []
+    for _ in range(copies):
+        for p in positions:
+            if p in dividers:
+                row[p] = divider_operands_fast(code[p], state)
+            evaluate(code[p], state)
+        classes.append(tuple(row))
+    return classes
 
 
 def _rename_snapshot(context: RenameContext) -> Tuple:
@@ -256,7 +362,8 @@ def _copy_template(
 
     Per µop: candidate ports (sorted — binding is order-independent),
     completion latency, ``min_issue`` relative to the copy's starting
-    ``frontend_release``, and deps as (age, offset) pairs.  Per copy:
+    ``frontend_release``, deps as (age, offset) pairs, and divider
+    occupancy.  Per copy:
     the ``frontend_release`` and fused-µop deltas.
     """
     items = []
@@ -272,6 +379,7 @@ def _copy_template(
                 )
                 for producer, offset in uop.deps
             ),
+            uop.divider_cycles,
         ))
     return (
         tuple(items),
@@ -295,12 +403,13 @@ def _synthesize(templates: List[Tuple], order: List[int]):
     lat: List[int] = []
     mins: List[int] = []
     deps: List[List[Tuple[Optional[int], int]]] = []
+    divider: List[int] = []
     boundaries: List[int] = []
     frontend_release = 0
     g = 0
     for ti in order:
         items, fr_delta, _fused = templates[ti]
-        for pset, complete_lat, min_rel, rel_deps in items:
+        for pset, complete_lat, min_rel, rel_deps, occupancy in items:
             ports.append(pset)
             lat.append(complete_lat)
             mins.append(frontend_release + min_rel)
@@ -308,10 +417,34 @@ def _synthesize(templates: List[Tuple], order: List[int]):
                 (None if rel is None else g - rel, offset)
                 for rel, offset in rel_deps
             ])
+            divider.append(occupancy)
             g += 1
         frontend_release += fr_delta
         boundaries.append(g)
-    return ports, lat, mins, deps, boundaries
+    return ports, lat, mins, deps, divider, boundaries
+
+
+def _full_length_counters(
+    core: Core, templates: List[Tuple], order: List[int], block_len: int
+) -> CounterValues:
+    """Counters of exactly the synthesized ``order`` stream.
+
+    Scheduled on the array event kernel, which models divider occupancy
+    (there is no closed form for it) — the same µop stream ``Core.run``
+    would time, without µop objects or value emulation.
+    """
+    *arrays, _boundaries = _synthesize(templates, order)
+    cycles, port_counts, _finishes, _bound = timing_event_arrays(
+        core.uarch, *arrays
+    )
+    core.cycles_simulated += cycles
+    return CounterValues(
+        cycles=cycles,
+        port_uops=port_counts,
+        uops=len(arrays[1]),
+        instructions=len(order) * block_len,
+        uops_fused=sum(templates[ti][2] for ti in order),
+    )
 
 
 def _analytic_unrolled(
@@ -329,27 +462,36 @@ def _analytic_unrolled(
     probe-length µop stream from them, and schedule it with the analytic
     recurrence — no kernel run, no value emulation, and rename cost
     bounded by :data:`SNAPSHOT_BUDGET` copies instead of the unroll
-    factor.  Guards: divider forms (value-dependent timing), stores
-    whose addresses can move between copies (:func:`_fixed_addresses`),
-    and the fusion/decoder extensions (front-end state not covered by
-    the snapshot) all return ``None``, as does a recurrence abort or a
-    missing snapshot match.
+    factor.  Guards: stores or dividers whose addresses can move between
+    copies (:func:`_fixed_addresses`) and the fusion/decoder extensions
+    (front-end state not covered by the snapshot) return ``None``, as
+    does a missing snapshot match.
 
-    ``init`` is consulted only for store bodies: one copy is evaluated
-    from it to learn the effective addresses every copy shares.  Without
-    stores, values influence neither the dependence graph nor any
-    latency, so the counters are identical for every initial state.
+    ``init`` is consulted only for store and divider bodies: one copy is
+    evaluated from it to learn the effective addresses every copy
+    shares.  Divider bodies also emulate the divider operands' backward
+    slice (:func:`_divider_classes`); each copy is renamed with its own
+    value classes, and a snapshot match counts only if the class
+    sequence repeats with the same period up to the longest target.
+    Their timing step differs: divider occupancy breaks the prefix
+    property, so each target is scheduled on its own exact-length
+    synthesized stream (:func:`_full_length_counters`).  Otherwise
+    values influence neither the dependence graph nor any latency, so
+    the counters are identical for every initial state.
     """
     if core.enable_macro_fusion or core.enable_decoder_model:
         return None
-    if _uses_divider(core, code):
-        return None
-    accesses = None
-    if _uses_stores(core, code):
+    divider = _uses_divider(core, code)
+    accesses = classes = None
+    if divider or _uses_stores(core, code):
         if not _fixed_addresses(code):
             return None
         state = MachineState.initial(init)
         accesses = [split_accesses(evaluate(i, state)) for i in code]
+    if divider:
+        classes = _divider_classes(
+            core, code, accesses, init, max(targets[-1], SNAPSHOT_BUDGET)
+        )
 
     context = RenameContext(None, emulate=False, accesses=accesses)
     snapshots: List[Tuple] = []
@@ -359,13 +501,21 @@ def _analytic_unrolled(
         start = len(context.uops)
         fr_base = context.frontend_release
         fused_base = context.fused_total
+        if classes is not None:
+            context.divider_fast = classes[k - 1]
         core.rename_block(code, context)
         templates.append(
             _copy_template(context, start, fr_base, fused_base)
         )
         snapshot = _rename_snapshot(context)
         for p in range(1, len(snapshots) + 1):
-            if snapshots[-p] == snapshot:
+            if snapshots[-p] == snapshot and (
+                classes is None
+                or all(
+                    classes[j] == classes[j - p]
+                    for j in range(k, targets[-1])
+                )
+            ):
                 transient, period = k, p
                 break
         if period:
@@ -376,10 +526,11 @@ def _analytic_unrolled(
 
     block_len = len(code)
     # Structural memo: experiments that differ only in register choice
-    # (or store address) rename to identical relative templates, so the
-    # schedule and every derived counter are shared.  Keyed per core,
-    # which also scopes it to one uarch/extension configuration, and by
-    # digest, so an entry costs its results rather than its templates.
+    # (or store address, or divider operands of the same value classes)
+    # rename to identical relative templates, so the schedule and every
+    # derived counter are shared.  Keyed per core, which also scopes it
+    # to one uarch/extension configuration, and by digest, so an entry
+    # costs its results rather than its templates.
     key = hashlib.sha256(repr(
         (tuple(templates), transient, period, tuple(targets), block_len)
     ).encode("utf-8")).digest()
@@ -392,6 +543,19 @@ def _analytic_unrolled(
         return results
 
     served = ExtrapolationStats()
+    if classes is not None:
+        results = {
+            t: _full_length_counters(
+                core, templates, _template_order(t, transient, period),
+                block_len,
+            )
+            for t in targets
+        }
+        served.runs_full = len(targets)
+        stats.add(served)
+        memo[key] = (results, served)
+        return results
+
     uarch_ports = core.uarch.ports
     closed_form = True
 
@@ -400,8 +564,12 @@ def _analytic_unrolled(
         nonlocal closed_form
         order = _template_order(n, transient, period)
         arrays = _synthesize(templates, order)
+        ports_a, lat_a, mins_a, deps_a, _divider_a, boundaries_a = arrays
         scheduled = (
-            schedule_arrays(core.uarch, *arrays) if closed_form else None
+            schedule_arrays(
+                core.uarch, ports_a, lat_a, mins_a, deps_a, boundaries_a
+            )
+            if closed_form else None
         )
         if scheduled is None:
             # No closed form (a per-port ready-order inversion) — but
@@ -409,10 +577,8 @@ def _analytic_unrolled(
             # the array event kernel: no value emulation, no µop
             # objects, and rename still bounded by the snapshot budget.
             closed_form = False
-            ports_a, lat_a, mins_a, deps_a, boundaries_a = arrays
             total_cycles, _counts, finishes, bound_arr = timing_event_arrays(
-                core.uarch, ports_a, lat_a, mins_a, deps_a,
-                [0] * len(lat_a), boundaries_a,
+                core.uarch, *arrays
             )
             core.cycles_simulated += total_cycles
             served.probe_copies += n
@@ -629,13 +795,15 @@ def unrolled_counters(
     default) the whole ladder is attempted in closed form
     (:func:`_analytic_unrolled`): structural rename with a
     snapshot-proved period plus the analytic recurrence, no kernel run
-    at all.  Otherwise (or on analytic fallback) one instrumented probe
+    at all (divider bodies: one synthesized full-length stream per
+    target).  Otherwise (or on analytic fallback) one instrumented probe
     simulation of :func:`_probe_copies` copies serves every target
     either as an integer prefix of the probe or by extrapolating the
     periodic steady state.  Last, full simulation per target when
-    neither applies (reference kernel, divider forms, no period
-    surviving verification).  Each returned :class:`CounterValues` is
-    bit-identical to ``core.run(list(code) * t, init)``.
+    neither applies (reference kernel, divider bodies the closed form
+    declined, no period surviving verification).  Each returned
+    :class:`CounterValues` is bit-identical to
+    ``core.run(list(code) * t, init)``.
     """
     stats = ExtrapolationStats()
     targets = sorted(set(targets))
@@ -651,6 +819,8 @@ def unrolled_counters(
         if analytic is not None:
             return analytic, stats
     if _uses_divider(core, code):
+        # Declined by the closed form (or not attempted): no prefix or
+        # periodic tail is exact for divider bodies.
         return {t: simulate(t) for t in targets}, stats
 
     def run_probe(n: int) -> ProbeResult:

@@ -212,14 +212,21 @@ class RenameContext:
 
     ``emulate=False`` selects *structural* rename: architectural values
     are never computed (no :func:`~repro.pipeline.semantics.evaluate`
-    call, no divider operand classification).  Sound only for code
-    without divider µops — there, values influence the dependence graph
-    only through the addresses of store-to-load forwarding.  Without
-    stores there is nothing to forward; with stores the caller passes
-    ``accesses``, one ``(reads, writes)`` pair of slot -> ``MemAccess``
-    maps per position of the block, which every renamed copy reuses —
-    exact when every copy computes the same effective addresses (see
-    :func:`repro.measure.extrapolate._fixed_addresses`).
+    call, no divider operand classification).  Values reach the
+    dependence graph and the latencies in exactly two ways, and the
+    caller supplies both:
+
+    * store-to-load forwarding keys on addresses.  With stores the
+      caller passes ``accesses``, one ``(reads, writes)`` pair of slot
+      -> ``MemAccess`` maps per position of the block, which every
+      renamed copy reuses — exact when every copy computes the same
+      effective addresses (see
+      :func:`repro.measure.extrapolate._fixed_addresses`);
+    * divider µops take the latency and occupancy of their operands'
+      value class (Section 5.2.5).  Before renaming a block the caller
+      sets ``divider_fast``, one boolean per position of the block (read
+      only at divider positions), to that copy's classes; unset, every
+      divider µop is classified slow.
     """
 
     __slots__ = (
@@ -240,6 +247,7 @@ class RenameContext:
         "decode_slots",
         "complex_used",
         "accesses",
+        "divider_fast",
     )
 
     def __init__(self, state: Optional[MachineState], emulate: bool = True,
@@ -247,6 +255,7 @@ class RenameContext:
         self.state = state
         self.emulate = emulate
         self.accesses = accesses
+        self.divider_fast: Optional[Sequence[bool]] = None
         self.reg_writer: Dict[str, Tuple[Optional[_RUop], int, str]] = {}
         self.flag_writer: Dict[str, Tuple[Optional[_RUop], int]] = {}
         self.mem_writer: Dict[int, Tuple[_RUop, int]] = {}
@@ -377,6 +386,7 @@ class Core:
         decode_slots = context.decode_slots
         complex_used = context.complex_used
         accesses = context.accesses
+        divider_classes = context.divider_fast
         next_index = len(uops)
 
         for position, instruction in enumerate(instructions):
@@ -429,8 +439,11 @@ class Core:
 
             # Divider value dependence, classified before execution.
             divider_fast = False
-            if entry.divider_class is not None and emulate:
-                divider_fast = _divider_operands_fast(instruction, state)
+            if entry.divider_class is not None:
+                if emulate:
+                    divider_fast = divider_operands_fast(instruction, state)
+                elif divider_classes is not None:
+                    divider_fast = divider_classes[position]
 
             # Architectural execution (also yields memory addresses).
             # Structural rename skips it: addresses matter only for
@@ -991,7 +1004,7 @@ def _add_address_deps(instruction, slot, reg_writer, deps) -> None:
                 deps.append((writer[0], writer[1]))
 
 
-def _divider_operands_fast(
+def divider_operands_fast(
     instruction: Instruction, state: MachineState
 ) -> bool:
     """Whether the source values fall in the divider's fast class."""

@@ -21,6 +21,7 @@ from repro.isa.operands import (
     OperandKind,
     RegisterOperand,
 )
+from repro.isa.registers import FLAG_NAMES
 from repro.pipeline.state import MachineState, opaque_result, scratch_address
 
 
@@ -35,6 +36,10 @@ class MemAccess:
 
 
 _MASK = {w: (1 << w) - 1 for w in (8, 16, 32, 64, 128, 256)}
+
+#: Bit of the opaque flag seed that a declared-but-uncomputed flag takes
+#: (fixed, unlike ``hash(flag)``, so every process agrees).
+_FLAG_SHIFT = {flag: bit for bit, flag in enumerate(FLAG_NAMES)}
 
 
 def _parity(value: int) -> int:
@@ -524,7 +529,7 @@ def evaluate(
     # Flags declared written but not computed get deterministic values.
     for flag in form.flags_written:
         if flag not in flags:
-            state.flags[flag] = (ctx.opaque(7) >> hash(flag) % 8) & 1
+            state.flags[flag] = (ctx.opaque(7) >> _FLAG_SHIFT[flag]) & 1
 
     # Stack-engine register update and access.
     if stack_access is not None:

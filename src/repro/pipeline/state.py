@@ -14,7 +14,9 @@ generators exploit:
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Tuple
 
 from repro.isa.operands import Memory
@@ -145,6 +147,17 @@ class MachineState:
         )
 
 
+@lru_cache(maxsize=None)
+def _seed_digest(seed: str) -> int:
+    """Process-independent digest of a form uid (``hash`` is salted)."""
+    return zlib.crc32(seed.encode("utf-8"))
+
+
 def opaque_result(seed: str, inputs: Tuple[int, ...]) -> int:
-    """Deterministic stand-in result for unmodeled instruction semantics."""
-    return _mix(hash(seed) & 0xFFFFFFFFFFFFFFFF, *inputs)
+    """Deterministic stand-in result for unmodeled instruction semantics.
+
+    Identical in every process: queue drainers, the shared memo and the
+    result cache rely on values (addresses, divider classes) being
+    bit-identical across processes.
+    """
+    return _mix(_seed_digest(seed), *inputs)

@@ -81,7 +81,7 @@ class TestReferenceOptOut:
 
 class TestDividerFallback:
     """Divider forms break the prefix property: never extrapolated,
-    never served in closed form, on either fast kernel."""
+    never closed form."""
 
     @pytest.mark.parametrize("kernel", ["event", "analytic"])
     def test_simulates_all(self, kernel):

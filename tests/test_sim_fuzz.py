@@ -17,11 +17,15 @@ strategies over
   bodies) through the full measure path, and
 * real-catalog store bodies whose copies share one address, use
   distinct addresses, reload the stored address, or move it every copy,
+* real-catalog divider bodies whose operand values arrive through
+  arithmetic, flag-fed conditional moves and sets, partial registers,
+  and a store/reload at the divider's memory operand — checking the
+  closed form's slice-only value classes against full emulation too,
 
 asserting exact equality across all three tiers on SKL and NHM.
 
 Budget: ``REPRO_FUZZ_EXAMPLES`` scales every strategy (default 100 →
-100 + 80 + 34 + 34 = 248 generated cases per microarchitecture; the CI
+100 + 80 + 34 + 34 + 34 = 282 generated cases per microarchitecture; the CI
 ``sim-fuzz`` job raises it).  Failures print a ``@reproduce_failure``
 blob (``print_blob``); run CI with ``--hypothesis-seed=random`` so the
 seed itself is printed too.
@@ -39,10 +43,18 @@ from repro.core.codegen import independent_sequence, instantiate
 from repro.isa.assembler import parse_sequence
 from repro.isa.database import load_default_database
 from repro.isa.operands import Memory
-from repro.measure.backend import HardwareBackend
+from repro.measure.backend import HardwareBackend, MeasurementConfig
+from repro.measure.extrapolate import _divider_classes, _fixed_addresses
 from repro.pipeline.analytic import schedule_analytic
-from repro.pipeline.core import Core, _RUop
+from repro.pipeline.core import (
+    Core,
+    _RUop,
+    divider_operands_fast,
+    split_accesses,
+)
 from repro.pipeline.event_kernel import timing_event
+from repro.pipeline.semantics import evaluate
+from repro.pipeline.state import MachineState
 from repro.uarch.configs import get_uarch
 from repro.uarch.uops import (
     KIND_ALU,
@@ -457,6 +469,121 @@ class TestStoreBodies:
         assert_identical(
             results["analytic"], results["event"],
             f"({uarch_name} store body, analytic vs event)",
+        )
+
+
+# ----------------------------------------------------------------------
+# Strategy 5: divider bodies — how operand values reach the divider.
+# ----------------------------------------------------------------------
+
+#: The divider instruction (last in the body) -> the registers its
+#: operands come from.
+_DIVIDERS = {
+    "DIV RCX": ("RCX", "RAX", "RDX"),
+    "IDIV RCX": ("RCX", "RAX", "RDX"),
+    "DIV CL": ("RCX", "RAX"),
+    "IDIV R8B": ("R8", "RAX"),
+    "DIV dword ptr [RSI]": ("RAX", "RDX"),
+    "IDIV qword ptr [RSI]": ("RAX", "RDX"),
+}
+
+#: Feeder templates; ``{d}`` is a 64-bit destination, ``{s}`` a source.
+_FEEDERS = (
+    "MOV {d}, {s}",
+    "ADD {d}, {s}",
+    "IMUL {d}, {s}",
+    "AND {d}, {imm}",
+    "OR {d}, {imm}",
+    "CMP {s}, {imm}\nCMOV{cc} {d}, {s}",
+    "TEST {s}, {s}\nSET{cc} {d8}",
+    "MOV AL, {s8}",
+    "MOV AH, {s8}",
+    "SET{cc} AH",
+    "MOV qword ptr [RSI], {s}",
+    "MOV dword ptr [RSI], {s32}",
+)
+
+_GPRS = ("RAX", "RBX", "RCX", "RDX", "R8")
+_LOW8 = {"RAX": "AL", "RBX": "BL", "RCX": "CL", "RDX": "DL", "R8": "R8B"}
+_LOW32 = {"RAX": "EAX", "RBX": "EBX", "RCX": "ECX", "RDX": "EDX",
+          "R8": "R8D"}
+_VALUES = (0, 1, 3, 0xFF, 0xFFFF, 0xFFFFF, 0x100000, 0xDEADBEEFCAFE)
+
+
+@st.composite
+def divider_bodies(draw):
+    """``(code, init)``: a few feeders that compute the divider's
+    operands (mostly writing an operand register), then the divider;
+    RSI (the memory operand's base) is never written, so the closed
+    form's address guard holds."""
+    divider = draw(st.sampled_from(sorted(_DIVIDERS)))
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        d = draw(st.sampled_from(_DIVIDERS[divider] + _GPRS))
+        src = draw(st.sampled_from(_GPRS))
+        lines.append(draw(st.sampled_from(_FEEDERS)).format(
+            d=d, s=src, d8=_LOW8[d], s8=_LOW8[src], s32=_LOW32[src],
+            imm=draw(st.sampled_from((1, 7, 100, 0xFFFF, 0xFFFFF))),
+            cc=draw(st.sampled_from(("B", "AE", "E", "NE", "S"))),
+        ))
+    lines.append(divider)
+    code = parse_sequence("\n".join(lines), DATABASE)
+    init = {
+        reg: draw(st.sampled_from(_VALUES), label=reg) for reg in _GPRS
+    }
+    return code, init
+
+
+def _emulated_classes(core, code, init, copies):
+    """Per-copy divider classes from emulating every instruction."""
+    state = MachineState.initial(init)
+    classes = []
+    for _ in range(copies):
+        row = [False] * len(code)
+        for p, instruction in enumerate(code):
+            if core._entries.get(instruction).divider_class is not None:
+                row[p] = divider_operands_fast(instruction, state)
+            evaluate(instruction, state)
+        classes.append(tuple(row))
+    return classes
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("uarch_name", UARCH_NAMES)
+class TestDividerBodies:
+    """Divider bodies: the slice-only value classes equal full
+    emulation's copy by copy, and the closed form (class-aware
+    templates, one synthesized stream per target), the event kernel
+    and the reference loop agree exactly."""
+
+    @given(data=st.data())
+    @settings(max_examples=max(_BUDGET // 3 + 1, 10), **_SETTINGS)
+    def test_slice_and_three_tiers(self, uarch_name, data):
+        uarch = get_uarch(uarch_name)
+        code, init = data.draw(divider_bodies(), label="body")
+        core = Core(uarch)
+        if not all(core.supports(i) for i in code):
+            return
+        assert _fixed_addresses(code)
+        copies = MeasurementConfig().unroll_large
+        state = MachineState.initial(init)
+        accesses = [split_accesses(evaluate(i, state)) for i in code]
+        assert _divider_classes(
+            core, code, accesses, init, copies
+        ) == _emulated_classes(core, code, init, copies)
+        results = {
+            kernel: HardwareBackend(uarch, kernel=kernel).measure(
+                code, init
+            )
+            for kernel in KERNELS
+        }
+        assert_identical(
+            results["event"], results["reference"],
+            f"({uarch_name} divider body, event vs reference)",
+        )
+        assert_identical(
+            results["analytic"], results["event"],
+            f"({uarch_name} divider body, analytic vs event)",
         )
 
 

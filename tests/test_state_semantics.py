@@ -1,5 +1,11 @@
 """Architectural state and functional-semantics tests."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.isa.operands import Memory, RegisterOperand
@@ -197,3 +203,48 @@ class TestSemantics:
         _run(db, state, "PCMPEQB_XMM_XMM",
              RegisterOperand(reg("XMM3")), RegisterOperand(reg("XMM3")))
         assert state.registers["YMM3"] == (1 << 128) - 1
+
+
+#: Evaluates opaque-result and flag-writing forms, plus a form declaring
+#: flags its handler does not compute (they come from the opaque seed),
+#: and prints the final state.
+_STATE_SCRIPT = """
+import dataclasses, json
+from repro.isa.assembler import parse_sequence
+from repro.isa.database import load_default_database
+from repro.pipeline.semantics import evaluate
+from repro.pipeline.state import MachineState
+code = parse_sequence(
+    "MOV RAX, RBX\\nPOPCNT RCX, RAX\\nBSF RDX, RCX\\n"
+    "PSHUFB XMM1, XMM2\\nADD qword ptr [R8], RCX\\n"
+    "SHLD R9, RDX, 3\\nBT RDX, RCX",
+    load_default_database(),
+)
+mov = code[0]
+code.append(dataclasses.replace(mov, form=dataclasses.replace(
+    mov.form, flags_written=frozenset(("CF", "ZF", "SF", "OF")))))
+state = MachineState.initial()
+for _ in range(3):
+    for instruction in code:
+        evaluate(instruction, state)
+print(json.dumps([sorted(state.registers.items()),
+                  sorted(state.flags.items()),
+                  sorted(state.memory.items())]))
+"""
+
+
+def test_opaque_values_ignore_hash_seed():
+    """Opaque results and undeclared-flag values are identical in every
+    process: queue drainers, the shared memo and the result cache rely
+    on addresses and divider classes being bit-identical across
+    processes, whatever ``PYTHONHASHSEED`` each one runs with."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    states = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _STATE_SCRIPT], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout
+        states.append(json.loads(out))
+    assert states[0] == states[1]
