@@ -16,8 +16,7 @@ repository root and ``results/distributed.txt``:
   up, exactly the schedule four real drainers produce on four cores.
   The makespan charges the coordinator's cold blocking discovery as a
   serial prefix and one warm (memo-served) discovery per drainer,
-  matching the queue path's pre-warm topology.  The static cost-ordered
-  shard deal is replayed alongside for comparison.
+  matching the queue path's pre-warm topology.
 
 * **Incremental** — after an inert 5-form catalog edit (attribute-only:
   fingerprints flip, generated measurement code does not), a
@@ -39,7 +38,7 @@ import time
 from repro.core.cache import MeasurementMemo, ResultCache
 from repro.core.result import encode_characterization
 from repro.core.runner import CharacterizationRunner
-from repro.core.sweep import SweepEngine, estimate_cost, shard_uids
+from repro.core.sweep import SweepEngine
 from repro.core.workqueue import WorkQueue, WorkUnit
 from repro.analysis.sampling import stratified_sample
 from repro.measure.backend import HardwareBackend
@@ -172,18 +171,6 @@ def test_distributed_sweep(db, emit, tmp_path):
     makespan_s = blocking_cold_s + blocking_warm_s + max(clocks)
     speedup = serial_s / makespan_s
 
-    # The static deal the queue replaced, replayed the same way: one
-    # cost-ordered shard per drainer, makespan = the slowest shard.
-    uarch = get_uarch(UARCH)
-    costs = {
-        form.uid: estimate_cost(form, uarch) for form in forms
-    }
-    shards = shard_uids(sorted(unit_seconds), DRAINERS, costs=costs)
-    static_makespan_s = blocking_cold_s + blocking_warm_s + max(
-        sum(unit_seconds[uid] for uid in shard) for shard in shards
-    )
-    static_speedup = serial_s / static_makespan_s
-
     # ---- incremental: cold sweep, 5-form inert edit, re-sweep ---------
     incr_dir = str(tmp_path / "incremental")
     cold_engine, cold_backend = _sweep_engine(db, incr_dir)
@@ -219,8 +206,6 @@ def test_distributed_sweep(db, emit, tmp_path):
             "serial_s": round(serial_s, 3),
             "makespan_s": round(makespan_s, 3),
             "speedup": round(speedup, 2),
-            "static_makespan_s": round(static_makespan_s, 3),
-            "static_speedup": round(static_speedup, 2),
             "blocking_cold_s": round(blocking_cold_s, 3),
             "blocking_warm_s": round(blocking_warm_s, 3),
             "longest_unit_s": round(max(unit_seconds.values()), 3),
@@ -249,8 +234,6 @@ def test_distributed_sweep(db, emit, tmp_path):
         f"serial cold sweep:          {serial_s:7.2f}s\n"
         f"queue makespan, {DRAINERS} drainers: {makespan_s:7.2f}s "
         f"({speedup:.2f}x)\n"
-        f"static-shard makespan:      {static_makespan_s:7.2f}s "
-        f"({static_speedup:.2f}x)\n"
         f"drainer busy seconds:       "
         f"{', '.join(f'{clock:.2f}' for clock in clocks)}\n\n"
         f"cold sweep:        {cold_calls} measure calls, "

@@ -183,8 +183,6 @@ def _cmd_sweep(args) -> int:
         jobs=args.jobs,
         cache=_make_cache(args),
         fault_spec=args.fault_spec,
-        shard_timeout=args.shard_timeout,
-        mode=args.sweep_mode,
         lease_timeout=args.lease_timeout,
         incremental=args.incremental,
     )
@@ -287,8 +285,6 @@ def _cmd_table1(args) -> int:
         engine = SweepEngine(
             uarch, jobs=args.jobs, cache=cache,
             fault_spec=args.fault_spec,
-            shard_timeout=args.shard_timeout,
-            mode=args.sweep_mode,
             lease_timeout=args.lease_timeout,
         )
         supported = engine.supported_forms()
@@ -551,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sweep_options(p) -> None:
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the sharded sweep")
+                       help="worker processes for the work-queue sweep")
         p.add_argument("--cache-dir", default=None,
                        help="persistent result cache directory "
                             "(default: ~/.cache/repro)")
@@ -564,17 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inject deterministic faults for chaos "
                             "testing, e.g. 'seed=7,transient=0.1' "
                             "(same syntax as $REPRO_FAULTS)")
-        p.add_argument("--shard-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="static mode watchdog: respawn a sweep "
-                            "shard that makes no progress for this "
-                            "long")
-        p.add_argument("--sweep-mode", default=None,
-                       choices=("queue", "static"),
-                       help="parallel execution mode for --jobs>1: "
-                            "the shared work queue (default) or the "
-                            "fork-join static sharding "
-                            "(default: $REPRO_SWEEP_MODE or queue)")
         p.add_argument("--lease-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="queue mode: how long a leased work unit "

@@ -105,8 +105,8 @@ class RunStatistics:
     execute_seconds: float = 0.0
     #: Fault-tolerance counters: transient-failure re-dispatches, the
     #: experiments that exhausted the retry budget, forms quarantined
-    #: instead of characterized, sweep worker shards respawned after a
-    #: crash or watchdog timeout, and cache hygiene (malformed JSONL
+    #: instead of characterized, queue drainers respawned while work
+    #: remained after the fleet died, and cache hygiene (malformed JSONL
     #: lines skipped, bounded flock waits that timed out).
     retries: int = 0
     experiments_gave_up: int = 0

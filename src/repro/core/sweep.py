@@ -5,29 +5,22 @@ of the paper's tool (thousands of variants per generation, Section 6)
 that leaves both cores and determinism on the table.  The
 :class:`SweepEngine` exploits that every characterization is an
 independent pure function of (form, microarchitecture, measurement
-configuration).  Three execution modes share one result contract —
-results are bit-identical to a serial run regardless of mode, job
+configuration).  Two execution paths share one result contract —
+results are bit-identical to a serial run regardless of path, job
 count, cache state, or completion order:
 
 * **serial** (``jobs=1``): in-process, optionally on an injected
   backend — the debugging path and the differential-test reference;
-* **queue** (``jobs>1``, the default parallel mode): the pending forms
+* **queue** (``jobs>1``): the pending forms
   become content-keyed :class:`~repro.core.workqueue.WorkUnit` entries
   in a persistent, flock-guarded work queue next to the result cache.
   Worker processes — spawned by this engine, or by independent
   ``repro sweep --drain`` invocations on machines sharing the cache
   directory — *lease* units, characterize them, write the result
   through the shared cache, and *ack*.  A worker that dies or stalls
-  lets its lease expire; any surviving worker **steals** the unit,
-  subsuming the static path's watchdog/respawn machinery.  A unit that
-  reliably kills workers is poisoned after
-  :data:`~repro.core.workqueue.MAX_UNIT_LEASES` leases and quarantined;
-* **static** (``jobs>1`` with ``mode="static"`` or
-  ``REPRO_SWEEP_MODE=static``): the original fork-join sharding — uids
-  are dealt cost-ordered round-robin into ``jobs`` shards
-  (:func:`shard_uids`, :func:`estimate_cost`), each characterized by
-  one supervised worker with watchdog/respawn (kept as the
-  bit-identity reference for the queue path).
+  lets its lease expire; any surviving worker **steals** the unit.
+  A unit that reliably kills workers is poisoned after
+  :data:`~repro.core.workqueue.MAX_UNIT_LEASES` leases and quarantined.
 
 *Incremental re-characterization* (``incremental=True`` /
 ``--incremental``): every cached sweep records a per-form *input
@@ -99,138 +92,11 @@ from repro.uarch.model import UarchConfig
 #: distinctive so a chaos log reads unambiguously.
 KILL_EXIT_CODE = 23
 
-#: Environment variable selecting the parallel sweep mode
-#: (``queue``, the default, or ``static``).
-SWEEP_MODE_ENV = "REPRO_SWEEP_MODE"
-
 #: Default lease window for queue-mode work units (seconds).  Generous
 #: relative to one form's characterization so healthy workers are never
 #: preempted; the coordinating engine force-expires the leases of
 #: workers it *knows* died, so only cross-machine losses wait this out.
 DEFAULT_LEASE_SECONDS = 60.0
-
-
-def estimate_cost(form: InstructionForm, uarch: UarchConfig) -> int:
-    """Relative characterization cost of *form* (dimensionless).
-
-    Orders the static path's shard deal stragglers-first.  The dominant
-    costs in the simulated measurement are the non-pipelined divider
-    (value-dependent forms are measured once per value class, Section
-    5.2.5, and each occupancy run is long) and the µop count (more µops
-    mean more ports, hence more Algorithm 1 rounds); forms without a
-    ground-truth entry are skipped almost for free.
-    """
-    from repro.uarch.tables import build_entry
-
-    try:
-        entry = build_entry(form, uarch)
-    except KeyError:
-        return 1
-    if entry is None:
-        return 0
-    cost = len(entry.uops) + len(form.operands)
-    if entry.divider_class is not None:
-        cost += 64
-    if entry.same_reg_uops is not None:
-        cost += 2
-    return cost
-
-
-def shard_uids(
-    uids: List[str],
-    n_shards: int,
-    costs: Optional[Dict[str, int]] = None,
-) -> List[List[str]]:
-    """Deal uids round-robin into at most *n_shards* chunks.
-
-    Without *costs* the uids are dealt in sorted order: round-robin
-    (rather than contiguous slices) spreads the uid-adjacent forms of
-    one mnemonic family — which tend to have similar characterization
-    cost — across shards, balancing worker runtimes.  With *costs* (a
-    ``uid -> relative cost`` map, see :func:`estimate_cost`) the deal
-    is most-expensive-first with uid tie-breaks: the stragglers land in
-    distinct shards *and* at the front of each shard's work list, so no
-    worker starts a divider form last.  Either way the partition is a
-    deterministic function of the inputs.  Empty shards are dropped.
-    """
-    n_shards = max(1, n_shards)
-    if costs is None:
-        ordered = sorted(uids)
-    else:
-        ordered = sorted(
-            uids, key=lambda uid: (-costs.get(uid, 0), uid)
-        )
-    shards = [ordered[i::n_shards] for i in range(n_shards)]
-    return [shard for shard in shards if shard]
-
-
-#: Worker payload: (uarch name, measurement config, shard of form uids,
-#: measurement-memo directory or None, memo salt, fault spec or None,
-#: whether this worker is a respawn, shard index).
-_ShardPayload = Tuple[
-    str, MeasurementConfig, List[str], Optional[str], Optional[str],
-    Optional[str], bool, int,
-]
-
-
-def _shard_worker(payload: _ShardPayload, out_queue) -> None:
-    """Characterize one shard in a worker process, streaming results.
-
-    Module-level so it is picklable under every multiprocessing start
-    method.  The backend (and its blocking-instruction discovery) is
-    built from scratch inside the worker — but when the sweep has a
-    measurement memo, the worker attaches to the shared memo file, so
-    the blocking/chain sub-measurements the parent pre-warmed (and
-    anything previous sweeps measured) are decoded instead of
-    re-simulated.  Each finished form is put on *out_queue* immediately
-    (one message per uid), so the parent can salvage everything a dying
-    worker completed; a final ``done`` message carries the statistics.
-    """
-    (
-        uarch_name, config, uids, memo_dir, memo_salt,
-        fault_spec, respawned, shard_id,
-    ) = payload
-    plan = FaultPlan.parse(fault_spec) if fault_spec else None
-    database = load_default_database()
-    memo = (
-        MeasurementMemo(memo_dir, salt=memo_salt)
-        if memo_dir is not None else None
-    )
-    backend = HardwareBackend(get_uarch(uarch_name), config, memo=memo)
-    backend = maybe_faulty(backend, fault_spec, respawned=respawned)
-    runner = CharacterizationRunner(backend, database)
-    for uid in uids:
-        if plan is not None:
-            stall = plan.stall_seconds(uid, respawned)
-            if stall:
-                time.sleep(stall)
-            if plan.should_kill(uid, respawned):
-                # A hard crash (no interpreter cleanup) — but flush the
-                # queue feeder first so already-reported results reach
-                # the parent as complete messages rather than a torn
-                # pipe write the supervisor could never parse.
-                out_queue.close()
-                out_queue.join_thread()
-                os._exit(KILL_EXIT_CODE)
-        outcome = runner.characterize_resilient(database.by_uid(uid))
-        if isinstance(outcome, FormFailure):
-            out_queue.put((
-                "failure", shard_id, uid,
-                dataclasses.replace(outcome, shard=shard_id),
-            ))
-        else:
-            out_queue.put((
-                "result", shard_id, uid,
-                encode_characterization(outcome)
-                if outcome is not None else None,
-            ))
-    runner.statistics.fold_snapshot(
-        BackendStats.zero(), backend.stats_tuple()
-    )
-    runner.statistics.fold_snapshot(
-        ExecutorStats.zero(), runner.executor.stats_tuple()
-    )
-    out_queue.put(("done", shard_id, runner.statistics))
 
 
 #: Queue-drainer payload: (uarch name, measurement config, queue/store
@@ -245,8 +111,7 @@ _DrainPayload = Tuple[
 def _drain_worker(payload: _DrainPayload, out_queue) -> None:
     """Drain the shared work queue from a worker process.
 
-    The queue-mode sibling of :func:`_shard_worker`: instead of a
-    pre-dealt uid list, the worker leases units from the persistent
+    The worker leases units from the persistent
     :class:`~repro.core.workqueue.WorkQueue` one at a time until the
     queue is drained, so a slow form never idles the rest of the fleet.
     Results are written through the shared result cache *before* the
@@ -349,31 +214,6 @@ def _drain_worker(payload: _DrainPayload, out_queue) -> None:
     out_queue.put(("done", worker_id, runner.statistics))
 
 
-class _ShardState:
-    """The parent's view of one supervised worker shard.
-
-    Each shard gets its **own** queue: a worker dying mid-``put`` can
-    tear only its own channel, never stall a sibling shard's reporting
-    — and a respawn starts on a fresh queue, so a torn pipe from the
-    first incarnation cannot confuse the second.
-    """
-
-    def __init__(self, shard_id: int, uids: List[str]):
-        self.shard_id = shard_id
-        self.remaining = set(uids)
-        self.process = None
-        self.queue = None
-        self.respawned = False
-        self.done = False
-        self.last_progress = time.monotonic()
-        #: The watchdog only arms once this incarnation streamed its
-        #: first form: worker startup (backend construction plus the
-        #: blocking-instruction discovery, folded into the first form)
-        #: is catalog-sized work, not form-sized, and must not be
-        #: mistaken for a wedged measurement.
-        self.armed = False
-
-
 class _DrainerState:
     """The coordinating engine's view of one queue-mode worker."""
 
@@ -393,10 +233,8 @@ class SweepEngine:
     :class:`~repro.core.runner.FormFailure` records after a sweep; a
     fully healthy run leaves it empty.
 
-    ``mode`` selects the parallel execution path for ``jobs > 1``:
-    ``"queue"`` (default — the shared work queue any drainer can join)
-    or ``"static"`` (the fork-join sharding).  ``None`` consults
-    ``$REPRO_SWEEP_MODE`` and falls back to ``"queue"``.
+    ``jobs=1`` characterizes in-process; ``jobs > 1`` runs the shared
+    work queue any drainer can join.
     """
 
     #: How often the supervisor wakes to check worker health (seconds).
@@ -412,8 +250,6 @@ class SweepEngine:
         backend: Optional[HardwareBackend] = None,
         measure_memo: Optional[MeasurementMemo] = None,
         fault_spec: Optional[str] = None,
-        shard_timeout: Optional[float] = None,
-        mode: Optional[str] = None,
         lease_timeout: Optional[float] = None,
         incremental: bool = False,
     ):
@@ -427,7 +263,7 @@ class SweepEngine:
         # The raw-measurement memo rides along with the result cache by
         # default (same directory, same salt): a cached sweep implies the
         # user wants persistence, and the memo is what makes the *cold*
-        # part of a sweep cheap across shards and runs.
+        # part of a sweep cheap across workers and runs.
         if measure_memo is None and cache is not None:
             measure_memo = MeasurementMemo(cache.cache_dir, salt=cache.salt)
         self.measure_memo = measure_memo
@@ -440,16 +276,6 @@ class SweepEngine:
             fault_spec if fault_spec is not None
             else os.environ.get(FAULTS_ENV)
         )
-        #: Watchdog (static mode): a shard making no progress for this
-        #: many seconds is terminated and treated like a crashed worker
-        #: (None disables).  Queue mode subsumes it with lease expiry.
-        self.shard_timeout = shard_timeout
-        mode = mode or os.environ.get(SWEEP_MODE_ENV) or "queue"
-        if mode not in ("queue", "static"):
-            raise ValueError(
-                f"unknown sweep mode {mode!r} (queue or static)"
-            )
-        self.mode = mode
         #: Queue-mode lease window; an expired lease makes the unit
         #: stealable by any other drainer.
         self.lease_timeout = (
@@ -511,7 +337,7 @@ class SweepEngine:
         """Characterize *forms* (default: the whole catalog).
 
         Returns results keyed by form uid, in stable (sorted) uid order
-        regardless of cache state, job count, or shard completion order —
+        regardless of cache state, job count, or worker completion order —
         and therefore identical to a serial
         :meth:`CharacterizationRunner.characterize_all` run over the same
         forms.  Forms that could not be characterized despite retries are
@@ -536,8 +362,6 @@ class SweepEngine:
                 self.statistics.cache_misses += len(pending)
             if self.jobs == 1:
                 self._sweep_serial(pending, results, progress)
-            elif self.mode == "static":
-                self._sweep_sharded(pending, results, progress)
             else:
                 self._sweep_queue(pending, results, progress)
         self._record_manifest(requested)
@@ -564,7 +388,7 @@ class SweepEngine:
         self.statistics.forms_failed = len(self.failures)
         if self._backend is not None:
             # In-process measurement work this sweep performed (serial
-            # shards and the sharded path's memo pre-warm).
+            # sweeps and the queue path's memo pre-warm).
             self.statistics.fold_snapshot(
                 backend_base, self._backend.stats_tuple()
             )
@@ -739,170 +563,6 @@ class SweepEngine:
         )
 
     # ------------------------------------------------------------------
-
-    def _sweep_sharded(
-        self,
-        pending: List[InstructionForm],
-        results: Dict[str, InstructionCharacterization],
-        progress: Optional[Callable[[str], None]],
-    ) -> None:
-        """Supervised worker fleet: stream, salvage, respawn, quarantine."""
-        import multiprocessing
-        import queue as queue_module
-
-        memo = self.measure_memo
-        if memo is not None:
-            # Pre-warm the measurements every worker would otherwise
-            # repeat — the blocking-instruction discovery walks the whole
-            # catalog (Section 5.1.1) and is identical in all shards.
-            # Running it once in the parent writes the results through to
-            # the shared memo file before the workers attach to it.
-            _ = self.runner.blocking
-
-        # fork (where available) lets workers inherit the already-built
-        # instruction database; spawn-only platforms re-import it.
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-
-        def spawn(state: _ShardState, uids: List[str],
-                  respawned: bool) -> None:
-            payload: _ShardPayload = (
-                self.uarch.name,
-                self.config,
-                uids,
-                memo.cache_dir if memo is not None else None,
-                memo.salt if memo is not None else None,
-                self.fault_spec,
-                respawned,
-                state.shard_id,
-            )
-            state.queue = context.Queue()
-            state.process = context.Process(
-                target=_shard_worker, args=(payload, state.queue),
-                daemon=True,
-            )
-            state.process.start()
-            state.last_progress = time.monotonic()
-            state.armed = False
-
-        costs = {
-            form.uid: estimate_cost(form, self.uarch) for form in pending
-        }
-        shards = shard_uids(
-            [form.uid for form in pending], self.jobs, costs=costs
-        )
-        states = []
-        for shard_id, uids in enumerate(shards):
-            state = _ShardState(shard_id, uids)
-            spawn(state, uids, False)
-            states.append(state)
-
-        def handle(state: _ShardState, message) -> None:
-            kind = message[0]
-            if kind == "done":
-                state.done = True
-                self.statistics.merge(message[2])
-                state.process.join()
-                return
-            uid, payload_data = message[2], message[3]
-            state.remaining.discard(uid)
-            state.last_progress = time.monotonic()
-            state.armed = True
-            if kind == "failure":
-                self.failures[uid] = payload_data
-                return
-            if payload_data is not None:
-                outcome = decode_characterization(payload_data)
-                results[uid] = outcome
-                if progress is not None:
-                    progress(outcome.summary())
-            # Written through immediately: everything finished so far
-            # survives a later crash of this very sweep (resumability).
-            self._cache_store(uid, payload_data)
-
-        def drain(state: _ShardState) -> int:
-            handled = 0
-            while not state.done:
-                try:
-                    message = state.queue.get_nowait()
-                except queue_module.Empty:
-                    break
-                except (EOFError, OSError):
-                    break  # torn channel; the health check takes over
-                handle(state, message)
-                handled += 1
-            return handled
-
-        while not all(state.done for state in states):
-            if not any(drain(state) for state in states):
-                self._check_shards(states, spawn, drain)
-                time.sleep(self.POLL_INTERVAL)
-        for state in states:
-            if state.queue is not None:
-                state.queue.close()
-
-    def _check_shards(self, states, spawn, drain) -> None:
-        """Dead-worker detection and the no-progress watchdog."""
-        now = time.monotonic()
-        for state in states:
-            if state.done:
-                continue
-            process = state.process
-            phase = None
-            if not process.is_alive():
-                # Messages may still be in flight from before the death
-                # (or the worker finished and its `done` is queued):
-                # drain first, then re-check.
-                drain(state)
-                if state.done:
-                    continue
-                phase = "shard"
-            elif (
-                self.shard_timeout is not None
-                and state.armed
-                and now - state.last_progress > self.shard_timeout
-            ):
-                process.terminate()
-                process.join(5)
-                drain(state)
-                phase = "watchdog"
-            if phase is None:
-                continue
-            exitcode = process.exitcode
-            state.queue.close()
-            salvage = sorted(state.remaining)
-            if not salvage:
-                # Everything arrived; only the final stats were lost.
-                state.done = True
-                continue
-            if not state.respawned:
-                self.statistics.shards_respawned += 1
-                state.respawned = True
-                spawn(state, salvage, True)
-                continue
-            # Second loss of the same shard: quarantine the remainder.
-            reason = (
-                "watchdog timeout" if phase == "watchdog"
-                else f"worker died (exit code {exitcode})"
-            )
-            for uid in salvage:
-                self.failures[uid] = FormFailure(
-                    uid=uid,
-                    phase=phase,
-                    error_type="WorkerLost",
-                    message=(
-                        f"{reason}; shard lost twice, "
-                        f"{len(salvage)} forms unfinished"
-                    ),
-                    attempts=2,
-                    shard=state.shard_id,
-                )
-            state.remaining.clear()
-            state.done = True
-
-    # ------------------------------------------------------------------
     # Queue mode: shared work queue, lease/steal, external drainers
     # ------------------------------------------------------------------
 
@@ -932,8 +592,8 @@ class SweepEngine:
 
         The parent enqueues one content-keyed unit per pending form and
         spawns up to ``jobs`` drainer processes — then mostly stays out
-        of the way: lease expiry and stealing replace the static path's
-        watchdog, and external ``repro sweep --drain`` processes may
+        of the way: lease expiry and stealing recover lost or stalled
+        workers, and external ``repro sweep --drain`` processes may
         join (or even finish) the work.  What remains of supervision:
         progress/statistics plumbing, force-expiring the leases of
         workers the parent *reaped* (so siblings steal immediately

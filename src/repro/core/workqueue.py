@@ -1,10 +1,9 @@
 """Persistent, flock-guarded work queue for distributed sweeps.
 
-The :class:`~repro.core.sweep.SweepEngine`'s original sharding was
-fork-join: uids were dealt to workers up front, so one slow form (a
-divider class, the blocking discovery) idled every other worker, and a
-dead worker needed a bespoke watchdog/respawn path.  This module turns
-the sweep into a *shared queue* of content-keyed work units that any
+Dealing uids to workers up front lets one slow form (a divider class,
+the blocking discovery) idle every other worker, and a dead worker
+needs a bespoke watchdog/respawn path.  This module instead turns the
+sweep into a *shared queue* of content-keyed work units that any
 number of worker processes — spawned by one engine, or by independent
 ``repro sweep --drain`` invocations on machines sharing the cache
 directory — **lease**, execute, and **ack**:
@@ -244,7 +243,9 @@ class WorkQueue:
         means the previous outcome is stale — e.g. an incremental
         re-sweep of a diffed form); a live lease or an existing pending
         entry is left untouched so concurrent drainers are never
-        preempted.
+        preempted.  A reset acked or failed unit starts a fresh poison
+        budget, so a resume re-attempts a unit quarantined as poisoned;
+        an expired lease keeps its count.
         """
 
         def mutate(state):
@@ -256,11 +257,11 @@ class WorkQueue:
                 if existing is not None:
                     if existing["state"] == _PENDING:
                         continue
-                    if (
-                        existing["state"] == _LEASED
-                        and existing["expires"] > now
-                    ):
-                        continue
+                    if existing["state"] == _LEASED:
+                        if existing["expires"] > now:
+                            continue
+                    else:
+                        existing["leases"] = 0
                     existing["state"] = _PENDING
                     existing["owner"] = None
                     existing["failure"] = None

@@ -14,7 +14,7 @@ generic linter can know:
 * ``RPR113`` — only :mod:`repro.pipeline` / :mod:`repro.measure` may
   construct :class:`~repro.pipeline.core.Core` directly; everything
   else goes through ``build_core`` so timing-tier selection
-  (``REPRO_SIM``, ``kernel=``) stays observable and in one place.
+  (``kernel=``) stays observable and in one place.
 * ``RPR120`` — classes crossing the sweep worker queues must not carry
   unpicklable state (lambdas, locks, open handles, generators).
 * ``RPR130``/``RPR131`` — the measurement layer raises only the
@@ -467,7 +467,7 @@ def check_direct_core_construction(
                     RPR113, path, node,
                     "direct Core construction outside pipeline/measure; "
                     "go through repro.pipeline.core.build_core so "
-                    "timing-tier selection (REPRO_SIM, kernel=) stays "
+                    "timing-tier selection (kernel=) stays "
                     "in one place",
                 )
             )

@@ -172,7 +172,7 @@ class HardwareBackend:
        form where the analytic tier answers, else one instrumented
        probe run read as prefixes or extrapolated, else full
        simulation; the deterministic ``repeats``/warmup runs are
-       collapsed analytically.  With ``REPRO_SIM=reference`` the seed
+       collapsed analytically.  With ``kernel="reference"`` the seed
        measurement loop runs verbatim.  All paths return bit-identical
        counters.
     """
@@ -346,7 +346,7 @@ class HardwareBackend:
         """The seed measurement loop, verbatim: every run simulated.
 
         Kept unshared with the extrapolating path (no run memo, no
-        probe) so that ``REPRO_SIM=reference`` exercises exactly the
+        probe) so that ``kernel="reference"`` exercises exactly the
         original code for differential testing.
         """
         cfg = self.config

@@ -2,9 +2,9 @@
 
 Real measurement campaigns fail in boring, predictable ways — a counter
 read glitches, a machine hiccups, one instruction reliably wedges the
-harness, a worker process dies mid-shard (Section 5's per-instruction
+harness, a worker process dies mid-sweep (Section 5's per-instruction
 pitfalls, at fleet scale).  Every fault-tolerance mechanism in this
-repository (executor retries, form quarantine, shard respawn, resumable
+repository (executor retries, form quarantine, lease stealing, resumable
 caches) is tested against this module rather than against luck.
 
 A :class:`FaultPlan` is parsed from a compact ``key=value`` spec, e.g. ::
@@ -15,7 +15,7 @@ and is **deterministic**: whether a given measurement faults is a pure
 function of ``(seed, fault kind, measurement content)``, so a faulty run
 is exactly reproducible, and an injected *transient* fault strikes the
 same experiments on every attempt-zero dispatch regardless of batch
-order or shard assignment.
+order or worker assignment.
 
 Supported keys:
 
@@ -50,14 +50,16 @@ Supported keys:
     list non-candidate forms (e.g. memory-operand variants).
 ``kill=UID[+UID...]`` / ``kill_once=UID[+UID...]``
     Sweep-worker crash (``os._exit``) when the worker is about to
-    characterize the listed form.  ``kill_once`` does not fire in a
-    respawned worker (a transient machine loss); ``kill`` fires every
-    time (the respawn dies too and the shard's remainder is
-    quarantined).
+    characterize the listed form.  The dead worker's lease expires and
+    a sibling steals the unit.  ``kill_once`` does not fire on a stolen
+    unit (a transient machine loss); ``kill`` fires on every lease, so
+    the unit is poisoned after
+    :data:`~repro.core.workqueue.MAX_UNIT_LEASES` leases and
+    quarantined.
 ``stall=UID:SECONDS[+UID:SECONDS...]``
-    Sweep worker sleeps before characterizing the listed form (not in a
-    respawned worker) — trips the shard watchdog without killing the
-    process.
+    Sweep worker sleeps before characterizing the listed form (not on a
+    stolen unit).  The worker stays alive, so its heartbeat renews the
+    lease and no sibling steals the unit.
 
 Activation: the sweep engine and CLI consult ``REPRO_FAULTS`` (or the
 explicit ``--fault-spec`` flag) via :func:`maybe_faulty`; nothing is ever
@@ -313,15 +315,9 @@ class FaultyBackend:
     results — the property the chaos tests pin.
     """
 
-    def __init__(
-        self,
-        inner,
-        plan: FaultPlan,
-        respawned: bool = False,
-    ):
+    def __init__(self, inner, plan: FaultPlan):
         self.inner = inner
         self.plan = plan
-        self.respawned = respawned
         #: Dispatch count per measurement content (for attempt-bounded
         #: transient faults).
         self._attempts: Dict[str, int] = {}
@@ -412,15 +408,11 @@ class FaultyBackend:
         return outcomes
 
 
-def maybe_faulty(
-    backend,
-    spec: Optional[str] = None,
-    respawned: bool = False,
-):
+def maybe_faulty(backend, spec: Optional[str] = None):
     """Wrap *backend* in a :class:`FaultyBackend` when a fault spec is
     given explicitly or via ``REPRO_FAULTS``; otherwise return it as-is.
     """
     spec = spec if spec is not None else os.environ.get(FAULTS_ENV)
     if not spec:
         return backend
-    return FaultyBackend(backend, FaultPlan.parse(spec), respawned)
+    return FaultyBackend(backend, FaultPlan.parse(spec))

@@ -26,7 +26,6 @@ Observability is restricted to what hardware performance counters provide
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, List, MutableMapping, Optional, Sequence, Tuple
@@ -44,8 +43,6 @@ from repro.uarch.uops import DOMAIN_INT, KIND_LOAD, UarchEntry
 #: Values at or below this are "fast" divider operands (Section 5.2.5).
 _FAST_VALUE_LIMIT = 0xFFFFF
 
-#: Environment variable selecting the timing kernel.
-KERNEL_ENV = "REPRO_SIM"
 KERNEL_ANALYTIC = "analytic"
 KERNEL_EVENT = "event"
 KERNEL_REFERENCE = "reference"
@@ -56,13 +53,12 @@ def kernel_mode(explicit: Optional[str] = None) -> str:
 
     The default is the closed-form analytic tier, which falls back to
     the event kernel per run when no closed form exists and is exact
-    wherever it answers.  ``REPRO_SIM=event`` pins the event-driven
-    scheduler and ``REPRO_SIM=reference`` the original per-cycle loop
-    (the differential-test baseline and the escape hatch when debugging
-    a suspected kernel mismatch); an explicit argument wins over the
-    environment.
+    wherever it answers.  An explicit ``"event"`` pins the event-driven
+    scheduler and ``"reference"`` the original per-cycle loop (the
+    differential-test baseline and the escape hatch when debugging a
+    suspected kernel mismatch).
     """
-    mode = explicit or os.environ.get(KERNEL_ENV) or KERNEL_ANALYTIC
+    mode = explicit or KERNEL_ANALYTIC
     if mode not in (KERNEL_ANALYTIC, KERNEL_EVENT, KERNEL_REFERENCE):
         raise ValueError(
             f"unknown timing kernel {mode!r}; expected "
@@ -300,9 +296,8 @@ class Core:
                 measurements see an ideal front end, on for the
                 decoder-characterization extension.
             kernel: timing-kernel override (``"analytic"``/``"event"``/
-                ``"reference"``); defaults to the ``REPRO_SIM``
-                environment variable, then the analytic tier.  All three
-                produce bit-identical counters.
+                ``"reference"``); defaults to the analytic tier.  All
+                three produce bit-identical counters.
             analytic_memo: mapping that holds the structural closed-form
                 memo (the measurement backend passes its bounded LRU);
                 a plain dict when omitted.
@@ -1038,8 +1033,8 @@ def build_core(
     All code outside :mod:`repro.pipeline` / :mod:`repro.measure` must
     construct cores through this factory instead of calling
     :class:`Core` directly (enforced by ``repro lint`` rule RPR113), so
-    tier selection — ``REPRO_SIM`` and explicit ``kernel=`` overrides —
-    stays observable and in one place.
+    tier selection — explicit ``kernel=`` overrides — stays observable
+    and in one place.
     """
     return Core(
         uarch,

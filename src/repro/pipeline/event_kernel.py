@@ -34,7 +34,7 @@ completion -> per-port dispatch (ports in canonical order, oldest ready
 phase (or a later port) of cycle ``c`` is only visible to earlier phases
 at ``c + 1``; the scheduler reproduces this by routing same-cycle wakeups
 to either the current cycle's remaining ports or a ``c + 1`` bucket.
-``REPRO_SIM=reference`` keeps the original loop selectable for
+``kernel="reference"`` keeps the original loop selectable for
 differential testing (see tests/test_sim_differential.py).
 """
 

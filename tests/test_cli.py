@@ -127,10 +127,8 @@ class TestCommands:
 class TestDistributedFlags:
     def test_parser_accepts_queue_flags(self):
         args = build_parser().parse_args([
-            "sweep", "SKL", "--sweep-mode", "static",
-            "--lease-timeout", "2.5", "--incremental",
+            "sweep", "SKL", "--lease-timeout", "2.5", "--incremental",
         ])
-        assert args.sweep_mode == "static"
         assert args.lease_timeout == 2.5
         assert args.incremental
         args = build_parser().parse_args(["sweep", "--drain"])

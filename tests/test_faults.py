@@ -3,9 +3,9 @@
 Every fault-tolerance mechanism is exercised against the seedable
 :mod:`repro.measure.faults` harness rather than against luck: executor
 retries recover bit-identical results from transient faults, permanent
-faults quarantine exactly the listed form, killed/stalled sweep workers
-are respawned with their completed work salvaged, and a crashed sweep
-resumes from the persistent cache.
+faults quarantine exactly the listed form, a killed sweep worker's unit
+is stolen by a sibling while a stalled but live one keeps its lease, and
+a crashed sweep resumes from the persistent cache.
 """
 
 import xml.etree.ElementTree as ET
@@ -19,7 +19,7 @@ from repro.core.codegen import independent_sequence
 from repro.core.experiment import ExperimentBatch, ExperimentFailure
 from repro.core.html_output import results_to_html
 from repro.core.runner import CharacterizationRunner, FormFailure
-from repro.core.sweep import SweepEngine, estimate_cost, shard_uids
+from repro.core.sweep import SweepEngine
 from repro.core.xml_output import results_to_xml
 from repro.measure import (
     BackendError,
@@ -485,76 +485,33 @@ class TestQuarantine:
 
 
 # ---------------------------------------------------------------------------
-# Shard supervision (multiprocess)
+# Worker supervision on the queue path (multiprocess)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.slow
 class TestShardSupervision:
-    """Static-mode supervision: watchdog, respawn, shard quarantine.
+    """Queue-path supervision: lease renewal, stealing, resume.
 
-    These semantics are specific to the fork-join sharding path (kept
-    as the queue mode's bit-identity reference), so every engine here
-    pins ``mode="static"``; the queue path's lease/steal equivalents
-    are covered in ``tests/test_workqueue.py`` and
-    ``tests/test_sweep_engine.py``.
+    Killed and poisoned workers are covered by
+    ``tests/test_sweep_engine.py::TestQueueChaos``; these tests pin the
+    heartbeat that keeps a live worker's lease and the resume after a
+    lost unit.
     """
 
-    def test_killed_shard_respawns_and_completes(
+    def test_stalled_worker_keeps_its_lease(
         self, db, memo_dir, reference
     ):
+        # NOP's worker sleeps three lease windows before measuring it.
+        # The worker is alive, so its heartbeat renews the lease and
+        # the sibling never steals the unit.
         engine = _engine(
-            db, memo_dir, jobs=2, fault_spec="kill_once=NOP",
-            mode="static",
+            db, memo_dir, jobs=2, fault_spec="stall=NOP:3",
+            lease_timeout=1.0,
         )
         results = engine.sweep(_forms(db))
-        assert engine.statistics.shards_respawned == 1
-        assert engine.failures == {}
-        assert results == reference
-
-    def test_persistently_killed_shard_quarantines_remainder(
-        self, db, memo_dir, reference
-    ):
-        engine = _engine(
-            db, memo_dir, jobs=2, fault_spec="kill=NOP", mode="static"
-        )
-        results = engine.sweep(_forms(db))
-        assert engine.statistics.shards_respawned == 1
-        # The static path deals cost-ordered shards and workers walk
-        # them in that order, so the unfinished suffix starts at NOP's
-        # position within its (cost-sorted) shard.
-        costs = {
-            form.uid: estimate_cost(form, engine.uarch)
-            for form in _forms(db)
-        }
-        kill_shard = next(
-            shard for shard in shard_uids(sorted(UIDS), 2, costs=costs)
-            if "NOP" in shard
-        )
-        unfinished = sorted(kill_shard[kill_shard.index("NOP"):])
-        assert sorted(engine.failures) == unfinished
-        for failure in engine.failures.values():
-            assert failure.error_type == "WorkerLost"
-            assert failure.phase == "shard"
-            assert failure.attempts == 2
-            assert failure.shard is not None
-        # Everything the dead shard finished first, and the sibling
-        # shard entirely, was salvaged.
-        assert results == {
-            uid: outcome for uid, outcome in reference.items()
-            if uid not in engine.failures
-        }
-
-    def test_watchdog_respawns_stalled_shard(
-        self, db, memo_dir, reference
-    ):
-        engine = _engine(
-            db, memo_dir, jobs=2,
-            fault_spec="stall=NOP:60", shard_timeout=3.0,
-            mode="static",
-        )
-        results = engine.sweep(_forms(db))
-        assert engine.statistics.shards_respawned == 1
+        assert engine.statistics.units_stolen == 0
+        assert engine.statistics.leases_renewed >= 1
         assert engine.failures == {}
         assert results == reference
 
@@ -565,7 +522,6 @@ class TestShardSupervision:
         crashed = _engine(
             db, memo_dir, jobs=2,
             cache=ResultCache(cache_dir), fault_spec="kill=NOP",
-            mode="static",
         )
         partial = crashed.sweep(_forms(db))
         assert crashed.failures

@@ -4,7 +4,7 @@ The optimized simulation path (event-driven timing kernel, steady-state
 extrapolation, collapsed repeats) claims **bit-identical** counters to
 the seed per-cycle loop, not approximate agreement.  These tests pin
 that claim with exact ``CounterValues`` equality — cycles, per-port µop
-counts, µop/instruction/fused counts — against ``REPRO_SIM=reference``
+counts, µop/instruction/fused counts — against ``kernel="reference"``
 over a representative catalog slice (GPR/SSE/AVX arithmetic, divider
 forms with value dependence, memory forms, eliminated idioms) plus a
 stratified catalog sample, on at least two microarchitectures.

@@ -1,4 +1,4 @@
-"""Differential tests for the parallel sharded sweep engine.
+"""Differential tests for the parallel sweep engine.
 
 The engine's contract is bit-identical results: serial runner, jobs=1,
 jobs=N, cold cache, and warm cache must all produce exactly the same
@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.cache import ResultCache, cache_key
 from repro.core.runner import CharacterizationRunner
-from repro.core.sweep import SweepEngine, estimate_cost, shard_uids
+from repro.core.sweep import SweepEngine
 from repro.measure.backend import HardwareBackend, MeasurementConfig
 from repro.uarch.configs import get_uarch
 
@@ -46,50 +46,6 @@ def serial_results(db):
     backend = HardwareBackend(get_uarch("SKL"), kernel="event")
     runner = CharacterizationRunner(backend, db)
     return runner.characterize_all(_forms(db, SAMPLE_UIDS))
-
-
-class TestSharding:
-    def test_round_robin_deterministic(self):
-        uids = [f"u{i:02d}" for i in range(10)]
-        shards = shard_uids(list(reversed(uids)), 3)
-        assert shards == [
-            ["u00", "u03", "u06", "u09"],
-            ["u01", "u04", "u07"],
-            ["u02", "u05", "u08"],
-        ]
-        assert shard_uids(uids, 3) == shards  # input order irrelevant
-
-    def test_no_empty_shards(self):
-        assert shard_uids(["a", "b"], 8) == [["a"], ["b"]]
-        assert shard_uids([], 4) == []
-
-    def test_single_shard(self):
-        assert shard_uids(["b", "a"], 1) == [["a", "b"]]
-
-    def test_cost_ordered_deals_stragglers_first(self):
-        costs = {"a": 1, "b": 10, "c": 5, "d": 1}
-        # Descending cost (ties by uid), then round-robin: the most
-        # expensive forms land on distinct shards up front instead of
-        # queueing behind each other at the tail of one shard.
-        assert shard_uids(["a", "b", "c", "d"], 2, costs=costs) == [
-            ["b", "a"],
-            ["c", "d"],
-        ]
-        # A uid missing from the cost map defaults to 0 (cheapest).
-        assert shard_uids(["a", "z"], 1, costs={"a": 1}) == [["a", "z"]]
-
-    def test_cost_ordered_is_deterministic(self):
-        costs = {"a": 2, "b": 2, "c": 2}
-        first = shard_uids(["c", "a", "b"], 2, costs=costs)
-        assert shard_uids(["b", "c", "a"], 2, costs=costs) == first
-        assert first == [["a", "c"], ["b"]]  # equal costs: uid order
-
-    def test_estimate_cost_ranks_divider_forms_highest(self, db):
-        skl = get_uarch("SKL")
-        add = estimate_cost(db.by_uid("ADD_R64_R64"), skl)
-        div = estimate_cost(db.by_uid("DIV_R64"), skl)
-        assert add >= 1
-        assert div > add  # divider classes are the classic stragglers
 
 
 @pytest.mark.slow
@@ -129,30 +85,19 @@ class TestDifferential:
                            cache=ResultCache(str(tmp_path)))
         assert warm.sweep(_forms(db, NHM_UIDS)) == serial
 
-    def test_static_mode_matches_serial(self, db, serial_results):
-        # The fork-join sharding is kept as the queue mode's
-        # bit-identity reference; pin it explicitly.
-        engine = SweepEngine("SKL", db, jobs=4, mode="static")
-        assert engine.sweep(_forms(db, SAMPLE_UIDS)) == serial_results
-
     def test_queue_counters(self, db, serial_results):
         engine = SweepEngine("SKL", db, jobs=2)
-        assert engine.mode == "queue"
         engine.sweep(_forms(db, SAMPLE_UIDS))
         assert engine.statistics.units_leased == len(SAMPLE_UIDS)
         assert engine.statistics.units_acked == len(SAMPLE_UIDS)
         assert engine.statistics.units_stolen == 0
         assert engine.statistics.lease_expirations == 0
 
-    def test_unknown_mode_rejected(self, db):
-        with pytest.raises(ValueError):
-            SweepEngine("SKL", db, mode="frobnicate")
-
 
 @pytest.mark.slow
 class TestQueueChaos:
-    """Queue-mode fault tolerance: lease expiry + stealing replace the
-    static path's watchdog/respawn supervision."""
+    """Queue-mode fault tolerance: lease expiry and stealing recover
+    lost workers."""
 
     def test_killed_worker_units_are_stolen(self, db, serial_results):
         # One worker hard-crashes on NOP; the parent reaps it and

@@ -155,6 +155,20 @@ class TestEnqueueSemantics:
         assert work.enqueue(_units(["a"])) == 1
         assert work.outstanding() == 1
 
+    def test_reenqueue_gives_poisoned_unit_fresh_budget(self, tmp_path):
+        work = _queue(tmp_path)
+        work.enqueue(_units(["nop"]))
+        for attempt in range(MAX_UNIT_LEASES):
+            work.lease(f"w{attempt}", lease_seconds=0.0)
+        assert work.lease("w-final") == []
+        assert "nop" in work.snapshot()["failures"]
+        # A resume re-requests the quarantined unit: it is handed out
+        # again as a first lease instead of being re-poisoned on sight.
+        assert work.enqueue(_units(["nop"])) == 1
+        (unit,) = work.lease("w-resume")
+        assert unit.leases == 1
+        assert work.snapshot()["failures"] == {}
+
     def test_reenqueue_skips_pending_and_live_leases(self, tmp_path):
         work = _queue(tmp_path)
         work.enqueue(_units(["a", "b"]))
