@@ -52,14 +52,15 @@ def _cold_sweep(db, kernel: str):
         uid: runner.characterize(db.by_uid(uid)) for uid in FORM_UIDS
     }
     wall = time.perf_counter() - started
+    stats = backend.snapshot()
     return outcomes, {
         "wall_s": round(wall, 3),
         "measure_calls": backend.measure_calls,
-        "cycles_simulated": backend.cycles_simulated,
-        "cycles_extrapolated": backend.cycles_extrapolated,
-        "runs_extrapolated": backend.runs_extrapolated,
-        "cycles_analytic": backend.cycles_analytic,
-        "runs_analytic": backend.runs_analytic,
+        "cycles_simulated": stats.cycles_simulated,
+        "cycles_extrapolated": stats.cycles_extrapolated,
+        "runs_extrapolated": stats.runs_extrapolated,
+        "cycles_analytic": stats.cycles_analytic,
+        "runs_analytic": stats.runs_analytic,
     }
 
 

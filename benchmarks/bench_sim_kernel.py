@@ -53,14 +53,15 @@ def _cold_sweep(db, kernel: str, memo=None):
         uid: runner.characterize(db.by_uid(uid)) for uid in FORM_UIDS
     }
     wall = time.perf_counter() - started
+    stats = backend.snapshot()
     return outcomes, {
         "wall_s": round(wall, 3),
         "measure_calls": backend.measure_calls,
-        "cycles_simulated": backend.cycles_simulated,
-        "cycles_extrapolated": backend.cycles_extrapolated,
-        "runs_extrapolated": backend.runs_extrapolated,
-        "memo_hits": backend.memo_hits,
-        "memo_misses": backend.memo_misses,
+        "cycles_simulated": stats.cycles_simulated,
+        "cycles_extrapolated": stats.cycles_extrapolated,
+        "runs_extrapolated": stats.runs_extrapolated,
+        "memo_hits": stats.memo_hits,
+        "memo_misses": stats.memo_misses,
     }
 
 

@@ -24,13 +24,13 @@ import os
 
 
 from repro.analysis.compare import compute_agreement
-from repro.analysis.sampling import full_run_requested, stratified_sample
+from repro.analysis.sampling import stratified_sample
 from repro.core.cache import ResultCache
 from repro.core.runner import CharacterizationRunner
 from repro.core.sweep import SweepEngine
 from repro.uarch.configs import ALL_UARCHES
 
-from conftest import hardware_backend
+from conftest import full_run_requested, hardware_backend
 
 #: Forms compared per generation in the default (sampled) run.
 SAMPLE_TARGET = int(os.environ.get("REPRO_TABLE1_SAMPLE", "45"))

@@ -9,6 +9,7 @@ hardware runs of Section 7.1); set ``REPRO_FULL=1`` for complete runs.
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pytest
@@ -22,6 +23,12 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 _BACKENDS = {}
 _BLOCKING = {}
+
+
+def full_run_requested() -> bool:
+    """Whether ``REPRO_FULL`` asks for the full catalog instead of a
+    stratified sample."""
+    return os.environ.get("REPRO_FULL", "") not in ("", "0")
 
 
 def hardware_backend(name: str) -> HardwareBackend:

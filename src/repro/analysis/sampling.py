@@ -2,22 +2,16 @@
 
 Characterizing every variant on every generation takes the paper's tool
 50-110 minutes on real hardware; on the pure-Python simulator a full run is
-correspondingly slower, so the benchmark harness defaults to a stratified
-sample (one form out of every *k*, spread across categories) and offers
-``REPRO_FULL=1`` for complete runs.
+correspondingly slower, so the benchmarks and ``repro sweep --sample``
+use a stratified sample (one form out of every *k*, spread across
+categories).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.isa.database import InstructionDatabase
 from repro.isa.instruction import InstructionForm
-
-
-def full_run_requested() -> bool:
-    return os.environ.get("REPRO_FULL", "") not in ("", "0")
 
 
 def stratified_sample(
@@ -39,14 +33,3 @@ def stratified_sample(
         sample.extend(members[::stride][:take])
     return sample
 
-
-def default_sample(
-    database: InstructionDatabase,
-    predicate,
-    target: Optional[int] = None,
-) -> List[InstructionForm]:
-    """The benchmark harness's working set for one generation."""
-    forms = [f for f in database if predicate(f)]
-    if full_run_requested():
-        return forms
-    return stratified_sample(forms, target or 120)

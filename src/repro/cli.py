@@ -79,47 +79,21 @@ def _make_cache(args):
         raise SystemExit(f"error: {exc}")
 
 
-#: The stderr statistics report: one ``(label, format string)`` row per
-#: caching layer, rendered from :meth:`RunStatistics.as_dict` — a new
-#: counter needs a row here, not another hand-assembled print call.
-_STATS_LINES = (
-    ("cache",
-     "{cache_hits} hits, {cache_misses} misses, "
-     "{cache_invalidations} invalidated; "
-     "measured {seconds:.1f}s over {characterized} variants "
-     "({skipped} skipped)"),
-    ("memo",
-     "{memo_hits} hits, {memo_misses} misses"),
-    ("simulation",
-     "{cycles_simulated} cycles simulated, "
-     "{cycles_extrapolated} extrapolated ({runs_extrapolated} runs), "
-     "{cycles_analytic} analytic ({runs_analytic} runs); "
-     "{runs_probe} probe runs ({probe_copies} copies), "
-     "{runs_full} full runs"),
-    ("executor",
-     "{experiments_planned} planned, {experiments_deduped} deduped, "
-     "{experiments_measured} measured in {batches_dispatched} batches; "
-     "plan {plan_seconds:.1f}s, execute {execute_seconds:.1f}s; "
-     "{cache_evictions} evictions"),
-    ("faults",
-     "{forms_failed} quarantined, {retries} retries, "
-     "{experiments_gave_up} gave up, {shards_respawned} shards "
-     "respawned; {corrupt_lines} corrupt lines, "
-     "{torn_tails} torn tails, "
-     "{lock_timeouts} lock timeouts ({lock_retries} retries)"),
-    ("queue",
-     "{units_leased} leased, {units_stolen} stolen, "
-     "{units_acked} acked, {lease_expirations} lease expirations, "
-     "{leases_renewed} renewed, {zombie_writes} zombie writes; "
-     "{incremental_skips} incremental skips, "
-     "{gc_keys_dropped} keys GC'd"),
-)
-
-
 def _print_cache_stats(statistics) -> None:
-    values = statistics.as_dict()
-    for label, template in _STATS_LINES:
-        print(f"{label}: {template.format(**values)}", file=sys.stderr)
+    """The stderr summary, generated from the counter record: one line
+    per row its fields declare, ``name value`` pairs in declaration
+    order, floats to one decimal."""
+    from dataclasses import fields
+
+    rows = {}
+    for spec in fields(statistics):
+        value = getattr(statistics, spec.name)
+        text = f"{value:.1f}" if isinstance(value, float) else value
+        rows.setdefault(spec.metadata["row"], []).append(
+            f"{spec.name} {text}"
+        )
+    for row, pairs in rows.items():
+        print(f"{row}: {', '.join(pairs)}", file=sys.stderr)
 
 
 def _write_stats_json(statistics, path: Optional[str],
@@ -392,7 +366,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_cache_gc(args) -> int:
     """Compact the persistent cache stores (``repro cache gc``)."""
     from repro.core.cache import LiveLeaseError, collect_garbage
-    from repro.core.runner import RunStatistics
+    from repro.stats import RunStatistics
 
     try:
         stats = collect_garbage(args.cache_dir, force=args.force)

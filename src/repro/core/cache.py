@@ -74,6 +74,7 @@ from repro.core.journal import (
     trace_event,
 )
 from repro.measure.backend import MeasurementConfig
+from repro.stats import RunStatistics
 
 #: Bump to invalidate every cache entry written by older code — part of
 #: every cache key, together with the package version.  2: per-line
@@ -138,6 +139,17 @@ def cache_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _store_stats(store, **extra) -> RunStatistics:
+    """A journal store's integrity and lock counters."""
+    return RunStatistics(
+        corrupt_lines=store.corrupt_lines,
+        torn_tails=store.torn_tails,
+        lock_timeouts=store.lock_timeouts,
+        lock_retries=store.lock_retries,
+        **extra,
+    )
+
+
 class ResultCache:
     """Persistent characterization store, one JSON-lines file per uarch."""
 
@@ -178,7 +190,9 @@ class ResultCache:
     def path_for(self, uarch_name: str) -> str:
         return os.path.join(self.cache_dir, f"{uarch_name}.jsonl")
 
-    def _load(self, uarch_name: str) -> None:
+    def load(self, uarch_name: str) -> None:
+        """Read the store for *uarch_name* once, counting its damage and
+        invalidations (later calls are no-ops)."""
         if uarch_name in self._loaded:
             return
         self._loaded.add(uarch_name)
@@ -191,6 +205,10 @@ class ResultCache:
                 continue
             self._entries[entry["key"]] = entry
 
+    def stats(self) -> RunStatistics:
+        """This store's counters so far, in the run's counter record."""
+        return _store_stats(self, cache_invalidations=self.invalidations)
+
     # -- lookup / store -------------------------------------------------
 
     def key_for(self, form_uid: str, uarch_name: str,
@@ -200,7 +218,7 @@ class ResultCache:
     def get(self, key: str, uarch_name: str):
         """The stored ``data`` dict, ``None`` for a cached skip marker, or
         the module-level miss sentinel."""
-        self._load(uarch_name)
+        self.load(uarch_name)
         entry = self._entries.get(key)
         if entry is None:
             return _MISS
@@ -231,7 +249,7 @@ class ResultCache:
         a zombie whose lease was stolen is attributable.  Serial sweeps
         write unfenced entries.
         """
-        self._load(uarch_name)
+        self.load(uarch_name)
         entry = {
             "salt": self.salt,
             "key": key,
@@ -338,7 +356,9 @@ class MeasurementMemo:
     def path_for(self, uarch_name: str) -> str:
         return os.path.join(self.cache_dir, f"{uarch_name}{self.SUFFIX}")
 
-    def _load(self, uarch_name: str) -> None:
+    def load(self, uarch_name: str) -> None:
+        """Read the memo for *uarch_name* once (see
+        :meth:`ResultCache.load`)."""
         if uarch_name in self._loaded:
             return
         self._loaded.add(uarch_name)
@@ -351,6 +371,10 @@ class MeasurementMemo:
                 continue
             self._entries[entry["key"]] = entry["data"]
 
+    def stats(self) -> RunStatistics:
+        """This memo's counters so far, in the run's counter record."""
+        return _store_stats(self)
+
     def key_for(
         self,
         uarch_name: str,
@@ -362,7 +386,7 @@ class MeasurementMemo:
 
     def get(self, key: str, uarch_name: str):
         """The encoded counters, or the module-level miss sentinel."""
-        self._load(uarch_name)
+        self.load(uarch_name)
         return self._entries.get(key, _MISS)
 
     @staticmethod
@@ -370,7 +394,7 @@ class MeasurementMemo:
         return value is _MISS
 
     def put(self, key: str, uarch_name: str, data: Dict[str, Any]) -> None:
-        self._load(uarch_name)
+        self.load(uarch_name)
         if key in self._entries:
             return
         self._entries[key] = data

@@ -13,18 +13,17 @@ the adaptive port-usage rounds.  One executor serves the runner's whole
 lifetime, so identical experiments planned by different algorithms — or by
 different forms of a sweep shard — are measured exactly once.
 
-Contract (enforced by ``repro lint``): :class:`RunStatistics` and
-:class:`FormFailure` cross the sweep worker queues, so their fields must
-stay picklable (RPR120), and every counter added to ``RunStatistics``
-must also be rendered by a ``cli._STATS_LINES`` template (RPR140) and
-folded from the worker ``*Stats`` snapshots (RPR141) — silent counters
-were the PR-3 bug.
+Contract (enforced by ``repro lint``, RPR120): :class:`FormFailure` and
+:class:`~repro.stats.RunStatistics` cross the sweep worker queues, so
+their fields must stay picklable.  Counters need no registration:
+``RunStatistics`` is the one record every layer reports in, and the
+CLI's stderr summary is generated from its fields.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.core.blocking import (
@@ -47,133 +46,7 @@ from repro.isa.instruction import (
     ATTR_UNSUPPORTED,
     InstructionForm,
 )
-
-
-@dataclass
-class RunStatistics:
-    """Bookkeeping for a characterization run (cf. Section 7.1).
-
-    ``seconds`` is *measurement* time only: it accumulates solely while a
-    form is actually being characterized on a backend.  Forms that are
-    skipped (unmeasurable) or served from the sweep engine's persistent
-    cache contribute nothing to it, so cached re-runs report near-zero
-    measured time even when the wall clock is dominated by I/O.
-    """
-
-    characterized: int = 0
-    skipped: int = 0
-    seconds: float = 0.0
-    #: Persistent-cache counters (filled by the sweep engine; a serial
-    #: :class:`CharacterizationRunner` never touches the cache).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
-    #: Measurement-memo counters (persistent raw-measurement memo shared
-    #: across sweep shards; see :class:`~repro.core.cache.MeasurementMemo`).
-    memo_hits: int = 0
-    memo_misses: int = 0
-    #: Timing-kernel work split: cycles actually simulated vs. produced
-    #: analytically by steady-state extrapolation, and the number of
-    #: unrolled runs served without a simulation of their own.
-    cycles_simulated: int = 0
-    cycles_extrapolated: int = 0
-    runs_extrapolated: int = 0
-    #: Closed-form analytic fast path (the third simulation tier): runs
-    #: answered with no kernel run at all, and the cycles they cover.
-    runs_analytic: int = 0
-    cycles_analytic: int = 0
-    #: Measurement-ladder rungs below the closed form: unroll targets
-    #: served off a simulated probe (as a prefix or extrapolated), the
-    #: copies those probes simulated, and targets scheduled at full
-    #: length (divider bodies, synthesized or simulated, and targets
-    #: with no probe period).
-    runs_probe: int = 0
-    probe_copies: int = 0
-    runs_full: int = 0
-    #: Entries evicted from the backend's bounded in-process caches (see
-    #: ``MeasurementConfig.max_cached_measurements``).
-    cache_evictions: int = 0
-    #: Experiment-executor counters: how many experiments the plans
-    #: emitted, how many were deduplicated away before reaching the
-    #: backend, how many were actually dispatched, and the time split
-    #: between the planning/interpreting and executing phases.
-    experiments_planned: int = 0
-    experiments_deduped: int = 0
-    experiments_measured: int = 0
-    batches_dispatched: int = 0
-    plan_seconds: float = 0.0
-    execute_seconds: float = 0.0
-    #: Fault-tolerance counters: transient-failure re-dispatches, the
-    #: experiments that exhausted the retry budget, forms quarantined
-    #: instead of characterized, queue drainers respawned while work
-    #: remained after the fleet died, and cache hygiene (malformed JSONL
-    #: lines skipped, bounded flock waits that timed out).
-    retries: int = 0
-    experiments_gave_up: int = 0
-    forms_failed: int = 0
-    shards_respawned: int = 0
-    corrupt_lines: int = 0
-    lock_timeouts: int = 0
-    #: Store-integrity counters (see :mod:`repro.core.journal`): torn
-    #: tails truncated-and-recovered on load (a writer died mid-append),
-    #: and bounded-flock attempts that had to back off and retry before
-    #: acquiring the lock (``lock_timeouts`` counts the waits that gave
-    #: up entirely).
-    torn_tails: int = 0
-    lock_retries: int = 0
-    #: Distributed-sweep queue health (see
-    #: :mod:`repro.core.workqueue`): work units this sweep leased,
-    #: leases reclaimed from dead/stalled drainers (and the expirations
-    #: that enabled the steals), units acknowledged as done, lease
-    #: renewals by drainer heartbeats, fenced-off writes by zombie
-    #: workers whose lease was stolen, forms served from cache because
-    #: their input fingerprints were unchanged (``--incremental``), and
-    #: cache lines dropped by ``repro cache gc``.
-    units_leased: int = 0
-    units_stolen: int = 0
-    units_acked: int = 0
-    lease_expirations: int = 0
-    leases_renewed: int = 0
-    zombie_writes: int = 0
-    incremental_skips: int = 0
-    gc_keys_dropped: int = 0
-
-    def merge(self, other: "RunStatistics") -> None:
-        """Fold in the statistics of another run (e.g. a sweep worker)."""
-        for spec in fields(self):
-            setattr(
-                self,
-                spec.name,
-                getattr(self, spec.name) + getattr(other, spec.name),
-            )
-
-    def fold_snapshot(self, before, after) -> None:
-        """Add the delta of two stats snapshots taken around a stretch of
-        measurement work.
-
-        *before* and *after* are matching NamedTuples
-        (:class:`~repro.measure.backend.BackendStats` or
-        :class:`~repro.measure.executor.ExecutorStats`); fields are
-        matched to this dataclass *by name*, so reordering or extending a
-        snapshot type cannot silently misattribute a counter.
-        """
-        names = after._fields
-        if len(before) != len(names):
-            raise ValueError(
-                f"snapshot length mismatch: {len(before)} != {len(names)}"
-            )
-        for name, a, b in zip(names, before, after):
-            setattr(self, name, getattr(self, name) + (b - a))
-
-    #: Backwards-compatible alias (the zip-by-position version this
-    #: replaces was specific to the backend snapshot).
-    fold_backend = fold_snapshot
-
-    def as_dict(self) -> Dict[str, float]:
-        """All counters, JSON-serializable (for ``--stats-json``)."""
-        return {
-            spec.name: getattr(self, spec.name) for spec in fields(self)
-        }
+from repro.stats import RunStatistics
 
 
 @dataclass(frozen=True)

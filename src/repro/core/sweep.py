@@ -60,31 +60,18 @@ from repro.core.cache import (
     catalog_context_digest,
     form_fingerprint,
 )
-from repro.core.workqueue import (
-    LeaseHeartbeat,
-    QueueCounters,
-    WorkQueue,
-    WorkUnit,
-)
+from repro.core.workqueue import LeaseHeartbeat, WorkQueue, WorkUnit
 from repro.core.result import (
     InstructionCharacterization,
     decode_characterization,
     encode_characterization,
 )
-from repro.core.runner import (
-    CharacterizationRunner,
-    FormFailure,
-    RunStatistics,
-)
+from repro.core.runner import CharacterizationRunner, FormFailure
 from repro.isa.database import InstructionDatabase, load_default_database
 from repro.isa.instruction import InstructionForm
-from repro.measure.backend import (
-    BackendStats,
-    HardwareBackend,
-    MeasurementConfig,
-)
-from repro.measure.executor import ExecutorStats
+from repro.measure.backend import HardwareBackend, MeasurementConfig
 from repro.measure.faults import FaultPlan, maybe_faulty
+from repro.stats import RunStatistics
 from repro.uarch.configs import get_uarch
 from repro.uarch.model import UarchConfig
 
@@ -106,6 +93,14 @@ _DrainPayload = Tuple[
     str, MeasurementConfig, str, str, Optional[str], Optional[str],
     Optional[str], float, int,
 ]
+
+
+def _total(parts: Iterable[RunStatistics]) -> RunStatistics:
+    """The field-wise sum of counter records."""
+    total = RunStatistics()
+    for part in parts:
+        total.merge(part)
+    return total
 
 
 def _drain_worker(payload: _DrainPayload, out_queue) -> None:
@@ -140,6 +135,13 @@ def _drain_worker(payload: _DrainPayload, out_queue) -> None:
     runner = CharacterizationRunner(backend, database)
     cache = ResultCache(store_dir, salt=salt)
     work = WorkQueue(store_dir, uarch_name, salt=salt)
+    stores = [store for store in (cache, memo) if store is not None]
+    # The coordinator counted the shared stores' damage and
+    # invalidations when it read them; this drainer reports only what
+    # it adds after its own read.
+    for store in stores:
+        store.load(uarch_name)
+    loaded = _total(store.stats() for store in stores)
     owner = f"{os.getpid()}.{worker_id}"
     heartbeat = LeaseHeartbeat(
         work, owner, lease_seconds=lease_seconds
@@ -199,19 +201,16 @@ def _drain_worker(payload: _DrainPayload, out_queue) -> None:
                     heartbeat.unwatch(unit.key)
     finally:
         heartbeat.stop()
-    # Renewals and zombie rejections live in the shared queue counters
-    # (the coordinator folds the delta); folding them here too would
-    # double-count.  Lock retries are per-process, so they do fold.
-    runner.statistics.lock_retries += (
-        cache.lock_retries + work.lock_retries
-    )
-    runner.statistics.fold_snapshot(
-        BackendStats.zero(), backend.stats_tuple()
-    )
-    runner.statistics.fold_snapshot(
-        ExecutorStats.zero(), runner.executor.stats_tuple()
-    )
-    out_queue.put(("done", worker_id, runner.statistics))
+    # Lease counters live in the shared queue state (the coordinator
+    # folds their delta); this process's lock waits on it do not.
+    totals = _total([
+        runner.statistics,
+        backend.snapshot(),
+        runner.executor.snapshot(),
+        work.stats(),
+        *(store.stats() for store in stores),
+    ])
+    out_queue.put(("done", worker_id, totals - loaded))
 
 
 class _DrainerState:
@@ -291,9 +290,6 @@ class SweepEngine:
         self.failures: Dict[str, FormFailure] = {}
         self._backend = backend
         self._runner: Optional[CharacterizationRunner] = None
-        #: Cached payloads that failed to decode (counted separately
-        #: from line-level corruption, which the cache itself tracks).
-        self._decode_corrupt = 0
         self._manifest: Optional[SweepManifest] = None
         #: Memoized per-form input fingerprints (+ the catalog context
         #: digest they embed) — computing them walks the µop tables.
@@ -327,6 +323,21 @@ class SweepEngine:
     def supported_forms(self) -> List[InstructionForm]:
         return self.runner.supported_forms()
 
+    def _snapshot(self) -> RunStatistics:
+        """Everything this process's producers have counted so far; a
+        stretch of work folds as ``merge(after - before)``."""
+        parts = [
+            store.stats()
+            for store in (self.cache, self.measure_memo)
+            if store is not None
+        ]
+        if self._backend is not None:
+            parts.append(self._backend.snapshot())
+        if self._runner is not None:
+            parts.append(self._runner.statistics)
+            parts.append(self._runner.executor.snapshot())
+        return _total(parts)
+
     # ------------------------------------------------------------------
 
     def sweep(
@@ -346,14 +357,7 @@ class SweepEngine:
         requested = list(forms if forms is not None else self.database)
         requested.sort(key=lambda form: form.uid)
 
-        backend_base = (
-            self._backend.stats_tuple()
-            if self._backend is not None else BackendStats.zero()
-        )
-        executor_base = (
-            self._runner.executor.stats_tuple()
-            if self._runner is not None else ExecutorStats.zero()
-        )
+        before = self._snapshot()
         results: Dict[str, InstructionCharacterization] = {}
         pending = self._resolve_pending(requested, results)
 
@@ -365,38 +369,8 @@ class SweepEngine:
             else:
                 self._sweep_queue(pending, results, progress)
         self._record_manifest(requested)
-        if self.cache is not None:
-            self.statistics.cache_invalidations = self.cache.invalidations
-        corrupt = self._decode_corrupt
-        torn = 0
-        lock_timeouts = 0
-        lock_retries = self.statistics.lock_retries
-        if self.cache is not None:
-            corrupt += self.cache.corrupt_lines
-            torn += self.cache.torn_tails
-            lock_timeouts += self.cache.lock_timeouts
-            lock_retries += self.cache.lock_retries
-        if self.measure_memo is not None:
-            corrupt += self.measure_memo.corrupt_lines
-            torn += self.measure_memo.torn_tails
-            lock_timeouts += self.measure_memo.lock_timeouts
-            lock_retries += self.measure_memo.lock_retries
-        self.statistics.corrupt_lines = corrupt
-        self.statistics.torn_tails = torn
-        self.statistics.lock_timeouts = lock_timeouts
-        self.statistics.lock_retries = lock_retries
+        self.statistics.merge(self._snapshot() - before)
         self.statistics.forms_failed = len(self.failures)
-        if self._backend is not None:
-            # In-process measurement work this sweep performed (serial
-            # sweeps and the queue path's memo pre-warm).
-            self.statistics.fold_snapshot(
-                backend_base, self._backend.stats_tuple()
-            )
-        if self._runner is not None:
-            self.statistics.fold_snapshot(
-                executor_base, self._runner.executor.stats_tuple()
-            )
-
         return {uid: results[uid] for uid in sorted(results)}
 
     # ------------------------------------------------------------------
@@ -486,7 +460,7 @@ class SweepEngine:
                 except (KeyError, TypeError, ValueError):
                     # A malformed payload that survived the cache's
                     # line-level checks: re-measure rather than crash.
-                    self._decode_corrupt += 1
+                    self.statistics.corrupt_lines += 1
                     pending.append(form)
                     continue
                 results[form.uid] = outcome
@@ -531,11 +505,6 @@ class SweepEngine:
         progress: Optional[Callable[[str], None]],
     ) -> None:
         runner = self.runner
-        before = RunStatistics(
-            characterized=runner.statistics.characterized,
-            skipped=runner.statistics.skipped,
-            seconds=runner.statistics.seconds,
-        )
         for form in pending:
             outcome = runner.characterize_resilient(form)
             if isinstance(outcome, FormFailure):
@@ -552,15 +521,6 @@ class SweepEngine:
                 encode_characterization(outcome)
                 if outcome is not None else None,
             )
-        self.statistics.characterized += (
-            runner.statistics.characterized - before.characterized
-        )
-        self.statistics.skipped += (
-            runner.statistics.skipped - before.skipped
-        )
-        self.statistics.seconds += (
-            runner.statistics.seconds - before.seconds
-        )
 
     # ------------------------------------------------------------------
     # Queue mode: shared work queue, lease/steal, external drainers
@@ -739,7 +699,7 @@ class SweepEngine:
                 if not active:
                     if respawns_left > 0:
                         respawns_left -= 1
-                        self.statistics.shards_respawned += 1
+                        self.statistics.drainers_respawned += 1
                         spawn(next_worker_id)
                         next_worker_id += 1
                     else:
@@ -811,7 +771,7 @@ class SweepEngine:
                 try:
                     outcome = decode_characterization(data)
                 except (KeyError, TypeError, ValueError):
-                    self._decode_corrupt += 1
+                    self.statistics.corrupt_lines += 1
                     self.failures[form.uid] = FormFailure(
                         uid=form.uid,
                         phase="queue",
@@ -823,12 +783,10 @@ class SweepEngine:
                 if progress is not None:
                     progress(outcome.summary())
 
-        delta = work.counters().delta(base_counters)
-        for field in QueueCounters.FIELDS:
-            setattr(
-                self.statistics, field,
-                getattr(self.statistics, field) + delta[field],
-            )
+        self.statistics.merge(
+            RunStatistics(**work.counters().delta(base_counters))
+        )
+        self.statistics.merge(work.stats())
         if owns_store:
             shutil.rmtree(store_dir, ignore_errors=True)
 
@@ -892,14 +850,8 @@ class SweepEngine:
         """
         if self.cache is None:
             raise ValueError("drain needs a persistent cache directory")
-        backend_base = self.backend.stats_tuple()
-        executor_base = self.runner.executor.stats_tuple()
+        before = self._snapshot()
         runner = self.runner
-        before = RunStatistics(
-            characterized=runner.statistics.characterized,
-            skipped=runner.statistics.skipped,
-            seconds=runner.statistics.seconds,
-        )
         work = WorkQueue(
             self.cache.cache_dir, self.uarch.name, salt=self.cache.salt
         )
@@ -970,23 +922,7 @@ class SweepEngine:
         finally:
             heartbeat.stop()
         self.statistics.leases_renewed += heartbeat.renewed
-        self.statistics.lock_retries += work.lock_retries
-        if self.cache is not None:
-            self.statistics.lock_retries += self.cache.lock_retries
-        self.statistics.characterized += (
-            runner.statistics.characterized - before.characterized
-        )
-        self.statistics.skipped += (
-            runner.statistics.skipped - before.skipped
-        )
-        self.statistics.seconds += (
-            runner.statistics.seconds - before.seconds
-        )
+        self.statistics.merge(self._snapshot() - before)
+        self.statistics.merge(work.stats())
         self.statistics.forms_failed = len(self.failures)
-        self.statistics.fold_snapshot(
-            backend_base, self.backend.stats_tuple()
-        )
-        self.statistics.fold_snapshot(
-            executor_base, self.runner.executor.stats_tuple()
-        )
         return {uid: results[uid] for uid in sorted(results)}

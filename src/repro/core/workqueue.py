@@ -57,6 +57,7 @@ from repro.core.journal import (
     release_flock,
     trace_event,
 )
+from repro.stats import RunStatistics
 
 try:
     import fcntl
@@ -119,7 +120,7 @@ class WorkUnit:
 class QueueCounters(Dict[str, int]):
     """Cumulative queue-lifetime counters (a plain dict with defaults).
 
-    Keys mirror the :class:`~repro.core.runner.RunStatistics` fields the
+    Keys mirror the :class:`~repro.stats.RunStatistics` fields the
     sweep engine folds them into: ``units_leased``, ``units_stolen``,
     ``units_acked``, ``lease_expirations``, ``leases_renewed``,
     ``zombie_writes``.
@@ -169,6 +170,14 @@ class WorkQueue:
         self.lock_timeouts = 0
         #: Non-blocking flock attempts that had to back off and retry.
         self.lock_retries = 0
+
+    def stats(self) -> RunStatistics:
+        """This process's lock counters on the queue, in the run's
+        counter record (the shared lease counters are :meth:`counters`)."""
+        return RunStatistics(
+            lock_timeouts=self.lock_timeouts,
+            lock_retries=self.lock_retries,
+        )
 
     # -- file layout ----------------------------------------------------
 

@@ -2,11 +2,10 @@
 
 Generic linters know Python; they do not know this repository's
 contracts — that content-key and codec modules must be deterministic,
-that plan generators never measure, that every ``RunStatistics`` counter
-is rendered, or that a port-usage table may only name ports the
-microarchitecture has.  Two past bugs (the parallel-tuple ``zip`` in the
-stats fold, the dead-list iteration in ``_next_event``) were violations
-of exactly such contracts; this package encodes them as checkable rules.
+that plan generators never measure, or that a port-usage table may only
+name ports the microarchitecture has.  A past bug (the dead-list
+iteration in ``_next_event``) violated exactly such a contract; this
+package encodes them as checkable rules.
 
 Three rule families:
 

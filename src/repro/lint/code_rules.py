@@ -20,25 +20,21 @@ generic linter can know:
 * ``RPR130``/``RPR131`` — the measurement layer raises only the
   ``BackendError`` taxonomy, and no broad ``except`` may silently
   swallow a ``TransientBackendError``.
-* ``RPR140``/``RPR141`` — every ``RunStatistics`` counter is rendered
-  by ``cli._STATS_LINES``, and every backend snapshot field folded by
-  ``fold_snapshot`` has a matching counter (the PR-3 ``zip`` bug class).
 * ``RPR150`` — every append-mode ``open()`` outside
   :mod:`repro.core.journal` is a crash-safety bypass: durable appends
   must go through the shared checksummed writer so torn-tail recovery,
   CRCs, durability policy, and crash points cover them.
 
-Facts for the cross-file rules (and for the ``RPR203`` catalog-reference
-check in :mod:`repro.lint.model_rules`) are extracted here so they ride
-the per-file cache.
+Facts for the ``RPR203`` catalog-reference check in
+:mod:`repro.lint.model_rules` are extracted here so they ride the
+per-file cache.
 """
 
 from __future__ import annotations
 
 import ast
 from itertools import chain
-from string import Formatter
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.lint.framework import (
     SEVERITY_ERROR,
@@ -46,7 +42,6 @@ from repro.lint.framework import (
     Violation,
     fact_extractor,
     file_rule,
-    fileset_rule,
     register_rule,
 )
 
@@ -72,7 +67,7 @@ PLAN_MODULES = (
 QUEUE_CLASSES = frozenset(
     {
         ("core/runner.py", "FormFailure"),
-        ("core/runner.py", "RunStatistics"),
+        ("repro/stats.py", "RunStatistics"),
         ("measure/backend.py", "MeasurementConfig"),
     }
 )
@@ -140,18 +135,6 @@ RPR131 = register_rule(
     "swallowed-transient",
     SEVERITY_ERROR,
     "broad except silently swallows TransientBackendError",
-)
-RPR140 = register_rule(
-    "RPR140",
-    "unrendered-stat-counter",
-    SEVERITY_ERROR,
-    "RunStatistics counter missing from cli._STATS_LINES",
-)
-RPR141 = register_rule(
-    "RPR141",
-    "unregistered-snapshot-field",
-    SEVERITY_ERROR,
-    "snapshot field has no RunStatistics counter for fold_snapshot",
 )
 RPR150 = register_rule(
     "RPR150",
@@ -647,67 +630,8 @@ def check_swallowed_transients(
 
 
 # ---------------------------------------------------------------------------
-# Facts for the cross-file stats rules and the catalog-reference check
+# Facts for the catalog-reference check
 # ---------------------------------------------------------------------------
-
-
-def _class_fields(node: ast.ClassDef) -> List[str]:
-    fields = []
-    for stmt in node.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(
-            stmt.target, ast.Name
-        ):
-            fields.append(stmt.target.id)
-    return fields
-
-
-def _template_fields(template: str) -> List[str]:
-    fields = []
-    for _, name, _, _ in Formatter().parse(template):
-        if not name:
-            continue
-        base = name.split(".")[0].split("[")[0]
-        if base and not base.isdigit():
-            fields.append(base)
-    return fields
-
-
-@fact_extractor
-def extract_stats_facts(path: str, tree: ast.AST) -> Dict[str, Any]:
-    facts: Dict[str, Any] = {}
-    snapshots: Dict[str, Any] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            if node.name == "RunStatistics":
-                facts["run_statistics"] = {
-                    "line": node.lineno,
-                    "fields": _class_fields(node),
-                }
-            elif node.name.endswith("Stats") and any(
-                isinstance(base, ast.Name) and base.id == "NamedTuple"
-                for base in node.bases
-            ):
-                snapshots[node.name] = {
-                    "line": node.lineno,
-                    "fields": _class_fields(node),
-                }
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "_STATS_LINES"
-            for t in node.targets
-        ):
-            fields = []
-            for inner in ast.walk(node.value):
-                if isinstance(inner, ast.Constant) and isinstance(
-                    inner.value, str
-                ):
-                    fields.extend(_template_fields(inner.value))
-            facts["stats_lines"] = {
-                "line": node.lineno,
-                "fields": sorted(set(fields)),
-            }
-    if snapshots:
-        facts["snapshots"] = snapshots
-    return facts
 
 
 @fact_extractor
@@ -752,50 +676,6 @@ def extract_catalog_refs(path: str, tree: ast.AST) -> Dict[str, Any]:
                     {"kind": "uid", "value": uid, "line": node.lineno}
                 )
     return {"catalog_refs": refs} if refs else {}
-
-
-# ---------------------------------------------------------------------------
-# RPR140 / RPR141 — stats registration (fileset rules)
-# ---------------------------------------------------------------------------
-
-
-def _gather(facts_by_path: Dict[str, Dict[str, Any]],
-            key: str) -> List[Tuple[str, Dict[str, Any]]]:
-    return [
-        (path, facts[key])
-        for path, facts in sorted(facts_by_path.items())
-        if key in facts
-    ]
-
-
-@fileset_rule(RPR140)
-def check_stats_rendered(
-    facts_by_path: Dict[str, Dict[str, Any]]
-) -> List[Violation]:
-    violations = []
-    stats = _gather(facts_by_path, "run_statistics")
-    lines = _gather(facts_by_path, "stats_lines")
-    for lines_path, lines_fact in lines:
-        rendered = set(lines_fact["fields"])
-        for stats_path, stats_fact in stats:
-            for fld in stats_fact["fields"]:
-                if fld not in rendered:
-                    violations.append(
-                        Violation(
-                            code=RPR140.code,
-                            severity=RPR140.severity,
-                            path=lines_path,
-                            line=lines_fact["line"],
-                            col=1,
-                            message=(
-                                f"RunStatistics counter {fld!r} "
-                                f"(declared in {stats_path}) is not "
-                                "rendered by any _STATS_LINES "
-                                "template; add a row or placeholder"
-                            ),
-                        )
-                    )
-    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -853,37 +733,4 @@ def check_raw_append(
                 "files are exempt)",
             )
         )
-    return violations
-
-
-@fileset_rule(RPR141)
-def check_snapshot_registered(
-    facts_by_path: Dict[str, Dict[str, Any]]
-) -> List[Violation]:
-    violations = []
-    stats = _gather(facts_by_path, "run_statistics")
-    if not stats:
-        return []
-    counters: set = set()
-    for _, fact in stats:
-        counters.update(fact["fields"])
-    for path, facts in sorted(facts_by_path.items()):
-        for cls, snap in sorted(facts.get("snapshots", {}).items()):
-            for fld in snap["fields"]:
-                if fld not in counters:
-                    violations.append(
-                        Violation(
-                            code=RPR141.code,
-                            severity=RPR141.severity,
-                            path=path,
-                            line=snap["line"],
-                            col=1,
-                            message=(
-                                f"snapshot field {cls}.{fld} has no "
-                                "RunStatistics counter; fold_snapshot "
-                                "folds by field name and would fail "
-                                "on it"
-                            ),
-                        )
-                    )
     return violations

@@ -23,7 +23,6 @@ from typing import (
     Any,
     Dict,
     List,
-    NamedTuple,
     Optional,
     Protocol,
     Sequence,
@@ -35,6 +34,7 @@ from repro.core.result import decode_counters, encode_counters
 from repro.isa.instruction import Instruction, InstructionForm
 from repro.measure.extrapolate import unrolled_counters
 from repro.pipeline.core import KERNEL_REFERENCE, Core, CounterValues
+from repro.stats import RunStatistics
 from repro.uarch.model import UarchConfig
 
 
@@ -107,26 +107,6 @@ class LRUDict(OrderedDict):
         if self.max_entries is not None and len(self) > self.max_entries:
             self.popitem(last=False)
             self.evictions += 1
-
-
-class BackendStats(NamedTuple):
-    """Snapshot of the perf counters RunStatistics aggregates."""
-
-    memo_hits: int
-    memo_misses: int
-    cycles_simulated: int
-    cycles_extrapolated: int
-    runs_extrapolated: int
-    cache_evictions: int
-    runs_analytic: int = 0
-    cycles_analytic: int = 0
-    runs_probe: int = 0
-    probe_copies: int = 0
-    runs_full: int = 0
-
-    @classmethod
-    def zero(cls) -> "BackendStats":
-        return cls(*[0] * len(cls._fields))
 
 
 class MeasurementBackend(Protocol):
@@ -203,35 +183,15 @@ class HardwareBackend:
         self.measure_calls = 0
         self.memo_hits = 0
         self.memo_misses = 0
-        self.runs_extrapolated = 0
-        self.cycles_extrapolated = 0
-        #: Measure-level closed-form resolutions (the extrapolator's
-        #: analytic fast path; core-level ones live on the core).
-        self._runs_analytic = 0
-        self._cycles_analytic = 0
-        #: Unroll targets served by the probe and full-simulation rungs,
-        #: and the copies the probes simulated.
-        self.runs_probe = 0
-        self.probe_copies = 0
-        self.runs_full = 0
+        #: What the measurement ladder did, one merge per fresh
+        #: :func:`~repro.measure.extrapolate.unrolled_counters` call.
+        self._ladder = RunStatistics()
 
     @property
     def kernel(self) -> str:
         """The active timing kernel (read through to the core, which the
         fusion/decoder extensions replace)."""
         return self._core.kernel
-
-    @property
-    def cycles_simulated(self) -> int:
-        return self._core.cycles_simulated
-
-    @property
-    def runs_analytic(self) -> int:
-        return self._runs_analytic + self._core.runs_analytic
-
-    @property
-    def cycles_analytic(self) -> int:
-        return self._cycles_analytic + self._core.cycles_analytic
 
     @property
     def cache_evictions(self) -> int:
@@ -241,21 +201,19 @@ class HardwareBackend:
             + self._analytic_memo.evictions
         )
 
-    def stats_tuple(self) -> BackendStats:
-        """Snapshot of the perf counters RunStatistics aggregates."""
-        return BackendStats(
-            self.memo_hits,
-            self.memo_misses,
-            self.cycles_simulated,
-            self.cycles_extrapolated,
-            self.runs_extrapolated,
-            self.cache_evictions,
-            self.runs_analytic,
-            self.cycles_analytic,
-            self.runs_probe,
-            self.probe_copies,
-            self.runs_full,
+    def snapshot(self) -> RunStatistics:
+        """This backend's counters so far (fold deltas of two of them)."""
+        core = self._core
+        snapshot = RunStatistics(
+            memo_hits=self.memo_hits,
+            memo_misses=self.memo_misses,
+            cycles_simulated=core.cycles_simulated,
+            runs_analytic=core.runs_analytic,
+            cycles_analytic=core.cycles_analytic,
+            cache_evictions=self.cache_evictions,
         )
+        snapshot.merge(self._ladder)
+        return snapshot
 
     def measure(
         self,
@@ -387,13 +345,7 @@ class HardwareBackend:
             fresh, stats = unrolled_counters(
                 self._core, code, init, targets
             )
-            self.runs_extrapolated += stats.runs_extrapolated
-            self.cycles_extrapolated += stats.cycles_extrapolated
-            self._runs_analytic += stats.runs_analytic
-            self._cycles_analytic += stats.cycles_analytic
-            self.runs_probe += stats.runs_probe
-            self.probe_copies += stats.probe_copies
-            self.runs_full += stats.runs_full
+            self._ladder.merge(stats)
             if runs is None:
                 runs = {}
                 self._run_memo[key] = runs

@@ -16,11 +16,11 @@ over ``measure()``.  Per-experiment exceptions are captured as
 an interpreter reads the failed experiment, so batched execution keeps
 the inline path's exception semantics.
 
-``REPRO_EXECUTOR=inline`` disables deduplication: every planned
-experiment is dispatched in plan order, replaying the seed algorithms'
-exact measure-call sequence.  This is the differential-testing baseline
-(see tests/test_experiment_executor.py) and the escape hatch when
-debugging a suspected dedup mismatch.
+``ExperimentExecutor(mode="inline")`` disables deduplication: every
+planned experiment is dispatched in plan order, replaying the seed
+algorithms' exact measure-call sequence.  This is the
+differential-testing baseline (see tests/test_experiment_executor.py)
+and the dedup benchmark's reference; sweeps always run batched.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import dataclasses
 import hashlib
 import os
 import time
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.experiment import (
     Experiment,
@@ -38,9 +38,9 @@ from repro.core.experiment import (
     Plan,
     ResultMap,
 )
+from repro.stats import RunStatistics
 
-#: Environment variable selecting the execution mode.
-EXECUTOR_ENV = "REPRO_EXECUTOR"
+#: Execution modes (see the module docstring).
 EXECUTOR_BATCHED = "batched"
 EXECUTOR_INLINE = "inline"
 
@@ -102,35 +102,18 @@ class RetryPolicy:
 def executor_mode(explicit: Optional[str] = None) -> str:
     """Resolve the executor-mode selection.
 
-    ``REPRO_EXECUTOR=inline`` forces one backend dispatch per planned
-    experiment in plan order (the seed behaviour, and the baseline the
-    differential tests compare against); anything else selects the
-    deduplicating batched mode.
+    ``inline`` forces one backend dispatch per planned experiment in
+    plan order (the seed behaviour, and the baseline the differential
+    tests compare against); the default is the deduplicating batched
+    mode.
     """
-    mode = explicit or os.environ.get(EXECUTOR_ENV) or EXECUTOR_BATCHED
+    mode = explicit or EXECUTOR_BATCHED
     if mode not in (EXECUTOR_BATCHED, EXECUTOR_INLINE):
         raise ValueError(
             f"unknown executor mode {mode!r} "
             f"(expected {EXECUTOR_BATCHED!r} or {EXECUTOR_INLINE!r})"
         )
     return mode
-
-
-class ExecutorStats(NamedTuple):
-    """Snapshot of the executor counters RunStatistics aggregates."""
-
-    experiments_planned: int
-    experiments_deduped: int
-    experiments_measured: int
-    batches_dispatched: int
-    plan_seconds: float
-    execute_seconds: float
-    retries: int
-    experiments_gave_up: int
-
-    @classmethod
-    def zero(cls) -> "ExecutorStats":
-        return cls(0, 0, 0, 0, 0.0, 0.0, 0, 0)
 
 
 class ExperimentExecutor:
@@ -164,16 +147,17 @@ class ExperimentExecutor:
         self.retries = 0
         self.experiments_gave_up = 0
 
-    def stats_tuple(self) -> ExecutorStats:
-        return ExecutorStats(
-            self.experiments_planned,
-            self.experiments_deduped,
-            self.experiments_measured,
-            self.batches_dispatched,
-            self.plan_seconds,
-            self.execute_seconds,
-            self.retries,
-            self.experiments_gave_up,
+    def snapshot(self) -> RunStatistics:
+        """This executor's counters so far (fold deltas of two of them)."""
+        return RunStatistics(
+            experiments_planned=self.experiments_planned,
+            experiments_deduped=self.experiments_deduped,
+            experiments_measured=self.experiments_measured,
+            batches_dispatched=self.batches_dispatched,
+            plan_seconds=self.plan_seconds,
+            execute_seconds=self.execute_seconds,
+            retries=self.retries,
+            experiments_gave_up=self.experiments_gave_up,
         )
 
     def execute(self, batch: ExperimentBatch) -> ResultMap:

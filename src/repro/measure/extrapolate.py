@@ -46,7 +46,6 @@ every target is a prefix.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
 from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -65,6 +64,7 @@ from repro.pipeline.core import (
 )
 from repro.pipeline.semantics import evaluate
 from repro.pipeline.state import MachineState
+from repro.stats import RunStatistics
 from repro.uarch.uops import KIND_STORE_ADDR, KIND_STORE_DATA
 
 #: Minimum number of copies simulated by the instrumented probe.  Large
@@ -103,44 +103,6 @@ def _probe_copies(targets: Sequence[int]) -> int:
     """
     probe = min(targets[-1], max(MIN_PROBE, targets[0] + 2))
     return targets[-1] if targets[-1] <= 2 * probe else probe
-
-
-@dataclass
-class ExtrapolationStats:
-    """What one :func:`unrolled_counters` call did (for RunStatistics).
-
-    Every unroll target is served by exactly one rung, counted in one of
-    ``runs_analytic``, ``runs_probe`` or ``runs_full``.
-    """
-
-    #: Unroll targets served off a periodic probe's tail (no
-    #: simulation of their own).
-    runs_extrapolated: int = 0
-    #: Cycles of the extrapolated tails (would have been simulated).
-    cycles_extrapolated: int = 0
-    #: Unroll targets served entirely in closed form — structural
-    #: rename plus the analytic recurrence, no kernel run at all.
-    runs_analytic: int = 0
-    #: Cycles those closed-form answers cover.
-    cycles_analytic: int = 0
-    #: Unroll targets served off a simulated probe, as a prefix or via
-    #: its periodic tail.
-    runs_probe: int = 0
-    #: Copies those probes simulated (verification probes included).
-    probe_copies: int = 0
-    #: Unroll targets scheduled at full length, one run each, not read
-    #: off a probe: divider bodies (on a synthesized stream in the
-    #: closed-form path, by ``Core.run`` otherwise) and long targets
-    #: whose probe found no period.
-    runs_full: int = 0
-
-    def add(self, other: "ExtrapolationStats") -> None:
-        for spec in fields(self):
-            setattr(
-                self,
-                spec.name,
-                getattr(self, spec.name) + getattr(other, spec.name),
-            )
 
 
 def _form_blockers(core: Core, instruction) -> Tuple[bool, bool]:
@@ -452,7 +414,7 @@ def _analytic_unrolled(
     code: Sequence,
     init: Optional[Dict[str, int]],
     targets: Sequence[int],
-    stats: "ExtrapolationStats",
+    stats: RunStatistics,
 ) -> Optional[Dict[int, CounterValues]]:
     """Serve every unroll target in closed form, or ``None`` to fall back.
 
@@ -539,10 +501,11 @@ def _analytic_unrolled(
     if hit is not None:
         results, served = hit
         # Replays which rung served each target; a hit simulates nothing.
-        stats.add(replace(served, probe_copies=0))
+        stats.merge(served)
+        stats.probe_copies -= served.probe_copies
         return results
 
-    served = ExtrapolationStats()
+    served = RunStatistics()
     if classes is not None:
         results = {
             t: _full_length_counters(
@@ -552,7 +515,7 @@ def _analytic_unrolled(
             for t in targets
         }
         served.runs_full = len(targets)
-        stats.add(served)
+        stats.merge(served)
         memo[key] = (results, served)
         return results
 
@@ -647,7 +610,7 @@ def _analytic_unrolled(
         served.cycles_analytic = sum(int(results[t].cycles) for t in targets)
     else:
         served.runs_probe = len(targets)
-    stats.add(served)
+    stats.merge(served)
     memo[key] = (results, served)
     return results
 
@@ -788,7 +751,7 @@ def unrolled_counters(
     code: Sequence,
     init: Optional[Dict[str, int]],
     targets: Sequence[int],
-) -> Tuple[Dict[int, CounterValues], ExtrapolationStats]:
+) -> Tuple[Dict[int, CounterValues], RunStatistics]:
     """Exact counters of ``code * t`` for every unroll factor in *targets*.
 
     The ladder, cheapest rung first.  With the analytic kernel (the
@@ -803,9 +766,11 @@ def unrolled_counters(
     neither applies (reference kernel, divider bodies the closed form
     declined, no period surviving verification).  Each returned
     :class:`CounterValues` is bit-identical to
-    ``core.run(list(code) * t, init)``.
+    ``core.run(list(code) * t, init)``; the returned
+    :class:`~repro.stats.RunStatistics` records which rung served each
+    target and what it simulated.
     """
-    stats = ExtrapolationStats()
+    stats = RunStatistics()
     targets = sorted(set(targets))
 
     def simulate(t: int) -> CounterValues:

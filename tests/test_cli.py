@@ -102,14 +102,14 @@ class TestCommands:
             if line.startswith("simulation: ")
         ]
         assert simulation == [
-            f"simulation: {stats['cycles_simulated']} cycles simulated, "
-            f"{stats['cycles_extrapolated']} extrapolated "
-            f"({stats['runs_extrapolated']} runs), "
-            f"{stats['cycles_analytic']} analytic "
-            f"({stats['runs_analytic']} runs); "
-            f"{stats['runs_probe']} probe runs "
-            f"({stats['probe_copies']} copies), "
-            f"{stats['runs_full']} full runs"
+            f"simulation: cycles_simulated {stats['cycles_simulated']}, "
+            f"cycles_extrapolated {stats['cycles_extrapolated']}, "
+            f"runs_extrapolated {stats['runs_extrapolated']}, "
+            f"runs_analytic {stats['runs_analytic']}, "
+            f"cycles_analytic {stats['cycles_analytic']}, "
+            f"runs_probe {stats['runs_probe']}, "
+            f"probe_copies {stats['probe_copies']}, "
+            f"runs_full {stats['runs_full']}"
         ]
 
         # A warm re-run serves everything from the cache and emits
@@ -120,7 +120,7 @@ class TestCommands:
             "--cache-dir", str(cache_dir),
         ]) == 0
         err = capsys.readouterr().err
-        assert "0 misses" in err
+        assert "cache_misses 0," in err
         assert rerun.read_bytes() == output.read_bytes()
 
 
@@ -191,7 +191,7 @@ class TestDistributedFlags:
             "sweep", "SKL", "--sample", "5", "--output", str(output),
             "--cache-dir", str(cache_dir),
         ]) == 0
-        assert "0 misses" in capsys.readouterr().err
+        assert "cache_misses 0," in capsys.readouterr().err
 
         # ... and is byte-identical to a from-scratch serial sweep.
         reference_dir = tmp_path / "reference-cache"
@@ -216,7 +216,7 @@ class TestDistributedFlags:
             "sweep", "SKL", "--sample", "5", "--output", str(rerun),
             "--cache-dir", str(cache_dir),
         ]) == 0
-        assert "0 misses" in capsys.readouterr().err
+        assert "cache_misses 0," in capsys.readouterr().err
         assert rerun.read_bytes() == output.read_bytes()
 
     @pytest.mark.slow
@@ -237,7 +237,7 @@ class TestDistributedFlags:
             "--output", str(rerun), "--cache-dir", str(cache_dir),
             "--stats-json", str(stats_json),
         ]) == 0
-        assert "incremental skips" in capsys.readouterr().err
+        assert "incremental_skips " in capsys.readouterr().err
         stats = json.loads(stats_json.read_text())
         assert stats["cache_misses"] == 0
         assert stats["incremental_skips"] == stats["cache_hits"] > 0

@@ -284,7 +284,7 @@ def _build_memo(root):
 
 def _reload_cache(root):
     cache = ResultCache(root, salt=SALT)
-    cache._load("SKL")
+    cache.load("SKL")
     return cache
 
 
@@ -382,7 +382,7 @@ class TestTornWriteRecovery:
                 handle.write(blob[:cut] + tail)
 
             memo = MeasurementMemo(root, salt=SALT)
-            memo._load("SKL")
+            memo.load("SKL")
             assert set(memo._entries) <= set(written)
             for key, value in memo._entries.items():
                 assert value == written[key]

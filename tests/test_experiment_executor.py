@@ -2,7 +2,7 @@
 
 The plan→execute→interpret split claims **bit-identical** results to the
 seed algorithms' inline measure-call sequence, which survives as
-``REPRO_EXECUTOR=inline`` (one backend dispatch per planned experiment,
+``ExperimentExecutor(mode="inline")`` (one backend dispatch per planned experiment,
 in plan order, no deduplication).  These tests pin that claim with exact
 :func:`encode_characterization` equality over a representative catalog
 slice — including the value-dependent divider forms, whose two-phase
@@ -34,7 +34,6 @@ from repro.isa.database import load_default_database
 from repro.measure.backend import HardwareBackend
 from repro.measure.executor import (
     EXECUTOR_BATCHED,
-    EXECUTOR_ENV,
     EXECUTOR_INLINE,
     ExperimentExecutor,
     executor_mode,
@@ -255,13 +254,9 @@ def test_failure_outcomes_dedupe_in_hardware_measure_many():
     assert outcomes[0].instructions == 2
 
 
-def test_executor_mode_resolution(monkeypatch):
-    monkeypatch.delenv(EXECUTOR_ENV, raising=False)
+def test_executor_mode_resolution():
     assert executor_mode() == EXECUTOR_BATCHED
-    monkeypatch.setenv(EXECUTOR_ENV, EXECUTOR_INLINE)
-    assert executor_mode() == EXECUTOR_INLINE
-    # An explicit argument beats the environment.
+    assert executor_mode(EXECUTOR_INLINE) == EXECUTOR_INLINE
     assert executor_mode(EXECUTOR_BATCHED) == EXECUTOR_BATCHED
-    monkeypatch.setenv(EXECUTOR_ENV, "turbo")
     with pytest.raises(ValueError, match="unknown executor mode"):
-        executor_mode()
+        executor_mode("turbo")

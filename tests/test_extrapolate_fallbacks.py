@@ -324,7 +324,7 @@ class TestStructuralMemo:
         assert all(isinstance(k, bytes) and len(k) == 32 for k in memo)
         # Evictions of all three bounded stores are reported together.
         assert backend.cache_evictions == 3
-        assert backend.stats_tuple().cache_evictions == 3
+        assert backend.snapshot().cache_evictions == 3
 
 
 class TestFormBlockerCache:

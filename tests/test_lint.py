@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import cli
-from repro.core.runner import RunStatistics
+from repro.stats import RunStatistics
 from repro.lint import all_rules, lint_paths, model_violations, run_lint
 from repro.lint.framework import (
     LINT_VERSION,
@@ -399,75 +399,11 @@ class TestFileRules:
 
 
 # ---------------------------------------------------------------------------
-# Historical-bug regressions (PR-3 zip fold, PR-2 dead-list iteration)
+# Historical-bug regressions (PR-2 dead-list iteration)
 # ---------------------------------------------------------------------------
 
 
 class TestHistoricalBugRegressions:
-    def test_pr3_zip_fold_class_snapshot_field(self, tmp_path):
-        """PR-3 bug class: a snapshot counter with no RunStatistics
-        twin silently disappears from a name-based fold (and broke the
-        positional ``zip`` fold outright)."""
-        lint_snippet(
-            str(tmp_path),
-            "runner.py",
-            """
-            from dataclasses import dataclass
-            from typing import NamedTuple
-
-            @dataclass
-            class RunStatistics:
-                characterized: int = 0
-                cache_hits: int = 0
-
-            class BackendStats(NamedTuple):
-                characterized: int
-                memo_hits: int
-            """,
-        )
-        report = lint_snippet(
-            str(tmp_path),
-            "cli.py",
-            """
-            _STATS_LINES = (
-                ("cache", "{characterized} done, {cache_hits} hits"),
-            )
-            """,
-        )
-        assert "RPR141" in codes(report)
-        [violation] = [
-            v for v in report.violations if v.code == "RPR141"
-        ]
-        assert "memo_hits" in violation.message
-
-    def test_pr3_unrendered_counter(self, tmp_path):
-        lint_snippet(
-            str(tmp_path),
-            "runner.py",
-            """
-            from dataclasses import dataclass
-
-            @dataclass
-            class RunStatistics:
-                characterized: int = 0
-                skipped: int = 0
-            """,
-        )
-        report = lint_snippet(
-            str(tmp_path),
-            "cli.py",
-            """
-            _STATS_LINES = (
-                ("cache", "measured over {characterized} variants"),
-            )
-            """,
-        )
-        assert "RPR140" in codes(report)
-        [violation] = [
-            v for v in report.violations if v.code == "RPR140"
-        ]
-        assert "skipped" in violation.message
-
     def test_pr2_dead_list_iteration(self, tmp_path):
         """PR-2 bug class: ``_next_event`` concatenated the portless
         queue with every port queue into a throwaway list per event."""
@@ -591,22 +527,6 @@ class TestModelConsistency:
             for v in found
         )
 
-    def test_deleting_stats_consumer_fires_rpr140(self, tmp_path):
-        """Acceptance: dropping a ``fold_snapshot`` consumer (a
-        ``_STATS_LINES`` placeholder) must fail the stats rules."""
-        import repro.core.runner as runner_mod
-
-        with open(cli.__file__, encoding="utf-8") as handle:
-            cli_source = handle.read()
-        pruned = cli_source.replace("{skipped}", "0")
-        assert pruned != cli_source
-        with open(runner_mod.__file__, encoding="utf-8") as handle:
-            runner_source = handle.read()
-        (tmp_path / "cli.py").write_text(pruned)
-        (tmp_path / "runner.py").write_text(runner_source)
-        report = lint_paths([str(tmp_path)], catalog_refs=False)
-        assert "RPR140" in codes(report)
-
 
 def codes_of(violations):
     return [violation.code for violation in violations]
@@ -701,7 +621,7 @@ class TestFramework:
         listed = {rule.code for rule in all_rules()}
         expected = {
             "RPR100", "RPR101", "RPR102", "RPR110", "RPR112",
-            "RPR120", "RPR130", "RPR131", "RPR140", "RPR141",
+            "RPR120", "RPR130", "RPR131",
             "RPR160", "RPR161", "RPR162", "RPR163",
             "RPR201", "RPR202", "RPR203", "RPR204", "RPR205",
             "RPR999",

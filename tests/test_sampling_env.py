@@ -1,36 +1,9 @@
-"""Sampling utilities and environment-switch tests."""
+"""Sampling utilities and IACA version helpers."""
 
 
-from repro.analysis.sampling import (
-    default_sample,
-    full_run_requested,
-    stratified_sample,
-)
+from repro.analysis.sampling import stratified_sample
 from repro.iaca.analyzer import iaca_versions_for
 from repro.uarch.configs import ALL_UARCHES
-
-
-class TestFullRunSwitch:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        assert not full_run_requested()
-
-    def test_zero_means_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL", "0")
-        assert not full_run_requested()
-
-    def test_enabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL", "1")
-        assert full_run_requested()
-
-    def test_default_sample_respects_switch(self, db, monkeypatch):
-        predicate = lambda f: f.extension == "BASE"
-        monkeypatch.setenv("REPRO_FULL", "1")
-        full = default_sample(db, predicate)
-        monkeypatch.delenv("REPRO_FULL")
-        sampled = default_sample(db, predicate, target=40)
-        assert len(sampled) < len(full)
-        assert all(predicate(f) for f in sampled)
 
 
 class TestStratification:

@@ -197,7 +197,8 @@ class TestMeasureDifferential:
             seed.measure([instruction], init),
             f"({uarch_name} DIV_R64 slow operands)",
         )
-        assert fast.runs_extrapolated == 0  # divider never extrapolates
+        # The divider never extrapolates.
+        assert fast.snapshot().runs_extrapolated == 0
 
     @pytest.mark.slow
     def test_characterization_identical(self, uarch_name):
@@ -234,7 +235,10 @@ class TestCollapsedRepeats:
         a = once.measure(code)
         b = many.measure(code)
         assert_identical(a, b, "(repeats averaging)")
-        assert many.cycles_simulated == once.cycles_simulated
+        assert (
+            many.snapshot().cycles_simulated
+            == once.snapshot().cycles_simulated
+        )
 
     def test_paper_config_costs_like_repeats_1(self):
         uarch = get_uarch("SKL")
@@ -249,7 +253,10 @@ class TestCollapsedRepeats:
         assert_identical(
             paper.measure(code), single.measure(code), "(paper vs 1)"
         )
-        assert paper.cycles_simulated == single.cycles_simulated
+        assert (
+            paper.snapshot().cycles_simulated
+            == single.snapshot().cycles_simulated
+        )
 
 
 class TestExtrapolationCounters:
@@ -262,20 +269,22 @@ class TestExtrapolationCounters:
             uarch, MeasurementConfig.paper(), kernel="event"
         )
         backend.measure(independent_sequence(form, 4))
-        assert backend.runs_extrapolated >= 1
-        assert backend.cycles_extrapolated > 0
+        stats = backend.snapshot()
+        assert stats.runs_extrapolated >= 1
+        assert stats.cycles_extrapolated > 0
         seed = HardwareBackend(
             uarch, MeasurementConfig.paper(), kernel="reference"
         )
         seed.measure(independent_sequence(form, 4))
-        assert backend.cycles_simulated < seed.cycles_simulated
+        assert stats.cycles_simulated < seed.snapshot().cycles_simulated
 
     def test_reference_kernel_never_extrapolates(self):
         backend = HardwareBackend(get_uarch("SKL"), kernel="reference")
         form = DATABASE.by_uid("ADD_R64_R64")
         backend.measure(independent_sequence(form, 4))
-        assert backend.runs_extrapolated == 0
-        assert backend.cycles_extrapolated == 0
+        stats = backend.snapshot()
+        assert stats.runs_extrapolated == 0
+        assert stats.cycles_extrapolated == 0
 
 
 class TestMeasurementMemo:
@@ -297,7 +306,7 @@ class TestMeasurementMemo:
         )
         got = second.measure(code)
         assert second.memo_hits == 1 and second.memo_misses == 0
-        assert second.cycles_simulated == 0
+        assert second.snapshot().cycles_simulated == 0
         assert_identical(got, expected, "(memo round trip)")
 
     def test_codec_exact(self):

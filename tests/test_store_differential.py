@@ -42,7 +42,6 @@ from repro.isa.database import load_default_database
 from repro.measure import extrapolate
 from repro.measure.backend import HardwareBackend, MeasurementConfig
 from repro.measure.extrapolate import (
-    ExtrapolationStats,
     _analytic_unrolled,
     _fixed_addresses,
     _uses_divider,
@@ -50,6 +49,7 @@ from repro.measure.extrapolate import (
     unrolled_counters,
 )
 from repro.pipeline.core import Core, build_core
+from repro.stats import RunStatistics
 from repro.uarch.configs import get_uarch
 
 from tests.test_sim_differential import assert_identical
@@ -195,7 +195,7 @@ class TestPlannerStoreBodies:
         closed = declined = 0
         for tag, code, init in bodies:
             core = build_core(uarch, kernel="analytic")
-            stats = ExtrapolationStats()
+            stats = RunStatistics()
             results = _analytic_unrolled(core, code, init, TARGETS, stats)
             if results is None:
                 assert not _fixed_addresses(code), tag
@@ -276,7 +276,7 @@ class TestGuard:
         if not all(core.supports(i) for i in code):
             pytest.skip(f"{name}: unsupported on {uarch_name}")
         assert _analytic_unrolled(
-            core, code, None, TARGETS, ExtrapolationStats()
+            core, code, None, TARGETS, RunStatistics()
         ) is None
         results, stats = unrolled_counters(core, code, None, TARGETS)
         assert stats.runs_analytic == 0
@@ -295,7 +295,7 @@ class TestGuard:
         core = build_core(uarch, kernel="analytic")
         init = {"RBX": 7, "RCX": 0x20}
         results = _analytic_unrolled(
-            core, code, init, TARGETS, ExtrapolationStats()
+            core, code, init, TARGETS, RunStatistics()
         )
         assert results is not None
         reference = build_core(uarch, kernel="reference")
@@ -321,7 +321,7 @@ def test_divider_bodies_match_reference(uarch_name, targets_name):
     covered = set()
     for tag, code, init in bodies:
         core = build_core(uarch)
-        stats = ExtrapolationStats()
+        stats = RunStatistics()
         results = _analytic_unrolled(core, code, init, targets, stats)
         assert results is not None, tag
         assert stats.runs_full == len(targets)
@@ -379,7 +379,7 @@ class TestDividerGuard:
     def _check(self, uarch, code, init, served):
         core = build_core(uarch)
         analytic = _analytic_unrolled(
-            core, code, init, TARGETS, ExtrapolationStats()
+            core, code, init, TARGETS, RunStatistics()
         )
         assert (analytic is not None) is served
         results, stats = unrolled_counters(core, code, init, TARGETS)

@@ -235,6 +235,67 @@ class TestStatistics:
                                   cache_misses=2, cache_invalidations=1)
 
 
+    def test_rendered_table_shows_every_counter_once(self, capsys):
+        from dataclasses import fields
+
+        from repro.cli import _print_cache_stats
+        from repro.stats import RunStatistics
+
+        stats = RunStatistics(**{
+            spec.name: type(spec.default)(1000 + index)
+            for index, spec in enumerate(fields(RunStatistics))
+        })
+        _print_cache_stats(stats)
+        pairs = [
+            pair.split(" ")
+            for line in capsys.readouterr().err.splitlines()
+            for pair in line.split(": ", 1)[1].split(", ")
+        ]
+        assert [name for name, _ in pairs] == list(stats.as_dict())
+        for name, text in pairs:
+            value = getattr(stats, name)
+            assert text == (
+                f"{value:.1f}" if isinstance(value, float) else str(value)
+            )
+
+    @pytest.mark.slow
+    def test_lock_retries_fold_every_store(self, db, tmp_path,
+                                           monkeypatch):
+        """Drainers' memo appends and the coordinator's own queue
+        transactions count toward ``lock_retries``, not only the
+        drainers' cache and queue locks."""
+        import os
+
+        from repro.core import journal, workqueue
+
+        acquired = str(tmp_path / "acquired.log")
+        real_flock = journal.flock_bounded
+
+        def one_retry_each(handle, *args, **kwargs):
+            locked, _ = real_flock(handle, *args, **kwargs)
+            fd = os.open(
+                acquired, os.O_WRONLY | os.O_APPEND | os.O_CREAT
+            )
+            try:
+                os.write(fd, b"x\n")
+            finally:
+                os.close(fd)
+            return locked, 1
+
+        # Drainers are forked, so both patches reach them.
+        monkeypatch.setattr(journal, "flock_bounded", one_retry_each)
+        monkeypatch.setattr(workqueue, "flock_bounded", one_retry_each)
+        engine = SweepEngine(
+            "SKL", db, jobs=2, cache=ResultCache(str(tmp_path / "cache"))
+        )
+        engine.sweep(_forms(db, ("ADD_R64_R64", "IMUL_R64_R64", "NOP")))
+        assert engine.failures == {}
+        with open(acquired, encoding="utf-8") as handle:
+            acquisitions = len(handle.read().splitlines())
+        assert acquisitions > 0
+        assert engine.statistics.lock_retries == acquisitions
+
+
 class TestCache:
     def test_salt_invalidates(self, db, skl_backend, tmp_path):
         forms = _forms(db, ("ADD_R64_R64", "NOP"))
