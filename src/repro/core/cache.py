@@ -30,7 +30,7 @@ CRC mismatches, malformed envelopes) is counted in ``corrupt_lines``
 and left for ``repro doctor`` to quarantine.  The file is append-only:
 re-characterized entries are appended and the last line for a key
 wins.  Appends take an advisory ``flock`` with a **bounded**, jittered
-retry (:func:`~repro.core.journal.flock_bounded`): a writer that
+retry (:func:`~repro.core.journal.lock_scope`): a writer that
 cannot get the lock proceeds unlocked (counted in ``lock_timeouts``,
 with the retry attempts in ``lock_retries``) rather than deadlocking
 the sweep behind a crashed lock holder.
@@ -56,6 +56,7 @@ contract.)
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -67,11 +68,10 @@ from repro.core.journal import (
     decode_blob,
     decode_entry,
     encode_entry,
-    flock_bounded,
+    lock_scope,
     publish_blob,
-    release_flock,
+    rewrite_store,
     scan_journal,
-    trace_event,
 )
 from repro.measure.backend import MeasurementConfig
 from repro.stats import RunStatistics
@@ -511,6 +511,16 @@ class SweepManifest:
     ):
         self.cache_dir = cache_dir or default_cache_dir()
         self.salt = salt if salt is not None else cache_salt()
+        #: Updates that proceeded unlocked, and lock-retry attempts.
+        self.lock_timeouts = 0
+        self.lock_retries = 0
+
+    def stats(self) -> RunStatistics:
+        """This manifest's lock counters, in the run's counter record."""
+        return RunStatistics(
+            lock_timeouts=self.lock_timeouts,
+            lock_retries=self.lock_retries,
+        )
 
     def path_for(self, uarch_name: str) -> str:
         return os.path.join(
@@ -563,19 +573,16 @@ class SweepManifest:
         """Merge *entries* into the manifest for (*uarch*, *config*)."""
         os.makedirs(self.cache_dir, exist_ok=True)
         path = self.path_for(uarch_name)
-        with open(path + ".lock", "a+", encoding="utf-8") as lock:
-            locked, _ = flock_bounded(lock, salt=path, name="manifest")
-            try:
-                state = self._load(uarch_name)
-                digest = self.config_digest(config)
-                recorded = state["configs"].setdefault(
-                    digest, {"config": config.protocol_fields(),
-                             "entries": {}},
-                )
-                recorded["entries"].update(entries)
-                publish_blob(path, state, kind="manifest")
-            finally:
-                release_flock(lock, locked, name="manifest")
+        with open(path + ".lock", "a+", encoding="utf-8") as lock, lock_scope(
+            lock, "manifest", salt=path, stats=self
+        ):
+            state = self._load(uarch_name)
+            digest = self.config_digest(config)
+            recorded = state["configs"].setdefault(
+                digest, {"config": config.protocol_fields(), "entries": {}},
+            )
+            recorded["entries"].update(entries)
+            publish_blob(path, state, kind="manifest")
 
     def prune(self, uarch_name: str, uids) -> int:
         """Drop *uids* from every recorded config of *uarch*.
@@ -592,21 +599,19 @@ class SweepManifest:
         if not uids or not os.path.exists(path):
             return 0
         removed = 0
-        with open(path + ".lock", "a+", encoding="utf-8") as lock:
-            locked, _ = flock_bounded(lock, salt=path, name="manifest")
-            try:
-                state = self._load(uarch_name)
-                for recorded in state["configs"].values():
-                    entries = recorded.get("entries")
-                    if not isinstance(entries, dict):
-                        continue
-                    for uid in uids & set(entries):
-                        del entries[uid]
-                        removed += 1
-                if removed:
-                    publish_blob(path, state, kind="manifest")
-            finally:
-                release_flock(lock, locked, name="manifest")
+        with open(path + ".lock", "a+", encoding="utf-8") as lock, lock_scope(
+            lock, "manifest", salt=path, stats=self
+        ):
+            state = self._load(uarch_name)
+            for recorded in state["configs"].values():
+                entries = recorded.get("entries")
+                if not isinstance(entries, dict):
+                    continue
+                for uid in uids & set(entries):
+                    del entries[uid]
+                    removed += 1
+            if removed:
+                publish_blob(path, state, kind="manifest")
         return removed
 
     def live_keys(self, uarch_name: str) -> Optional[set]:
@@ -681,63 +686,58 @@ def _compact_jsonl(path: str, keep, stats: GCStats, kind: str) -> None:
     """Rewrite one JSONL store in place, keeping the last entry per key
     for which ``keep(entry)`` is true.
 
-    The rewrite happens under the same advisory flock the appenders
-    take, *in place* (seek + truncate, not replace), so a concurrent
-    well-behaved writer blocks on the lock instead of appending to a
-    doomed inode.  Undecodable lines — torn tails and mid-file
-    corruption alike — are dropped and counted: GC is an explicit
-    "compact everything" request, unlike the read path, which preserves
-    damaged bytes for ``repro doctor``.
+    The rewrite goes through :func:`~repro.core.journal.rewrite_store`,
+    under the same lock the appenders take.  Undecodable lines — torn
+    tails and mid-file corruption alike — are dropped and counted: GC
+    is an explicit "compact everything" request, unlike the read path,
+    which preserves damaged bytes for ``repro doctor``.
     """
-    with open(path, "r+", encoding="utf-8") as handle:
-        locked, _ = flock_bounded(handle, salt=path, name="store")
-        try:
-            trace_event("write", store="compact")
-            raw_lines = handle.read().splitlines()
-            last: Dict[str, Any] = {}
-            order: Dict[str, int] = {}
-            for index, line in enumerate(raw_lines):
-                line = line.strip()
-                if not line:
-                    continue
-                entry, problem = decode_entry(line)
-                if problem is not None:
-                    stats.corrupt_dropped += 1
-                    continue
-                key = entry["key"]
-                if key in last:
-                    stats.result_dropped_superseded += (
-                        1 if kind == "result" else 0
-                    )
-                    stats.memo_dropped += 1 if kind == "memo" else 0
-                last[key] = entry
-                order.setdefault(key, index)
-            kept_lines = []
-            for key in sorted(last, key=lambda k: order[k]):
-                entry = last[key]
-                verdict = keep(entry)
-                if verdict == "keep":
-                    kept_lines.append(encode_entry(entry))
-                    if kind == "result":
-                        stats.result_kept += 1
-                    else:
-                        stats.memo_kept += 1
-                elif verdict == "stale":
-                    if kind == "result":
-                        stats.result_dropped_stale += 1
-                    else:
-                        stats.memo_dropped += 1
-                else:  # orphan
-                    if kind == "result":
-                        stats.result_dropped_orphan += 1
-                    else:
-                        stats.memo_dropped += 1
-            handle.seek(0)
-            handle.truncate()
-            if kept_lines:
-                handle.write("\n".join(kept_lines) + "\n")
-        finally:
-            release_flock(handle, locked, name="store")
+
+    def compact(blob: bytes) -> bytes:
+        raw_lines = blob.decode("utf-8", errors="replace").splitlines()
+        last: Dict[str, Any] = {}
+        order: Dict[str, int] = {}
+        for index, line in enumerate(raw_lines):
+            line = line.strip()
+            if not line:
+                continue
+            entry, problem = decode_entry(line)
+            if problem is not None:
+                stats.corrupt_dropped += 1
+                continue
+            key = entry["key"]
+            if key in last:
+                stats.result_dropped_superseded += (
+                    1 if kind == "result" else 0
+                )
+                stats.memo_dropped += 1 if kind == "memo" else 0
+            last[key] = entry
+            order.setdefault(key, index)
+        kept_lines = []
+        for key in sorted(last, key=lambda k: order[k]):
+            entry = last[key]
+            verdict = keep(entry)
+            if verdict == "keep":
+                kept_lines.append(encode_entry(entry))
+                if kind == "result":
+                    stats.result_kept += 1
+                else:
+                    stats.memo_kept += 1
+            elif verdict == "stale":
+                if kind == "result":
+                    stats.result_dropped_stale += 1
+                else:
+                    stats.memo_dropped += 1
+            else:  # orphan
+                if kind == "result":
+                    stats.result_dropped_orphan += 1
+                else:
+                    stats.memo_dropped += 1
+        if not kept_lines:
+            return b""
+        return ("\n".join(kept_lines) + "\n").encode("utf-8")
+
+    rewrite_store(path, compact, kind="compact")
 
 
 def collect_garbage(
@@ -793,14 +793,25 @@ def collect_garbage(
         except OSError:
             pass
 
-    held = []
-    removed_locks = []
-    try:
+    removed_locks: List[str] = []
+
+    def remove_lock_files() -> None:
+        for lock_path in removed_locks:
+            try:
+                os.remove(lock_path)
+            except OSError:
+                pass
+
+    with contextlib.ExitStack() as held:
+        # Registered first, so it runs last: after every lock is
+        # released.
+        held.callback(remove_lock_files)
         live = []
         for path in queue_paths:
-            lock = open(path + ".lock", "a+", encoding="utf-8")
-            locked, _ = flock_bounded(lock, salt=path, name="queue")
-            held.append((lock, locked))
+            lock = held.enter_context(
+                open(path + ".lock", "a+", encoding="utf-8")
+            )
+            held.enter_context(lock_scope(lock, "queue", salt=path))
             count = live_lease_count(read_queue_state(path, salt))
             if count:
                 live.append((path, count))
@@ -847,13 +858,4 @@ def collect_garbage(
 
                 _compact_jsonl(path, keep_result, stats, "result")
                 tally(path, "bytes_after")
-    finally:
-        for lock, locked in held:
-            release_flock(lock, locked, name="queue")
-            lock.close()
-        for lock_path in removed_locks:
-            try:
-                os.remove(lock_path)
-            except OSError:
-                pass
     return stats

@@ -50,11 +50,10 @@ from repro.core.cache import (
     default_cache_dir,
 )
 from repro.core.journal import (
-    flock_bounded,
     quarantine_lines,
-    release_flock,
+    rewrite_store,
+    scan_blob,
     scan_journal,
-    trace_event,
 )
 from repro.core.workqueue import (
     WorkQueue,
@@ -320,38 +319,27 @@ def _missing_results(
 
 def _repair_jsonl(path: str) -> None:
     """Truncate a torn tail and quarantine mid-file damage, in place
-    under the appenders' flock."""
-    try:
-        handle = open(path, "r+b")
-    except OSError:
-        return
-    with handle:
-        locked, _ = flock_bounded(handle, salt=path, name="store")
-        try:
-            trace_event("write", store="repair")
-            scan = scan_journal(path)
-            damaged = [
-                record.raw for record in scan.records
-                if record.problem not in (None, "torn")
-            ]
-            if damaged:
-                quarantine_lines(_quarantine_path(path), damaged)
-            if damaged or scan.torn:
-                # Byte-preserving rewrite of the intact records (raw
-                # lines, not re-encoded — doctor never rewrites what it
-                # did not diagnose).
-                intact = [
-                    record.raw for record in scan.records
-                    if record.problem is None
-                ]
-                handle.seek(0)
-                handle.truncate()
-                if intact:
-                    handle.write(b"\n".join(intact) + b"\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        finally:
-            release_flock(handle, locked, name="store")
+    under the appenders' lock."""
+
+    def mend(blob: bytes) -> Optional[bytes]:
+        scan = scan_blob(blob)
+        damaged = [
+            record.raw for record in scan.records
+            if record.problem not in (None, "torn")
+        ]
+        if damaged:
+            quarantine_lines(_quarantine_path(path), damaged)
+        if not (damaged or scan.torn):
+            return None
+        # Byte-preserving rewrite of the intact records (raw lines, not
+        # re-encoded — doctor never rewrites what it did not diagnose).
+        intact = [
+            record.raw for record in scan.records
+            if record.problem is None
+        ]
+        return b"\n".join(intact) + b"\n" if intact else b""
+
+    rewrite_store(path, mend, kind="repair")
 
 
 def _apply(finding: Finding, cache_dir: str, salt: str) -> None:

@@ -18,16 +18,27 @@ module, so crash safety is implemented (and chaos-tested) exactly once:
   appends under a bounded advisory flock, with a *self-healing* check
   that the file currently ends in a newline — so an append after a torn
   write can never merge into the garbage tail and lose its own record.
-  ``repro lint`` RPR150 forbids raw append-mode ``open()`` calls
-  anywhere else in the package.
+  In-place rewrites (GC compaction, doctor repair) share one primitive,
+  :func:`rewrite_store`.  ``repro lint`` RPR150 forbids raw append-mode
+  and ``r+`` ``open()`` calls anywhere else in the package.
+* **Lock discipline by construction**: every lock in the persistence
+  layer is taken through :func:`lock_scope`, which checks the one
+  table below (:data:`LOCK_ORDER`, :data:`ORDERED_SELF`,
+  :data:`STORE_KINDS`) on entry and raises :class:`LockOrderError` for
+  a nesting the table does not allow; :func:`publish_blob` raises
+  unless its kind's lock scope is held, and every writer rejects a kind
+  it does not own with ``ValueError``.
 * **Durability policy** (``REPRO_DURABILITY``): ``fsync`` syncs every
   append and every atomic-rename publish; ``batch`` (the default) skips
   the per-append fsync — completed ``write()`` syscalls survive process
   death, only machine death can lose them — but still syncs before
-  rename publishes; ``off`` never syncs (throwaway stores, tests).
-* **Crash points**: every write site calls :func:`maybe_crash` with a
-  stable site name (``cache.pre-append``, ``queue.post-rename``, ...).
-  When ``REPRO_CRASH_POINT`` is armed the process SIGKILLs itself there
+  rename publishes and after in-place rewrites; ``off`` never syncs
+  (throwaway stores, tests).
+* **Crash points**: every writer calls :func:`maybe_crash` with the
+  site suffixes it declares in :data:`WRITER_SITES`
+  (``cache.pre-append``, ``queue.post-rename``, ...); :data:`CRASH_SITES`
+  is derived from that declaration and the kind table.  When
+  ``REPRO_CRASH_POINT`` is armed the process SIGKILLs itself there
   (see :mod:`repro.measure.faults`), which is how the crash-consistency
   suite proves doctor + resume reconverges from every named site.
 
@@ -39,13 +50,14 @@ canonical serialization, and nothing here reads wall clocks or entropy
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import threading
 import time
 import zlib
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 try:
     import fcntl
@@ -69,8 +81,7 @@ CRASH_POINT_ENV = "REPRO_CRASH_POINT"
 #: recorder appends to.  Unset (the default) the recorder is a no-op
 #: costing one ``os.environ`` lookup per event; set, every flock
 #: acquire/release, fence check, and durable write emits one line — the
-#: dynamic oracle the concurrency lint tier (RPR160–163) is validated
-#: against.
+#: dynamic oracle the test suite compares against the lock table below.
 LOCK_TRACE_ENV = "REPRO_LOCK_TRACE"
 
 #: Longest a writer waits for the advisory file lock before proceeding
@@ -120,21 +131,89 @@ def _crash_armed(site: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Lock/fence trace recorder (the dynamic oracle of the concurrency lint)
+# The persistence invariants, as one table
 # ---------------------------------------------------------------------------
 
-#: Per-thread stack of lock-class names this thread currently holds, in
-#: acquisition order.  Lock *classes* ("queue", "store", "manifest",
-#: "quarantine"), not paths: the static model (RPR161) reasons about
-#: classes, so the trace does too.
-_TRACE_STATE = threading.local()
+#: Lock classes.  A class names a family of files sharing one
+#: discipline, not a path: every ``<uarch>.queue.json.lock`` is "queue".
+LOCK_CLASSES = ("manifest", "quarantine", "queue", "store")
+
+#: ``(held, acquired)`` pairs a thread may nest.  A queue transaction
+#: writes through to the result store (``WorkQueue.deposit``) and GC
+#: compacts the stores under every queue lock; doctor quarantines
+#: damaged lines while it holds the store it repairs.  No other nesting
+#: exists, so the order is acyclic and the layer cannot deadlock.
+LOCK_ORDER = frozenset({("queue", "store"), ("store", "quarantine")})
+
+#: Classes that may nest in themselves — in strictly increasing path
+#: order only (GC's sorted multi-queue acquisition), so two threads
+#: taking several locks of the class always take them in one order.
+ORDERED_SELF = frozenset({"queue"})
+
+#: Crash-site suffixes of each writer, declared once.  ``pre-append``
+#: fires before the store is even opened, ``mid-append`` splits the
+#: one-line write to manufacture a torn tail, ``pre-fsync`` fires after
+#: the write but before durability, ``post-append`` after the lock is
+#: released; ``pre-rename``/``post-rename`` bracket the atomic publish
+#: of whole-file states.  The quarantine sidecar appends raw (already
+#: damaged) bytes in one write — no split worth manufacturing, no fsync
+#: barrier worth naming — and in-place rewrites run only under an
+#: explicit ``gc``/``doctor --repair``, so neither carries more.
+WRITER_SITES = {
+    "append": ("pre-append", "mid-append", "pre-fsync", "post-append"),
+    "quarantine": ("pre-append", "post-append"),
+    "publish": ("pre-rename", "post-rename"),
+    "rewrite": (),
+}
+
+#: Store kind -> (lock class its bytes change under, its writer).
+STORE_KINDS = {
+    "cache": ("store", "append"),
+    "memo": ("store", "append"),
+    "quarantine": ("quarantine", "quarantine"),
+    "queue": ("queue", "publish"),
+    "manifest": ("manifest", "publish"),
+    "compact": ("store", "rewrite"),
+    "repair": ("store", "rewrite"),
+}
+
+#: Every named crash point, derived from the two tables above (the
+#: registry :mod:`repro.measure.faults` re-exports).
+CRASH_SITES = tuple(
+    f"{kind}.{suffix}"
+    for kind, (_, writer) in STORE_KINDS.items()
+    for suffix in WRITER_SITES[writer]
+)
 
 
-def _held_locks() -> List[str]:
-    held = getattr(_TRACE_STATE, "held", None)
+class LockOrderError(RuntimeError):
+    """A lock taken against the table above, or a store written
+    outside its lock scope."""
+
+
+def _lock_for(kind: str, writer: str) -> str:
+    """The lock class of store *kind*; ``ValueError`` unless *writer*
+    is the writer :data:`STORE_KINDS` assigns it."""
+    lock, owner = STORE_KINDS.get(kind, (None, None))
+    if owner != writer:
+        raise ValueError(f"no {writer} store of kind {kind!r}")
+    return lock
+
+
+# ---------------------------------------------------------------------------
+# Lock/fence trace recorder
+# ---------------------------------------------------------------------------
+
+#: Per-thread stack of the ``(lock class, path)`` scopes this thread is
+#: inside, in entry order — maintained by :func:`lock_scope` alone.
+_LOCK_STATE = threading.local()
+
+
+def _held_locks() -> List[Tuple[str, str]]:
+    held = getattr(_LOCK_STATE, "held", None)
     if held is None:
         held = []
-        _TRACE_STATE.held = held
+        _LOCK_STATE.held = held
     return held
 
 
@@ -152,7 +231,7 @@ def trace_event(event: str, **fields) -> None:
         return
     record = dict(fields)
     record["event"] = event
-    record["held"] = list(_held_locks())
+    record["held"] = [name for name, _ in _held_locks()]
     record["pid"] = os.getpid()
     record["thread"] = threading.get_ident()
     line = json.dumps(record, sort_keys=True) + "\n"
@@ -166,7 +245,7 @@ def trace_event(event: str, **fields) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Bounded, jittered flock
+# Bounded, jittered flock and the one lock scope
 # ---------------------------------------------------------------------------
 
 
@@ -197,12 +276,9 @@ def flock_bounded(
     deterministic jitter of :func:`_retry_delay`) bounds the damage
     without stampeding the lock.
 
-    *name* is the lock **class** ("queue", "store", "manifest",
-    "quarantine") recorded by the trace recorder and matched against
-    the static lock-order model (RPR161).  On success the acquire event
-    carries the classes already held — the edges of the observed
-    lock-order graph — and *name* is pushed onto this thread's held
-    stack until :func:`release_flock`.
+    The raw primitive: a successful acquisition is traced under the
+    lock class *name*, but the held-lock bookkeeping and the release
+    belong to :func:`lock_scope`, the one way the package takes a lock.
     """
     if fcntl is None:
         return False, 0
@@ -212,7 +288,6 @@ def flock_bounded(
         try:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
             trace_event("acquire", lock=name)
-            _held_locks().append(name)
             return True, attempt
         except OSError:
             now = time.monotonic()
@@ -224,21 +299,50 @@ def flock_bounded(
             )
 
 
-def release_flock(handle, locked: bool, name: str = "store") -> None:
-    """Release an flock taken by :func:`flock_bounded` (no-op when the
-    acquisition failed), popping *name* from the held stack and tracing
-    the release.  Every ``finally`` block in the persistence layer goes
-    through here so the trace's held-stack bookkeeping cannot drift
-    from the real lock state."""
-    if not locked or fcntl is None:
-        return
-    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+@contextlib.contextmanager
+def lock_scope(handle, name: str, salt: str = "", stats=None):
+    """Hold the lock class *name* on *handle* for the ``with`` body.
+
+    *name* must be one of :data:`LOCK_CLASSES`.  On entry the nesting
+    is checked against :data:`LOCK_ORDER` and :data:`ORDERED_SELF` for
+    every scope this thread is already in — a violation raises
+    :class:`LockOrderError` before any flock is tried.  Then the
+    bounded flock is taken (its retries and a timeout are folded into
+    *stats*' ``lock_retries`` / ``lock_timeouts``, when it carries
+    them) and the scope is pushed on the thread's held stack.  A lock
+    that times out still enters the body unlocked — a missed lock
+    degrades to at worst one torn line, not a wedged sweep — and the
+    scope is pushed and popped either way, so the held stack always
+    mirrors the ``with`` nesting.
+    """
+    if name not in LOCK_CLASSES:
+        raise ValueError(f"unknown lock class {name!r}")
     held = _held_locks()
-    for index in range(len(held) - 1, -1, -1):
-        if held[index] == name:
-            del held[index]
-            break
-    trace_event("release", lock=name)
+    path = getattr(handle, "name", "")
+    for held_name, held_path in held:
+        if held_name == name and name in ORDERED_SELF:
+            if path > held_path:
+                continue
+            raise LockOrderError(
+                f"{name!r} lock on {path!r} taken inside {held_path!r}: "
+                f"nested {name!r} locks go in increasing path order"
+            )
+        if (held_name, name) not in LOCK_ORDER:
+            raise LockOrderError(
+                f"{name!r} lock taken while holding {held_name!r}"
+            )
+    locked, retries = flock_bounded(handle, salt=salt, name=name)
+    _count(stats, "lock_retries", retries)
+    if not locked and fcntl is not None:
+        _count(stats, "lock_timeouts", 1)
+    held.append((name, path))
+    try:
+        yield
+    finally:
+        held.pop()
+        if locked:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+            trace_event("release", lock=name)
 
 
 def _count(stats, field: str, amount: int) -> None:
@@ -376,7 +480,19 @@ class JournalScan:
 
 
 def scan_journal(path: str) -> JournalScan:
-    """Read and classify every line of the JSONL store at *path*.
+    """Read and classify every line of the JSONL store at *path*
+    (:func:`scan_blob` over the file's bytes; a missing file scans as
+    empty)."""
+    try:
+        with open(path, "rb") as handle:
+            blob = handle.read()
+    except OSError:
+        return JournalScan()
+    return scan_blob(blob)
+
+
+def scan_blob(blob: bytes) -> JournalScan:
+    """Classify every line of a JSONL store's bytes.
 
     The classification rule: a line that is not even JSON *and* is the
     file's final line is a **torn tail** — the signature of a writer
@@ -384,14 +500,9 @@ def scan_journal(path: str) -> JournalScan:
     that fails to decode (unparsable mid-file, bad envelope, CRC
     mismatch anywhere) is **corruption**: bytes that claim to be a
     record but cannot be trusted, counted and left for ``repro doctor``
-    to quarantine.  A missing file scans as empty.
+    to quarantine.
     """
     scan = JournalScan()
-    try:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-    except OSError:
-        return scan
     scan.size = len(blob)
     lines: List[Tuple[int, bytes]] = []
     offset = 0
@@ -427,10 +538,11 @@ def append_entry(
 ) -> None:
     """Append one checksummed entry to the JSONL store at *path*.
 
-    *kind* names the store for crash-point sites (``cache``, ``memo``).
-    *stats* is any object carrying ``lock_timeouts`` / ``lock_retries``
-    counters (e.g. :class:`~repro.core.cache.ResultCache`); the bounded
-    flock's retries and timeouts are folded into it.
+    *kind* names the store for crash-point sites (``cache``, ``memo``;
+    any other kind is a ``ValueError``).  *stats* is any object carrying
+    ``lock_timeouts`` / ``lock_retries`` counters (e.g.
+    :class:`~repro.core.cache.ResultCache`); the bounded flock's retries
+    and timeouts are folded into it.
 
     Crash safety: the record is a single ``write()`` of one line, taken
     after self-healing a missing trailing newline — so a predecessor's
@@ -438,6 +550,7 @@ def append_entry(
     armed ``{kind}.mid-append`` site deliberately splits the write to
     manufacture the torn-tail case the readers must recover from.
     """
+    lock = _lock_for(kind, "append")
     line = encode_entry(entry)
     payload = (line + "\n").encode("utf-8")
     directory = os.path.dirname(path)
@@ -445,36 +558,31 @@ def append_entry(
         os.makedirs(directory, exist_ok=True)
     mode = durability_mode(durability)
     maybe_crash(f"{kind}.pre-append")
-    with open(path, "ab+") as handle:
-        locked, retries = flock_bounded(handle, salt=path, name="store")
-        _count(stats, "lock_retries", retries)
-        if not locked and fcntl is not None:
-            _count(stats, "lock_timeouts", 1)
-        try:
-            trace_event("write", store=kind)
-            handle.seek(0, os.SEEK_END)
-            if handle.tell() > 0:
-                handle.seek(-1, os.SEEK_END)
-                if handle.read(1) != b"\n":
-                    # A previous writer died mid-line: terminate the
-                    # torn tail so this record starts on its own line
-                    # (the scan still classifies the tail as torn-or-
-                    # corrupt; it just cannot swallow this append).
-                    handle.write(b"\n")
-            if _crash_armed(f"{kind}.mid-append"):
-                half = max(1, len(payload) // 2)
-                handle.write(payload[:half])
-                handle.flush()
-                maybe_crash(f"{kind}.mid-append")
-                handle.write(payload[half:])
-            else:
-                handle.write(payload)
+    with open(path, "ab+") as handle, lock_scope(
+        handle, lock, salt=path, stats=stats
+    ):
+        trace_event("write", store=kind)
+        handle.seek(0, os.SEEK_END)
+        if handle.tell() > 0:
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                # A previous writer died mid-line: terminate the torn
+                # tail so this record starts on its own line (the scan
+                # still classifies the tail as torn-or-corrupt; it just
+                # cannot swallow this append).
+                handle.write(b"\n")
+        if _crash_armed(f"{kind}.mid-append"):
+            half = max(1, len(payload) // 2)
+            handle.write(payload[:half])
             handle.flush()
-            maybe_crash(f"{kind}.pre-fsync")
-            if mode == "fsync":
-                os.fsync(handle.fileno())
-        finally:
-            release_flock(handle, locked, name="store")
+            maybe_crash(f"{kind}.mid-append")
+            handle.write(payload[half:])
+        else:
+            handle.write(payload)
+        handle.flush()
+        maybe_crash(f"{kind}.pre-fsync")
+        if mode == "fsync":
+            os.fsync(handle.fileno())
     maybe_crash(f"{kind}.post-append")
 
 
@@ -489,25 +597,21 @@ def quarantine_lines(
     Quarantined bytes are preserved verbatim — they failed to decode,
     so they cannot be re-encoded through :func:`append_entry` — but the
     append still goes through this module (lint RPR150) so it shares
-    the flock, the durability policy, and the ``{kind}.pre-append`` /
-    ``{kind}.post-append`` crash points with every other writer (lint
-    RPR163 proves no durable write path escapes the registry).
+    the lock scope, the durability policy, and the ``{kind}.pre-append``
+    / ``{kind}.post-append`` crash points with every other writer.
     """
+    lock = _lock_for(kind, "quarantine")
     if not lines:
         return
     mode = durability_mode(durability)
     maybe_crash(f"{kind}.pre-append")
-    with open(path, "ab+") as handle:
-        locked, _ = flock_bounded(handle, salt=path, name="quarantine")
-        try:
-            trace_event("write", store=kind)
-            handle.seek(0, os.SEEK_END)
-            handle.write(b"\n".join(lines) + b"\n")
-            handle.flush()
-            if mode == "fsync":
-                os.fsync(handle.fileno())
-        finally:
-            release_flock(handle, locked, name="quarantine")
+    with open(path, "ab+") as handle, lock_scope(handle, lock, salt=path):
+        trace_event("write", store=kind)
+        handle.seek(0, os.SEEK_END)
+        handle.write(b"\n".join(lines) + b"\n")
+        handle.flush()
+        if mode == "fsync":
+            os.fsync(handle.fileno())
     maybe_crash(f"{kind}.post-append")
 
 
@@ -525,7 +629,16 @@ def publish_blob(
     empty inode after power loss); ``off`` skips the sync.  The
     ``{kind}.pre-rename`` / ``{kind}.post-rename`` crash points bracket
     the publish.
+
+    The caller must be inside the :func:`lock_scope` of the kind's lock
+    class — the read-modify-write that produced *state* is only atomic
+    under it — so a publish outside it raises :class:`LockOrderError`.
     """
+    lock = _lock_for(kind, "publish")
+    if not any(name == lock for name, _ in _held_locks()):
+        raise LockOrderError(
+            f"publish_blob(kind={kind!r}) outside a {lock!r} lock scope"
+        )
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -541,3 +654,37 @@ def publish_blob(
     maybe_crash(f"{kind}.pre-rename")
     os.replace(tmp, path)
     maybe_crash(f"{kind}.post-rename")
+
+
+def rewrite_store(
+    path: str,
+    rewrite: Callable[[bytes], Optional[bytes]],
+    kind: str,
+    durability: Optional[str] = None,
+) -> None:
+    """Rewrite the JSONL store at *path* in place, under its lock.
+
+    ``rewrite(blob)`` receives the store's bytes and returns their
+    replacement, or ``None`` to leave the file untouched.  The rewrite
+    is in place (seek + truncate), not write-and-rename, so a
+    concurrent appender blocks on the store lock instead of appending
+    to a doomed inode.  Synced unless the durability mode is ``off``.
+    A missing store is skipped.  *kind* is ``compact`` (GC) or
+    ``repair`` (doctor).
+    """
+    lock = _lock_for(kind, "rewrite")
+    try:
+        handle = open(path, "r+b")
+    except OSError:
+        return
+    with handle, lock_scope(handle, lock, salt=path):
+        trace_event("write", store=kind)
+        replacement = rewrite(handle.read())
+        if replacement is None:
+            return
+        handle.seek(0)
+        handle.truncate()
+        handle.write(replacement)
+        handle.flush()
+        if durability_mode(durability) != "off":
+            os.fsync(handle.fileno())

@@ -328,7 +328,7 @@ class SweepEngine:
         stretch of work folds as ``merge(after - before)``."""
         parts = [
             store.stats()
-            for store in (self.cache, self.measure_memo)
+            for store in (self.cache, self.measure_memo, self._manifest)
             if store is not None
         ]
         if self._backend is not None:

@@ -52,17 +52,11 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.cache import cache_salt
 from repro.core.journal import (
     decode_blob,
-    flock_bounded,
+    lock_scope,
     publish_blob,
-    release_flock,
     trace_event,
 )
 from repro.stats import RunStatistics
-
-try:
-    import fcntl
-except ImportError:  # non-POSIX: transactions are not locked
-    fcntl = None
 
 #: How many times a unit may be leased before it is declared poisoned
 #: and quarantined with a ``WorkerLost`` failure record.  Three leases
@@ -213,21 +207,14 @@ class WorkQueue:
         """Run ``mutate(state)`` under the queue lock; publish the state
         atomically when *mutate* returns ``(result, True)``."""
         os.makedirs(self.cache_dir, exist_ok=True)
-        with open(self.lock_path, "a+", encoding="utf-8") as lock:
-            locked, retries = flock_bounded(
-                lock, salt=self.lock_path, name="queue"
-            )
-            self.lock_retries += retries
-            if not locked and fcntl is not None:
-                self.lock_timeouts += 1
-            try:
-                state = self._read_state()
-                result, dirty = mutate(state)
-                if dirty:
-                    self._write_state(state)
-                return result
-            finally:
-                release_flock(lock, locked, name="queue")
+        with open(self.lock_path, "a+", encoding="utf-8") as lock, lock_scope(
+            lock, "queue", salt=self.lock_path, stats=self
+        ):
+            state = self._read_state()
+            result, dirty = mutate(state)
+            if dirty:
+                self._write_state(state)
+            return result
 
     # -- unit helpers ---------------------------------------------------
 

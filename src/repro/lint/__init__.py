@@ -5,18 +5,16 @@ contracts — that content-key and codec modules must be deterministic,
 that plan generators never measure, or that a port-usage table may only
 name ports the microarchitecture has.  A past bug (the dead-list
 iteration in ``_next_event``) violated exactly such a contract; this
-package encodes them as checkable rules.
+package encodes them as checkable rules.  Where an invariant can be
+made impossible to break instead, it is: the persistence layer's lock
+order, lock-held writes, and crash-site registry are enforced at
+runtime by :mod:`repro.core.journal`, not policed here.
 
-Three rule families:
+Two rule families:
 
 * **Code invariants** (``RPR1xx``, :mod:`repro.lint.code_rules`) —
   ``ast``-visitor checks over the source tree, with inline
   ``# repro-lint: disable=RPRnnn (justification)`` suppressions.
-* **Concurrency invariants** (``RPR160``–``RPR163``,
-  :mod:`repro.lint.concurrency_rules`) — lockset, lock-order,
-  fencing-token, and crash-site-coverage analysis of the persistence
-  layer, cross-validated against the dynamic ``REPRO_LOCK_TRACE``
-  recorder by the test suite.
 * **Model consistency** (``RPR2xx``, :mod:`repro.lint.model_rules`) — a
   data-driven pass that imports the ground-truth tables
   (:mod:`repro.uarch`) and the instruction catalog and cross-checks

@@ -20,10 +20,11 @@ generic linter can know:
 * ``RPR130``/``RPR131`` — the measurement layer raises only the
   ``BackendError`` taxonomy, and no broad ``except`` may silently
   swallow a ``TransientBackendError``.
-* ``RPR150`` — every append-mode ``open()`` outside
+* ``RPR150`` — every append-mode or ``r+`` ``open()`` outside
   :mod:`repro.core.journal` is a crash-safety bypass: durable appends
-  must go through the shared checksummed writer so torn-tail recovery,
-  CRCs, durability policy, and crash points cover them.
+  and in-place rewrites must go through the shared journal writers so
+  torn-tail recovery, CRCs, the lock scope, durability policy, and
+  crash points cover them.
 
 Facts for the ``RPR203`` catalog-reference check in
 :mod:`repro.lint.model_rules` are extracted here so they ride the
@@ -140,7 +141,7 @@ RPR150 = register_rule(
     "RPR150",
     "raw-append-outside-journal",
     SEVERITY_ERROR,
-    "append-mode open() bypasses the shared crash-safe journal writer",
+    "append-mode or r+ open() bypasses the shared crash-safe journal writers",
 )
 
 
@@ -679,7 +680,7 @@ def extract_catalog_refs(path: str, tree: ast.AST) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# RPR150 — durable appends go through the shared journal writer
+# RPR150 — durable writes go through the shared journal writers
 # ---------------------------------------------------------------------------
 
 #: Append modes legal outside :mod:`repro.core.journal`: exactly the
@@ -692,13 +693,16 @@ _ALLOWED_APPEND_MODES = frozenset({"a+"})
 def check_raw_append(
     path: str, tree: ast.AST, lines: Sequence[str]
 ) -> List[Violation]:
-    """Flag append-mode ``open()`` calls outside the journal module.
+    """Flag append-mode and ``r+`` ``open()`` calls outside the
+    journal module.
 
     An append that bypasses :func:`repro.core.journal.append_entry`
     gets none of the crash-safety machinery — no per-line CRC, no
-    torn-tail self-healing, no durability policy, no crash points —
-    so a SIGKILL mid-write silently re-introduces the exact corruption
-    class PR 9 eliminated.
+    torn-tail self-healing, no lock scope, no durability policy, no
+    crash points — so a SIGKILL mid-write silently re-introduces the
+    exact corruption class the journal eliminates.  An ``r+`` open is
+    an in-place rewrite, which belongs to
+    :func:`~repro.core.journal.rewrite_store` for the same reasons.
     """
     if path.endswith("core/journal.py"):
         return []
@@ -720,17 +724,18 @@ def check_raw_append(
             and isinstance(mode.value, str)
         ):
             continue
-        if "a" not in mode.value:
+        writes_in_place = "r" in mode.value and "+" in mode.value
+        if "a" not in mode.value and not writes_in_place:
             continue
         if mode.value in _ALLOWED_APPEND_MODES:
             continue
         violations.append(
             _violation(
                 RPR150, path, node,
-                f"open(..., {mode.value!r}) appends outside "
-                "repro.core.journal; route durable appends through "
-                "journal.append_entry / quarantine_lines ('a+' lock "
-                "files are exempt)",
+                f"open(..., {mode.value!r}) writes a store outside "
+                "repro.core.journal; route durable writes through "
+                "journal.append_entry / quarantine_lines / "
+                "rewrite_store ('a+' lock files are exempt)",
             )
         )
     return violations

@@ -2,16 +2,16 @@
 
 The engine is deliberately small: a **file rule** is a function run over
 one parsed module (``(path, tree, lines) -> violations``); a **fact
-extractor** distills per-file facts (stats counters, snapshot fields,
-hard-coded catalog references) that **fileset rules** cross-check after
-every file was visited.  Each phase is pure and deterministic: the same
+extractor** distills per-file facts (hard-coded catalog references)
+that the cross-file catalog check (RPR203) validates after every file
+was visited.  Each phase is pure and deterministic: the same
 file set produces the same report regardless of traversal order, which
 the property tests assert by shuffling.
 
 Per-file results (violations + facts) are cached in a JSON file keyed by
 the file's SHA-256 and :data:`LINT_VERSION`, so a CI run on an unchanged
-tree skips the AST pass entirely.  Fileset rules re-run from cached
-facts — they are cheap dictionary comparisons.
+tree skips the AST pass entirely.  The cross-file check re-runs from
+cached facts — it is a cheap dictionary comparison.
 
 Suppressions are inline and justified::
 
@@ -163,9 +163,6 @@ _FILE_RULES: List[Tuple[Rule, Optional[Tuple[str, ...]], Callable]] = []
 #: Per-file fact extractors: ``(posix_path, tree) -> dict``.
 _FACT_EXTRACTORS: List[Callable[[str, ast.AST], Dict[str, Any]]] = []
 
-#: Fileset rules: ``(rule, fn(facts_by_path) -> violations)``.
-_FILESET_RULES: List[Tuple[Rule, Callable]] = []
-
 _RULES[RPR100] = Rule(
     code=RPR100,
     name="unjustified-suppression",
@@ -213,18 +210,9 @@ def fact_extractor(fn: Callable) -> Callable:
     return fn
 
 
-def fileset_rule(rule: Rule) -> Callable:
-    def decorate(fn: Callable) -> Callable:
-        _FILESET_RULES.append((rule, fn))
-        return fn
-
-    return decorate
-
-
 def _ensure_rules_loaded() -> None:
     """Import the rule modules (registration happens at import time)."""
     from repro.lint import code_rules  # noqa: F401
-    from repro.lint import concurrency_rules  # noqa: F401
 
 
 def all_rules() -> List[Rule]:
@@ -324,8 +312,8 @@ def _lint_one_file(
     for extractor in _FACT_EXTRACTORS:
         facts.update(extractor(posix_path, tree))
     if suppressed_lines:
-        # Fileset rules anchor violations back into files after the
-        # per-file pass; record the suppression map (JSON-safe string
+        # The cross-file check anchors violations back into files after
+        # the per-file pass; record the suppression map (JSON-safe string
         # keys — facts round-trip through the cache) so those findings
         # honor inline suppressions too.
         facts["_suppressed_lines"] = {
@@ -653,8 +641,6 @@ def lint_paths(
         facts_by_path[posix_path] = facts
         suppressed += file_suppressed
     crossfile: List[Violation] = []
-    for rule, checker in _FILESET_RULES:
-        crossfile.extend(checker(facts_by_path))
     if catalog_refs:
         from repro.lint.model_rules import catalog_reference_violations
 

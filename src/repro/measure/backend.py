@@ -47,10 +47,11 @@ class MeasurementConfig:
     deterministic and cycle-exact, which the tests verify.
 
     ``max_cached_measurements`` bounds the backend's two in-process
-    result stores (final per-copy averages and per-run unroll counters)
-    with LRU eviction, so a full-catalog sweep cannot grow memory without
-    limit.  It is a resource knob, not part of the measurement protocol:
-    persistent cache keys are derived from :meth:`protocol_fields` only.
+    stores (final per-copy averages and the core's structural
+    closed-form memo) with LRU eviction, so a full-catalog sweep cannot
+    grow memory without limit.  It is a resource knob, not part of the
+    measurement protocol: persistent cache keys are derived from
+    :meth:`protocol_fields` only.
     """
 
     unroll_small: int = 5
@@ -140,8 +141,7 @@ class HardwareBackend:
     Three result layers sit in front of the simulator, checked in order:
 
     1. an in-process cache of final per-copy averages, keyed by the
-       hoisted ``(code, init)`` tuple (constructed once per call and
-       shared with the run-level memo),
+       hoisted ``(code, init)`` tuple,
     2. an optional persistent, cross-process
        :class:`~repro.core.cache.MeasurementMemo` (injected — typically
        by the sweep engine — so worker shards share the blocking/chain
@@ -169,9 +169,6 @@ class HardwareBackend:
         self.config = config or MeasurementConfig()
         bound = self.config.max_cached_measurements
         self._cache = LRUDict(bound)
-        #: Per-(code, init) full-run counters at each simulated unroll
-        #: factor — the run-level memo that collapses repeats/warmup.
-        self._run_memo = LRUDict(bound)
         #: The core's structural closed-form memo, bounded alike.
         self._analytic_memo = LRUDict(bound)
         self._core = Core(uarch, kernel=kernel,
@@ -195,11 +192,7 @@ class HardwareBackend:
 
     @property
     def cache_evictions(self) -> int:
-        return (
-            self._cache.evictions
-            + self._run_memo.evictions
-            + self._analytic_memo.evictions
-        )
+        return self._cache.evictions + self._analytic_memo.evictions
 
     def snapshot(self) -> RunStatistics:
         """This backend's counters so far (fold deltas of two of them)."""
@@ -288,7 +281,7 @@ class HardwareBackend:
         if self._core.kernel == KERNEL_REFERENCE:
             per_copy = self._measure_reference(code, init)
         else:
-            per_copy = self._measure_extrapolating(code, init, key)
+            per_copy = self._measure_extrapolating(code, init)
         self._cache[key] = per_copy
         if self.memo is not None:
             self.memo.put(
@@ -303,9 +296,9 @@ class HardwareBackend:
     ) -> CounterValues:
         """The seed measurement loop, verbatim: every run simulated.
 
-        Kept unshared with the extrapolating path (no run memo, no
-        probe) so that ``kernel="reference"`` exercises exactly the
-        original code for differential testing.
+        Kept unshared with the extrapolating path (no probe) so that
+        ``kernel="reference"`` exercises exactly the original code for
+        differential testing.
         """
         cfg = self.config
         block = list(code)
@@ -328,7 +321,6 @@ class HardwareBackend:
         self,
         code: Tuple[Instruction, ...],
         init: Optional[Dict[str, int]],
-        key,
     ) -> CounterValues:
         """One probe, analytic tail, collapsed repeats.
 
@@ -339,17 +331,10 @@ class HardwareBackend:
         the result is bit-identical to :meth:`_measure_reference`.
         """
         cfg = self.config
-        targets = (cfg.unroll_small, cfg.unroll_large)
-        runs = self._run_memo.get(key)
-        if runs is None or any(t not in runs for t in targets):
-            fresh, stats = unrolled_counters(
-                self._core, code, init, targets
-            )
-            self._ladder.merge(stats)
-            if runs is None:
-                runs = {}
-                self._run_memo[key] = runs
-            runs.update(fresh)
+        runs, stats = unrolled_counters(
+            self._core, code, init, (cfg.unroll_small, cfg.unroll_large)
+        )
+        self._ladder.merge(stats)
         delta = runs[cfg.unroll_large] - runs[cfg.unroll_small]
         totals = delta
         for _ in range(cfg.repeats - 1):

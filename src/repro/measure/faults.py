@@ -69,10 +69,12 @@ Beyond backend faults, this module also hosts the **crash-point
 harness** of the persistence layer: ``REPRO_CRASH_POINT=site[:N]``
 SIGKILLs the process (no interpreter cleanup — exactly a power-loss or
 OOM-kill shape) the Nth time a named write site in
-:mod:`repro.core.journal` is reached.  The site registry is
-:data:`CRASH_SITES`; the crash-consistency suite proves ``repro doctor``
-plus a fault-free resume reconverges to byte-identical output from
-every one of them.
+:mod:`repro.core.journal` is reached.  The site registry
+:data:`CRASH_SITES` is re-exported from there, where it is derived from
+each writer's declared site suffixes and the store-kind table, so a
+new writer or kind cannot escape it; the crash-consistency suite
+proves ``repro doctor`` plus a fault-free resume reconverges to
+byte-identical output from every one of them.
 """
 
 from __future__ import annotations
@@ -86,39 +88,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import measure as _measure
 from repro.core.experiment import Experiment, ExperimentFailure
 from repro.core.journal import CRASH_POINT_ENV
+# The registry of named crash points, derived in the journal.
+from repro.core.journal import CRASH_SITES as CRASH_SITES
 from repro.pipeline.core import CounterValues
 
 #: Environment variable holding the fault spec (never set by default).
 FAULTS_ENV = "REPRO_FAULTS"
-
-#: Every named crash point the persistence layer calls
-#: :func:`repro.core.journal.maybe_crash` with.  ``pre-append`` fires
-#: before the store is even opened, ``mid-append`` splits the one-line
-#: write to manufacture a torn tail, ``pre-fsync`` fires after the
-#: write but before durability, ``post-append`` after the lock is
-#: released; ``pre-rename``/``post-rename`` bracket the atomic publish
-#: of whole-file states (queue, manifest).  The quarantine sidecar
-#: appends raw (already-damaged) bytes in one write — no mid-append
-#: split to manufacture, no fsync barrier worth naming — so it carries
-#: only the ``pre-append``/``post-append`` bracket.  Lint RPR163
-#: cross-checks this tuple against the actual write sites in
-#: ``core/journal.py``.
-CRASH_SITES = (
-    "cache.pre-append",
-    "cache.mid-append",
-    "cache.pre-fsync",
-    "cache.post-append",
-    "memo.pre-append",
-    "memo.mid-append",
-    "memo.pre-fsync",
-    "memo.post-append",
-    "quarantine.pre-append",
-    "quarantine.post-append",
-    "queue.pre-rename",
-    "queue.post-rename",
-    "manifest.pre-rename",
-    "manifest.post-rename",
-)
 
 #: Per-site hit counters of this process (``site:N`` kills on the Nth
 #: hit, so earlier hits must be remembered).

@@ -1,23 +1,23 @@
-"""Tests for the concurrency lint tier (RPR160–RPR163).
+"""Tests for the persistence layer's lock discipline and the lint CLI.
 
-Four layers:
+Three layers:
 
-* per-rule fixture snippets — violating, clean, and suppressed
-  variants — for the lockset (RPR160), lock-order (RPR161), fencing
-  (RPR162), and crash-site-coverage (RPR163) rules;
-* the statically assembled lock model of the *real* persistence layer
-  (:func:`repro.lint.concurrency_rules.build_lock_model`), pinned
-  against the invariants the modules document;
+* the invariants :mod:`repro.core.journal` enforces at runtime, one
+  test per shape a static analysis would have to flag — a blob
+  published outside its lock scope, a nesting against the lock order,
+  same-class locks taken out of path order, a writer handed a kind it
+  does not own — plus the kind table and the crash-site registry
+  derived from it, and RPR150 keeping store writes inside the journal;
 * the **dynamic oracle**: a two-drainer chaos sweep (plus GC, doctor
   repair, and a serial sweep) run under ``REPRO_LOCK_TRACE``, whose
   observed lock orders, write locksets, and fence checks are validated
-  against the static model *in both directions* — an edge the trace
-  realizes that the model forbids fails, and a model edge or store
-  kind the trace never witnesses fails too (a stale model is as wrong
-  as an unsound one);
-* the satellite machinery of this PR: rules-hash cache keying,
-  ``--changed``, ``--jobs`` determinism, CLI edge cases, and the
-  shared ``--json`` emitter.
+  against the journal's lock table *in both directions* — an edge the
+  trace realizes that the table forbids fails, and a table edge or
+  store kind the trace never witnesses fails too (a stale table is as
+  wrong as an unsound one);
+* the lint machinery: rules-hash cache keying, ``--changed``,
+  ``--jobs`` determinism, CLI edge cases, and the shared ``--json``
+  emitter.
 """
 
 import json
@@ -30,13 +30,22 @@ import textwrap
 import pytest
 
 from repro import cli
+from repro.core import journal
 from repro.core.cache import (
     MeasurementMemo,
     ResultCache,
     collect_garbage,
 )
 from repro.core.doctor import repair
-from repro.core.journal import LOCK_TRACE_ENV
+from repro.core.journal import (
+    LOCK_TRACE_ENV,
+    LockOrderError,
+    append_entry,
+    lock_scope,
+    publish_blob,
+    quarantine_lines,
+    rewrite_store,
+)
 from repro.core.sweep import SweepEngine
 from repro.core.workqueue import WorkQueue, WorkUnit
 from repro.lint import (
@@ -46,8 +55,8 @@ from repro.lint import (
     run_lint,
     rules_signature,
 )
-from repro.lint.concurrency_rules import build_lock_model
 from repro.lint.framework import collect_files
+from repro.measure.faults import CRASH_SITES
 
 _FORK = multiprocessing.get_context("fork")
 SIGKILLED = -signal.SIGKILL
@@ -68,95 +77,69 @@ def codes(report):
     return [violation.code for violation in report.violations]
 
 
+def lock_file(tmp_path, name):
+    """An open ``a+`` lock-file handle under *tmp_path*."""
+    return open(str(tmp_path / f"{name}.lock"), "a+", encoding="utf-8")
+
+
+STATE = {"salt": "s", "units": {}}
+
+
 # ---------------------------------------------------------------------------
-# RPR160 — lockset violations
+# Lockset: a store changes only under its lock class
 # ---------------------------------------------------------------------------
 
 
 class TestLocksetRule:
     def test_naked_queue_publish_is_flagged(self, tmp_path):
-        report = lint_snippets(str(tmp_path), {
-            "core/workqueue.py": """\
-            from repro.core.journal import publish_blob
-
-
-            def save(path, state):
-                publish_blob(path, state, kind="queue")
-            """,
-        })
-        assert codes(report) == ["RPR160"]
-        assert "'queue' lock" in report.violations[0].message
+        with pytest.raises(LockOrderError, match="'queue' lock scope"):
+            publish_blob(str(tmp_path / "q.json"), STATE, kind="queue")
+        assert not os.path.exists(str(tmp_path / "q.json"))
 
     def test_publish_outside_persistence_layer_is_flagged(
         self, tmp_path
     ):
-        report = lint_snippets(str(tmp_path), {
-            "measure/pipeline.py": """\
-            from repro.core.journal import publish_blob
-
-
-            def snapshot(path, state):
-                publish_blob(path, state, kind="queue")
-            """,
-        })
-        assert codes(report) == ["RPR160"]
-        assert "persistence layer" in report.violations[0].message
+        """Any caller outside the manifest's own scope — including one
+        that holds an unrelated lock — cannot publish a manifest."""
+        path = str(tmp_path / "m.json")
+        with pytest.raises(LockOrderError, match="'manifest' lock scope"):
+            publish_blob(path, STATE, kind="manifest")
+        with lock_file(tmp_path, "q") as lock, lock_scope(lock, "queue"):
+            with pytest.raises(LockOrderError):
+                publish_blob(path, STATE, kind="manifest")
+        assert not os.path.exists(path)
 
     def test_raw_write_outside_flock_is_flagged(self, tmp_path):
+        """An in-place rewrite outside the journal bypasses the lock
+        scope: RPR150 flags the ``r+`` open."""
         report = lint_snippets(str(tmp_path), {
             "core/cache.py": """\
-            def scribble(handle, payload):
-                handle.write(payload)
+            def scribble(path, payload):
+                with open(path, "r+b") as handle:
+                    handle.write(payload)
             """,
         })
-        assert codes(report) == ["RPR160"]
-        assert ".write()" in report.violations[0].message
+        assert codes(report) == ["RPR150"]
+        assert "rewrite_store" in report.violations[0].message
 
     def test_publish_under_lock_is_clean(self, tmp_path):
-        report = lint_snippets(str(tmp_path), {
-            "core/workqueue.py": """\
-            from repro.core.journal import (
-                flock_bounded,
-                publish_blob,
-                release_flock,
-            )
-
-
-            def save(path, lock, state):
-                locked, _ = flock_bounded(lock, name="queue")
-                try:
-                    publish_blob(path, state, kind="queue")
-                finally:
-                    release_flock(lock, locked, name="queue")
-            """,
-        })
-        assert codes(report) == []
+        path = str(tmp_path / "q.json")
+        with lock_file(tmp_path, "q") as lock, lock_scope(lock, "queue"):
+            publish_blob(path, STATE, kind="queue")
+        assert os.path.exists(path)
+        assert journal._held_locks() == []
 
     def test_helper_covered_by_every_caller_is_clean(self, tmp_path):
         """The ``_write_state``-under-``_transaction`` shape: the
-        publish helper holds nothing itself, but its only caller does."""
-        report = lint_snippets(str(tmp_path), {
-            "core/workqueue.py": """\
-            from repro.core.journal import (
-                flock_bounded,
-                publish_blob,
-                release_flock,
-            )
+        publish helper holds nothing itself, but its caller does."""
+        path = str(tmp_path / "q.json")
 
+        def write_state(state):
+            publish_blob(path, state, kind="queue")
 
-            def _write_state(path, state):
-                publish_blob(path, state, kind="queue")
-
-
-            def commit(path, lock, state):
-                locked, _ = flock_bounded(lock, name="queue")
-                try:
-                    _write_state(path, state)
-                finally:
-                    release_flock(lock, locked, name="queue")
-            """,
-        })
-        assert codes(report) == []
+        with lock_file(tmp_path, "q") as lock, lock_scope(lock, "queue"):
+            write_state(STATE)
+        assert os.path.exists(path)
 
     def test_journal_module_is_exempt(self, tmp_path):
         report = lint_snippets(str(tmp_path), {
@@ -170,12 +153,10 @@ class TestLocksetRule:
 
     def test_suppression_is_honored(self, tmp_path):
         report = lint_snippets(str(tmp_path), {
-            "core/workqueue.py": """\
-            from repro.core.journal import publish_blob
-
-
-            def save(path, state):
-                publish_blob(path, state, kind="queue")  # repro-lint: disable=RPR160 (fixture: single-process bootstrap, no concurrent writer)
+            "core/doctor.py": """\
+            def patch(path, blob):
+                with open(path, "r+b") as handle:  # repro-lint: disable=RPR150 (fixture: scratch file, never recovered)
+                    handle.write(blob)
             """,
         })
         assert codes(report) == []
@@ -183,397 +164,272 @@ class TestLocksetRule:
 
 
 # ---------------------------------------------------------------------------
-# RPR161 — lock-order cycles
+# Lock order: nesting only along the table's edges
 # ---------------------------------------------------------------------------
 
 
 class TestLockOrderRule:
     def test_opposite_order_acquisitions_are_a_cycle(self, tmp_path):
-        report = lint_snippets(str(tmp_path), {
-            "core/workqueue.py": """\
-            from repro.core.journal import flock_bounded, release_flock
-
-
-            def queue_then_store(handle_a, handle_b):
-                locked_a, _ = flock_bounded(handle_a, name="queue")
-                locked_b, _ = flock_bounded(handle_b, name="store")
-                release_flock(handle_b, locked_b, name="store")
-                release_flock(handle_a, locked_a, name="queue")
-
-
-            def store_then_queue(handle_a, handle_b):
-                locked_b, _ = flock_bounded(handle_b, name="store")
-                locked_a, _ = flock_bounded(handle_a, name="queue")
-                release_flock(handle_a, locked_a, name="queue")
-                release_flock(handle_b, locked_b, name="store")
-            """,
-        })
-        assert codes(report) == ["RPR161", "RPR161"]
-        assert all(
-            "lock-order cycle" in v.message for v in report.violations
-        )
+        """``queue`` then ``store`` is the deposit order; the reverse
+        raises before the second flock is even tried."""
+        with lock_file(tmp_path, "s") as store, lock_file(
+            tmp_path, "q"
+        ) as queue:
+            with lock_scope(queue, "queue"), lock_scope(store, "store"):
+                pass
+            with lock_scope(store, "store"):
+                with pytest.raises(LockOrderError, match="holding 'store'"):
+                    with lock_scope(queue, "queue"):
+                        pass
+        assert journal._held_locks() == []
 
     def test_cross_module_call_edge_closes_a_cycle(self, tmp_path):
-        """One level of call-graph reasoning: cache.py never takes the
-        queue lock directly, but calls a workqueue helper that does —
-        while holding store, against workqueue's queue-then-store."""
-        report = lint_snippets(str(tmp_path), {
-            "core/workqueue.py": """\
-            from repro.core.journal import flock_bounded, release_flock
-
-
-            def drain(lock, handle):
-                locked, _ = flock_bounded(lock, name="queue")
-                inner, _ = flock_bounded(handle, name="store")
-                release_flock(handle, inner, name="store")
-                release_flock(lock, locked, name="queue")
-
-
-            def lock_queue(lock):
-                locked, _ = flock_bounded(lock, name="queue")
-                return locked
-            """,
-            "core/cache.py": """\
-            from repro.core.journal import flock_bounded, release_flock
-            from repro.core.workqueue import lock_queue
-
-
-            def compact(handle, lock):
-                locked, _ = flock_bounded(handle, name="store")
-                try:
-                    lock_queue(lock)
-                finally:
-                    release_flock(handle, locked, name="store")
-            """,
-        })
-        assert codes(report) == ["RPR161", "RPR161"]
+        """Call depth does not hide an edge: a store append reached
+        while the quarantine lock is held raises inside the writer."""
+        with lock_file(tmp_path, "x") as lock, lock_scope(
+            lock, "quarantine"
+        ):
+            with pytest.raises(LockOrderError, match="'store' lock"):
+                append_entry(
+                    str(tmp_path / "s.jsonl"), {"key": "k", "data": {}}
+                )
+        assert journal._held_locks() == []
 
     def test_unsorted_multi_acquisition_is_flagged(self, tmp_path):
-        report = lint_snippets(str(tmp_path), {
-            "core/workqueue.py": """\
-            from repro.core.journal import flock_bounded
-
-
-            def lock_all(paths):
-                held = []
-                for path in paths:
-                    handle = open(path, "a+")
-                    locked, _ = flock_bounded(handle, name="queue")
-                    held.append((handle, locked))
-                return held
-            """,
-        })
-        assert codes(report) == ["RPR161"]
-        assert "not provably sorted" in report.violations[0].message
+        with lock_file(tmp_path, "b") as second, lock_file(
+            tmp_path, "a"
+        ) as first, lock_scope(second, "queue"):
+            with pytest.raises(LockOrderError, match="increasing path"):
+                with lock_scope(first, "queue"):
+                    pass
+            # Re-entering the same queue lock is out of order too.
+            with pytest.raises(LockOrderError):
+                with lock_scope(second, "queue"):
+                    pass
 
     def test_sorted_multi_acquisition_is_clean(self, tmp_path):
-        report = lint_snippets(str(tmp_path), {
-            "core/workqueue.py": """\
-            import os
-
-            from repro.core.journal import flock_bounded
-
-
-            def lock_all(root):
-                queue_paths = sorted(os.listdir(root))
-                held = []
-                for path in queue_paths:
-                    handle = open(path, "a+")
-                    locked, _ = flock_bounded(handle, name="queue")
-                    held.append((handle, locked))
-                return held
-            """,
-        })
-        assert codes(report) == []
+        with lock_file(tmp_path, "a") as first, lock_file(
+            tmp_path, "b"
+        ) as second:
+            with lock_scope(first, "queue"), lock_scope(second, "queue"):
+                assert [n for n, _ in journal._held_locks()] == [
+                    "queue", "queue",
+                ]
+        assert journal._held_locks() == []
 
     def test_consistent_order_across_modules_is_clean(self, tmp_path):
-        report = lint_snippets(str(tmp_path), {
-            "core/workqueue.py": """\
-            from repro.core.journal import flock_bounded, release_flock
+        """Deposit's queue→store and doctor's store→quarantine, through
+        the real writers."""
+        store = str(tmp_path / "s.jsonl")
+        with lock_file(tmp_path, "q") as lock, lock_scope(lock, "queue"):
+            append_entry(store, {"key": "k", "data": {}})
 
+        def mend(blob):
+            quarantine_lines(store + ".quarantine", [b"damaged"])
+            return None
 
-            def drain(lock, handle):
-                locked, _ = flock_bounded(lock, name="queue")
-                inner, _ = flock_bounded(handle, name="store")
-                release_flock(handle, inner, name="store")
-                release_flock(lock, locked, name="queue")
-            """,
-            "core/doctor.py": """\
-            from repro.core.journal import flock_bounded, release_flock
+        rewrite_store(store, mend, kind="repair")
+        with open(store + ".quarantine", "rb") as handle:
+            assert handle.read() == b"damaged\n"
 
+    def test_timed_out_scope_still_proceeds_and_pops(
+        self, tmp_path, monkeypatch
+    ):
+        """A lock that times out enters the body unlocked, counted as a
+        timeout, and the held stack still mirrors the nesting."""
+        fcntl = pytest.importorskip("fcntl")
+        real_flock = journal.flock_bounded
+        monkeypatch.setattr(
+            journal, "flock_bounded",
+            lambda handle, **kwargs: real_flock(
+                handle, timeout=0.05, **kwargs
+            ),
+        )
 
-            def mend(handle, sidecar):
-                locked, _ = flock_bounded(handle, name="store")
-                inner, _ = flock_bounded(sidecar, name="quarantine")
-                release_flock(sidecar, inner, name="quarantine")
-                release_flock(handle, locked, name="store")
-            """,
-        })
-        assert codes(report) == []
+        class Counters:
+            lock_retries = 0
+            lock_timeouts = 0
 
-    def test_suppression_is_honored(self, tmp_path):
-        report = lint_snippets(str(tmp_path), {
-            "core/workqueue.py": """\
-            from repro.core.journal import flock_bounded
-
-
-            def lock_all(paths):
-                held = []
-                for path in paths:
-                    handle = open(path, "a+")
-                    locked, _ = flock_bounded(handle, name="queue")  # repro-lint: disable=RPR161 (fixture: caller pre-sorts, proof is one frame up)
-                    held.append((handle, locked))
-                return held
-            """,
-        })
-        assert codes(report) == []
-        assert report.suppressed == 1
+        counters = Counters()
+        path = str(tmp_path / "q.lock")
+        with open(path, "a+") as holder, open(path, "a+") as waiter:
+            fcntl.flock(holder.fileno(), fcntl.LOCK_EX)
+            with lock_scope(waiter, "queue", stats=counters):
+                assert [n for n, _ in journal._held_locks()] == ["queue"]
+        assert counters.lock_timeouts == 1
+        assert counters.lock_retries >= 1
+        assert journal._held_locks() == []
 
 
 # ---------------------------------------------------------------------------
-# RPR162 — fencing-token flow
+# Fencing: a stale token cannot write through
 # ---------------------------------------------------------------------------
 
 
 class TestFencingRule:
+    """``WorkQueue.deposit`` checks the unit's fencing token inside its
+    transaction before running the write-through (the zombie test in
+    ``test_crash_chaos.py`` pins the end-to-end shape)."""
+
+    def _leased(self, tmp_path):
+        queue = WorkQueue(str(tmp_path), "SKL", salt="s")
+        queue.enqueue([WorkUnit(key="k" * 64, uid="NOP")])
+        (unit,) = queue.lease("owner")
+        return queue, unit
+
     def test_unguarded_write_through_is_flagged(self, tmp_path):
-        report = lint_snippets(str(tmp_path), {
-            "core/workqueue.py": """\
-            def deposit(state, key, fence, write):
-                write()
-            """,
-        })
-        assert codes(report) == ["RPR162"]
-        assert "freshness check" in report.violations[0].message
+        queue, unit = self._leased(tmp_path)
+        writes = []
+        verdict = queue.deposit(
+            unit.key, "owner", unit.fence - 1, lambda: writes.append(1)
+        )
+        assert verdict == "fenced" and writes == []
+        assert queue.counters()["zombie_writes"] == 1
 
     def test_constant_fence_argument_is_flagged(self, tmp_path):
-        report = lint_snippets(str(tmp_path), {
-            "core/sweep.py": """\
-            def publish(queue, key, payload):
-                queue.deposit(key, "owner", 7, payload)
-            """,
-        })
-        assert codes(report) == ["RPR162"]
-        assert "fencing token" in report.violations[0].message
+        queue, unit = self._leased(tmp_path)
+        writes = []
+        verdict = queue.deposit(
+            unit.key, "owner", 7, lambda: writes.append(1)
+        )
+        assert verdict == "fenced" and writes == []
 
     def test_guarded_write_through_is_clean(self, tmp_path):
-        report = lint_snippets(str(tmp_path), {
-            "core/workqueue.py": """\
-            def deposit(state, key, fence, write):
-                if state.get("fence", 0) != fence:
-                    return "fenced"
-                write()
-            """,
-        })
-        assert codes(report) == []
+        queue, unit = self._leased(tmp_path)
+        held = []
+        verdict = queue.deposit(
+            unit.key, "owner", unit.fence,
+            lambda: held.append(
+                [name for name, _ in journal._held_locks()]
+            ),
+        )
+        # The write-through runs inside the queue transaction.
+        assert verdict == "acked" and held == [["queue"]]
 
-    def test_derived_freshness_flag_is_clean(self, tmp_path):
-        """The guard may test a value *derived* from the token (the
-        real deposit computes ``fresh`` first, for the trace)."""
-        report = lint_snippets(str(tmp_path), {
-            "core/workqueue.py": """\
-            def deposit(state, key, fence, write):
-                fresh = state.get("fence", 0) == fence
-                if not fresh:
-                    return "fenced"
-                write()
-            """,
-        })
-        assert codes(report) == []
+    def test_derived_freshness_flag_is_clean(self, tmp_path, monkeypatch):
+        """The fence check derives one ``fresh`` flag from the token and
+        traces it under the queue lock, before any write-through."""
+        trace = str(tmp_path / "trace.jsonl")
+        monkeypatch.setenv(LOCK_TRACE_ENV, trace)
+        queue, unit = self._leased(tmp_path)
+        queue.deposit(unit.key, "owner", unit.fence + 1, lambda: None)
+        queue.deposit(unit.key, "owner", unit.fence, lambda: None)
+        with open(trace, encoding="utf-8") as handle:
+            checks = [
+                record for record in map(json.loads, handle)
+                if record["event"] == "fence-check"
+            ]
+        assert [r["fresh"] for r in checks] == [False, True]
+        assert all(r["held"] == ["queue"] for r in checks)
 
     def test_real_fence_argument_is_clean(self, tmp_path):
-        report = lint_snippets(str(tmp_path), {
-            "core/sweep.py": """\
-            def publish(queue, unit, payload):
-                queue.deposit(unit.key, "owner", unit.fence, payload)
-            """,
-        })
-        assert codes(report) == []
-
-    def test_suppression_is_honored(self, tmp_path):
-        report = lint_snippets(str(tmp_path), {
-            "core/workqueue.py": """\
-            def deposit(state, key, fence, write):
-                write()  # repro-lint: disable=RPR162 (fixture: single-writer bootstrap path, leases cannot be stolen)
-            """,
-        })
-        assert codes(report) == []
-        assert report.suppressed == 1
+        """The token a lease hands out is the one deposit accepts; a
+        steal bumps it, fencing the previous holder out."""
+        queue, unit = self._leased(tmp_path)
+        queue.expire_owner("owner")
+        (stolen,) = queue.lease("thief")
+        assert stolen.fence == unit.fence + 1
+        assert queue.deposit(
+            unit.key, "owner", unit.fence, lambda: None
+        ) == "fenced"
+        assert queue.deposit(
+            stolen.key, "thief", stolen.fence, lambda: None
+        ) == "acked"
 
 
 # ---------------------------------------------------------------------------
-# RPR163 — crash-site coverage
+# Crash sites: derived from the writers' declarations and the kind table
 # ---------------------------------------------------------------------------
-
-#: A minimal journal: the real writer idioms (f-string crash templates,
-#: kind defaults, internal flock, durable opens) without the real code.
-JOURNAL_FIXTURE = """\
-import os
-
-from repro.measure.faults import maybe_crash
-
-
-def flock_bounded(handle, timeout=5.0, salt="", name="store"):
-    return True, 0
-
-
-def release_flock(handle, locked, name="store"):
-    return None
-
-
-def append_entry(path, entry, kind="cache"):
-    maybe_crash(f"{kind}.pre-append")
-    with open(path, "ab") as handle:
-        handle.write(entry)
-    maybe_crash(f"{kind}.post-append")
-
-
-def publish_blob(path, blob, kind="queue"):
-    maybe_crash(f"{kind}.pre-rename")
-    os.replace(path + ".tmp", path)
-"""
 
 
 class TestCrashSiteCoverageRule:
     def test_unregistered_kind_is_flagged_at_the_call(self, tmp_path):
-        report = lint_snippets(str(tmp_path), {
-            "core/journal.py": JOURNAL_FIXTURE,
-            "measure/faults.py": """\
-            CRASH_SITES = (
-                "cache.pre-append",
-                "cache.post-append",
-                "queue.pre-rename",
-            )
-            """,
-            "core/ledger.py": """\
-            from repro.core.journal import append_entry
+        path = str(tmp_path / "ledger.jsonl")
+        for write in (
+            lambda: append_entry(path, {"key": "k", "data": {}},
+                                 kind="ledger"),
+            lambda: quarantine_lines(path, [b"x"], kind="ledger"),
+            lambda: publish_blob(path, STATE, kind="ledger"),
+            lambda: rewrite_store(path, lambda blob: blob, kind="ledger"),
+            # A known kind handed to a writer that does not own it.
+            lambda: append_entry(path, {"key": "k", "data": {}},
+                                 kind="queue"),
+        ):
+            with pytest.raises(ValueError, match="'(ledger|queue)'"):
+                write()
+        assert os.listdir(str(tmp_path)) == []
 
-
-            def record(path, entry):
-                append_entry(path, entry, kind="ledger")
-            """,
-        })
-        assert codes(report) == ["RPR163"]
-        violation = report.violations[0]
-        assert violation.path.endswith("core/ledger.py")
-        assert "ledger.post-append" in violation.message
-        assert "ledger.pre-append" in violation.message
-
-    def test_stale_registry_entry_is_flagged(self, tmp_path):
-        report = lint_snippets(str(tmp_path), {
-            "core/journal.py": JOURNAL_FIXTURE,
-            "core/workqueue.py": "",
-            "core/cache.py": "",
-            "core/doctor.py": "",
-            "measure/faults.py": """\
-            CRASH_SITES = (
-                "cache.pre-append",
-                "cache.post-append",
-                "queue.pre-rename",
-                "ghost.pre-append",
-            )
-            """,
-        })
-        assert codes(report) == ["RPR163"]
-        violation = report.violations[0]
-        assert violation.path.endswith("measure/faults.py")
-        assert "'ghost.pre-append'" in violation.message
-
-    def test_stale_check_needs_the_whole_layer(self, tmp_path):
-        """With only part of the persistence layer in the fileset, a
-        registry entry may be reached by an unseen file: no stale
-        finding (the missing-site direction still applies)."""
-        report = lint_snippets(str(tmp_path), {
-            "core/journal.py": JOURNAL_FIXTURE,
-            "measure/faults.py": """\
-            CRASH_SITES = (
-                "cache.pre-append",
-                "cache.post-append",
-                "queue.pre-rename",
-                "ghost.pre-append",
-            )
-            """,
-        })
-        assert codes(report) == []
+    def test_stale_registry_entry_is_flagged(self):
+        """Every registered site names a table kind and a suffix its
+        writer declares: no entry can outlive its writer."""
+        for site in CRASH_SITES:
+            kind, _, suffix = site.partition(".")
+            _, writer = journal.STORE_KINDS[kind]
+            assert suffix in journal.WRITER_SITES[writer], site
 
     def test_durable_writer_without_crash_points_is_flagged(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
-        report = lint_snippets(str(tmp_path), {
-            "core/journal.py": JOURNAL_FIXTURE + """\
+        """Every site the writers actually reach is registered, and
+        every registered site is reached: the registry is exactly what
+        the write paths do."""
+        reached = []
+        monkeypatch.setattr(journal, "maybe_crash", reached.append)
+        monkeypatch.setattr(
+            journal, "_crash_armed",
+            lambda site: reached.append(site) or False,
+        )
+        store = str(tmp_path / "s.jsonl")
+        for kind in ("cache", "memo"):
+            append_entry(store, {"key": "k", "data": {}}, kind=kind)
+        quarantine_lines(store + ".quarantine", [b"damaged"])
+        for kind in ("queue", "manifest"):
+            with lock_file(tmp_path, kind) as lock, lock_scope(lock, kind):
+                publish_blob(str(tmp_path / kind), STATE, kind=kind)
+        for kind in ("compact", "repair"):
+            rewrite_store(store, lambda blob: blob, kind=kind)
+        assert set(reached) == set(CRASH_SITES)
 
-
-def sneaky_write(path, blob):
-    with open(path, "ab") as handle:
-        handle.write(blob)
-""",
-            "measure/faults.py": """\
-            CRASH_SITES = (
-                "cache.pre-append",
-                "cache.post-append",
-                "queue.pre-rename",
-            )
-            """,
-        })
-        assert codes(report) == ["RPR163"]
-        assert "sneaky_write" in report.violations[0].message
-
-    def test_matching_registry_is_clean(self, tmp_path):
-        report = lint_snippets(str(tmp_path), {
-            "core/journal.py": JOURNAL_FIXTURE,
-            "core/workqueue.py": "",
-            "core/cache.py": "",
-            "core/doctor.py": "",
-            "measure/faults.py": """\
-            CRASH_SITES = (
-                "cache.pre-append",
-                "cache.post-append",
-                "queue.pre-rename",
-            )
-            """,
-        })
-        assert codes(report) == []
-
-    def test_suppression_is_honored(self, tmp_path):
-        report = lint_snippets(str(tmp_path), {
-            "core/journal.py": JOURNAL_FIXTURE,
-            "measure/faults.py": """\
-            CRASH_SITES = (
-                "cache.pre-append",
-                "cache.post-append",
-                "queue.pre-rename",
-            )
-            """,
-            "core/ledger.py": """\
-            from repro.core.journal import append_entry
-
-
-            def record(path, entry):
-                append_entry(path, entry, kind="ledger")  # repro-lint: disable=RPR163 (fixture: scratch ledger, rebuilt from source on loss)
-            """,
-        })
-        assert codes(report) == []
-        assert report.suppressed == 1
+    def test_matching_registry_is_clean(self):
+        assert CRASH_SITES == (
+            "cache.pre-append",
+            "cache.mid-append",
+            "cache.pre-fsync",
+            "cache.post-append",
+            "memo.pre-append",
+            "memo.mid-append",
+            "memo.pre-fsync",
+            "memo.post-append",
+            "quarantine.pre-append",
+            "quarantine.post-append",
+            "queue.pre-rename",
+            "queue.post-rename",
+            "manifest.pre-rename",
+            "manifest.post-rename",
+        )
+        assert CRASH_SITES is journal.CRASH_SITES
 
 
 # ---------------------------------------------------------------------------
-# The static model of the real tree
+# The lock table of the real tree
 # ---------------------------------------------------------------------------
 
 
 class TestStaticLockModel:
     def test_current_tree_has_no_concurrency_findings(self):
-        report = run_lint(
-            select=["RPR160", "RPR161", "RPR162", "RPR163"]
-        )
+        """No module outside the journal opens a store for appending or
+        in-place rewriting."""
+        report = run_lint(select=["RPR150"])
         assert [v.render() for v in report.violations] == []
 
     def test_model_matches_the_documented_invariants(self):
-        model = build_lock_model()
-        assert ["queue", "store"] in model["edges"]
-        assert ["store", "quarantine"] in model["edges"]
-        assert model["ordered_self"] == ["queue"]
-        assert model["required_lock"] == {
+        assert journal.LOCK_ORDER == {
+            ("queue", "store"), ("store", "quarantine"),
+        }
+        assert journal.ORDERED_SELF == {"queue"}
+        assert {
+            kind: lock for kind, (lock, _) in journal.STORE_KINDS.items()
+        } == {
             "cache": "store",
             "compact": "store",
             "manifest": "manifest",
@@ -582,14 +438,13 @@ class TestStaticLockModel:
             "queue": "queue",
             "repair": "store",
         }
-        assert model["locks"] == [
+        assert journal.LOCK_CLASSES == (
             "manifest", "quarantine", "queue", "store",
-        ]
+        )
 
     def test_model_graph_is_acyclic(self):
-        model = build_lock_model()
         adjacency = {}
-        for held, acquired in model["edges"]:
+        for held, acquired in journal.LOCK_ORDER:
             adjacency.setdefault(held, []).append(acquired)
 
         def reaches(start, goal, seen):
@@ -602,14 +457,13 @@ class TestStaticLockModel:
                         return True
             return False
 
-        for held, acquired in model["edges"]:
+        for held, acquired in journal.LOCK_ORDER:
             assert not reaches(acquired, held, {acquired}), (
                 f"cycle through {held} -> {acquired}"
             )
 
-
 # ---------------------------------------------------------------------------
-# The dynamic oracle: REPRO_LOCK_TRACE vs. the static model
+# The dynamic oracle: REPRO_LOCK_TRACE vs. the journal's lock table
 # ---------------------------------------------------------------------------
 
 
@@ -719,41 +573,40 @@ class TestDynamicOracle:
         fences = [r for r in records if r["event"] == "fence-check"]
         assert acquires and writes and fences
 
-        model = build_lock_model()
-        model_edges = {tuple(edge) for edge in model["edges"]}
-        self_edges = {
-            (lock, lock) for lock in model["ordered_self"]
-        }
+        model_edges = set(journal.LOCK_ORDER)
+        self_edges = {(lock, lock) for lock in journal.ORDERED_SELF}
 
         observed_edges = set()
         for record in acquires:
             for held in record["held"]:
                 observed_edges.add((held, record["lock"]))
 
-        # Dynamic ⊆ static: every realized ordering must be modeled.
+        # Dynamic ⊆ table: every realized ordering must be allowed.
         unmodeled = observed_edges - model_edges - self_edges
         assert not unmodeled, (
-            f"trace realized lock orders the static model forbids: "
+            f"trace realized lock orders the lock table forbids: "
             f"{sorted(unmodeled)}"
         )
-        # Static ⊆ dynamic: every modeled ordering must be realized —
-        # a model edge the trace never witnesses is stale.
+        # Table ⊆ dynamic: every allowed ordering must be realized —
+        # a table edge the trace never witnesses is stale.
         unrealized = (model_edges | self_edges) - observed_edges
         assert not unrealized, (
-            f"static model claims lock orders the trace never "
+            f"lock table allows orders the trace never "
             f"realized: {sorted(unrealized)}"
         )
 
         # Locksets: every durable write happened under the lock class
-        # the model requires, and every modeled kind was witnessed.
-        required = model["required_lock"]
+        # the table requires, and every table kind was witnessed.
+        required = {
+            kind: lock for kind, (lock, _) in journal.STORE_KINDS.items()
+        }
         for record in writes:
             assert record["store"] in required, record
             assert required[record["store"]] in record["held"], record
         assert {r["store"] for r in writes} == set(required)
 
-        # Lock classes: exactly the model's, no unknown names.
-        assert {r["lock"] for r in acquires} == set(model["locks"])
+        # Lock classes: exactly the table's, no unknown names.
+        assert {r["lock"] for r in acquires} == set(journal.LOCK_CLASSES)
 
         # Fencing: every fence check ran under the queue lock, and
         # every deposit write-through (a cache/memo write while the
@@ -933,12 +786,10 @@ class TestChangedFlag:
 class TestParallelJobs:
     def test_jobs_report_is_byte_identical_to_serial(self, tmp_path):
         sources = {
-            "core/workqueue.py": """\
-            from repro.core.journal import publish_blob
-
-
-            def save(path, state):
-                publish_blob(path, state, kind="queue")
+            "pipeline/core.py": """\
+            def drain(a, b):
+                for item in a + b:
+                    yield item
             """,
             "a.py": CLEAN_SNIPPET,
             "b.py": "x = 1  # repro-lint: disable=RPR101\n",

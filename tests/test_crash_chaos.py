@@ -46,6 +46,7 @@ from repro.core.journal import (
     CRASH_POINT_ENV,
     DURABILITY_ENV,
     append_entry,
+    lock_scope,
     publish_blob,
     quarantine_lines,
     scan_journal,
@@ -128,10 +129,13 @@ def _quarantine_child(root, spec, count):
 def _publish_child(root, kind, spec):
     _arm(spec)
     path = os.path.join(root, "state.json")
-    publish_blob(path, {"salt": SALT, "units": {}}, kind=kind)
-    publish_blob(
-        path, {"salt": SALT, "units": {"a": {"i": 1}}}, kind=kind
-    )
+    # Queue and manifest states publish under the lock class of the
+    # same name.
+    with open(path + ".lock", "a+") as lock, lock_scope(lock, kind):
+        publish_blob(path, {"salt": SALT, "units": {}}, kind=kind)
+        publish_blob(
+            path, {"salt": SALT, "units": {"a": {"i": 1}}}, kind=kind
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from repro.core.journal import (
     encode_entry,
     flock_bounded,
     line_crc,
+    lock_scope,
     publish_blob,
     scan_journal,
 )
@@ -233,6 +234,16 @@ class TestBoundedFlock:
         assert not locked
         assert retries >= 1
 
+    def test_raw_flock_leaves_the_held_stack_alone(self, tmp_path):
+        """The raw primitive never touches the held-lock stack, so a
+        caller releasing through ``fcntl`` directly cannot leave a
+        phantom lock class behind for later scopes on this thread."""
+        with open(tmp_path / "l", "a+") as handle:
+            locked, _ = flock_bounded(handle)
+            assert locked
+            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+        assert journal._held_locks() == []
+
     def test_retry_delay_deterministic_and_capped(self):
         for attempt in (1, 3, 10):
             a = journal._retry_delay(attempt, "salt")
@@ -246,8 +257,11 @@ class TestBoundedFlock:
 class TestPublishBlob:
     def test_publish_is_atomic_and_leaves_no_tmp(self, tmp_path):
         path = str(tmp_path / "state.json")
-        publish_blob(path, {"salt": "s", "units": {}}, kind="queue")
-        publish_blob(path, {"salt": "s", "units": {"a": 1}}, kind="queue")
+        with open(path + ".lock", "a+") as lock, lock_scope(lock, "queue"):
+            publish_blob(path, {"salt": "s", "units": {}}, kind="queue")
+            publish_blob(
+                path, {"salt": "s", "units": {"a": 1}}, kind="queue"
+            )
         with open(path, "r", encoding="utf-8") as handle:
             state, problem = decode_blob(handle.read())
         assert problem is None

@@ -322,9 +322,9 @@ class TestStructuralMemo:
         memo = backend._core.analytic_memo
         assert len(memo) == 1 and memo.evictions == 1
         assert all(isinstance(k, bytes) and len(k) == 32 for k in memo)
-        # Evictions of all three bounded stores are reported together.
-        assert backend.cache_evictions == 3
-        assert backend.snapshot().cache_evictions == 3
+        # Evictions of both bounded stores are reported together.
+        assert backend.cache_evictions == 2
+        assert backend.snapshot().cache_evictions == 2
 
 
 class TestFormBlockerCache:

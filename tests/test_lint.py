@@ -622,7 +622,6 @@ class TestFramework:
         expected = {
             "RPR100", "RPR101", "RPR102", "RPR110", "RPR112",
             "RPR120", "RPR130", "RPR131",
-            "RPR160", "RPR161", "RPR162", "RPR163",
             "RPR201", "RPR202", "RPR203", "RPR204", "RPR205",
             "RPR999",
         }

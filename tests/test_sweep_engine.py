@@ -266,7 +266,7 @@ class TestStatistics:
         drainers' cache and queue locks."""
         import os
 
-        from repro.core import journal, workqueue
+        from repro.core import journal
 
         acquired = str(tmp_path / "acquired.log")
         real_flock = journal.flock_bounded
@@ -282,9 +282,8 @@ class TestStatistics:
                 os.close(fd)
             return locked, 1
 
-        # Drainers are forked, so both patches reach them.
+        # Drainers are forked, so the patch reaches them.
         monkeypatch.setattr(journal, "flock_bounded", one_retry_each)
-        monkeypatch.setattr(workqueue, "flock_bounded", one_retry_each)
         engine = SweepEngine(
             "SKL", db, jobs=2, cache=ResultCache(str(tmp_path / "cache"))
         )
