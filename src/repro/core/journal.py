@@ -26,8 +26,8 @@ module, so crash safety is implemented (and chaos-tested) exactly once:
   table below (:data:`LOCK_ORDER`, :data:`ORDERED_SELF`,
   :data:`STORE_KINDS`) on entry and raises :class:`LockOrderError` for
   a nesting the table does not allow; :func:`publish_blob` raises
-  unless its kind's lock scope is held, and every writer rejects a kind
-  it does not own with ``ValueError``.
+  unless its kind's lock scope is held, and every writer that takes a
+  kind rejects one it does not own with ``ValueError``.
 * **Durability policy** (``REPRO_DURABILITY``): ``fsync`` syncs every
   append and every atomic-rename publish; ``batch`` (the default) skips
   the per-append fsync — completed ``write()`` syscalls survive process
@@ -134,10 +134,6 @@ def _crash_armed(site: str) -> bool:
 # The persistence invariants, as one table
 # ---------------------------------------------------------------------------
 
-#: Lock classes.  A class names a family of files sharing one
-#: discipline, not a path: every ``<uarch>.queue.json.lock`` is "queue".
-LOCK_CLASSES = ("manifest", "quarantine", "queue", "store")
-
 #: ``(held, acquired)`` pairs a thread may nest.  A queue transaction
 #: writes through to the result store (``WorkQueue.deposit``) and GC
 #: compacts the stores under every queue lock; doctor quarantines
@@ -176,6 +172,11 @@ STORE_KINDS = {
     "compact": ("store", "rewrite"),
     "repair": ("store", "rewrite"),
 }
+
+#: Lock classes, derived from the kind table.  A class names a family
+#: of files sharing one discipline, not a path: every
+#: ``<uarch>.queue.json.lock`` is "queue".
+LOCK_CLASSES = tuple(sorted({lock for lock, _ in STORE_KINDS.values()}))
 
 #: Every named crash point, derived from the two tables above (the
 #: registry :mod:`repro.measure.faults` re-exports).
@@ -590,29 +591,30 @@ def quarantine_lines(
     path: str,
     lines: List[bytes],
     durability: Optional[str] = None,
-    kind: str = "quarantine",
 ) -> None:
     """Append raw damaged lines to the quarantine sidecar at *path*.
 
     Quarantined bytes are preserved verbatim — they failed to decode,
     so they cannot be re-encoded through :func:`append_entry` — but the
     append still goes through this module (lint RPR150) so it shares
-    the lock scope, the durability policy, and the ``{kind}.pre-append``
-    / ``{kind}.post-append`` crash points with every other writer.
+    the lock scope, the durability policy, and the
+    ``quarantine.pre-append`` / ``quarantine.post-append`` crash points
+    with every other writer.
     """
-    lock = _lock_for(kind, "quarantine")
     if not lines:
         return
     mode = durability_mode(durability)
-    maybe_crash(f"{kind}.pre-append")
-    with open(path, "ab+") as handle, lock_scope(handle, lock, salt=path):
-        trace_event("write", store=kind)
+    maybe_crash("quarantine.pre-append")
+    with open(path, "ab+") as handle, lock_scope(
+        handle, "quarantine", salt=path
+    ):
+        trace_event("write", store="quarantine")
         handle.seek(0, os.SEEK_END)
         handle.write(b"\n".join(lines) + b"\n")
         handle.flush()
         if mode == "fsync":
             os.fsync(handle.fileno())
-    maybe_crash(f"{kind}.post-append")
+    maybe_crash("quarantine.post-append")
 
 
 def publish_blob(
@@ -660,7 +662,6 @@ def rewrite_store(
     path: str,
     rewrite: Callable[[bytes], Optional[bytes]],
     kind: str,
-    durability: Optional[str] = None,
 ) -> None:
     """Rewrite the JSONL store at *path* in place, under its lock.
 
@@ -686,5 +687,5 @@ def rewrite_store(
         handle.truncate()
         handle.write(replacement)
         handle.flush()
-        if durability_mode(durability) != "off":
+        if durability_mode() != "off":
             os.fsync(handle.fileno())

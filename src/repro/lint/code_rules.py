@@ -21,10 +21,12 @@ generic linter can know:
   ``BackendError`` taxonomy, and no broad ``except`` may silently
   swallow a ``TransientBackendError``.
 * ``RPR150`` — every append-mode or ``r+`` ``open()`` outside
-  :mod:`repro.core.journal` is a crash-safety bypass: durable appends
-  and in-place rewrites must go through the shared journal writers so
-  torn-tail recovery, CRCs, the lock scope, durability policy, and
-  crash points cover them.
+  :mod:`repro.core.journal`, and every ``w``/``x`` ``open()`` in the
+  persistence modules (``core/cache.py``, ``core/workqueue.py``,
+  ``core/doctor.py``), is a crash-safety bypass: durable appends,
+  in-place rewrites and whole-file replacements must go through the
+  shared journal writers so torn-tail recovery, CRCs, the lock scope,
+  durability policy, and crash points cover them.
 
 Facts for the ``RPR203`` catalog-reference check in
 :mod:`repro.lint.model_rules` are extracted here so they ride the
@@ -141,7 +143,8 @@ RPR150 = register_rule(
     "RPR150",
     "raw-append-outside-journal",
     SEVERITY_ERROR,
-    "append-mode or r+ open() bypasses the shared crash-safe journal writers",
+    "append, r+, or store-replacing open() bypasses the shared "
+    "crash-safe journal writers",
 )
 
 
@@ -688,13 +691,22 @@ def extract_catalog_refs(path: str, tree: ast.AST) -> Dict[str, Any]:
 #: without truncating it and never writes a byte through the handle.
 _ALLOWED_APPEND_MODES = frozenset({"a+"})
 
+#: Modules that open the persistent stores themselves.  In these a
+#: truncating or exclusive-create open (``w``/``x``) would replace store
+#: bytes outside the journal too, so RPR150 flags those modes as well.
+_PERSISTENCE_SUFFIXES = (
+    "core/cache.py",
+    "core/workqueue.py",
+    "core/doctor.py",
+)
+
 
 @file_rule(RPR150)
 def check_raw_append(
     path: str, tree: ast.AST, lines: Sequence[str]
 ) -> List[Violation]:
     """Flag append-mode and ``r+`` ``open()`` calls outside the
-    journal module.
+    journal module, and ``w``/``x`` opens in the persistence modules.
 
     An append that bypasses :func:`repro.core.journal.append_entry`
     gets none of the crash-safety machinery — no per-line CRC, no
@@ -702,10 +714,14 @@ def check_raw_append(
     crash points — so a SIGKILL mid-write silently re-introduces the
     exact corruption class the journal eliminates.  An ``r+`` open is
     an in-place rewrite, which belongs to
-    :func:`~repro.core.journal.rewrite_store` for the same reasons.
+    :func:`~repro.core.journal.rewrite_store` for the same reasons, and
+    in a persistence module so is a truncating ``w`` or exclusive
+    ``x`` open (whole-file states publish through
+    :func:`~repro.core.journal.publish_blob`).
     """
     if path.endswith("core/journal.py"):
         return []
+    replaces = path.endswith(_PERSISTENCE_SUFFIXES)
     violations = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -725,7 +741,8 @@ def check_raw_append(
         ):
             continue
         writes_in_place = "r" in mode.value and "+" in mode.value
-        if "a" not in mode.value and not writes_in_place:
+        replaces_store = replaces and ("w" in mode.value or "x" in mode.value)
+        if "a" not in mode.value and not (writes_in_place or replaces_store):
             continue
         if mode.value in _ALLOWED_APPEND_MODES:
             continue
@@ -735,7 +752,8 @@ def check_raw_append(
                 f"open(..., {mode.value!r}) writes a store outside "
                 "repro.core.journal; route durable writes through "
                 "journal.append_entry / quarantine_lines / "
-                "rewrite_store ('a+' lock files are exempt)",
+                "publish_blob / rewrite_store ('a+' lock files are "
+                "exempt)",
             )
         )
     return violations

@@ -122,6 +122,27 @@ class TestLocksetRule:
         assert codes(report) == ["RPR150"]
         assert "rewrite_store" in report.violations[0].message
 
+    def test_truncating_open_in_persistence_module_is_flagged(
+        self, tmp_path
+    ):
+        """A ``w``/``x`` open replaces store bytes outside the journal
+        in the persistence modules; elsewhere it is an ordinary write."""
+        body = """\
+            def clobber(path, payload):
+                with open(path, "wb") as handle:
+                    handle.write(payload)
+                with open(path + ".new", mode="x") as handle:
+                    handle.write("")
+            """
+        report = lint_snippets(str(tmp_path), {
+            "core/workqueue.py": body,
+            "analysis/report.py": body,
+        })
+        assert codes(report) == ["RPR150", "RPR150"]
+        assert all(
+            v.path.endswith("core/workqueue.py") for v in report.violations
+        )
+
     def test_publish_under_lock_is_clean(self, tmp_path):
         path = str(tmp_path / "q.json")
         with lock_file(tmp_path, "q") as lock, lock_scope(lock, "queue"):
@@ -348,7 +369,6 @@ class TestCrashSiteCoverageRule:
         for write in (
             lambda: append_entry(path, {"key": "k", "data": {}},
                                  kind="ledger"),
-            lambda: quarantine_lines(path, [b"x"], kind="ledger"),
             lambda: publish_blob(path, STATE, kind="ledger"),
             lambda: rewrite_store(path, lambda blob: blob, kind="ledger"),
             # A known kind handed to a writer that does not own it.
