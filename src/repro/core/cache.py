@@ -446,6 +446,36 @@ def catalog_context_digest(database, uarch) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def catalog_context_key(database, uarch, salt: str) -> str:
+    """Cheap digest of everything :func:`catalog_context_digest` reads.
+
+    ``build_entry`` is a function of the form's catalog entry
+    (:meth:`InstructionForm.fingerprint_payload`), the generation's
+    knobs and the table modules of :mod:`repro.uarch`, so hashing those
+    — without running the rules — identifies the digest.  The sweep
+    persists ``{key, digest}`` in the manifest and recomputes the
+    digest only when this key moves.
+    """
+    import repro.uarch
+
+    tables = os.path.dirname(os.path.abspath(repro.uarch.__file__))
+    hasher = hashlib.sha256()
+    for name in sorted(os.listdir(tables)):
+        if name.endswith(".py"):
+            with open(os.path.join(tables, name), "rb") as handle:
+                hasher.update(name.encode("utf-8") + b"\0" + handle.read())
+    forms = sorted(
+        ([form.uid, form.fingerprint_payload()] for form in database),
+        key=lambda pair: pair[0],
+    )
+    payload = json.dumps(
+        {"salt": salt, "uarch": uarch.fingerprint_fields(), "forms": forms},
+        sort_keys=True,
+    )
+    hasher.update(payload.encode("utf-8"))
+    return hasher.hexdigest()
+
+
 def form_fingerprint(
     form,
     uarch,
@@ -564,13 +594,26 @@ class SweepManifest:
         entries = recorded.get("entries")
         return dict(entries) if isinstance(entries, dict) else {}
 
+    def context_digest(self, uarch_name: str, key: str) -> Optional[str]:
+        """The catalog context digest recorded under *key*
+        (:func:`catalog_context_key`), or ``None`` when the manifest is
+        missing, damaged, from another salt, or recorded another key."""
+        record = self._load(uarch_name).get("context")
+        if isinstance(record, dict) and record.get("key") == key:
+            digest = record.get("digest")
+            return digest if isinstance(digest, str) else None
+        return None
+
     def update(
         self,
         uarch_name: str,
         config: MeasurementConfig,
         entries: Dict[str, Dict[str, str]],
+        context: Optional[Dict[str, str]] = None,
     ) -> None:
-        """Merge *entries* into the manifest for (*uarch*, *config*)."""
+        """Merge *entries* into the manifest for (*uarch*, *config*),
+        replacing the ``{key, digest}`` catalog *context* record when
+        one is given."""
         os.makedirs(self.cache_dir, exist_ok=True)
         path = self.path_for(uarch_name)
         with open(path + ".lock", "a+", encoding="utf-8") as lock, lock_scope(
@@ -582,6 +625,8 @@ class SweepManifest:
                 digest, {"config": config.protocol_fields(), "entries": {}},
             )
             recorded["entries"].update(entries)
+            if context is not None:
+                state["context"] = context
             publish_blob(path, state, kind="manifest")
 
     def prune(self, uarch_name: str, uids) -> int:

@@ -58,6 +58,7 @@ from repro.core.cache import (
     SweepManifest,
     cache_key,
     catalog_context_digest,
+    catalog_context_key,
     form_fingerprint,
 )
 from repro.core.workqueue import LeaseHeartbeat, WorkQueue, WorkUnit
@@ -295,6 +296,9 @@ class SweepEngine:
         #: digest they embed) — computing them walks the µop tables.
         self._fingerprint_memo: Dict[str, str] = {}
         self._context_digest: Optional[str] = None
+        #: ``{key, digest}`` of a context digest computed by this engine
+        #: and not yet recorded in the manifest.
+        self._context_record: Optional[Dict[str, str]] = None
 
     # ------------------------------------------------------------------
 
@@ -400,18 +404,28 @@ class SweepEngine:
         fingerprint = self._fingerprint_memo.get(form.uid)
         if fingerprint is None:
             if self._context_digest is None:
-                self._context_digest = catalog_context_digest(
-                    self.database, self.uarch
-                )
+                self._context_digest = self._catalog_context()
             fingerprint = form_fingerprint(
                 form,
                 self.uarch,
                 self.config,
-                salt=self.cache.salt if self.cache is not None else None,
+                salt=self.cache.salt,
                 context=self._context_digest,
             )
             self._fingerprint_memo[form.uid] = fingerprint
         return fingerprint
+
+    def _catalog_context(self) -> str:
+        """The catalog context digest, served from the manifest while
+        the cheap :func:`~repro.core.cache.catalog_context_key` of its
+        inputs is unchanged; otherwise recomputed and left in
+        :attr:`_context_record` for :meth:`_record_manifest`."""
+        key = catalog_context_key(self.database, self.uarch, self.cache.salt)
+        digest = self._get_manifest().context_digest(self.uarch.name, key)
+        if digest is None:
+            digest = catalog_context_digest(self.database, self.uarch)
+            self._context_record = {"key": key, "digest": digest}
+        return digest
 
     def _get_manifest(self) -> SweepManifest:
         if self._manifest is None:
@@ -495,8 +509,10 @@ class SweepEngine:
             }
         if entries:
             self._get_manifest().update(
-                self.uarch.name, self.config, entries
+                self.uarch.name, self.config, entries,
+                context=self._context_record,
             )
+            self._context_record = None
 
     def _sweep_serial(
         self,

@@ -1,5 +1,5 @@
 """Throughput: measured (Section 5.3.1) and computed from the port usage
-via a linear program (Section 5.3.2).
+as the optimum of a linear program (Section 5.3.2).
 
 The measured (Fog-style, Definition 2) throughput runs sequences of 1, 2, 4,
 and 8 independent instruction instances (longer sequences can be *slower*,
@@ -14,15 +14,13 @@ The computed (Intel-style, Definition 1) throughput is the optimal value of
     s.t.      f(p, pc) = 0            for p not in pc
               sum_p f(p, pc) = mu_pc  for each (pc, mu_pc)
 
-solved as an LP with scipy.
+whose optimum is the bottleneck bound of :func:`solve_port_assignment`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
-
-import numpy as np
-from scipy.optimize import linprog
+from fractions import Fraction
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.codegen import (
     RegisterAllocator,
@@ -263,7 +261,20 @@ def compute_throughput_from_port_usage(
 def solve_port_assignment(
     counts: Dict[frozenset, float], ports: Sequence[int]
 ) -> Optional[tuple]:
-    """Solve the LP of Section 5.3.2.
+    """Solve the LP of Section 5.3.2 exactly, without an LP solver.
+
+    The optimum is the *bottleneck bound*: the maximum over port sets S
+    of the µops whose combination lies inside S, divided by |S| (those
+    µops can only go to the ports of S, and by max-flow/min-cut some
+    assignment meets the densest such bound).  It is computed in
+    :class:`~fractions.Fraction`s over the subsets of the usage's own
+    ports.
+
+    The loads come from peeling layers: the largest densest set S takes
+    load = density on each of its ports, the combinations inside S are
+    dropped, S is cut out of the rest, and the remainder is peeled
+    again.  That is the unique most-balanced optimal assignment — the
+    densities fall from layer to layer, so the first layer's is ``z``.
 
     Args:
         counts: µops per port combination.
@@ -274,54 +285,44 @@ def solve_port_assignment(
         ``loads`` maps each port to its assigned µop share; ``None`` if the
         usage is empty.
     """
-    combos = [(tuple(sorted(pc)), mu) for pc, mu in counts.items()]
-    if not combos:
+    remaining: Dict[int, Fraction] = {}
+    for combination, mu in counts.items():
+        mask = sum(1 << port for port in combination)
+        remaining[mask] = remaining.get(mask, 0) + Fraction(mu)
+    if not remaining:
         return None
-    ports = list(ports)
-    port_index = {p: k for k, p in enumerate(ports)}
-    # Variables: f(p, pc) for each combo and each port in that combo,
-    # plus z (the bound on the per-port load).
-    var_index = {}
-    for c, (pc, _mu) in enumerate(combos):
-        for p in pc:
-            var_index[(c, p)] = len(var_index)
-    z_index = len(var_index)
-    num_vars = z_index + 1
+    loads = {port: 0.0 for port in ports}
+    z = None
+    while remaining:
+        density, tight = _densest_set(remaining)
+        if z is None:
+            z = density
+        for port in ports:
+            if tight >> port & 1:
+                loads[port] = float(density)
+        cut: Dict[int, Fraction] = {}
+        for mask, mu in remaining.items():
+            rest = mask & ~tight
+            if rest:
+                cut[rest] = cut.get(rest, 0) + mu
+        remaining = cut
+    return float(z), loads
 
-    # Objective: minimize z.
-    objective = np.zeros(num_vars)
-    objective[z_index] = 1.0
 
-    # Equalities: per combo, sum_p f(p, pc) = mu.
-    a_eq = np.zeros((len(combos), num_vars))
-    b_eq = np.zeros(len(combos))
-    for c, (pc, mu) in enumerate(combos):
-        for p in pc:
-            a_eq[c, var_index[(c, p)]] = 1.0
-        b_eq[c] = mu
-
-    # Inequalities: per port, sum_pc f(p, pc) - z <= 0.
-    a_ub = np.zeros((len(ports), num_vars))
-    b_ub = np.zeros(len(ports))
-    for p in ports:
-        row = port_index[p]
-        for c, (pc, _mu) in enumerate(combos):
-            if p in pc:
-                a_ub[row, var_index[(c, p)]] = 1.0
-        a_ub[row, z_index] = -1.0
-
-    result = linprog(
-        objective,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(0, None)] * num_vars,
-        method="highs",
-    )
-    if not result.success:  # pragma: no cover - defensive
-        return None
-    loads = {p: 0.0 for p in ports}
-    for (c, p), index in var_index.items():
-        loads[p] += float(result.x[index])
-    return float(result.x[z_index]), loads
+def _densest_set(remaining: Dict[int, Fraction]) -> Tuple[Fraction, int]:
+    """``(density, S)`` of the largest port set S (a bit mask) maximizing
+    (µops whose combination lies inside S) / |S|.  The maximizers are
+    closed under union, so the largest one is unique."""
+    union = 0
+    for mask in remaining:
+        union |= mask
+    best = (Fraction(-1), 0, 0)
+    subset = union
+    while subset:
+        inside = sum(
+            mu for mask, mu in remaining.items() if not mask & ~subset
+        )
+        size = bin(subset).count("1")
+        best = max(best, (inside / size, size, subset))
+        subset = (subset - 1) & union
+    return best[0], best[2]

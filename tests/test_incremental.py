@@ -24,10 +24,12 @@ from repro.core.cache import (
     cache_salt,
     collect_garbage,
 )
-from repro.core.journal import encode_entry
+from repro.core import sweep as sweep_module
+from repro.core.journal import decode_blob, encode_blob, encode_entry
 from repro.core.sweep import SweepEngine
 from repro.core.workqueue import WorkQueue, WorkUnit
 from repro.isa.database import InstructionDatabase
+from repro.isa.instruction import ATTR_UNSUPPORTED
 from repro.measure.backend import HardwareBackend, MeasurementConfig
 from repro.uarch.configs import get_uarch
 
@@ -175,6 +177,99 @@ class TestIncrementalSweep:
         assert sorted(
             unit.uid for unit in work.remaining_units()
         ) == sorted(edited_uids)
+
+
+@pytest.fixture
+def digest_calls(monkeypatch):
+    """Counts the sweep's :func:`catalog_context_digest` calls."""
+    calls = []
+    real = sweep_module.catalog_context_digest
+
+    def counting(database, uarch):
+        calls.append(uarch.name)
+        return real(database, uarch)
+
+    monkeypatch.setattr(sweep_module, "catalog_context_digest", counting)
+    return calls
+
+
+def _rewrite_manifest(cache_dir, edit):
+    """Apply *edit* to the decoded SKL manifest state and write it back
+    with a fresh CRC."""
+    path = SweepManifest(cache_dir).path_for("SKL")
+    with open(path, encoding="utf-8") as handle:
+        state, problem = decode_blob(handle.read())
+    assert problem is None
+    edit(state)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(encode_blob(state))
+
+
+class TestPersistedContext:
+    """The catalog context digest is computed once per catalog and
+    served from the manifest while its inputs are unchanged."""
+
+    def test_second_engine_reuses_the_recorded_digest(
+        self, db, fast_skl, tmp_path, digest_calls
+    ):
+        forms = _base_forms(db)
+        base_db = InstructionDatabase(forms)
+        baseline = _engine(base_db, fast_skl, str(tmp_path)).sweep(forms)
+        assert len(digest_calls) == 1
+
+        warm = _engine(base_db, fast_skl, str(tmp_path),
+                       incremental=True)
+        assert warm.sweep(forms) == baseline
+        assert len(digest_calls) == 1
+        assert warm.statistics.incremental_skips == len(forms)
+
+    def test_uop_edit_to_another_form_recomputes(
+        self, db, fast_skl, tmp_path, digest_calls
+    ):
+        # MOV is in the catalog but not swept: only the context digest
+        # (the blocking-instruction candidates) sees the edit.
+        forms = _base_forms(db)
+        catalog = forms + [db.by_uid("MOV_R64_R64")]
+        _engine(InstructionDatabase(catalog), fast_skl,
+                str(tmp_path)).sweep(forms)
+        edited = [
+            dataclasses.replace(
+                form, attributes=form.attributes | {ATTR_UNSUPPORTED}
+            ) if form.uid == "MOV_R64_R64" else form
+            for form in catalog
+        ]
+        engine = _engine(InstructionDatabase(edited), fast_skl,
+                         str(tmp_path), incremental=True)
+        engine.sweep(forms)
+        assert len(digest_calls) == 2
+        assert engine.statistics.cache_misses == len(forms)
+
+    @pytest.mark.parametrize("damage", ["missing", "foreign-salt", "crc"])
+    def test_unusable_record_recomputes(
+        self, db, fast_skl, tmp_path, digest_calls, damage
+    ):
+        forms = _base_forms(db)
+        base_db = InstructionDatabase(forms)
+        cache_dir = str(tmp_path)
+        _engine(base_db, fast_skl, cache_dir).sweep(forms)
+        if damage == "missing":
+            _rewrite_manifest(cache_dir, lambda state: state.pop("context"))
+        elif damage == "foreign-salt":
+            _rewrite_manifest(
+                cache_dir, lambda state: state.update(salt="other")
+            )
+        else:
+            path = SweepManifest(cache_dir).path_for("SKL")
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text.replace('"digest": "', '"digest": "0'))
+
+        _engine(base_db, fast_skl, cache_dir).sweep(forms)
+        assert len(digest_calls) == 2
+        # The recomputed record was written back.
+        _engine(base_db, fast_skl, cache_dir).sweep(forms)
+        assert len(digest_calls) == 2
 
 
 class TestManifest:
