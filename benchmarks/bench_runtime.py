@@ -122,14 +122,14 @@ def test_cached_sweep_speedup(db, tmp_path, benchmark, emit):
 
 
 def test_cold_sweep_kernel_speedup(db, benchmark, emit):
-    """The event-driven kernel accelerates cold sweeps end to end.
+    """The default measurement ladder accelerates cold sweeps end to end.
 
     Unlike the result cache (which only helps *repeat* sweeps), the
-    event kernel plus steady-state extrapolation speeds up the first,
-    cold sweep: both engines below measure everything from scratch, on
-    the default measurement configuration, differing only in the timing
-    kernel.  bench_sim_kernel.py benchmarks the paper configuration,
-    where the gap is far larger.
+    closed-form ladder speeds up the first, cold sweep: both engines
+    below measure everything from scratch, on the default measurement
+    configuration, differing only in the timing kernel.
+    bench_sim_kernel.py benchmarks the paper configuration, where the
+    gap is far larger.
     """
 
     def sweep_with(kernel):
@@ -141,26 +141,26 @@ def test_cold_sweep_kernel_speedup(db, benchmark, emit):
         return results, time.perf_counter() - started, backend
 
     def run():
-        results_event, event_s, event_backend = sweep_with("event")
+        results_default, default_s, default_backend = sweep_with(None)
         results_seed, seed_s, _ = sweep_with("reference")
-        assert results_event == results_seed
-        return event_s, seed_s, event_backend
+        assert results_default == results_seed
+        return default_s, seed_s, default_backend
 
-    event_s, seed_s, event_backend = benchmark.pedantic(
+    default_s, seed_s, default_backend = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
-    event_stats = event_backend.snapshot()
+    default_stats = default_backend.snapshot()
     emit(
         "kernel_sweep.txt",
-        "Cold sweep: event kernel vs reference loop (SKL, default "
+        "Cold sweep: default ladder vs reference loop (SKL, default "
         "config):\n\n"
         f"reference kernel: {seed_s:8.2f} s\n"
-        f"event kernel:     {event_s:8.2f} s\n"
-        f"speedup:          {seed_s / max(event_s, 1e-9):8.1f}x\n"
-        f"cycles simulated:     {event_stats.cycles_simulated}\n"
-        f"cycles extrapolated:  {event_stats.cycles_extrapolated}",
+        f"default ladder:   {default_s:8.2f} s\n"
+        f"speedup:          {seed_s / max(default_s, 1e-9):8.1f}x\n"
+        f"cycles simulated: {default_stats.cycles_simulated}\n"
+        f"cycles analytic:  {default_stats.cycles_analytic}",
     )
-    assert event_s < seed_s
+    assert default_s < seed_s
 
 
 def test_cold_sweep_executor_dedup(db, benchmark, emit):

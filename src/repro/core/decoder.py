@@ -50,10 +50,10 @@ class DecoderCharacterization:
 
 def decoder_backend(uarch) -> HardwareBackend:
     """A hardware backend whose core models the legacy decoders."""
-    from repro.pipeline.core import build_core
+    from repro.pipeline.core import Core
 
     backend = HardwareBackend(uarch, MeasurementConfig())
-    backend._core = build_core(uarch, enable_decoder_model=True)
+    backend._core = Core(uarch, enable_decoder_model=True)
     return backend
 
 

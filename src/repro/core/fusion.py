@@ -156,8 +156,8 @@ def macro_fusion_matrix(
 def fusion_backend(uarch):
     """A hardware backend whose core models macro-fusion."""
     from repro.measure.backend import HardwareBackend
-    from repro.pipeline.core import build_core
+    from repro.pipeline.core import Core
 
     backend = HardwareBackend(uarch, MeasurementConfig())
-    backend._core = build_core(uarch, enable_macro_fusion=True)
+    backend._core = Core(uarch, enable_macro_fusion=True)
     return backend

@@ -11,10 +11,6 @@ generic linter can know:
 * ``RPR112`` — loops must not iterate freshly concatenated sequences
   (the PR-2 ``_next_event`` bug class: a per-call copy of two live
   containers).
-* ``RPR113`` — only :mod:`repro.pipeline` / :mod:`repro.measure` may
-  construct :class:`~repro.pipeline.core.Core` directly; everything
-  else goes through ``build_core`` so timing-tier selection
-  (``kernel=``) stays observable and in one place.
 * ``RPR120`` — classes crossing the sweep worker queues must not carry
   unpicklable state (lambdas, locks, open handles, generators).
 * ``RPR130``/``RPR131`` — the measurement layer raises only the
@@ -114,12 +110,6 @@ RPR112 = register_rule(
     "loop-over-concatenation",
     SEVERITY_WARNING,
     "loop iterates a freshly concatenated sequence",
-)
-RPR113 = register_rule(
-    "RPR113",
-    "direct-core-construction",
-    SEVERITY_ERROR,
-    "Core constructed outside pipeline/measure; use build_core",
 )
 RPR120 = register_rule(
     "RPR120",
@@ -418,46 +408,6 @@ def check_concat_loops(
                         "itertools.chain(...) over the live containers",
                     )
                 )
-    return violations
-
-
-# ---------------------------------------------------------------------------
-# RPR113 — Core construction outside the timing-tier entry point
-# ---------------------------------------------------------------------------
-
-#: Modules allowed to construct :class:`Core` directly: the pipeline
-#: itself and the measurement layer that owns tier selection.
-_CORE_CONSTRUCTION_PREFIXES = ("pipeline/", "measure/")
-
-
-def _in_core_layer(path: str) -> bool:
-    return any(
-        f"/{prefix}" in path or path.startswith(prefix)
-        for prefix in _CORE_CONSTRUCTION_PREFIXES
-    )
-
-
-@file_rule(RPR113)
-def check_direct_core_construction(
-    path: str, tree: ast.AST, lines: Sequence[str]
-) -> List[Violation]:
-    if _in_core_layer(path):
-        return []
-    violations = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        parts = _dotted(node.func)
-        if parts and parts[-1] == "Core":
-            violations.append(
-                _violation(
-                    RPR113, path, node,
-                    "direct Core construction outside pipeline/measure; "
-                    "go through repro.pipeline.core.build_core so "
-                    "timing-tier selection (kernel=) stays "
-                    "in one place",
-                )
-            )
     return violations
 
 

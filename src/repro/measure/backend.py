@@ -8,6 +8,12 @@ paper) cancels the constant overhead.  A warm-up run precedes the measured
 runs.  On the deterministic simulator a single repetition suffices; the
 100-fold averaging of the paper is kept as a configuration knob.
 
+Both unroll factors come from the measurement ladder of
+:mod:`repro.measure.extrapolate`: the closed form where it answers, else
+a full simulation of each unroll factor.  ``kernel="reference"`` runs
+the seed measurement loop verbatim instead, as the differential tests'
+oracle.
+
 Contract (enforced by ``repro lint``, RPR130): measurement entry points
 here raise only the :class:`BackendError` taxonomy (transient /
 permanent / timeout) — the executor's retry logic and the sweep
@@ -149,9 +155,8 @@ class HardwareBackend:
     3. the simulator itself.  Both unroll factors of Algorithm 2 come
        from one pass down the measurement ladder
        (:func:`~repro.measure.extrapolate.unrolled_counters`): closed
-       form where the analytic tier answers, else one instrumented
-       probe run read as prefixes or extrapolated, else full
-       simulation; the deterministic ``repeats``/warmup runs are
+       form where the analytic tier answers, else full simulation of
+       each factor; the deterministic ``repeats``/warmup runs are
        collapsed analytically.  With ``kernel="reference"`` the seed
        measurement loop runs verbatim.  All paths return bit-identical
        counters.
@@ -296,7 +301,7 @@ class HardwareBackend:
     ) -> CounterValues:
         """The seed measurement loop, verbatim: every run simulated.
 
-        Kept unshared with the extrapolating path (no probe) so that
+        Kept unshared with the measurement ladder so that
         ``kernel="reference"`` exercises exactly the original code for
         differential testing.
         """
@@ -322,7 +327,7 @@ class HardwareBackend:
         code: Tuple[Instruction, ...],
         init: Optional[Dict[str, int]],
     ) -> CounterValues:
-        """One probe, analytic tail, collapsed repeats.
+        """One pass down the ladder, collapsed repeats.
 
         The simulator is deterministic, so the warmup run and all but
         one repetition of the seed loop are byte-identical re-runs:

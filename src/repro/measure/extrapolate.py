@@ -1,51 +1,69 @@
-"""Steady-state extrapolation of unrolled-block simulations.
+"""The measurement ladder: exact counters of unrolled-block runs.
 
 :class:`~repro.measure.backend.HardwareBackend` implements Algorithm 2 by
-simulating the block under test unrolled ``unroll_small`` and
-``unroll_large`` times.  But the simulated pipeline reaches a steady
-state after a handful of copies: the per-copy deltas of the retire cycle,
-the port-binding counts, and the µop counts become periodic (period > 1
-arises from e.g. the every-third-MOV move-elimination counter or a
-port-imbalanced binding rotation).  Once the period is known, the
-counters of the long unroll follow analytically — in exact integer
-arithmetic, so the extrapolated values are bit-identical to a full
-simulation.
+running the block under test unrolled ``unroll_small`` and
+``unroll_large`` times.  :func:`unrolled_counters` serves both unroll
+factors from two rungs, cheapest first:
+
+1. **Closed form** (:func:`_analytic_unrolled`).  Rename is a
+   deterministic fold over a small state, so the block is renamed
+   *structurally* (no value emulation) copy by copy until two
+   rename-state snapshots match — a proof that the renamed stream is
+   periodic from there on.  The transient plus one period become
+   relative templates, the templates are synthesized into a probe-length
+   µop stream, and the analytic recurrence schedules it.  Counters of
+   each target are read off the probe as a prefix, or extrapolated from
+   its periodic tail — in exact integer arithmetic, so the values are
+   bit-identical to a full simulation.  Where the recurrence aborts (a
+   per-port ready-order inversion) the same synthesized stream runs on
+   the array event kernel instead.
+2. **Full simulation**: ``core.run(code * t)`` per target, which is what
+   the paper's protocol literally does.  It serves the bodies the
+   closed form declines — addresses that move between copies
+   (:func:`_fixed_addresses`), the fusion and decoder front-end
+   extensions, and rename states with no period within
+   :data:`SNAPSHOT_BUDGET` — each counted per reason in
+   :class:`~repro.stats.RunStatistics`.
+
+``kernel="reference"`` skips the closed form and runs every target on
+the seed per-cycle loop: the oracle of the differential tests.
 
 The observation that a repeated basic block settles into a periodic
 steady state is the same one uops.info's own loop-based throughput
 protocol and PALMED's saturating-kernel design rely on.
 
-Everything here rests on the *prefix property* of the simulated core:
-counters observed at a copy boundary of a longer unroll equal the
-counters of simulating exactly that many copies.  Port binding is a pure
-function of issue order, issue/retire are in order, and a port always
-dispatches its oldest ready µop — so a younger µop can never delay an
-older one.  The single exception is the non-pipelined divider, whose
-occupancy lets a younger µop (dispatched while the older's operands were
-still in flight) stall an older divider µop; divider bodies therefore
-never extrapolate and are never read off a probe prefix.  They are also
-the value-dependent case (Section 5.2.5): the closed-form path serves
-them by emulating only the backward slice of the divider operands
-(:func:`_value_slice`) to get each copy's value class, proving the
-rename period over the rename state *and* that class sequence, and
-scheduling every unroll target on its own exact-length synthesized
-stream.  A period
-detected on the probe window is additionally *verified* before use: the
-probe is doubled (capped at the longest unroll target) and the periodic
-prediction must reproduce the longer probe's per-copy signatures
-exactly.  A transient whose deltas merely look periodic for a while —
-e.g. a reservation-station fill pattern that repeats until the window
-drains — fails the check, and detection restarts on the longer probe.
-When no period survives within the longest target the caller falls back
-to full simulation, so extrapolation is an optimization, never a
-semantic change.  When one doubling would reach the longest target
-anyway, the first probe is simply that long (:func:`_probe_copies`) and
-every target is a prefix.
+Reading targets off one probe rests on the *prefix property* of the
+simulated core: counters observed at a copy boundary of a longer unroll
+equal the counters of simulating exactly that many copies.  Port binding
+is a pure function of issue order, issue/retire are in order, and a port
+always dispatches its oldest ready µop — so a younger µop can never
+delay an older one.  The single exception is the non-pipelined divider,
+whose occupancy lets a younger µop (dispatched while the older's
+operands were still in flight) stall an older divider µop; divider
+bodies therefore never extrapolate and are never read off a probe
+prefix.  They are also the value-dependent case (Section 5.2.5): the
+closed form serves them by emulating only the backward slice of the
+divider operands (:func:`_value_slice`) to get each copy's value class,
+proving the rename period over the rename state *and* that class
+sequence, and scheduling every unroll target on its own exact-length
+synthesized stream.
+
+The timing period of a synthesized probe is detected on a trailing
+window and *verified* before use: the probe is doubled (capped at the
+longest unroll target) and the periodic prediction must reproduce the
+longer probe's per-copy signatures exactly.  A transient whose deltas
+merely look periodic for a while — e.g. a reservation-station fill
+pattern that repeats until the window drains — fails the check, and
+detection restarts on the longer probe.  When no period survives, each
+long target is synthesized and scheduled at its own length.  When one
+doubling would reach the longest target anyway, the first probe is
+simply that long (:func:`_probe_copies`) and every target is a prefix.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -53,11 +71,9 @@ from repro.isa.operands import Memory
 from repro.pipeline.analytic import schedule_arrays
 from repro.pipeline.event_kernel import timing_event_arrays
 from repro.pipeline.core import (
-    KERNEL_ANALYTIC,
     KERNEL_REFERENCE,
     Core,
     CounterValues,
-    ProbeResult,
     RenameContext,
     divider_operands_fast,
     split_accesses,
@@ -67,10 +83,10 @@ from repro.pipeline.state import MachineState
 from repro.stats import RunStatistics
 from repro.uarch.uops import KIND_STORE_ADDR, KIND_STORE_DATA
 
-#: Minimum number of copies simulated by the instrumented probe.  Large
-#: enough that issue-rate transients (ROB/RS fill, SSE/AVX transition
-#: stalls on the first copies, move-elimination phase-in) have settled
-#: and a trailing window of clean periods is observable.
+#: Minimum number of copies in a synthesized probe.  Large enough that
+#: issue-rate transients (ROB/RS fill, SSE/AVX transition stalls on the
+#: first copies, move-elimination phase-in) have settled and a trailing
+#: window of clean periods is observable.
 MIN_PROBE = 18
 
 #: Longest per-copy period the detector searches for.
@@ -90,6 +106,26 @@ SNAPSHOT_BUDGET = 12
 _MOVING_ACCESS_CATEGORIES = frozenset(
     ("push", "pop", "call", "ret", "string_rep")
 )
+
+
+@dataclass
+class ProbeResult:
+    """Per-copy observations of one scheduled unrolled stream.
+
+    Everything is an exact integer; index ``k`` describes copy ``k`` of
+    the unrolled block.  ``finish[k]`` is the cycle in which the last µop
+    of copy ``k`` retired, so the counters of a *prefix* of ``t`` copies
+    are ``cycles = finish[t-1] + 1`` plus the sums of the per-copy
+    columns (valid whenever younger copies cannot delay older ones — no
+    divider µops).
+    """
+
+    copies: int
+    finish: List[int]
+    ports: List[Dict[int, int]]
+    uops: List[int]
+    fused: List[int]
+    total_cycles: int
 
 
 def _probe_copies(targets: Sequence[int]) -> int:
@@ -139,7 +175,7 @@ def _uses_divider(core: Core, code: Sequence) -> bool:
     Divider occupancy breaks the prefix property and divider timing is
     operand-value dependent, so these bodies never extrapolate: the
     closed-form path schedules each target at full length from its
-    class-aware templates, and every other rung simulates each target.
+    class-aware templates, and a declined body simulates each target.
     """
     return any(_form_blockers(core, i)[0] for i in code)
 
@@ -163,7 +199,7 @@ def _fixed_addresses(code: Sequence) -> bool:
     itself advances (push, pop, call, ret, REP string moves).  Register
     values that feed addresses then never change, so the accesses of
     the first copy are those of every copy.  Pointer chases through
-    memory fail the guard and keep the emulating probe.
+    memory fail the guard and are simulated in full.
     """
     address_registers = {"RSP"}
     for instruction in code:
@@ -427,7 +463,8 @@ def _analytic_unrolled(
     factor.  Guards: stores or dividers whose addresses can move between
     copies (:func:`_fixed_addresses`) and the fusion/decoder extensions
     (front-end state not covered by the snapshot) return ``None``, as
-    does a missing snapshot match.
+    does a missing snapshot match; each decline counts once in *stats*
+    under its reason.
 
     ``init`` is consulted only for store and divider bodies: one copy is
     evaluated from it to learn the effective addresses every copy
@@ -442,11 +479,13 @@ def _analytic_unrolled(
     the counters are identical for every initial state.
     """
     if core.enable_macro_fusion or core.enable_decoder_model:
+        stats.declined_front_end += 1
         return None
     divider = _uses_divider(core, code)
     accesses = classes = None
     if divider or _uses_stores(core, code):
         if not _fixed_addresses(code):
+            stats.declined_moving_addresses += 1
             return None
         state = MachineState.initial(init)
         accesses = [split_accesses(evaluate(i, state)) for i in code]
@@ -484,6 +523,7 @@ def _analytic_unrolled(
             break
         snapshots.append(snapshot)
     if not period:
+        stats.declined_no_period += 1
         return None
 
     block_len = len(code)
@@ -599,8 +639,7 @@ def _analytic_unrolled(
                 probe, timing_period, t, block_len, uarch_ports
             )
             if not closed_form:
-                # Only a simulated probe's tail counts as extrapolated,
-                # matching the event-probe path's accounting.
+                # Only a simulated probe's tail counts as extrapolated.
                 served.runs_extrapolated += 1
                 served.cycles_extrapolated += (
                     results[t].cycles - probe.total_cycles
@@ -754,71 +793,19 @@ def unrolled_counters(
 ) -> Tuple[Dict[int, CounterValues], RunStatistics]:
     """Exact counters of ``code * t`` for every unroll factor in *targets*.
 
-    The ladder, cheapest rung first.  With the analytic kernel (the
-    default) the whole ladder is attempted in closed form
-    (:func:`_analytic_unrolled`): structural rename with a
-    snapshot-proved period plus the analytic recurrence, no kernel run
-    at all (divider bodies: one synthesized full-length stream per
-    target).  Otherwise (or on analytic fallback) one instrumented probe
-    simulation of :func:`_probe_copies` copies serves every target
-    either as an integer prefix of the probe or by extrapolating the
-    periodic steady state.  Last, full simulation per target when
-    neither applies (reference kernel, divider bodies the closed form
-    declined, no period surviving verification).  Each returned
+    The ladder, cheapest rung first: the closed form
+    (:func:`_analytic_unrolled`), then full simulation of each target.
+    The reference kernel skips the closed form.  Each returned
     :class:`CounterValues` is bit-identical to
     ``core.run(list(code) * t, init)``; the returned
     :class:`~repro.stats.RunStatistics` records which rung served each
-    target and what it simulated.
+    target, what it simulated, and why the closed form declined.
     """
     stats = RunStatistics()
     targets = sorted(set(targets))
-
-    def simulate(t: int) -> CounterValues:
-        stats.runs_full += 1
-        return core.run(list(code) * t, init)
-
-    if not code or not targets or core.kernel == KERNEL_REFERENCE:
-        return {t: simulate(t) for t in targets}, stats
-    if core.kernel == KERNEL_ANALYTIC:
+    if code and targets and core.kernel != KERNEL_REFERENCE:
         analytic = _analytic_unrolled(core, code, init, targets, stats)
         if analytic is not None:
             return analytic, stats
-    if _uses_divider(core, code):
-        # Declined by the closed form (or not attempted): no prefix or
-        # periodic tail is exact for divider bodies.
-        return {t: simulate(t) for t in targets}, stats
-
-    def run_probe(n: int) -> ProbeResult:
-        stats.probe_copies += n
-        return core.run_instrumented(code, n, init)
-
-    probe = run_probe(_probe_copies(targets))
-    block_len = len(code)
-    ports = core.uarch.ports
-
-    results: Dict[int, CounterValues] = {}
-    beyond = [t for t in targets if t > probe.copies]
-    period = None
-    if beyond:
-        probe, period = _verified_period(probe, run_probe, targets[-1])
-        beyond = [t for t in targets if t > probe.copies]
-        if beyond and period is None:
-            # No steady state survived verification: simulate the long
-            # unrolls in full (the probe still serves the short ones as
-            # prefixes).
-            for t in beyond:
-                results[t] = simulate(t)
-    for t in targets:
-        if t in results:
-            continue
-        stats.runs_probe += 1
-        if t <= probe.copies:
-            results[t] = _prefix_counters(probe, t, block_len, ports)
-        else:
-            counters = _extrapolated_counters(
-                probe, period, t, block_len, ports
-            )
-            stats.runs_extrapolated += 1
-            stats.cycles_extrapolated += counters.cycles - probe.total_cycles
-            results[t] = counters
-    return results, stats
+    stats.runs_full += len(targets)
+    return {t: core.run(list(code) * t, init) for t in targets}, stats

@@ -237,23 +237,18 @@ def schedule_arrays(
     return retire[n - 1] + 1, port_counts, finishes, bounds
 
 
-def schedule_analytic(uarch, uops, boundaries=None):
+def schedule_analytic(uarch, uops):
     """Closed-form schedule of renamed ``_RUop`` objects.
 
-    Returns ``(cycles, port_counts, finishes)`` exactly like
-    ``timing_event``, or ``None`` when the stream has no closed form
-    (divider µops, or a per-port ready-order inversion).  On success the
-    µops' ``bound`` fields are written (for the instrumented probe); on
-    ``None`` the stream is left untouched so the event kernel can run it
-    pristine.
+    Returns ``(cycles, port_counts)`` exactly like ``timing_event``, or
+    ``None`` when the stream has no closed form (divider µops, or a
+    per-port ready-order inversion).  Nothing but ``uop.index`` is
+    written, so on ``None`` the event kernel can run the same stream.
     """
     ports, lat, min_issue, deps, divider = extract_arrays(uops)
     if any(divider):
         return None
-    result = schedule_arrays(uarch, ports, lat, min_issue, deps, boundaries)
+    result = schedule_arrays(uarch, ports, lat, min_issue, deps)
     if result is None:
         return None
-    cycles, port_counts, finishes, bounds = result
-    for uop, bound in zip(uops, bounds):
-        uop.bound = bound
-    return cycles, port_counts, finishes
+    return result[:2]

@@ -44,7 +44,6 @@ from repro.uarch.uops import DOMAIN_INT, KIND_LOAD, UarchEntry
 _FAST_VALUE_LIMIT = 0xFFFFF
 
 KERNEL_ANALYTIC = "analytic"
-KERNEL_EVENT = "event"
 KERNEL_REFERENCE = "reference"
 
 
@@ -53,39 +52,17 @@ def kernel_mode(explicit: Optional[str] = None) -> str:
 
     The default is the closed-form analytic tier, which falls back to
     the event kernel per run when no closed form exists and is exact
-    wherever it answers.  An explicit ``"event"`` pins the event-driven
-    scheduler and ``"reference"`` the original per-cycle loop (the
-    differential-test baseline and the escape hatch when debugging a
-    suspected kernel mismatch).
+    wherever it answers.  An explicit ``"reference"`` selects the
+    original per-cycle loop (the differential-test oracle and the
+    escape hatch when debugging a suspected kernel mismatch).
     """
     mode = explicit or KERNEL_ANALYTIC
-    if mode not in (KERNEL_ANALYTIC, KERNEL_EVENT, KERNEL_REFERENCE):
+    if mode not in (KERNEL_ANALYTIC, KERNEL_REFERENCE):
         raise ValueError(
             f"unknown timing kernel {mode!r}; expected "
-            f"{KERNEL_ANALYTIC!r}, {KERNEL_EVENT!r} or "
-            f"{KERNEL_REFERENCE!r}"
+            f"{KERNEL_ANALYTIC!r} or {KERNEL_REFERENCE!r}"
         )
     return mode
-
-
-@dataclass
-class ProbeResult:
-    """Per-copy observations of one instrumented unrolled simulation.
-
-    Everything is an exact integer; index ``k`` describes copy ``k`` of
-    the unrolled block.  ``finish[k]`` is the cycle in which the last µop
-    of copy ``k`` retired, so the counters of a *prefix* of ``t`` copies
-    are ``cycles = finish[t-1] + 1`` plus the sums of the per-copy
-    columns (valid whenever younger copies cannot delay older ones — see
-    :func:`repro.measure.extrapolate.unrolled_counters` for the guard).
-    """
-
-    copies: int
-    finish: List[int]
-    ports: List[Dict[int, int]]
-    uops: List[int]
-    fused: List[int]
-    total_cycles: int
 
 
 @dataclass
@@ -139,7 +116,6 @@ class _RUop:
         "completion",
         "min_issue",
         "index",
-        "bound",
         "_ready_cache",
     )
 
@@ -153,9 +129,6 @@ class _RUop:
         self.completion = -1
         self.min_issue = 0
         self.index = -1
-        #: Port this µop was bound to at issue (event kernel); ``None``
-        #: for portless µops, -1 before issue.
-        self.bound = -1
         self._ready_cache = -1
 
     def ready_time(self) -> int:
@@ -232,7 +205,6 @@ class RenameContext:
         "flag_writer",
         "mem_writer",
         "uops",
-        "marks",
         "move_elim_counter",
         "serialize_dep",
         "vec_mode",
@@ -256,7 +228,6 @@ class RenameContext:
         self.flag_writer: Dict[str, Tuple[Optional[_RUop], int]] = {}
         self.mem_writer: Dict[int, Tuple[_RUop, int]] = {}
         self.uops: List[_RUop] = []
-        self.marks: List[Tuple[int, int]] = []
         self.move_elim_counter = 0
         self.serialize_dep: Optional[_RUop] = None
         self.vec_mode = "clean"
@@ -295,9 +266,9 @@ class Core:
                 work in the paper; off by default so that mainline
                 measurements see an ideal front end, on for the
                 decoder-characterization extension.
-            kernel: timing-kernel override (``"analytic"``/``"event"``/
-                ``"reference"``); defaults to the analytic tier.  All
-                three produce bit-identical counters.
+            kernel: timing-kernel override (``"analytic"`` or
+                ``"reference"``); defaults to the analytic tier.  Both
+                produce bit-identical counters.
             analytic_memo: mapping that holds the structural closed-form
                 memo (the measurement backend passes its bounded LRU);
                 a plain dict when omitted.
@@ -308,10 +279,6 @@ class Core:
         self.kernel = kernel_mode(kernel)
         self._entries = _EntryCache(uarch)
         self.last_fused_uops = 0
-        #: Cumulative (µop count, fused-µop count) after each renamed
-        #: instruction of the most recent :meth:`_rename` — the copy
-        #: boundaries the instrumented probe run needs.
-        self.last_marks: List[Tuple[int, int]] = []
         #: Total cycles simulated by this core (for RunStatistics).
         self.cycles_simulated = 0
         #: Runs / cycles resolved by the closed-form analytic schedule
@@ -351,8 +318,8 @@ class Core:
         The incremental form of :meth:`_rename`: calling this once per
         block with a shared context renames exactly the concatenation of
         the blocks (the rename stage is a pure fold over its state).
-        Also refreshes ``last_fused_uops`` / ``last_marks`` from the
-        context's cumulative totals.
+        Also refreshes ``last_fused_uops`` from the context's cumulative
+        total.
         """
         uarch = self.uarch
         state = context.state
@@ -361,7 +328,6 @@ class Core:
         flag_writer = context.flag_writer
         mem_writer = context.mem_writer
         uops = context.uops
-        marks = context.marks
         move_elim_counter = context.move_elim_counter
         serialize_dep = context.serialize_dep
         # SSE/AVX transition state machine (Sandy Bridge .. Broadwell):
@@ -408,7 +374,6 @@ class Core:
                 if emulate:
                     evaluate(instruction, state)
                 prev_form = form
-                marks.append((next_index, fused_total))
                 continue
             fused_total += entry.fused_uops
             prev_form = form
@@ -666,7 +631,6 @@ class Core:
 
             if entry.serializing:
                 serialize_dep = uops[-1] if uops else None
-            marks.append((next_index, fused_total))
 
         context.move_elim_counter = move_elim_counter
         context.serialize_dep = serialize_dep
@@ -678,7 +642,6 @@ class Core:
         context.decode_slots = decode_slots
         context.complex_used = complex_used
         self.last_fused_uops = fused_total
-        self.last_marks = marks
 
     # ------------------------------------------------------------------
     # Timing: the cycle loop
@@ -687,33 +650,28 @@ class Core:
     def _timing(self, uops: List[_RUop]) -> CounterValues:
         """Resolve the timing of a renamed µop stream.
 
-        Dispatches to the selected kernel; all tiers produce
-        bit-identical counters (pinned by tests/test_sim_differential.py
-        and tests/test_sim_fuzz.py).  The analytic tier falls back to
-        the event kernel per run when no closed form exists.
+        The closed-form recurrence answers where it can; on a divider
+        µop or a per-port ready-order inversion the event kernel runs
+        the stream instead.  With ``kernel="reference"`` the original
+        per-cycle loop does.  All produce bit-identical counters (pinned
+        by tests/test_sim_differential.py and tests/test_sim_fuzz.py).
         """
-        if self.kernel == KERNEL_ANALYTIC:
-            analytic = schedule_analytic(self.uarch, uops)
-            if analytic is not None:
-                cycles, port_counts, _ = analytic
-                self.cycles_analytic += cycles
-                self.runs_analytic += 1
-                return CounterValues(
-                    cycles=cycles,
-                    port_uops=port_counts,
-                    uops=len(uops),
-                    instructions=0,
-                )
-        if self.kernel != KERNEL_REFERENCE:
-            cycles, port_counts, _ = timing_event(self.uarch, uops)
+        if self.kernel == KERNEL_REFERENCE:
+            return self._timing_reference(uops)
+        analytic = schedule_analytic(self.uarch, uops)
+        if analytic is not None:
+            cycles, port_counts = analytic
+            self.cycles_analytic += cycles
+            self.runs_analytic += 1
+        else:
+            cycles, port_counts = timing_event(self.uarch, uops)
             self.cycles_simulated += cycles
-            return CounterValues(
-                cycles=cycles,
-                port_uops=port_counts,
-                uops=len(uops),
-                instructions=0,
-            )
-        return self._timing_reference(uops)
+        return CounterValues(
+            cycles=cycles,
+            port_uops=port_counts,
+            uops=len(uops),
+            instructions=0,
+        )
 
     def _timing_reference(self, uops: List[_RUop]) -> CounterValues:
         uarch = self.uarch
@@ -900,72 +858,6 @@ class Core:
         counters.uops_fused = self.last_fused_uops
         return counters
 
-    def run_instrumented(
-        self,
-        code: Sequence[Instruction],
-        copies: int,
-        init: Optional[Dict[str, int]] = None,
-    ) -> ProbeResult:
-        """Simulate ``code`` unrolled ``copies`` times, per-copy observed.
-
-        One simulation of the unrolled stream (closed-form when the
-        analytic kernel is selected and applies, event kernel
-        otherwise), instrumented with per-copy retire cycles, port
-        bindings, and µop counts.  The steady-state extrapolator reads
-        both unroll factors of Algorithm 2 off this single probe instead
-        of running separate simulations.  Unavailable with the reference
-        loop, which records no per-retirement boundaries.
-        """
-        if self.kernel == KERNEL_REFERENCE:
-            raise RuntimeError(
-                "run_instrumented requires the event or analytic kernel "
-                f"(this core uses {self.kernel!r})"
-            )
-        stream = list(code) * copies
-        state = MachineState.initial(init)
-        uops = self._rename(stream, state)
-        length = len(code)
-        marks = self.last_marks
-        boundaries = [marks[k * length - 1][0] for k in range(1, copies + 1)]
-        scheduled = None
-        if self.kernel == KERNEL_ANALYTIC:
-            scheduled = schedule_analytic(self.uarch, uops, boundaries)
-        if scheduled is not None:
-            cycles, port_counts, finishes = scheduled
-            self.cycles_analytic += cycles
-            self.runs_analytic += 1
-        else:
-            cycles, port_counts, finishes = timing_event(
-                self.uarch, uops, boundaries
-            )
-            self.cycles_simulated += cycles
-
-        per_uops: List[int] = []
-        per_fused: List[int] = []
-        per_ports: List[Dict[int, int]] = []
-        prev_uop = 0
-        prev_fused = 0
-        start = 0
-        for k in range(copies):
-            uop_mark, fused_mark = marks[(k + 1) * length - 1]
-            per_uops.append(uop_mark - prev_uop)
-            per_fused.append(fused_mark - prev_fused)
-            counts: Dict[int, int] = {}
-            for idx in range(start, uop_mark):
-                bound = uops[idx].bound
-                if bound is not None and bound >= 0:
-                    counts[bound] = counts.get(bound, 0) + 1
-            per_ports.append(counts)
-            prev_uop, prev_fused, start = uop_mark, fused_mark, uop_mark
-        return ProbeResult(
-            copies=copies,
-            finish=list(finishes or []),
-            ports=per_ports,
-            uops=per_uops,
-            fused=per_fused,
-            total_cycles=cycles,
-        )
-
     def supports(self, instruction_or_form) -> bool:
         form = getattr(instruction_or_form, "form", instruction_or_form)
         return build_entry(form, self.uarch) is not None
@@ -1019,29 +911,6 @@ def divider_operands_fast(
         if value > _FAST_VALUE_LIMIT:
             return False
     return True
-
-
-def build_core(
-    uarch: UarchConfig,
-    *,
-    enable_macro_fusion: bool = False,
-    enable_decoder_model: bool = False,
-    kernel: Optional[str] = None,
-) -> Core:
-    """The timing-tier selection entry point.
-
-    All code outside :mod:`repro.pipeline` / :mod:`repro.measure` must
-    construct cores through this factory instead of calling
-    :class:`Core` directly (enforced by ``repro lint`` rule RPR113), so
-    tier selection — explicit ``kernel=`` overrides — stays observable
-    and in one place.
-    """
-    return Core(
-        uarch,
-        enable_macro_fusion=enable_macro_fusion,
-        enable_decoder_model=enable_decoder_model,
-        kernel=kernel,
-    )
 
 
 def simulate(

@@ -17,6 +17,13 @@ This kernel replaces the scans with a ready-event scheduler:
 * consumer edges with pending-producer counts, so a µop is (re)scheduled
   exactly when its last producer dispatches.
 
+It is not a kernel mode of its own.  :meth:`repro.pipeline.core.Core._timing`
+runs it on every stream the closed form (:mod:`repro.pipeline.analytic`)
+declines — divider occupancy or a per-port ready-order inversion — and
+the measurement ladder (:mod:`repro.measure.extrapolate`) runs
+:func:`timing_event_arrays` on synthesized streams the recurrence aborts
+on.
+
 Cost scales with µop events (issue/dispatch/complete/retire), not with
 cycles or occupancy.  Per-µop state lives in preallocated parallel int
 lists indexed by µop id (``disp`` / ``comp`` / ``bound`` / latency /
@@ -34,8 +41,10 @@ completion -> per-port dispatch (ports in canonical order, oldest ready
 phase (or a later port) of cycle ``c`` is only visible to earlier phases
 at ``c + 1``; the scheduler reproduces this by routing same-cycle wakeups
 to either the current cycle's remaining ports or a ``c + 1`` bucket.
-``kernel="reference"`` keeps the original loop selectable for
-differential testing (see tests/test_sim_differential.py).
+``kernel="reference"`` keeps the original loop selectable as the
+oracle; tests/test_sim_differential.py and tests/test_sim_fuzz.py time
+fresh renames of one stream with this kernel, the closed form and the
+reference loop.
 """
 
 from __future__ import annotations
@@ -45,34 +54,18 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.pipeline.analytic import extract_arrays
 
-#: ``bound`` sentinels (the array analogue of ``_RUop.bound``).
+#: ``bound`` sentinels: not yet issued, and issued without a port.
 _UNBOUND = -2
 _PORTLESS = -1
 
 
-def timing_event(
-    uarch,
-    uops,
-    boundaries: Optional[List[int]] = None,
-) -> Tuple[int, Dict[int, int], Optional[List[int]]]:
-    """Schedule renamed µops; returns ``(cycles, port_counts, finishes)``.
-
-    ``boundaries`` (optional) is an increasing list of cumulative µop
-    counts; ``finishes[k]`` is the cycle at which the µop closing
-    boundary ``k`` retired (``-1`` for an empty prefix).  The steady-state
-    extrapolator uses this to observe per-copy deltas of an unrolled
-    block from a single simulation.
-    """
+def timing_event(uarch, uops) -> Tuple[int, Dict[int, int]]:
+    """Schedule renamed µops; returns ``(cycles, port_counts)``."""
     port_sets, lat, min_issue, deps, divider = extract_arrays(uops)
-    cycles, port_counts, finishes, bound = timing_event_arrays(
-        uarch, port_sets, lat, min_issue, deps, divider, boundaries
+    cycles, port_counts, _finishes, _bound = timing_event_arrays(
+        uarch, port_sets, lat, min_issue, deps, divider
     )
-    # Publish the schedule back onto the µop objects (the instrumented
-    # probe reads per-copy port bindings off ``bound``).
-    for idx, uop in enumerate(uops):
-        b = bound[idx]
-        uop.bound = b if b >= 0 else None
-    return cycles, port_counts, finishes
+    return cycles, port_counts
 
 
 def timing_event_arrays(
@@ -89,8 +82,13 @@ def timing_event_arrays(
     Takes the same array layout as the analytic recurrence (see
     :func:`repro.pipeline.analytic.extract_arrays`), so the measure-level
     fast path can run synthesized streams that have no closed form
-    without materializing µop objects.  Additionally returns the
-    ``bound`` array (port id per µop, negative sentinels otherwise).
+    without materializing µop objects.  ``boundaries`` (optional) is an
+    increasing list of cumulative µop counts; ``finishes[k]`` is the
+    cycle at which the µop closing boundary ``k`` retired (``-1`` for an
+    empty prefix), which the synthesized probe of
+    :mod:`repro.measure.extrapolate` reads per-copy deltas from.
+    Additionally returns the ``bound`` array (port id per µop, negative
+    sentinels otherwise).
     """
     issue_width = uarch.issue_width
     retire_width = uarch.retire_width

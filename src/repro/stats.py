@@ -61,16 +61,25 @@ class RunStatistics:
     #: answered with no kernel run at all, and the cycles they cover.
     runs_analytic: int = _counter("simulation")
     cycles_analytic: int = _counter("simulation")
-    #: Measurement-ladder rungs below the closed form: unroll targets
-    #: served off a simulated probe (as a prefix or extrapolated), the
-    #: copies those probes simulated (verification probes included), and
-    #: targets scheduled at full length (divider bodies, synthesized or
-    #: simulated, and targets with no probe period).  Every unroll
-    #: target is served by exactly one of ``runs_analytic``,
-    #: ``runs_probe`` and ``runs_full``.
+    #: Measurement-ladder rungs beside the closed form: unroll targets
+    #: served off a synthesized probe the recurrence aborted on, which
+    #: therefore ran on the event kernel (as a prefix or extrapolated),
+    #: the copies those probes scheduled (verification probes included),
+    #: and targets run at full length (divider bodies on synthesized
+    #: streams, and every target of a body the closed form declined).
+    #: Every unroll target is served by exactly one of
+    #: ``runs_analytic``, ``runs_probe`` and ``runs_full``.
     runs_probe: int = _counter("simulation")
     probe_copies: int = _counter("simulation")
     runs_full: int = _counter("simulation")
+    #: Bodies the closed form declined, one counter per reason: memory
+    #: addresses that move between copies, the fusion or decoder
+    #: front-end extension, and no rename-state period within the
+    #: snapshot budget.  Each declined body simulates every target in
+    #: full.
+    declined_moving_addresses: int = _counter("simulation")
+    declined_front_end: int = _counter("simulation")
+    declined_no_period: int = _counter("simulation")
     #: Experiment-executor counters: how many experiments the plans
     #: emitted, how many were deduplicated away before reaching the
     #: backend, how many were actually dispatched, and the time split

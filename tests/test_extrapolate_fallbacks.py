@@ -1,13 +1,14 @@
-"""Unit tests for every fallback edge of the extrapolation tier ladder.
+"""Unit tests for every fallback edge of the measurement ladder.
 
 :func:`repro.measure.extrapolate.unrolled_counters` serves unroll
-targets through a ladder — analytic closed form, instrumented event
-probe with periodic extrapolation, full per-target simulation — and
-every rung must (a) take the fallback it claims to take and (b) stay
-bit-identical to simulating each target outright.  Each edge gets a
-targeted test: reference-kernel opt-out, divider forms, store forms,
-the probe-size rule, sub-probe targets, undetected timing periods,
-rename-snapshot misses, recurrence aborts, and the structural memo.
+targets through a ladder — the analytic closed form (whose synthesized
+probe runs on the array event kernel when the recurrence aborts), then
+full per-target simulation — and every rung must (a) take the fallback
+it claims to take and (b) stay bit-identical to simulating each target
+outright.  Each edge gets a targeted test: reference-kernel opt-out,
+divider forms, store forms, the probe-size rule, sub-probe targets,
+undetected timing periods, rename-snapshot misses, recurrence aborts,
+and the structural memo.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.measure.extrapolate import (
     _uses_stores,
     unrolled_counters,
 )
-from repro.pipeline.core import build_core
+from repro.pipeline.core import Core
 from repro.uarch.configs import get_uarch
 
 from tests.test_sim_differential import assert_identical
@@ -42,12 +43,12 @@ def _body(uid, n=2):
 
 def _expected(uarch_name, code, targets, init=None):
     """Ground truth: simulate each target on a fresh reference core."""
-    core = build_core(get_uarch(uarch_name), kernel="reference")
+    core = Core(get_uarch(uarch_name), kernel="reference")
     return {t: core.run(list(code) * t, init) for t in targets}
 
 
 def check_ladder(uarch_name, kernel, code, targets, init=None):
-    core = build_core(get_uarch(uarch_name), kernel=kernel)
+    core = Core(get_uarch(uarch_name), kernel=kernel)
     results, stats = unrolled_counters(core, code, init, targets)
     assert sorted(results) == sorted(set(targets))
     expected = _expected(uarch_name, code, targets, init)
@@ -71,7 +72,7 @@ class TestReferenceOptOut:
         assert core.cycles_simulated > 0
 
     def test_empty_inputs(self):
-        core = build_core(get_uarch("SKL"), kernel="event")
+        core = Core(get_uarch("SKL"))
         results, stats = unrolled_counters(
             core, _body("ADD_R64_R64"), None, []
         )
@@ -83,7 +84,7 @@ class TestDividerFallback:
     """Divider forms break the prefix property: never extrapolated,
     never closed form."""
 
-    @pytest.mark.parametrize("kernel", ["event", "analytic"])
+    @pytest.mark.parametrize("kernel", ["reference", "analytic"])
     def test_simulates_all(self, kernel):
         code = [instantiate(DATABASE.by_uid("DIV_R32"))] * 2
         core, _results, stats = check_ladder("SKL", kernel, code, [2, 20])
@@ -92,7 +93,7 @@ class TestDividerFallback:
         assert core.cycles_simulated > 0
 
     def test_guard_sees_divider_anywhere_in_body(self):
-        core = build_core(get_uarch("SKL"), kernel="event")
+        core = Core(get_uarch("SKL"))
         mixed = _body("ADD_R64_R64") + [
             instantiate(DATABASE.by_uid("DIV_R32"))
         ]
@@ -100,27 +101,32 @@ class TestDividerFallback:
         assert not _uses_divider(core, _body("ADD_R64_R64"))
 
 
+#: Store bodies whose addresses move between copies: a written address
+#: register, and a stack access.
+MOVING_STORES = (
+    "MOV qword ptr [RAX], RBX\nADD RAX, RCX",
+    "PUSH RAX\nPOP RBX",
+)
+
+
 class TestStoresFallback:
     """Stores make rename value-dependent: the closed form takes them
-    only when every copy computes the same addresses, and otherwise the
-    event probe takes over (extrapolation itself is still fine)."""
+    only when every copy computes the same addresses, and otherwise
+    every target is simulated in full."""
 
     def test_analytic_tier_declines(self):
         """Only guarded store shapes decline: a written address register
         or a stack access moves the addresses between copies."""
-        for text in (
-            "MOV qword ptr [RAX], RBX\nADD RAX, RCX",
-            "PUSH RAX\nPOP RBX",
-        ):
+        for text in MOVING_STORES:
             code = parse_sequence(text, DATABASE)
             core, _results, stats = check_ladder(
                 "SKL", "analytic", code, [2, 40]
             )
             assert stats.runs_analytic == 0
             assert stats.cycles_analytic == 0
-            # The emulating event probe serves them instead.
-            assert stats.probe_copies >= MIN_PROBE
-            assert stats.runs_probe + stats.runs_full == 2
+            assert stats.runs_full == 2
+            assert stats.runs_probe == stats.probe_copies == 0
+            assert stats.declined_moving_addresses == 1
 
     def test_loop_invariant_stores_served_in_closed_form(self):
         code = _body("MOV_M64_R64")
@@ -132,13 +138,31 @@ class TestStoresFallback:
         assert core.cycles_simulated == 0
 
     def test_guard_flags(self):
-        core = build_core(get_uarch("SKL"), kernel="analytic")
+        core = Core(get_uarch("SKL"), kernel="analytic")
         assert _uses_stores(core, _body("MOV_M64_R64"))
         assert not _uses_stores(core, _body("MOV_R64_M64"))
         assert _fixed_addresses(_body("MOV_M64_R64"))
         assert not _fixed_addresses(parse_sequence(
             "MOV qword ptr [RAX], RBX\nMOV RAX, qword ptr [RAX]", DATABASE
         ))
+
+
+def _abort_recurrence(monkeypatch):
+    """Make every closed-form schedule abort, and record the copies of
+    each synthesized probe the array event kernel then schedules."""
+    monkeypatch.setattr(
+        extrapolate, "schedule_arrays", lambda *args, **kw: None
+    )
+    seen = []
+    original = extrapolate.timing_event_arrays
+
+    def spy(uarch, *arrays):
+        if len(arrays) > 5:  # a probe: per-copy boundaries passed
+            seen.append(len(arrays[5]))
+        return original(uarch, *arrays)
+
+    monkeypatch.setattr(extrapolate, "timing_event_arrays", spy)
+    return seen
 
 
 class TestProbeRule:
@@ -154,16 +178,11 @@ class TestProbeRule:
     @pytest.mark.parametrize("targets, probes", [
         ((5, 25), [25]), ((10, 110), [MIN_PROBE, 2 * MIN_PROBE]),
     ])
-    def test_event_probes_simulated(self, targets, probes):
-        core = build_core(get_uarch("SKL"), kernel="event")
-        seen = []
-        original = core.run_instrumented
-
-        def spy(code, copies, init=None):
-            seen.append(copies)
-            return original(code, copies, init)
-
-        core.run_instrumented = spy
+    def test_event_probes_simulated(self, targets, probes, monkeypatch):
+        """On a recurrence abort the synthesized probes run on the array
+        event kernel, sized by the same rule."""
+        seen = _abort_recurrence(monkeypatch)
+        core = Core(get_uarch("SKL"))
         code = _body("ADD_R64_R64")
         results, stats = unrolled_counters(core, code, None, targets)
         assert seen == probes
@@ -179,34 +198,29 @@ class TestShortProbes:
     """Targets below MIN_PROBE are prefixes of one short probe: no
     extrapolation, and the probe is clamped to the largest target."""
 
-    def test_all_targets_prefix(self):
+    def test_all_targets_prefix(self, monkeypatch):
         targets = [3, 7]
         assert targets[-1] < MIN_PROBE
+        _abort_recurrence(monkeypatch)
         core, _results, stats = check_ladder(
-            "SKL", "event", _body("IMUL_R64_R64"), targets
+            "SKL", "analytic", _body("IMUL_R64_R64"), targets
         )
+        assert stats.runs_probe == len(targets)
         assert stats.runs_extrapolated == 0
         assert stats.cycles_extrapolated == 0
 
-    def test_probe_not_longer_than_largest_target(self):
-        core = build_core(get_uarch("SKL"), kernel="event")
-        seen = {}
-        original = core.run_instrumented
-
-        def spy(code, copies, init=None):
-            seen["copies"] = copies
-            return original(code, copies, init)
-
-        core.run_instrumented = spy
+    def test_probe_not_longer_than_largest_target(self, monkeypatch):
+        seen = _abort_recurrence(monkeypatch)
+        core = Core(get_uarch("SKL"))
         unrolled_counters(core, _body("ADD_R64_R64"), None, [3, 7])
-        assert seen["copies"] == 7
+        assert seen == [7]
 
 
 class TestNoPeriodFallback:
-    """When no timing period is detected the long targets are simulated
-    in full while the probe still serves the short ones.  The long
-    target lies beyond one doubling of :data:`MIN_PROBE`, so the probe
-    stays short and the fallback is actually reached."""
+    """When no timing period is detected the long targets are scheduled
+    at their own length while the probe still serves the short ones.
+    The long target lies beyond one doubling of :data:`MIN_PROBE`, so
+    the probe stays short and the fallback is actually reached."""
 
     TARGETS = [2, 40]
 
@@ -214,15 +228,19 @@ class TestNoPeriodFallback:
         assert _probe_copies(self.TARGETS) == MIN_PROBE < self.TARGETS[-1]
 
     def test_event_probe_falls_back(self, monkeypatch):
+        """After a recurrence abort the event-kernel probe serves the
+        short target; the long one is synthesized at full length."""
         monkeypatch.setattr(
             extrapolate, "_detect_period", lambda signatures: None
         )
+        seen = _abort_recurrence(monkeypatch)
         core, _results, stats = check_ladder(
-            "SKL", "event", _body("ADD_R64_R64"), self.TARGETS
+            "SKL", "analytic", _body("ADD_R64_R64"), self.TARGETS
         )
-        assert stats.probe_copies == MIN_PROBE
-        assert stats.runs_probe == 1
-        assert stats.runs_full == 1
+        assert seen == [MIN_PROBE, self.TARGETS[-1]]
+        assert stats.probe_copies == MIN_PROBE + self.TARGETS[-1]
+        assert stats.runs_probe == 2
+        assert stats.runs_full == 0
         assert stats.runs_extrapolated == 0
         assert stats.cycles_extrapolated == 0
 
@@ -244,7 +262,7 @@ class TestNoPeriodFallback:
 
 class TestSnapshotMiss:
     """No rename-state period within the snapshot budget: the analytic
-    tier returns None and the event probe takes over."""
+    tier returns None and every target is simulated in full."""
 
     def test_budget_zero_disables_closed_form(self, monkeypatch):
         monkeypatch.setattr(extrapolate, "SNAPSHOT_BUDGET", 0)
@@ -252,10 +270,59 @@ class TestSnapshotMiss:
             "SKL", "analytic", _body("ADD_R64_R64"), [2, 40]
         )
         assert stats.runs_analytic == 0
-        assert stats.runs_extrapolated == 1
-        # The probe itself may still be scheduled by the analytic
-        # kernel per run — but never as a closed-form unroll.
+        assert stats.runs_full == 2
+        assert stats.runs_extrapolated == 0
+        assert stats.declined_no_period == 1
+        # Each full run may still be scheduled by the closed-form
+        # recurrence inside Core.run — but never as a closed-form unroll.
         assert len(core.analytic_memo) == 0
+
+
+DECLINE_REASONS = (
+    "declined_moving_addresses",
+    "declined_front_end",
+    "declined_no_period",
+)
+
+
+class TestDeclineCounters:
+    """Each reason the closed form declines a body increments its own
+    counter, and only that one; a served body increments none."""
+
+    def _declines(self, core, code):
+        _results, stats = unrolled_counters(core, code, None, [2, 40])
+        return {reason: getattr(stats, reason) for reason in DECLINE_REASONS}
+
+    @staticmethod
+    def _only(reason):
+        return {r: int(r == reason) for r in DECLINE_REASONS}
+
+    @pytest.mark.parametrize("text", MOVING_STORES)
+    def test_moving_addresses(self, text):
+        code = parse_sequence(text, DATABASE)
+        assert self._declines(Core(get_uarch("SKL")), code) == self._only(
+            "declined_moving_addresses"
+        )
+
+    @pytest.mark.parametrize(
+        "extension", ["enable_macro_fusion", "enable_decoder_model"]
+    )
+    def test_front_end(self, extension):
+        core = Core(get_uarch("SKL"), **{extension: True})
+        assert self._declines(core, _body("ADD_R64_R64")) == self._only(
+            "declined_front_end"
+        )
+
+    def test_no_period(self, monkeypatch):
+        monkeypatch.setattr(extrapolate, "SNAPSHOT_BUDGET", 0)
+        core = Core(get_uarch("SKL"))
+        assert self._declines(core, _body("ADD_R64_R64")) == self._only(
+            "declined_no_period"
+        )
+
+    def test_served_body_declines_nothing(self):
+        core = Core(get_uarch("SKL"))
+        assert self._declines(core, _body("MOV_M64_R64")) == self._only(None)
 
 
 class TestRecurrenceAbort:
@@ -284,7 +351,7 @@ class TestStructuralMemo:
 
     def test_hit_returns_identical_results_and_stats(self):
         uarch = get_uarch("SKL")
-        core = build_core(uarch, kernel="analytic")
+        core = Core(uarch, kernel="analytic")
         form = DATABASE.by_uid("ADD_R64_R64")
         body_a = independent_sequence(form, 2)
         body_b = independent_sequence(form, 2)
@@ -301,7 +368,7 @@ class TestStructuralMemo:
 
     def test_different_shapes_miss(self):
         uarch = get_uarch("SKL")
-        core = build_core(uarch, kernel="analytic")
+        core = Core(uarch, kernel="analytic")
         form = DATABASE.by_uid("ADD_R64_R64")
         unrolled_counters(
             core, independent_sequence(form, 2), None, [2, 40]
@@ -331,7 +398,7 @@ class TestFormBlockerCache:
     """The (divider, stores) guard flags are computed once per form."""
 
     def test_flags_cached_per_form(self):
-        core = build_core(get_uarch("SKL"), kernel="analytic")
+        core = Core(get_uarch("SKL"), kernel="analytic")
         div = instantiate(DATABASE.by_uid("DIV_R32"))
         store = instantiate(DATABASE.by_uid("MOV_M64_R64"))
         add = instantiate(DATABASE.by_uid("ADD_R64_R64"))

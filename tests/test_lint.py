@@ -128,21 +128,6 @@ FILE_RULE_FIXTURES = {
             return best
         """,
     ),
-    "RPR113": (
-        "core/fusion.py",
-        """
-        from repro.pipeline.core import Core
-
-        def fusion_core(uarch):
-            return Core(uarch, enable_macro_fusion=True)
-        """,
-        """
-        from repro.pipeline.core import build_core
-
-        def fusion_core(uarch):
-            return build_core(uarch, enable_macro_fusion=True)
-        """,
-    ),
     "RPR120": (
         "queue_payload.py",
         """
@@ -260,22 +245,6 @@ class TestFileRules:
         report = lint_snippet(str(tmp_path), relpath, source)
         assert codes(report) == []
         assert report.suppressed == 1
-
-    @pytest.mark.parametrize(
-        "relpath", ["pipeline/core.py", "measure/backend.py"]
-    )
-    def test_rpr113_exempts_tier_owners(self, relpath, tmp_path):
-        """The pipeline and measurement layers own tier selection and
-        may construct Core directly."""
-        report = lint_snippet(
-            str(tmp_path),
-            relpath,
-            """
-            def make(uarch):
-                return Core(uarch, kernel="analytic")
-            """,
-        )
-        assert codes(report) == []
 
     def test_rpr150_exempts_journal_module(self, tmp_path):
         """The journal module owns durable appends and opens raw."""

@@ -1,13 +1,16 @@
-"""Differential tests: event kernel / extrapolating measure vs. the seed.
+"""Differential tests: timing kernels / measurement ladder vs. the seed.
 
-The optimized simulation path (event-driven timing kernel, steady-state
-extrapolation, collapsed repeats) claims **bit-identical** counters to
-the seed per-cycle loop, not approximate agreement.  These tests pin
-that claim with exact ``CounterValues`` equality — cycles, per-port µop
-counts, µop/instruction/fused counts — against ``kernel="reference"``
-over a representative catalog slice (GPR/SSE/AVX arithmetic, divider
-forms with value dependence, memory forms, eliminated idioms) plus a
-stratified catalog sample, on at least two microarchitectures.
+The optimized simulation path (closed-form schedule with the event
+kernel as its fallback, steady-state extrapolation, collapsed repeats)
+claims **bit-identical** counters to the seed per-cycle loop, not
+approximate agreement.  These tests pin that claim with exact
+``CounterValues`` equality — cycles, per-port µop counts,
+µop/instruction/fused counts — against ``kernel="reference"`` over a
+representative catalog slice (GPR/SSE/AVX arithmetic, divider forms
+with value dependence, memory forms, eliminated idioms) plus a
+stratified catalog sample, on at least two microarchitectures.  The
+event kernel has no kernel mode of its own, so the kernel-level tests
+time fresh renames of each stream with every kernel directly.
 """
 
 from __future__ import annotations
@@ -20,8 +23,12 @@ from repro.core.codegen import independent_sequence, instantiate
 from repro.core.result import decode_counters, encode_counters
 from repro.core.runner import CharacterizationRunner
 from repro.isa.database import load_default_database
+from repro.measure import extrapolate
 from repro.measure.backend import HardwareBackend, MeasurementConfig
+from repro.pipeline.analytic import schedule_analytic
 from repro.pipeline.core import Core, CounterValues
+from repro.pipeline.event_kernel import timing_event
+from repro.pipeline.state import MachineState
 from repro.uarch.configs import get_uarch
 
 DATABASE = load_default_database()
@@ -74,44 +81,69 @@ def assert_identical(a: CounterValues, b: CounterValues, context=""):
     assert a.uops_fused == b.uops_fused, f"fused counts differ {context}"
 
 
+def assert_tiers_agree(default, reference, code, init=None, context=""):
+    """Every timing tier on one block, against the reference loop.
+
+    ``default.run`` (closed form, event kernel on a decline) must equal
+    ``reference.run`` exactly.  Then fresh renames of the same stream
+    are timed by the event kernel, which must match on every stream, and
+    by the closed form, which must match wherever it answers.  Returns
+    whether the closed form answered.
+    """
+    __tracebackhint__ = True
+    expected = reference.run(code, init)
+    assert_identical(default.run(code, init), expected, context)
+
+    def fresh():
+        return reference._rename(list(code), MachineState.initial(init))
+
+    observed = (expected.cycles, expected.port_uops)
+    uarch = reference.uarch
+    assert timing_event(uarch, fresh()) == observed, (
+        f"event kernel differs {context}"
+    )
+    analytic = schedule_analytic(uarch, fresh())
+    assert analytic in (None, observed), f"closed form differs {context}"
+    return analytic is not None
+
+
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)
 class TestKernelDifferential:
-    """Core.run: event kernel vs. reference loop, exact equality."""
+    """Core.run and every timing kernel vs. the reference loop, exact
+    equality."""
 
     def test_independent_blocks(self, uarch_name):
         uarch = get_uarch(uarch_name)
-        event = Core(uarch, kernel="event")
+        default = Core(uarch)
         reference = Core(uarch, kernel="reference")
         for form in _forms(uarch_name):
             for n in (1, 4, 25):
                 code = independent_sequence(form, n)
-                assert_identical(
-                    event.run(code),
-                    reference.run(code),
-                    f"({uarch_name} {form.uid} x{n} independent)",
+                assert_tiers_agree(
+                    default, reference, code,
+                    context=f"({uarch_name} {form.uid} x{n} independent)",
                 )
 
     def test_dependent_chains(self, uarch_name):
         """Same instruction repeated: same registers form a latency chain
         (and exercise the same-register µop decompositions)."""
         uarch = get_uarch(uarch_name)
-        event = Core(uarch, kernel="event")
+        default = Core(uarch)
         reference = Core(uarch, kernel="reference")
         for form in _forms(uarch_name):
             instruction = instantiate(form)
             for n in (5, 40):
                 code = [instruction] * n
-                assert_identical(
-                    event.run(code),
-                    reference.run(code),
-                    f"({uarch_name} {form.uid} x{n} chain)",
+                assert_tiers_agree(
+                    default, reference, code,
+                    context=f"({uarch_name} {form.uid} x{n} chain)",
                 )
 
     def test_divider_value_classes(self, uarch_name):
         """Fast and slow divider operands (Section 5.2.5): the divider
         occupies non-pipelined cycles and blocks younger µops."""
         uarch = get_uarch(uarch_name)
-        event = Core(uarch, kernel="event")
+        default = Core(uarch)
         reference = Core(uarch, kernel="reference")
         form = DATABASE.by_uid("DIV_R64")
         instruction = instantiate(form)
@@ -126,9 +158,8 @@ class TestKernelDifferential:
         ):
             for n in (3, 12):
                 code = [instruction] * n
-                assert_identical(
-                    event.run(code, init),
-                    reference.run(code, init),
+                assert not assert_tiers_agree(
+                    default, reference, code, init,
                     f"({uarch_name} DIV_R64 x{n} init={init})",
                 )
 
@@ -136,10 +167,10 @@ class TestKernelDifferential:
         """A stratified catalog sample, unrolled like the measurement
         protocol's short unroll."""
         uarch = get_uarch(uarch_name)
-        event = Core(uarch, kernel="event")
+        default = Core(uarch)
         reference = Core(uarch, kernel="reference")
         supported = [
-            form for form in DATABASE if event.supports(form)
+            form for form in DATABASE if default.supports(form)
             and form.category not in ("jmp", "jmp_indirect", "call", "ret")
         ]
         for form in stratified_sample(supported, 40):
@@ -147,10 +178,9 @@ class TestKernelDifferential:
                 code = independent_sequence(form, 3) * 2
             except (KeyError, ValueError):
                 continue
-            assert_identical(
-                event.run(code),
-                reference.run(code),
-                f"({uarch_name} {form.uid} sampled)",
+            assert_tiers_agree(
+                default, reference, code,
+                context=f"({uarch_name} {form.uid} sampled)",
             )
 
 
@@ -165,7 +195,7 @@ class TestMeasureDifferential:
     )
     def test_measure_bit_identical(self, uarch_name, config):
         uarch = get_uarch(uarch_name)
-        fast = HardwareBackend(uarch, config, kernel="event")
+        fast = HardwareBackend(uarch, config)
         seed = HardwareBackend(uarch, config, kernel="reference")
         for form in _forms(uarch_name):
             for code in (
@@ -183,7 +213,7 @@ class TestMeasureDifferential:
         """The divider fallback path (no extrapolation) with explicit
         operand values."""
         uarch = get_uarch(uarch_name)
-        fast = HardwareBackend(uarch, kernel="event")
+        fast = HardwareBackend(uarch)
         seed = HardwareBackend(uarch, kernel="reference")
         form = DATABASE.by_uid("DIV_R64")
         instruction = instantiate(form)
@@ -205,7 +235,7 @@ class TestMeasureDifferential:
         """End to end: full characterizations agree exactly."""
         uarch = get_uarch(uarch_name)
         results = {}
-        for mode in ("event", "reference"):
+        for mode in ("analytic", "reference"):
             backend = HardwareBackend(uarch, kernel=mode)
             runner = CharacterizationRunner(backend, DATABASE)
             results[mode] = {
@@ -213,7 +243,7 @@ class TestMeasureDifferential:
                 for uid in ("ADD_R64_R64", "IMUL_R64_R64", "DIV_R64",
                             "SHLD_R64_R64_I8")
             }
-        for uid, outcome in results["event"].items():
+        for uid, outcome in results["analytic"].items():
             seed_outcome = results["reference"][uid]
             assert outcome.uop_count == seed_outcome.uop_count
             assert outcome.port_usage == seed_outcome.port_usage
@@ -221,6 +251,24 @@ class TestMeasureDifferential:
                     == seed_outcome.latency.pairs), uid
             assert (outcome.throughput.measured
                     == seed_outcome.throughput.measured), uid
+
+
+class TestKernelModes:
+    """Two kernel modes: the default ladder and the reference oracle.
+    The event kernel is the closed form's fallback, not a mode."""
+
+    def test_accepted_modes(self):
+        uarch = get_uarch("SKL")
+        assert Core(uarch).kernel == "analytic"
+        assert Core(uarch, kernel="reference").kernel == "reference"
+
+    @pytest.mark.parametrize("mode", ["event", "fast"])
+    def test_other_modes_raise(self, mode):
+        uarch = get_uarch("SKL")
+        with pytest.raises(ValueError, match="unknown timing kernel"):
+            Core(uarch, kernel=mode)
+        with pytest.raises(ValueError, match="unknown timing kernel"):
+            HardwareBackend(uarch, kernel=mode)
 
 
 class TestCollapsedRepeats:
@@ -262,12 +310,15 @@ class TestCollapsedRepeats:
 class TestExtrapolationCounters:
     """The extrapolation stats must reflect real analytic work."""
 
-    def test_extrapolation_happens_and_saves_cycles(self):
+    def test_extrapolation_happens_and_saves_cycles(self, monkeypatch):
+        """A recurrence abort runs the synthesized probe on the event
+        kernel; its periodic tail serves the long unroll."""
+        monkeypatch.setattr(
+            extrapolate, "schedule_arrays", lambda *args, **kw: None
+        )
         uarch = get_uarch("SKL")
         form = DATABASE.by_uid("ADD_R64_R64")
-        backend = HardwareBackend(
-            uarch, MeasurementConfig.paper(), kernel="event"
-        )
+        backend = HardwareBackend(uarch, MeasurementConfig.paper())
         backend.measure(independent_sequence(form, 4))
         stats = backend.snapshot()
         assert stats.runs_extrapolated >= 1

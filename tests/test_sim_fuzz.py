@@ -3,10 +3,14 @@
 The three timing tiers — analytic closed form
 (:mod:`repro.pipeline.analytic`), event kernel
 (:mod:`repro.pipeline.event_kernel`) and the seed per-cycle reference
-loop — claim **bit-identical** ``CounterValues``.  The fixed-uid
-sampling in ``test_sim_differential.py`` pins that claim on catalog
-slices; this module promotes it to generative coverage with Hypothesis
-strategies over
+loop — claim **bit-identical** ``CounterValues``.  The event kernel is
+not a kernel mode of its own (it is the closed form's fallback), so the
+kernel-level strategies time fresh copies of each drawn stream with all
+three directly, and the measure-level strategies compare the default
+ladder against ``kernel="reference"``.  The fixed-uid sampling in
+``test_sim_differential.py`` pins the claim on catalog slices; this
+module promotes it to generative coverage with Hypothesis strategies
+over
 
 * synthetic renamed µop streams (random port sets, latencies 1–30,
   portless/load/store µops, divider occupancy, dependency DAGs),
@@ -21,12 +25,16 @@ strategies over
   arithmetic, flag-fed conditional moves and sets, partial registers,
   and a store/reload at the divider's memory operand — checking the
   closed form's slice-only value classes against full emulation too,
+* real-catalog stack bodies (``PUSH``/``POP``/``CALL``/``RET`` mixes)
+  and pointer chases (a written base register, a load into the base):
+  the shapes whose addresses move between copies, which the closed form
+  declines to full simulation,
 
-asserting exact equality across all three tiers on SKL and NHM.
+asserting exact equality across all tiers on SKL and NHM.
 
 Budget: ``REPRO_FUZZ_EXAMPLES`` scales every strategy (default 100 →
-100 + 80 + 34 + 34 + 34 = 282 generated cases per microarchitecture; the CI
-``sim-fuzz`` job raises it).  Failures print a ``@reproduce_failure``
+100 + 80 + 34 + 34 + 34 + 34 + 34 = 350 generated cases per
+microarchitecture; the CI ``sim-fuzz`` job raises it).  Failures print a ``@reproduce_failure``
 blob (``print_blob``); run CI with ``--hypothesis-seed=random`` so the
 seed itself is printed too.
 """
@@ -45,14 +53,18 @@ from repro.isa.database import load_default_database
 from repro.isa.operands import Memory
 from repro.measure.backend import HardwareBackend, MeasurementConfig
 from repro.measure.extrapolate import _divider_classes, _fixed_addresses
-from repro.pipeline.analytic import schedule_analytic
+from repro.pipeline.analytic import (
+    extract_arrays,
+    schedule_analytic,
+    schedule_arrays,
+)
 from repro.pipeline.core import (
     Core,
     _RUop,
     divider_operands_fast,
     split_accesses,
 )
-from repro.pipeline.event_kernel import timing_event
+from repro.pipeline.event_kernel import timing_event, timing_event_arrays
 from repro.pipeline.semantics import evaluate
 from repro.pipeline.state import MachineState
 from repro.uarch.configs import get_uarch
@@ -65,13 +77,11 @@ from repro.uarch.uops import (
     UopSpec,
 )
 
-from tests.test_sim_differential import assert_identical
+from tests.test_sim_differential import assert_identical, assert_tiers_agree
 
 DATABASE = load_default_database()
 
 UARCH_NAMES = ["SKL", "NHM"]
-
-KERNELS = ("analytic", "event", "reference")
 
 #: Example budget per strategy; the CI sim-fuzz job raises this.
 _BUDGET = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "100"))
@@ -154,19 +164,21 @@ class TestSyntheticStreams:
     def test_three_tiers_identical(self, uarch_name, data):
         uarch = get_uarch(uarch_name)
         plan = data.draw(stream_plans(uarch.ports), label="stream")
-        results = {}
-        for kernel in KERNELS:
-            # Fresh stream per kernel: the reference loop mutates
-            # dispatch/completion state in place.
-            core = Core(uarch, kernel=kernel)
-            results[kernel] = core._timing(build_stream(plan))
-        assert_identical(
-            results["event"], results["reference"],
-            f"({uarch_name} stream, event vs reference)",
+        # Fresh stream per kernel: the reference loop mutates
+        # dispatch/completion state in place.
+        reference = Core(uarch, kernel="reference")._timing(
+            build_stream(plan)
         )
+        expected = (reference.cycles, reference.port_uops)
+        assert timing_event(uarch, build_stream(plan)) == expected, (
+            f"({uarch_name} stream, event vs reference)"
+        )
+        assert schedule_analytic(uarch, build_stream(plan)) in (
+            None, expected,
+        ), f"({uarch_name} stream, analytic vs reference)"
         assert_identical(
-            results["analytic"], results["event"],
-            f"({uarch_name} stream, analytic vs event)",
+            Core(uarch)._timing(build_stream(plan)), reference,
+            f"({uarch_name} stream, default vs reference)",
         )
 
     @given(data=st.data())
@@ -179,14 +191,19 @@ class TestSyntheticStreams:
         n = len(plan)
         cut = data.draw(st.integers(1, n), label="boundary")
         boundaries = sorted({cut, n})
-        analytic = schedule_analytic(
-            uarch, build_stream(plan), boundaries
+        ports, lat, min_issue, deps, divider = extract_arrays(
+            build_stream(plan)
+        )
+        if any(divider):
+            return  # no closed form: the fallback ladder covers it
+        analytic = schedule_arrays(
+            uarch, ports, lat, min_issue, deps, boundaries
         )
         if analytic is None:
-            return  # no closed form: the fallback ladder covers it
-        cycles, port_counts, finishes = analytic
-        e_cycles, e_ports, e_finishes = timing_event(
-            uarch, build_stream(plan), boundaries
+            return
+        cycles, port_counts, finishes, _bounds = analytic
+        e_cycles, e_ports, e_finishes, _bound = timing_event_arrays(
+            uarch, ports, lat, min_issue, deps, divider, boundaries
         )
         assert cycles == e_cycles
         assert port_counts == e_ports
@@ -289,18 +306,13 @@ class TestSyntheticForms:
                 st.sampled_from((0, 1, 3, 0xFFFF, 0xDEADBEEFCAFE)),
             ), label="init")
             init = dict(zip(regs, values))
-        results = {}
-        for kernel in KERNELS:
-            core = Core(uarch, kernel=kernel)
+        default = Core(uarch)
+        reference = Core(uarch, kernel="reference")
+        for core in (default, reference):
             core._entries._cache[_HOST_UID] = entry
-            results[kernel] = core.run(body, init)
-        assert_identical(
-            results["event"], results["reference"],
-            f"({uarch_name} synthetic form, event vs reference)",
-        )
-        assert_identical(
-            results["analytic"], results["event"],
-            f"({uarch_name} synthetic form, analytic vs event)",
+        assert_tiers_agree(
+            default, reference, body, init,
+            f"({uarch_name} synthetic form)",
         )
 
 
@@ -338,6 +350,16 @@ def _body_forms(uarch_name):
     return forms
 
 
+def assert_measure_agrees(uarch, code, init=None, context=""):
+    """HardwareBackend.measure: the default ladder vs. the seed loop."""
+    __tracebackhint__ = True
+    assert_identical(
+        HardwareBackend(uarch).measure(code, init),
+        HardwareBackend(uarch, kernel="reference").measure(code, init),
+        f"{context} default vs reference",
+    )
+
+
 @st.composite
 def measure_bodies(draw, forms):
     """Experiment bodies as the runner builds them: latency chains,
@@ -356,8 +378,9 @@ def measure_bodies(draw, forms):
 @pytest.mark.slow
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)
 class TestMeasureBodies:
-    """HardwareBackend.measure: the tier ladder (analytic unroll,
-    event probe, reference loop) over generated catalog bodies."""
+    """HardwareBackend.measure: the tier ladder (closed-form unroll,
+    full simulation) against the reference loop over generated catalog
+    bodies."""
 
     @given(data=st.data())
     @settings(max_examples=max(_BUDGET // 3 + 1, 10), **_SETTINGS)
@@ -366,17 +389,8 @@ class TestMeasureBodies:
         body = data.draw(
             measure_bodies(_body_forms(uarch_name)), label="body"
         )
-        results = {
-            kernel: HardwareBackend(uarch, kernel=kernel).measure(body)
-            for kernel in KERNELS
-        }
-        assert_identical(
-            results["event"], results["reference"],
-            f"({uarch_name} measure body, event vs reference)",
-        )
-        assert_identical(
-            results["analytic"], results["event"],
-            f"({uarch_name} measure body, analytic vs event)",
+        assert_measure_agrees(
+            uarch, body, context=f"({uarch_name} measure body)"
         )
 
 
@@ -448,8 +462,8 @@ def store_bodies(draw, forms):
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)
 class TestStoreBodies:
     """HardwareBackend.measure over generated store bodies: the closed
-    form (fixed addresses), the emulating probe (moving addresses) and
-    the reference loop agree exactly."""
+    form (fixed addresses), full simulation (moving addresses) and the
+    reference loop agree exactly."""
 
     @given(data=st.data())
     @settings(max_examples=max(_BUDGET // 3 + 1, 10), **_SETTINGS)
@@ -458,17 +472,8 @@ class TestStoreBodies:
         body = data.draw(
             store_bodies(_store_forms(uarch_name)), label="body"
         )
-        results = {
-            kernel: HardwareBackend(uarch, kernel=kernel).measure(body)
-            for kernel in KERNELS
-        }
-        assert_identical(
-            results["event"], results["reference"],
-            f"({uarch_name} store body, event vs reference)",
-        )
-        assert_identical(
-            results["analytic"], results["event"],
-            f"({uarch_name} store body, analytic vs event)",
+        assert_measure_agrees(
+            uarch, body, context=f"({uarch_name} store body)"
         )
 
 
@@ -553,7 +558,7 @@ def _emulated_classes(core, code, init, copies):
 class TestDividerBodies:
     """Divider bodies: the slice-only value classes equal full
     emulation's copy by copy, and the closed form (class-aware
-    templates, one synthesized stream per target), the event kernel
+    templates, one synthesized stream per target on the event kernel)
     and the reference loop agree exactly."""
 
     @given(data=st.data())
@@ -571,19 +576,109 @@ class TestDividerBodies:
         assert _divider_classes(
             core, code, accesses, init, copies
         ) == _emulated_classes(core, code, init, copies)
-        results = {
-            kernel: HardwareBackend(uarch, kernel=kernel).measure(
-                code, init
-            )
-            for kernel in KERNELS
-        }
-        assert_identical(
-            results["event"], results["reference"],
-            f"({uarch_name} divider body, event vs reference)",
+        assert_measure_agrees(
+            uarch, code, init, f"({uarch_name} divider body)"
         )
-        assert_identical(
-            results["analytic"], results["event"],
-            f"({uarch_name} divider body, analytic vs event)",
+
+
+# ----------------------------------------------------------------------
+# Strategy 6: stack bodies and pointer chases — moving addresses.
+# ----------------------------------------------------------------------
+
+#: Stack templates; ``{r}`` is a GPR (never RSP), ``{b}`` a memory base.
+_STACK_LINES = (
+    "PUSH {r}",
+    "POP {r}",
+    "PUSH {imm}",
+    "PUSH qword ptr [{b}]",
+    "POP qword ptr [{b}]",
+    "PUSHF",
+    "POPF",
+    "CALL {r}",
+    "RET",
+)
+
+#: Pointer-chase templates over one base register ``{b}``: lines that
+#: write the base (an add, or a load into it) and lines that access
+#: memory through it (stores, loads, read-modify-writes).
+_BASE_WRITERS = (
+    "MOV {b}, qword ptr [{b}]",
+    "MOV {b}, qword ptr [{b}+8]",
+    "ADD {b}, {step}",
+    "LEA {b}, [{b}+{step}]",
+)
+_BASE_ACCESSES = (
+    "MOV qword ptr [{b}], {s}",
+    "MOV qword ptr [{b}+8], {b}",
+    "ADD qword ptr [{b}], {s}",
+    "ADD {s}, qword ptr [{b}]",
+)
+
+
+@st.composite
+def stack_bodies(draw):
+    """``(code, init)``: a mix of pushes, pops, calls and returns, each
+    moving RSP every copy, with a few register adds in between."""
+    lines = [
+        draw(st.sampled_from(_STACK_LINES + ("ADD {r}, {b}",) * bool(k)))
+        .format(
+            r=draw(st.sampled_from(_GPRS)),
+            b=draw(st.sampled_from(("RBX", "RSI"))),
+            imm=draw(st.sampled_from((0, 7, 0xFFFF))),
+        )
+        for k in range(draw(st.integers(1, 6)))
+    ]
+    code = parse_sequence("\n".join(lines), DATABASE)
+    init = {"RBX": 0x2000, "RSI": 0x3000}
+    return code, init
+
+
+@st.composite
+def pointer_chase_bodies(draw):
+    """``(code, init)``: at least one write of a base register and one
+    memory access through it, in any order, plus a few more of either."""
+    base = draw(st.sampled_from(("RAX", "RBX", "RSI")))
+    src = draw(st.sampled_from(("RCX", "RDX", "R8")))
+    templates = [
+        draw(st.sampled_from(_BASE_WRITERS)),
+        draw(st.sampled_from(_BASE_ACCESSES)),
+    ] + draw(st.lists(
+        st.sampled_from(_BASE_WRITERS + _BASE_ACCESSES), max_size=3
+    ))
+    lines = [
+        line.format(
+            b=base, s=src, step=draw(st.sampled_from((8, 64, 0x1000)))
+        )
+        for line in draw(st.permutations(templates))
+    ]
+    code = parse_sequence("\n".join(lines), DATABASE)
+    init = {
+        base: draw(st.sampled_from((0x1000, 0x10000, 0x7FFF0000))),
+        src: draw(st.sampled_from(_VALUES)),
+    }
+    return code, init
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("uarch_name", UARCH_NAMES)
+class TestMovingAddressBodies:
+    """Bodies whose addresses move between copies: the closed form
+    serves them only when they store nothing (and so need no addresses);
+    otherwise it declines and every target is simulated in full.  Either
+    way the default ladder matches the reference loop exactly."""
+
+    @pytest.mark.parametrize(
+        "strategy", [stack_bodies, pointer_chase_bodies],
+        ids=["stack", "pointer_chase"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=max(_BUDGET // 3 + 1, 10), **_SETTINGS)
+    def test_default_matches_reference(self, uarch_name, strategy, data):
+        uarch = get_uarch(uarch_name)
+        code, init = data.draw(strategy(), label="body")
+        assert not _fixed_addresses(code)
+        assert_measure_agrees(
+            uarch, code, init, f"({uarch_name} {strategy.__name__})"
         )
 
 

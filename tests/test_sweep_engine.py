@@ -40,10 +40,10 @@ def _forms(db, uids):
 
 @pytest.fixture(scope="module")
 def serial_results(db):
-    """Serial baseline on the event kernel.  Engines and workers run the
-    default analytic tier, so every equality against this baseline also
-    compares the two tiers across a whole sweep."""
-    backend = HardwareBackend(get_uarch("SKL"), kernel="event")
+    """Serial baseline on the reference loop.  Engines and workers run
+    the default ladder, so every equality against this baseline also
+    compares the two across a whole sweep."""
+    backend = HardwareBackend(get_uarch("SKL"), kernel="reference")
     runner = CharacterizationRunner(backend, db)
     return runner.characterize_all(_forms(db, SAMPLE_UIDS))
 
