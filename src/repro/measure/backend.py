@@ -201,13 +201,10 @@ class HardwareBackend:
 
     def snapshot(self) -> RunStatistics:
         """This backend's counters so far (fold deltas of two of them)."""
-        core = self._core
         snapshot = RunStatistics(
             memo_hits=self.memo_hits,
             memo_misses=self.memo_misses,
-            cycles_simulated=core.cycles_simulated,
-            runs_analytic=core.runs_analytic,
-            cycles_analytic=core.cycles_analytic,
+            cycles_simulated=self._core.cycles_simulated,
             cache_evictions=self.cache_evictions,
         )
         snapshot.merge(self._ladder)

@@ -14,16 +14,15 @@ factors from two rungs, cheapest first:
    µop stream, and the analytic recurrence schedules it.  Counters of
    each target are read off the probe as a prefix, or extrapolated from
    its periodic tail — in exact integer arithmetic, so the values are
-   bit-identical to a full simulation.  Where the recurrence aborts (a
-   per-port ready-order inversion) the same synthesized stream runs on
-   the array event kernel instead.
+   bit-identical to a full simulation.  The recurrence answers every
+   stream but a divider reorder (see divider bodies below).
 2. **Full simulation**: ``core.run(code * t)`` per target, which is what
    the paper's protocol literally does.  It serves the bodies the
    closed form declines — addresses that move between copies
    (:func:`_fixed_addresses`), the fusion and decoder front-end
-   extensions, and rename states with no period within
-   :data:`SNAPSHOT_BUDGET` — each counted per reason in
-   :class:`~repro.stats.RunStatistics`.
+   extensions, rename states with no period within
+   :data:`SNAPSHOT_BUDGET`, and divider reorders — each counted per
+   reason in :class:`~repro.stats.RunStatistics`.
 
 ``kernel="reference"`` skips the closed form and runs every target on
 the seed per-cycle loop: the oracle of the differential tests.
@@ -37,27 +36,32 @@ simulated core: counters observed at a copy boundary of a longer unroll
 equal the counters of simulating exactly that many copies.  Port binding
 is a pure function of issue order, issue/retire are in order, and a port
 always dispatches its oldest ready µop — so a younger µop can never
-delay an older one.  The single exception is the non-pipelined divider,
-whose occupancy lets a younger µop (dispatched while the older's
-operands were still in flight) stall an older divider µop; divider
-bodies therefore never extrapolate and are never read off a probe
-prefix.  They are also the value-dependent case (Section 5.2.5): the
-closed form serves them by emulating only the backward slice of the
-divider operands (:func:`_value_slice`) to get each copy's value class,
-proving the rename period over the rename state *and* that class
-sequence, and scheduling every unroll target on its own exact-length
-synthesized stream.
+delay an older one, and the recurrence schedules each µop from older
+µops alone.  The non-pipelined divider is the one exception: its
+occupancy can let a younger divider µop (ready while the older's
+operands were still in flight) take the divider first.  The recurrence
+detects that case and returns ``None``; everywhere else the prefix
+property holds, divider µops included.  Divider bodies are also the
+value-dependent case (Section 5.2.5): the closed form serves them by
+emulating only the backward slice of the divider operands
+(:func:`_value_slice`) to get each copy's value class, proving the
+rename period over the rename state *and* that class sequence, and
+scheduling the longest target's synthesized stream once; every target
+is read off it as a prefix.  A divider reorder declines the body,
+counted in ``divider_reorders``, and the full rung serves it.
 
-The timing period of a synthesized probe is detected on a trailing
-window and *verified* before use: the probe is doubled (capped at the
-longest unroll target) and the periodic prediction must reproduce the
-longer probe's per-copy signatures exactly.  A transient whose deltas
-merely look periodic for a while — e.g. a reservation-station fill
-pattern that repeats until the window drains — fails the check, and
-detection restarts on the longer probe.  When no period survives, each
-long target is synthesized and scheduled at its own length.  When one
-doubling would reach the longest target anyway, the first probe is
-simply that long (:func:`_probe_copies`) and every target is a prefix.
+Divider-free bodies extrapolate.  The timing period of the synthesized
+probe is detected on a trailing window and *verified* before use: the
+periodic prediction must reproduce a probe twice as long (capped at the
+longest unroll target) per-copy signature by signature.  A transient
+whose deltas merely look periodic for a while — e.g. a
+reservation-station fill pattern that repeats until the window drains —
+fails the check, and detection restarts on the longer probe.  Since the
+first probe is a prefix of its doubling, the doubled stream is scheduled
+once and both are read off it.  When no period survives, the longest
+target is scheduled and every target is a prefix.  When one doubling
+would reach the longest target anyway, the first probe is simply that
+long (:func:`_first_probe`) and every target is a prefix.
 """
 
 from __future__ import annotations
@@ -69,7 +73,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.isa.operands import Memory
 from repro.pipeline.analytic import schedule_arrays
-from repro.pipeline.event_kernel import timing_event_arrays
 from repro.pipeline.core import (
     KERNEL_REFERENCE,
     Core,
@@ -117,7 +120,7 @@ class ProbeResult:
     of copy ``k`` retired, so the counters of a *prefix* of ``t`` copies
     are ``cycles = finish[t-1] + 1`` plus the sums of the per-copy
     columns (valid whenever younger copies cannot delay older ones — no
-    divider µops).
+    divider reorder, which has no closed form).
     """
 
     copies: int
@@ -125,17 +128,16 @@ class ProbeResult:
     ports: List[Dict[int, int]]
     uops: List[int]
     fused: List[int]
-    total_cycles: int
 
 
-def _probe_copies(targets: Sequence[int]) -> int:
+def _first_probe(targets: Sequence[int]) -> int:
     """Copies of the first probe for the sorted unroll *targets*.
 
     The probe must be long enough for transients to settle
     (:data:`MIN_PROBE`) and to cover the short target.  Verifying a
     period doubles it, so when twice the probe reaches the longest
     target anyway, one probe of exactly that length serves every
-    target as a prefix — cheaper, and exact with no period at all.
+    target as a prefix — exact with no period at all.
     """
     probe = min(targets[-1], max(MIN_PROBE, targets[0] + 2))
     return targets[-1] if targets[-1] <= 2 * probe else probe
@@ -172,10 +174,11 @@ def _form_blockers(core: Core, instruction) -> Tuple[bool, bool]:
 def _uses_divider(core: Core, code: Sequence) -> bool:
     """Static guard: any µop of *code* can occupy the divider.
 
-    Divider occupancy breaks the prefix property and divider timing is
-    operand-value dependent, so these bodies never extrapolate: the
-    closed-form path schedules each target at full length from its
-    class-aware templates, and a declined body simulates each target.
+    Divider timing is operand-value dependent and its occupancy can
+    reorder divider µops, so these bodies never extrapolate: the
+    closed-form path schedules the longest target from its class-aware
+    templates and reads every target off it, and a declined body
+    simulates each target.
     """
     return any(_form_blockers(core, i)[0] for i in code)
 
@@ -422,26 +425,46 @@ def _synthesize(templates: List[Tuple], order: List[int]):
     return ports, lat, mins, deps, divider, boundaries
 
 
-def _full_length_counters(
-    core: Core, templates: List[Tuple], order: List[int], block_len: int
-) -> CounterValues:
-    """Counters of exactly the synthesized ``order`` stream.
-
-    Scheduled on the array event kernel, which models divider occupancy
-    (there is no closed form for it) — the same µop stream ``Core.run``
-    would time, without µop objects or value emulation.
-    """
-    *arrays, _boundaries = _synthesize(templates, order)
-    cycles, port_counts, _finishes, _bound = timing_event_arrays(
-        core.uarch, *arrays
+def _probe_result(
+    templates: List[Tuple], order: List[int], scheduled: Tuple
+) -> ProbeResult:
+    """Per-copy columns of one scheduled synthesized stream."""
+    _cycles, _counts, finishes, bounds = scheduled
+    per_ports: List[Dict[int, int]] = []
+    per_uops: List[int] = []
+    per_fused: List[int] = []
+    g = 0
+    for ti in order:
+        items, _fr, fused_delta = templates[ti]
+        counts: Dict[int, int] = {}
+        for _ in items:
+            bound = bounds[g]
+            if bound is not None:
+                counts[bound] = counts.get(bound, 0) + 1
+            g += 1
+        per_ports.append(counts)
+        per_uops.append(len(items))
+        per_fused.append(fused_delta)
+    return ProbeResult(
+        copies=len(order),
+        finish=finishes,
+        ports=per_ports,
+        uops=per_uops,
+        fused=per_fused,
     )
-    core.cycles_simulated += cycles
-    return CounterValues(
-        cycles=cycles,
-        port_uops=port_counts,
-        uops=len(arrays[1]),
-        instructions=len(order) * block_len,
-        uops_fused=sum(templates[ti][2] for ti in order),
+
+
+def _probe_prefix(probe: ProbeResult, copies: int) -> ProbeResult:
+    """The first ``copies`` copies of *probe* — by the prefix property,
+    the probe a ``copies``-copy stream would yield."""
+    if copies == probe.copies:
+        return probe
+    return ProbeResult(
+        copies=copies,
+        finish=probe.finish[:copies],
+        ports=probe.ports[:copies],
+        uops=probe.uops[:copies],
+        fused=probe.fused[:copies],
     )
 
 
@@ -463,8 +486,8 @@ def _analytic_unrolled(
     factor.  Guards: stores or dividers whose addresses can move between
     copies (:func:`_fixed_addresses`) and the fusion/decoder extensions
     (front-end state not covered by the snapshot) return ``None``, as
-    does a missing snapshot match; each decline counts once in *stats*
-    under its reason.
+    does a missing snapshot match or a divider reorder; each decline
+    counts once in *stats* under its reason.
 
     ``init`` is consulted only for store and divider bodies: one copy is
     evaluated from it to learn the effective addresses every copy
@@ -472,11 +495,11 @@ def _analytic_unrolled(
     slice (:func:`_divider_classes`); each copy is renamed with its own
     value classes, and a snapshot match counts only if the class
     sequence repeats with the same period up to the longest target.
-    Their timing step differs: divider occupancy breaks the prefix
-    property, so each target is scheduled on its own exact-length
-    synthesized stream (:func:`_full_length_counters`).  Otherwise
-    values influence neither the dependence graph nor any latency, so
-    the counters are identical for every initial state.
+    Their timing step differs: the longest target's stream is scheduled
+    once and every target read off it as a prefix, with no period
+    extrapolation.  Otherwise values influence
+    neither the dependence graph nor any latency, so the counters are
+    identical for every initial state.
     """
     if core.enable_macro_fusion or core.enable_decoder_model:
         stats.declined_front_end += 1
@@ -542,115 +565,90 @@ def _analytic_unrolled(
         results, served = hit
         # Replays which rung served each target; a hit simulates nothing.
         stats.merge(served)
-        stats.probe_copies -= served.probe_copies
-        return results
-
-    served = RunStatistics()
-    if classes is not None:
-        results = {
-            t: _full_length_counters(
-                core, templates, _template_order(t, transient, period),
-                block_len,
-            )
-            for t in targets
-        }
-        served.runs_full = len(targets)
-        stats.merge(served)
-        memo[key] = (results, served)
         return results
 
     uarch_ports = core.uarch.ports
-    closed_form = True
 
-    def build_probe(n: int) -> ProbeResult:
-        """Synthesize and schedule an ``n``-copy probe off the templates."""
-        nonlocal closed_form
-        order = _template_order(n, transient, period)
-        arrays = _synthesize(templates, order)
-        ports_a, lat_a, mins_a, deps_a, _divider_a, boundaries_a = arrays
-        scheduled = (
-            schedule_arrays(
-                core.uarch, ports_a, lat_a, mins_a, deps_a, boundaries_a
-            )
-            if closed_form else None
-        )
+    def schedule(copies: int) -> Optional[ProbeResult]:
+        """Synthesize ``copies`` copies off the templates and schedule
+        them in closed form; ``None`` on a divider reorder."""
+        order = _template_order(copies, transient, period)
+        *arrays, boundaries = _synthesize(templates, order)
+        scheduled = schedule_arrays(core.uarch, *arrays, boundaries)
         if scheduled is None:
-            # No closed form (a per-port ready-order inversion) — but
-            # the synthesized stream is still exact, so run it through
-            # the array event kernel: no value emulation, no µop
-            # objects, and rename still bounded by the snapshot budget.
-            closed_form = False
-            total_cycles, _counts, finishes, bound_arr = timing_event_arrays(
-                core.uarch, *arrays
-            )
-            core.cycles_simulated += total_cycles
-            served.probe_copies += n
-            bounds = [b if b >= 0 else None for b in bound_arr]
-        else:
-            total_cycles, _counts, finishes, bounds = scheduled
+            assert classes is not None, "only the divider reorders"
+            return None
+        return _probe_result(templates, order, scheduled)
 
-        per_ports: List[Dict[int, int]] = []
-        per_uops: List[int] = []
-        per_fused: List[int] = []
-        g = 0
-        for ti in order:
-            items, _fr, fused_delta = templates[ti]
-            counts: Dict[int, int] = {}
-            for _ in items:
-                bound = bounds[g]
-                if bound is not None:
-                    counts[bound] = counts.get(bound, 0) + 1
-                g += 1
-            per_ports.append(counts)
-            per_uops.append(len(items))
-            per_fused.append(fused_delta)
-        return ProbeResult(
-            copies=n,
-            finish=list(finishes or []),
-            ports=per_ports,
-            uops=per_uops,
-            fused=per_fused,
-            total_cycles=total_cycles,
+    served = RunStatistics()
+    if classes is None:
+        results = _periodic_targets(
+            schedule, targets, block_len, uarch_ports, served
         )
-
-    probe = build_probe(_probe_copies(targets))
-
-    results: Dict[int, CounterValues] = {}
-    beyond = [t for t in targets if t > probe.copies]
-    timing_period = None
-    if beyond:
-        probe, timing_period = _verified_period(
-            probe, build_probe, targets[-1]
-        )
-        beyond = [t for t in targets if t > probe.copies]
-    if beyond and timing_period is None:
-        # The schedule is not periodic within the probe window: extend
-        # to each long target exactly (cost is O(µops), not O(cycles)).
-        for t in beyond:
-            probe_t = build_probe(t)
-            results[t] = _prefix_counters(probe_t, t, block_len, uarch_ports)
-    for t in targets:
-        if t in results:
-            continue
-        if t <= probe.copies:
-            results[t] = _prefix_counters(probe, t, block_len, uarch_ports)
-        else:
-            results[t] = _extrapolated_counters(
-                probe, timing_period, t, block_len, uarch_ports
-            )
-            if not closed_form:
-                # Only a simulated probe's tail counts as extrapolated.
-                served.runs_extrapolated += 1
-                served.cycles_extrapolated += (
-                    results[t].cycles - probe.total_cycles
-                )
-    if closed_form:
-        served.runs_analytic = len(targets)
-        served.cycles_analytic = sum(int(results[t].cycles) for t in targets)
     else:
-        served.runs_probe = len(targets)
+        probe = schedule(targets[-1])
+        if probe is None:
+            stats.divider_reorders += 1
+            return None
+        results = {
+            t: _prefix_counters(probe, t, block_len, uarch_ports)
+            for t in targets
+        }
+    served.runs_analytic = len(targets)
+    served.cycles_analytic = sum(int(results[t].cycles) for t in targets)
     stats.merge(served)
     memo[key] = (results, served)
+    return results
+
+
+def _periodic_targets(
+    schedule: Callable[[int], ProbeResult],
+    targets: Sequence[int],
+    block_len: int,
+    ports: Sequence[int],
+    served: RunStatistics,
+) -> Dict[int, CounterValues]:
+    """Every target of a divider-free body off one scheduled stream.
+
+    The first probe (:func:`_first_probe`) is a prefix of its doubling,
+    so the doubled stream (capped at the longest target) is scheduled
+    once and the first probe read off it.  Targets beyond the final
+    probe are extrapolated from its verified timing period and count in
+    ``runs_extrapolated`` / ``cycles_extrapolated`` of *served*; with no
+    period, the longest target is scheduled and every target is a
+    prefix.
+    """
+    first = _first_probe(targets)
+    longest = schedule(min(2 * first, targets[-1]))
+
+    def probe_of(copies: int) -> ProbeResult:
+        nonlocal longest
+        if copies > longest.copies:
+            longest = schedule(copies)
+        return _probe_prefix(longest, copies)
+
+    probe = probe_of(first)
+    timing_period = None
+    if targets[-1] > probe.copies:
+        probe, timing_period = _verified_period(
+            probe, probe_of, targets[-1]
+        )
+        if timing_period is None:
+            # Not periodic within the probe window: schedule the longest
+            # target exactly (cost is O(µops), not O(cycles)).
+            probe = probe_of(targets[-1])
+    results: Dict[int, CounterValues] = {}
+    for t in targets:
+        if t <= probe.copies:
+            results[t] = _prefix_counters(probe, t, block_len, ports)
+        else:
+            results[t] = _extrapolated_counters(
+                probe, timing_period, t, block_len, ports
+            )
+            served.runs_extrapolated += 1
+            served.cycles_extrapolated += (
+                results[t].cycles - probe.finish[-1] - 1
+            )
     return results
 
 

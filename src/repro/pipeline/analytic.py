@@ -1,34 +1,38 @@
 """Analytic timing: a closed-form single-pass schedule of renamed µops.
 
-The third (fastest) tier of the timing ladder.  For µop streams without
-divider occupancy the simulated core's schedule is computable by one
-forward recurrence in age order — no event loop, no per-cycle scan:
+The third (fastest) tier of the timing ladder.  The simulated core's
+schedule is computable by one forward recurrence in age order — no event
+loop, no per-cycle scan:
 
 * **Issue** is in order, ``issue_width`` per cycle, gated by ROB and
   reservation-station occupancy.  Each gate is a monotone lower bound on
   the issue cycle, so the issue cycle is simply their maximum.
 * **Port binding** happens at issue (least-loaded, smallest port id on
   ties) and therefore depends only on older µops — replayed exactly.
-* **Dispatch** per port is oldest-ready-first, one µop per cycle.  When
-  the effective ready cycles of the µops bound to one port are
-  non-decreasing in age order, dispatch degenerates to a FIFO:
-  ``d = max(ready, previous_dispatch + 1)``.  The pass *verifies* this
-  monotonicity per port and aborts (returns ``None``) on a violation,
-  falling back to the event kernel — so the recurrence is exact wherever
-  it answers at all.
+* **Dispatch** per port is oldest-ready-first, one µop per cycle: fixed
+  priority scheduling of unit jobs.  A µop's dispatch cycle is the first
+  cycle at or after its effective ready cycle that no *older* µop on its
+  port took, so it depends on older µops only and the age-order pass
+  computes it exactly (see ``schedule_arrays``).
 * **Retire** is in order, ``retire_width`` per cycle: again a maximum of
   monotone bounds.
+* **The divider** is one more resource of the same pass: a divider µop
+  cannot dispatch before the previous divider µop frees it.  That is
+  exact while divider µops take the divider in age order; the pass
+  returns ``None`` (and the caller runs the event kernel) when a younger
+  divider µop could take it first.
 
 The subtlety is intra-cycle phase ordering (retire -> issue -> portless
 completion -> per-port dispatch in canonical port order): a value
 produced in a later phase of cycle ``c`` is visible to earlier phases
 only at ``c + 1``.  The recurrence reproduces the reference loop's
-visibility rules from the producers' dispatch cycles and phases alone —
-see ``schedule_arrays``.
+visibility rules from the producers' dispatch cycles and phases alone.
 
-Divider µops are excluded up front: the non-pipelined divider lets a
-younger µop stall an older one, which has no closed form here (and is
-the value-dependent case anyway).
+Because every µop's schedule depends only on older µops, the schedule of
+a prefix of a stream is the prefix of the stream's schedule: counters at
+a copy boundary (``boundaries``) equal the counters of scheduling just
+those copies.  The measurement ladder reads every unroll target off one
+synthesized stream this way.
 
 Equivalence contract: identical counters to the reference loop and the
 event kernel, pinned by tests/test_sim_differential.py and the
@@ -37,7 +41,7 @@ generative harness in tests/test_sim_fuzz.py.
 
 from __future__ import annotations
 
-from bisect import insort
+from heapq import heappush, heapreplace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Dependency representation: (producer µop index or None, cycle offset).
@@ -73,25 +77,90 @@ def extract_arrays(uops):
     return ports, lat, min_issue, deps, divider
 
 
+def _first_free(taken: Dict[int, int], slot: int) -> int:
+    """First cycle at or after *slot* missing from *taken*.
+
+    ``taken`` maps each taken dispatch cycle ``s`` to a later cycle
+    ``t`` such that every cycle in ``[s, t)`` is taken; the walk halves
+    its path as it goes (each visited cycle skips to its grandparent).
+    """
+    nxt = taken.get(slot)
+    while nxt is not None:
+        after = taken.get(nxt)
+        if after is None:
+            return nxt
+        taken[slot] = after
+        slot = after
+        nxt = taken.get(slot)
+    return slot
+
+
 def schedule_arrays(
     uarch,
     ports: Sequence,
     lat: Sequence[int],
     min_issue: Sequence[int],
     deps: Sequence[DepList],
+    divider: Optional[Sequence[int]] = None,
     boundaries: Optional[List[int]] = None,
 ):
-    """One-pass closed-form schedule; ``None`` when no closed form exists.
+    """One-pass closed-form schedule; ``None`` on a divider reorder.
 
     Arguments are parallel arrays indexed by µop id (see
     :func:`extract_arrays`); ``ports[k]`` is any iterable of candidate
-    port ids (empty for portless µops).  µops must be free of divider
-    occupancy — the caller guards.  Returns
-    ``(cycles, port_counts, finishes, bounds)`` with the same meaning as
-    the event kernel plus ``bounds`` (the port each µop was bound to,
-    ``None`` for portless), or ``None`` if a port's effective ready
-    cycles decrease in age order (oldest-ready-first would reorder, which
-    the FIFO recurrence cannot express).
+    port ids (empty for portless µops) and ``divider[k]`` the divider
+    occupancy in cycles (all zero when omitted).  Returns
+    ``(cycles, port_counts, finishes, bounds)``: total cycles and
+    per-port µop counts as the event kernel reports them, ``finishes[b]``
+    the retire cycle of the µop closing ``boundaries[b]`` (a cumulative
+    µop count; ``-1`` for an empty prefix), and ``bounds`` the port each
+    µop was bound to (``None`` for portless).
+
+    **Dispatch.**  Each port dispatches its oldest ready µop per cycle.
+    A µop's effective ready cycle ``eff`` (inputs visible to its port's
+    dispatch phase, and issued) depends on older µops only.  From
+    ``eff`` on the µop is ready every cycle until it dispatches, so at
+    each cycle ``c >= eff`` where no older µop of its port dispatched,
+    the port dispatches it or an older µop — it, then.  And at each
+    earlier cycle ``c >= eff`` an older µop took the port.  Hence the
+    dispatch cycle is the first cycle ``>= eff`` that no older µop of the
+    port took, a function of older µops only.  Each port keeps a
+    first-free-slot map over the cycles older µops took
+    (:func:`_first_free`).
+
+    **Reservation station.**  At the issue phase of cycle ``c`` a
+    port-bound predecessor still holds its slot unless it dispatched at
+    ``c - 1`` or earlier, so issue needs fewer than ``rs_size``
+    predecessors dispatching at ``c`` or later: ``c`` must exceed the
+    ``rs_size``-th largest older dispatch cycle, kept in a min-heap of
+    the ``rs_size`` largest.
+
+    **Divider.**  The pass schedules the divider µops in age order: a
+    divider µop is eligible from ``max(eff, divider_free)``, where the
+    previous divider µop set ``divider_free = d + divider_cycles``.
+    Call that schedule *S* and the simulated core *R*.  *S* is exactly
+    the core *M* that grants the divider in age order (the argument
+    above, with eligibility in place of readiness), and *R* and *M* act
+    identically until *R* first lets a divider µop ``j`` dispatch, at
+    cycle ``c`` on port position ``pos_j``, while an older divider µop
+    ``i`` has not.  Up to that point the histories agree, so in *S*:
+    ``eff_j <= c``; no divider µop dispatched before that point covers
+    ``c`` (in *R* the divider was free for ``j``); and ``i`` — hence
+    every divider µop the age order places after it — dispatches later:
+    ``d_i > c``, or ``d_i == c`` on a later port.  Either
+
+    1. ``d_i > c``: cycle ``c`` is divider-idle in *S*, with
+       ``eff_j <= c < d_i``.  Idle stretches of *S* end at a divider
+       dispatch, so this holds iff ``eff_j`` lies before the end of the
+       latest idle stretch that ended at an older divider dispatch; or
+    2. ``d_i == c`` and ``pos_i > pos_j``: ``eff_j <= d_i`` for an
+       older divider µop on a later port (ports dispatch in canonical
+       order within a cycle).
+
+    The pass returns ``None`` when either holds for any divider µop, so
+    wherever it answers *R* never reorders the divider and ``S == R``.
+    The test is conservative (it ignores whether ``j``'s own port was
+    free), and older-only, so the prefix property holds throughout.
     """
     issue_width = uarch.issue_width
     retire_width = uarch.retire_width
@@ -107,19 +176,23 @@ def schedule_arrays(
     )
     if n == 0:
         return 0, port_counts, finishes, []
+    if divider is not None and not any(divider):
+        divider = None
 
     issue = [0] * n
     disp = [0] * n
     phase = [0] * n
     retire = [0] * n
     bounds: List[Optional[int]] = [None] * n
-    #: Per port: effective ready cycle of the youngest bound µop (the
-    #: FIFO invariant) and the cycle of its latest dispatch.
-    last_ready = {p: 0 for p in port_order}
-    last_disp = {p: -1 for p in port_order}
-    #: Sorted dispatch cycles of all port-bound µops so far, for the
-    #: reservation-station occupancy bound at issue.
-    pb_disp: List[int] = []
+    #: Per port, the first-free-slot map of the cycles older µops took.
+    taken: Dict[int, Dict[int, int]] = {p: {} for p in port_order}
+    #: The ``rs_size`` largest dispatch cycles of port-bound µops so far.
+    rs_top: List[int] = []
+    #: Divider state: the cycle it frees, the end of its latest idle
+    #: stretch, and the latest divider dispatch per port position.
+    divider_free = 0
+    idle_end = 0
+    divider_disp: Dict[int, int] = {}
 
     for k in range(n):
         # --- Issue: max of monotone lower bounds -------------------
@@ -137,12 +210,8 @@ def schedule_arrays(
             t = retire[k - rob_size]
             if t > c:
                 c = t
-        # RS: at the issue phase of cycle c, a port-bound predecessor
-        # still occupies its slot unless it dispatched at c-1 or
-        # earlier; at least m_req of them must have left.
-        m_req = len(pb_disp) - rs_size + 1
-        if m_req > 0:
-            t = pb_disp[m_req - 1] + 1
+        if len(rs_top) == rs_size:
+            t = rs_top[0] + 1
             if t > c:
                 c = t
         issue[k] = c
@@ -203,16 +272,27 @@ def schedule_arrays(
         if phi < 0:
             d = eff  # portless: the ROB completes any number per cycle
         else:
-            port = bounds[k]
-            if eff < last_ready[port]:
-                # A younger µop ready before an older one on the same
-                # port: oldest-ready-first may reorder. No closed form.
-                return None
-            last_ready[port] = eff
-            t = last_disp[port] + 1
-            d = eff if eff > t else t
-            last_disp[port] = d
-            insort(pb_disp, d)
+            occupancy = divider[k] if divider is not None else 0
+            if occupancy:
+                if eff < idle_end or any(
+                    pos > phi and eff <= cycle
+                    for pos, cycle in divider_disp.items()
+                ):
+                    return None  # a younger divider µop could go first
+                if divider_free > eff:
+                    eff = divider_free
+            slots = taken[best]
+            d = _first_free(slots, eff)
+            slots[d] = d + 1
+            if occupancy:
+                if d > divider_free:
+                    idle_end = d
+                divider_free = d + occupancy
+                divider_disp[phi] = d
+            if len(rs_top) < rs_size:
+                heappush(rs_top, d)
+            elif d > rs_top[0]:
+                heapreplace(rs_top, d)
         disp[k] = d
         phase[k] = phi
 
@@ -241,14 +321,11 @@ def schedule_analytic(uarch, uops):
     """Closed-form schedule of renamed ``_RUop`` objects.
 
     Returns ``(cycles, port_counts)`` exactly like ``timing_event``, or
-    ``None`` when the stream has no closed form (divider µops, or a
-    per-port ready-order inversion).  Nothing but ``uop.index`` is
-    written, so on ``None`` the event kernel can run the same stream.
+    ``None`` on a divider reorder (see :func:`schedule_arrays`).
+    Nothing but ``uop.index`` is written, so on ``None`` the event
+    kernel can run the same stream.
     """
-    ports, lat, min_issue, deps, divider = extract_arrays(uops)
-    if any(divider):
-        return None
-    result = schedule_arrays(uarch, ports, lat, min_issue, deps)
+    result = schedule_arrays(uarch, *extract_arrays(uops))
     if result is None:
         return None
     return result[:2]

@@ -51,10 +51,11 @@ def kernel_mode(explicit: Optional[str] = None) -> str:
     """Resolve the timing-kernel selection.
 
     The default is the closed-form analytic tier, which falls back to
-    the event kernel per run when no closed form exists and is exact
-    wherever it answers.  An explicit ``"reference"`` selects the
-    original per-cycle loop (the differential-test oracle and the
-    escape hatch when debugging a suspected kernel mismatch).
+    the event kernel per run on a divider reorder (the one stream shape
+    without a closed form) and is exact wherever it answers.  An
+    explicit ``"reference"`` selects the original per-cycle loop (the
+    differential-test oracle and the escape hatch when debugging a
+    suspected kernel mismatch).
     """
     mode = explicit or KERNEL_ANALYTIC
     if mode not in (KERNEL_ANALYTIC, KERNEL_REFERENCE):
@@ -279,12 +280,9 @@ class Core:
         self.kernel = kernel_mode(kernel)
         self._entries = _EntryCache(uarch)
         self.last_fused_uops = 0
-        #: Total cycles simulated by this core (for RunStatistics).
+        #: Total cycles of the streams this core timed, by whichever
+        #: kernel (for RunStatistics).
         self.cycles_simulated = 0
-        #: Runs / cycles resolved by the closed-form analytic schedule
-        #: (only ever non-zero with ``kernel="analytic"``).
-        self.runs_analytic = 0
-        self.cycles_analytic = 0
         #: Structural memo of the measure-level analytic fast path:
         #: digest of the relative rename templates -> closed-form unroll
         #: results (see repro.measure.extrapolate._analytic_unrolled).
@@ -651,21 +649,19 @@ class Core:
         """Resolve the timing of a renamed µop stream.
 
         The closed-form recurrence answers where it can; on a divider
-        µop or a per-port ready-order inversion the event kernel runs
-        the stream instead.  With ``kernel="reference"`` the original
-        per-cycle loop does.  All produce bit-identical counters (pinned
-        by tests/test_sim_differential.py and tests/test_sim_fuzz.py).
+        reorder (a younger divider µop could take the divider first) the
+        event kernel runs the stream instead.  With
+        ``kernel="reference"`` the original per-cycle loop does.  All
+        produce bit-identical counters (pinned by
+        tests/test_sim_differential.py and tests/test_sim_fuzz.py).
         """
         if self.kernel == KERNEL_REFERENCE:
             return self._timing_reference(uops)
-        analytic = schedule_analytic(self.uarch, uops)
-        if analytic is not None:
-            cycles, port_counts = analytic
-            self.cycles_analytic += cycles
-            self.runs_analytic += 1
-        else:
-            cycles, port_counts = timing_event(self.uarch, uops)
-            self.cycles_simulated += cycles
+        timed = schedule_analytic(self.uarch, uops)
+        if timed is None:
+            timed = timing_event(self.uarch, uops)
+        cycles, port_counts = timed
+        self.cycles_simulated += cycles
         return CounterValues(
             cycles=cycles,
             port_uops=port_counts,

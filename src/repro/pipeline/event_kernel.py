@@ -18,11 +18,9 @@ This kernel replaces the scans with a ready-event scheduler:
   exactly when its last producer dispatches.
 
 It is not a kernel mode of its own.  :meth:`repro.pipeline.core.Core._timing`
-runs it on every stream the closed form (:mod:`repro.pipeline.analytic`)
-declines — divider occupancy or a per-port ready-order inversion — and
-the measurement ladder (:mod:`repro.measure.extrapolate`) runs
-:func:`timing_event_arrays` on synthesized streams the recurrence aborts
-on.
+runs it on the streams the closed form (:mod:`repro.pipeline.analytic`)
+declines — a divider µop that could take the divider before an older
+one.  That is its only caller: every other stream has a closed form.
 
 Cost scales with µop events (issue/dispatch/complete/retire), not with
 cycles or occupancy.  Per-µop state lives in preallocated parallel int
@@ -50,7 +48,7 @@ reference loop.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.pipeline.analytic import extract_arrays
 
@@ -61,11 +59,7 @@ _PORTLESS = -1
 
 def timing_event(uarch, uops) -> Tuple[int, Dict[int, int]]:
     """Schedule renamed µops; returns ``(cycles, port_counts)``."""
-    port_sets, lat, min_issue, deps, divider = extract_arrays(uops)
-    cycles, port_counts, _finishes, _bound = timing_event_arrays(
-        uarch, port_sets, lat, min_issue, deps, divider
-    )
-    return cycles, port_counts
+    return timing_event_arrays(uarch, *extract_arrays(uops))
 
 
 def timing_event_arrays(
@@ -75,20 +69,12 @@ def timing_event_arrays(
     min_issue,
     deps,
     divider,
-    boundaries: Optional[List[int]] = None,
-) -> Tuple[int, Dict[int, int], Optional[List[int]], List[int]]:
+) -> Tuple[int, Dict[int, int]]:
     """The scheduling loop proper, on parallel arrays indexed by µop id.
 
     Takes the same array layout as the analytic recurrence (see
-    :func:`repro.pipeline.analytic.extract_arrays`), so the measure-level
-    fast path can run synthesized streams that have no closed form
-    without materializing µop objects.  ``boundaries`` (optional) is an
-    increasing list of cumulative µop counts; ``finishes[k]`` is the
-    cycle at which the µop closing boundary ``k`` retired (``-1`` for an
-    empty prefix), which the synthesized probe of
-    :mod:`repro.measure.extrapolate` reads per-copy deltas from.
-    Additionally returns the ``bound`` array (port id per µop, negative
-    sentinels otherwise).
+    :func:`repro.pipeline.analytic.extract_arrays`).  Returns
+    ``(cycles, port_counts)``.
     """
     issue_width = uarch.issue_width
     retire_width = uarch.retire_width
@@ -99,11 +85,8 @@ def timing_event_arrays(
 
     n = len(lat)
     port_counts: Dict[int, int] = {p: 0 for p in port_order}
-    finishes: Optional[List[int]] = (
-        [-1] * len(boundaries) if boundaries is not None else None
-    )
     if n == 0:
-        return 0, port_counts, finishes, []
+        return 0, port_counts
 
     # Structure-of-arrays µop state, preallocated and indexed by µop id.
     disp = [-1] * n
@@ -127,7 +110,6 @@ def timing_event_arrays(
     in_rs = 0
     divider_free = 0
     last_retire = 0
-    b_ptr = 0
 
     def ready_time(idx: int) -> int:
         """Cycle at which all inputs are available, or -1 if unknown.
@@ -231,10 +213,6 @@ def timing_event_arrays(
             in_rob -= 1
             retired += 1
             last_retire = c
-        if finishes is not None:
-            while b_ptr < len(finishes) and retire_ptr >= boundaries[b_ptr]:
-                finishes[b_ptr] = c if boundaries[b_ptr] else -1
-                b_ptr += 1
         if (
             retired == retire_width
             and retire_ptr < n
@@ -343,4 +321,4 @@ def timing_event_arrays(
             # Freed reservation-station slots admit issue next cycle.
             push(c + 1)
 
-    return last_retire + 1, port_counts, finishes, bound
+    return last_retire + 1, port_counts

@@ -51,26 +51,21 @@ class RunStatistics:
     #: across drainers; see :class:`~repro.core.cache.MeasurementMemo`).
     memo_hits: int = _counter("memo")
     memo_misses: int = _counter("memo")
-    #: Timing-kernel work split: cycles actually simulated vs. produced
-    #: analytically by steady-state extrapolation, and the number of
-    #: unrolled runs served without a simulation of their own.
+    #: Timing-kernel work split: cycles of the full-length runs the core
+    #: timed (the full rung, or every run of the reference kernel), and
+    #: the closed-form targets served beyond their scheduled stream by
+    #: its verified timing period, with the cycles that extrapolation
+    #: covered.
     cycles_simulated: int = _counter("simulation")
     cycles_extrapolated: int = _counter("simulation")
     runs_extrapolated: int = _counter("simulation")
-    #: Closed-form analytic fast path (the third simulation tier): runs
-    #: answered with no kernel run at all, and the cycles they cover.
+    #: Measurement-ladder rungs: unroll targets served in closed form
+    #: (with the cycles they cover), and targets run at full length —
+    #: every target of a body the closed form declined.  Every unroll
+    #: target is served by exactly one of ``runs_analytic`` and
+    #: ``runs_full``.
     runs_analytic: int = _counter("simulation")
     cycles_analytic: int = _counter("simulation")
-    #: Measurement-ladder rungs beside the closed form: unroll targets
-    #: served off a synthesized probe the recurrence aborted on, which
-    #: therefore ran on the event kernel (as a prefix or extrapolated),
-    #: the copies those probes scheduled (verification probes included),
-    #: and targets run at full length (divider bodies on synthesized
-    #: streams, and every target of a body the closed form declined).
-    #: Every unroll target is served by exactly one of
-    #: ``runs_analytic``, ``runs_probe`` and ``runs_full``.
-    runs_probe: int = _counter("simulation")
-    probe_copies: int = _counter("simulation")
     runs_full: int = _counter("simulation")
     #: Bodies the closed form declined, one counter per reason: memory
     #: addresses that move between copies, the fusion or decoder
@@ -80,6 +75,10 @@ class RunStatistics:
     declined_moving_addresses: int = _counter("simulation")
     declined_front_end: int = _counter("simulation")
     declined_no_period: int = _counter("simulation")
+    #: Divider bodies the closed form declined because a younger
+    #: divider µop could take the divider first; like the other
+    #: declines, each target ran at full length.
+    divider_reorders: int = _counter("simulation")
     #: Experiment-executor counters: how many experiments the plans
     #: emitted, how many were deduplicated away before reaching the
     #: backend, how many were actually dispatched, and the time split

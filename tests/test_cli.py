@@ -92,19 +92,18 @@ class TestCommands:
         assert cache_dir.joinpath("SKL.jsonl").exists()
 
         # The cold run reports which ladder rung served the unroll
-        # targets: mostly the closed form, the rest synthesized probes
-        # (recurrence aborts) or full runs — divider forms, and every
-        # target of each body the closed form declined.
+        # targets: mostly the closed form, the rest full runs — every
+        # target of each body the closed form declined or found a
+        # divider reorder in.
         stats = json.loads(stats_json.read_text())
-        assert stats["runs_analytic"] > stats["runs_probe"] > 0
-        assert stats["probe_copies"] >= stats["runs_probe"]
         declined = (
             stats["declined_moving_addresses"]
             + stats["declined_front_end"]
             + stats["declined_no_period"]
         )
         assert declined > 0  # stack forms
-        assert stats["runs_full"] > 2 * declined  # plus divider forms
+        assert stats["runs_analytic"] > stats["runs_full"] > 0
+        assert stats["runs_full"] == 2 * (declined + stats["divider_reorders"])
         simulation = [
             line for line in capsys.readouterr().err.splitlines()
             if line.startswith("simulation: ")
@@ -115,13 +114,12 @@ class TestCommands:
             f"runs_extrapolated {stats['runs_extrapolated']}, "
             f"runs_analytic {stats['runs_analytic']}, "
             f"cycles_analytic {stats['cycles_analytic']}, "
-            f"runs_probe {stats['runs_probe']}, "
-            f"probe_copies {stats['probe_copies']}, "
             f"runs_full {stats['runs_full']}, "
             "declined_moving_addresses "
             f"{stats['declined_moving_addresses']}, "
             f"declined_front_end {stats['declined_front_end']}, "
-            f"declined_no_period {stats['declined_no_period']}"
+            f"declined_no_period {stats['declined_no_period']}, "
+            f"divider_reorders {stats['divider_reorders']}"
         ]
 
         # A warm re-run serves everything from the cache and emits

@@ -1,20 +1,22 @@
 """Unit tests for every fallback edge of the measurement ladder.
 
 :func:`repro.measure.extrapolate.unrolled_counters` serves unroll
-targets through a ladder — the analytic closed form (whose synthesized
-probe runs on the array event kernel when the recurrence aborts), then
-full per-target simulation — and every rung must (a) take the fallback
-it claims to take and (b) stay bit-identical to simulating each target
-outright.  Each edge gets a targeted test: reference-kernel opt-out,
-divider forms, store forms, the probe-size rule, sub-probe targets,
-undetected timing periods, rename-snapshot misses, recurrence aborts,
-and the structural memo.
+targets through a ladder — the analytic closed form (whose divider
+bodies run on the array event kernel when a younger divider µop could
+take the divider first), then full per-target simulation — and every
+rung must (a) take the fallback it claims to take and (b) stay
+bit-identical to simulating each target outright.  Each edge gets a
+targeted test: reference-kernel opt-out, divider forms, store forms, the
+probe-size rule, sub-probe targets, undetected timing periods,
+rename-snapshot misses, divider reorders, the structural memo, and the
+rung accounting the backend reports.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.sampling import stratified_sample
 from repro.core.codegen import independent_sequence, instantiate
 from repro.isa.assembler import parse_sequence
 from repro.isa.database import load_default_database
@@ -24,7 +26,7 @@ from repro.measure.extrapolate import (
     MIN_PROBE,
     _fixed_addresses,
     _form_blockers,
-    _probe_copies,
+    _first_probe,
     _uses_divider,
     _uses_stores,
     unrolled_counters,
@@ -80,17 +82,30 @@ class TestReferenceOptOut:
         assert stats.runs_extrapolated == 0
 
 
+#: A divider body whose closed form returns ``None``: the first divider
+#: waits for a square root while the second divider's inputs are ready
+#: from the start, so the younger could take the divider first.
+DIVIDER_REORDER = "SQRTSD XMM1, XMM1\nDIVSD XMM0, XMM1\nDIVSD XMM2, XMM3"
+
+
 class TestDividerFallback:
-    """Divider forms break the prefix property: never extrapolated,
-    never closed form."""
+    """Divider forms never extrapolate: the closed form reads every
+    target off the longest target's stream, and the reference kernel
+    simulates each."""
 
     @pytest.mark.parametrize("kernel", ["reference", "analytic"])
     def test_simulates_all(self, kernel):
         code = [instantiate(DATABASE.by_uid("DIV_R32"))] * 2
         core, _results, stats = check_ladder("SKL", kernel, code, [2, 20])
         assert stats.runs_extrapolated == 0
-        assert stats.runs_analytic == 0
-        assert core.cycles_simulated > 0
+        assert stats.divider_reorders == 0
+        if kernel == "reference":
+            assert stats.runs_analytic == 0
+            assert core.cycles_simulated > 0
+        else:
+            assert stats.runs_analytic == 2
+            assert stats.cycles_analytic > 0
+            assert core.cycles_simulated == 0
 
     def test_guard_sees_divider_anywhere_in_body(self):
         core = Core(get_uarch("SKL"))
@@ -125,7 +140,6 @@ class TestStoresFallback:
             assert stats.runs_analytic == 0
             assert stats.cycles_analytic == 0
             assert stats.runs_full == 2
-            assert stats.runs_probe == stats.probe_copies == 0
             assert stats.declined_moving_addresses == 1
 
     def test_loop_invariant_stores_served_in_closed_form(self):
@@ -134,7 +148,6 @@ class TestStoresFallback:
             "SKL", "analytic", code, [2, 40]
         )
         assert stats.runs_analytic == 2
-        assert stats.probe_copies == 0
         assert core.cycles_simulated == 0
 
     def test_guard_flags(self):
@@ -147,21 +160,17 @@ class TestStoresFallback:
         ))
 
 
-def _abort_recurrence(monkeypatch):
-    """Make every closed-form schedule abort, and record the copies of
-    each synthesized probe the array event kernel then schedules."""
-    monkeypatch.setattr(
-        extrapolate, "schedule_arrays", lambda *args, **kw: None
-    )
+def _scheduled_copies(monkeypatch):
+    """Record the copies of each synthesized stream the closed form
+    schedules."""
     seen = []
-    original = extrapolate.timing_event_arrays
+    original = extrapolate.schedule_arrays
 
     def spy(uarch, *arrays):
-        if len(arrays) > 5:  # a probe: per-copy boundaries passed
-            seen.append(len(arrays[5]))
+        seen.append(len(arrays[5]))  # one boundary per copy
         return original(uarch, *arrays)
 
-    monkeypatch.setattr(extrapolate, "timing_event_arrays", spy)
+    monkeypatch.setattr(extrapolate, "schedule_arrays", spy)
     return seen
 
 
@@ -173,22 +182,23 @@ class TestProbeRule:
         ((2, 36), 36), ((2, 37), MIN_PROBE),
     ])
     def test_first_probe(self, targets, first):
-        assert _probe_copies(targets) == first
+        assert _first_probe(targets) == first
 
     @pytest.mark.parametrize("targets, probes", [
-        ((5, 25), [25]), ((10, 110), [MIN_PROBE, 2 * MIN_PROBE]),
+        ((5, 25), [25]), ((10, 110), [2 * MIN_PROBE]),
     ])
     def test_event_probes_simulated(self, targets, probes, monkeypatch):
-        """On a recurrence abort the synthesized probes run on the array
-        event kernel, sized by the same rule."""
-        seen = _abort_recurrence(monkeypatch)
+        """Each probe is scheduled once: the first probe is read off its
+        doubling, which is the only stream scheduled."""
+        seen = _scheduled_copies(monkeypatch)
         core = Core(get_uarch("SKL"))
         code = _body("ADD_R64_R64")
         results, stats = unrolled_counters(core, code, None, targets)
         assert seen == probes
-        assert stats.probe_copies == sum(probes)
-        assert stats.runs_probe == len(targets)
+        assert stats.runs_analytic == len(targets)
+        assert stats.runs_extrapolated == (targets[-1] > probes[-1])
         assert stats.runs_full == 0
+        assert core.cycles_simulated == 0
         expected = _expected("SKL", code, targets)
         for t in targets:
             assert_identical(results[t], expected[t], f"(x{t})")
@@ -198,48 +208,49 @@ class TestShortProbes:
     """Targets below MIN_PROBE are prefixes of one short probe: no
     extrapolation, and the probe is clamped to the largest target."""
 
-    def test_all_targets_prefix(self, monkeypatch):
+    def test_all_targets_prefix(self):
         targets = [3, 7]
         assert targets[-1] < MIN_PROBE
-        _abort_recurrence(monkeypatch)
         core, _results, stats = check_ladder(
             "SKL", "analytic", _body("IMUL_R64_R64"), targets
         )
-        assert stats.runs_probe == len(targets)
+        assert stats.runs_analytic == len(targets)
         assert stats.runs_extrapolated == 0
         assert stats.cycles_extrapolated == 0
 
     def test_probe_not_longer_than_largest_target(self, monkeypatch):
-        seen = _abort_recurrence(monkeypatch)
+        seen = _scheduled_copies(monkeypatch)
         core = Core(get_uarch("SKL"))
         unrolled_counters(core, _body("ADD_R64_R64"), None, [3, 7])
         assert seen == [7]
 
 
 class TestNoPeriodFallback:
-    """When no timing period is detected the long targets are scheduled
-    at their own length while the probe still serves the short ones.
-    The long target lies beyond one doubling of :data:`MIN_PROBE`, so
-    the probe stays short and the fallback is actually reached."""
+    """When no timing period is detected the longest target is scheduled
+    at its own length and every target is read off it.  The long target
+    lies beyond one doubling of :data:`MIN_PROBE`, so the probe stays
+    short and the fallback is actually reached."""
 
     TARGETS = [2, 40]
 
     def test_targets_need_a_period(self):
-        assert _probe_copies(self.TARGETS) == MIN_PROBE < self.TARGETS[-1]
+        assert _first_probe(self.TARGETS) == MIN_PROBE < self.TARGETS[-1]
 
     def test_event_probe_falls_back(self, monkeypatch):
-        """After a recurrence abort the event-kernel probe serves the
-        short target; the long one is synthesized at full length."""
+        """The doubled probe is scheduled first; with no period the long
+        target is synthesized at full length and serves both.  Pins the
+        copy counts of this rare path: the doubled stream (scheduled up
+        front so the common verified path schedules only it) is wasted
+        here."""
         monkeypatch.setattr(
             extrapolate, "_detect_period", lambda signatures: None
         )
-        seen = _abort_recurrence(monkeypatch)
+        seen = _scheduled_copies(monkeypatch)
         core, _results, stats = check_ladder(
             "SKL", "analytic", _body("ADD_R64_R64"), self.TARGETS
         )
-        assert seen == [MIN_PROBE, self.TARGETS[-1]]
-        assert stats.probe_copies == MIN_PROBE + self.TARGETS[-1]
-        assert stats.runs_probe == 2
+        assert seen == [2 * MIN_PROBE, self.TARGETS[-1]]
+        assert stats.runs_analytic == 2
         assert stats.runs_full == 0
         assert stats.runs_extrapolated == 0
         assert stats.cycles_extrapolated == 0
@@ -255,7 +266,6 @@ class TestNoPeriodFallback:
             "SKL", "analytic", _body("ADD_R64_R64"), self.TARGETS
         )
         assert stats.runs_analytic == len(self.TARGETS)
-        assert stats.probe_copies == 0
         assert stats.runs_full == 0
         assert core.cycles_simulated == 0
 
@@ -326,23 +336,37 @@ class TestDeclineCounters:
 
 
 class TestRecurrenceAbort:
-    """A per-port ready-order inversion aborts the recurrence; the
-    synthesized stream is then run through the array event kernel —
-    still no value emulation, and still bit-identical."""
+    """A divider reorder is the one stream the recurrence returns
+    ``None`` on; the closed form then declines the body like its other
+    guards, and the full rung runs every target — still bit-identical."""
 
-    def test_event_recovery_path(self, monkeypatch):
-        monkeypatch.setattr(
-            extrapolate, "schedule_arrays", lambda *args, **kw: None
+    def test_event_recovery_path(self):
+        code = parse_sequence(DIVIDER_REORDER, DATABASE)
+        targets = [10, 110]
+        for uarch_name in ("SKL", "NHM"):
+            core = Core(get_uarch(uarch_name))
+            results, stats = unrolled_counters(core, code, None, targets)
+            expected = _expected(uarch_name, code, targets)
+            for t in targets:
+                assert_identical(
+                    results[t], expected[t], f"({uarch_name} x{t})"
+                )
+            assert stats.divider_reorders == 1
+            assert stats.runs_full == len(targets)
+            assert stats.runs_analytic == stats.cycles_analytic == 0
+            assert stats.runs_extrapolated == 0
+            assert core.cycles_simulated > 0
+            # Nothing is memoized for a declined body: it declines again.
+            _results, again = unrolled_counters(core, code, None, targets)
+            assert again == stats
+
+    def test_served_divider_body_counts_no_reorder(self):
+        code = [instantiate(DATABASE.by_uid("DIV_R64"))] * 3
+        _core, _results, stats = check_ladder(
+            "SKL", "analytic", code, [10, 110]
         )
-        core, _results, stats = check_ladder(
-            "SKL", "analytic", _body("ADD_R64_R64"), [2, 40]
-        )
-        # Recovered runs are simulated (array kernel), not closed form.
-        assert stats.runs_analytic == 0
-        assert core.cycles_simulated > 0
-        assert stats.runs_extrapolated >= 1
-        assert stats.runs_probe == 2
-        assert stats.probe_copies >= MIN_PROBE
+        assert stats.divider_reorders == 0
+        assert stats.runs_analytic == 2
 
 
 class TestStructuralMemo:
@@ -411,3 +435,58 @@ class TestFormBlockerCache:
         # Second call must be served from the cache, not recomputed.
         core._entries._cache.clear()
         assert _form_blockers(core, add) == (False, False)
+
+
+class TestRungAccounting:
+    """The backend reports the ladder's rung counts: each unroll target
+    in exactly one of ``runs_analytic`` and ``runs_full``."""
+
+    def test_declined_body_is_not_closed_form(self):
+        """The full runs of a declined body are timed by the recurrence
+        inside ``Core.run``; that is not the closed-form rung."""
+        backend = HardwareBackend(get_uarch("SKL"))
+        backend.measure(parse_sequence(MOVING_STORES[0], DATABASE))
+        stats = backend.snapshot()
+        assert (stats.runs_analytic, stats.runs_full) == (0, 2)
+        assert stats.cycles_analytic == 0
+        assert stats.declined_moving_addresses == 1
+        # The cycles the full rung timed are reported as simulated.
+        assert stats.cycles_simulated > 0
+
+    @pytest.mark.parametrize("uarch_name", ["SKL", "NHM"])
+    def test_every_target_served_once(self, uarch_name, monkeypatch):
+        from repro.measure import backend as backend_module
+
+        uarch = get_uarch(uarch_name)
+        config = MeasurementConfig()
+        backend = HardwareBackend(uarch, config)
+        calls = []
+        original = backend_module.unrolled_counters
+
+        def counting(core, code, init, targets):
+            calls.append(len(set(targets)))
+            return original(core, code, init, targets)
+
+        monkeypatch.setattr(backend_module, "unrolled_counters", counting)
+        core = backend._core
+        supported = [
+            form for form in DATABASE if core.supports(form)
+            and form.category not in ("jmp", "jmp_indirect", "call", "ret")
+        ]
+        for form in stratified_sample(supported, 40):
+            try:
+                bodies = (
+                    [instantiate(form)] * 2, independent_sequence(form, 3)
+                )
+            except (KeyError, ValueError):
+                continue
+            for code in bodies:
+                backend.measure(code)
+        stats = backend.snapshot()
+        assert calls and set(calls) == {2}
+        assert stats.runs_analytic + stats.runs_full == sum(calls)
+        declines = (
+            stats.declined_moving_addresses + stats.declined_front_end
+            + stats.declined_no_period + stats.divider_reorders
+        )
+        assert stats.runs_full == 2 * declines

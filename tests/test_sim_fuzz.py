@@ -13,7 +13,10 @@ module promotes it to generative coverage with Hypothesis strategies
 over
 
 * synthetic renamed µop streams (random port sets, latencies 1–30,
-  portless/load/store µops, divider occupancy, dependency DAGs),
+  portless/load/store µops, divider occupancy, dependency DAGs), long
+  streams that fill the reservation station and the ROB, and divider
+  µops spread over several ports with idle divider gaps — plus the
+  prefix property the measurement ladder reads unroll targets by,
 * synthetic instruction forms (1–4 µops per instruction, random port
   sets and latencies, divider value classes) injected into the ground
   truth entry cache, and
@@ -33,15 +36,16 @@ over
 asserting exact equality across all tiers on SKL and NHM.
 
 Budget: ``REPRO_FUZZ_EXAMPLES`` scales every strategy (default 100 →
-100 + 80 + 34 + 34 + 34 + 34 + 34 = 350 generated cases per
-microarchitecture; the CI ``sim-fuzz`` job raises it).  Failures print a ``@reproduce_failure``
-blob (``print_blob``); run CI with ``--hypothesis-seed=random`` so the
-seed itself is printed too.
+100 + 25 + 25 + 100 + 80 + 34 + 34 + 34 + 34 + 34 = 500 generated cases
+per microarchitecture; the CI ``sim-fuzz`` job raises it).  Failures
+print a ``@reproduce_failure`` blob (``print_blob``); run CI with
+``--hypothesis-seed=random`` so the seed itself is printed too.
 """
 
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -58,13 +62,14 @@ from repro.pipeline.analytic import (
     schedule_analytic,
     schedule_arrays,
 )
+from repro.pipeline import core as core_module
 from repro.pipeline.core import (
     Core,
     _RUop,
     divider_operands_fast,
     split_accesses,
 )
-from repro.pipeline.event_kernel import timing_event, timing_event_arrays
+from repro.pipeline.event_kernel import timing_event
 from repro.pipeline.semantics import evaluate
 from repro.pipeline.state import MachineState
 from repro.uarch.configs import get_uarch
@@ -139,6 +144,99 @@ def stream_plans(draw, port_pool):
     return tuple(plan)
 
 
+@st.composite
+def long_stream_plans(draw, port_pool):
+    """A 50–400 µop plan that fills the reservation station and the ROB.
+
+    A *spine* of long-latency µops, each dependent on the previous one,
+    holds retirement back: the µops hung off it fill the reservation
+    station, the ready ones between spine µops fill the ROB.  The rest
+    mixes ready work with short chains.
+    The shape parameters are drawn, the µops themselves come from a
+    seeded generator (a 400-µop plan drawn field by field would exceed
+    Hypothesis' buffer).
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if draw(st.booleans(), label="fill the ROB"):
+        # Mostly ready µops behind a slow spine: the ROB fills first.
+        n = draw(st.integers(250, 400), label="uops")
+        spine_every = draw(st.sampled_from((16, 32)), label="spine")
+        spine_latency = draw(st.integers(40, 60), label="spine latency")
+        hung = 0.0
+    else:
+        n = draw(st.integers(50, 400), label="uops")
+        spine_every = draw(st.sampled_from((2, 4, 8)), label="spine")
+        spine_latency = draw(st.integers(5, 60), label="spine latency")
+        hung = draw(st.sampled_from((0.2, 0.5, 0.8)), label="hung")
+    divider_share = draw(st.sampled_from((0.0, 0.0, 0.02, 0.1)))
+    plan = []
+    min_issue = 0
+    spine = None
+    for i in range(n):
+        ports = () if rng.random() < 0.08 else tuple(sorted(rng.sample(
+            port_pool, rng.randint(1, min(3, len(port_pool)))
+        )))
+        deps = []
+        if i % spine_every == 0:
+            latency = spine_latency
+            if spine is not None:
+                deps.append((spine, spine_latency))
+            spine = i
+        else:
+            latency = rng.choice((1, 1, 1, 3, 4, 5))
+            if spine is not None and rng.random() < hung:
+                deps.append((spine, spine_latency))
+            if i and rng.random() < 0.3:
+                deps.append((rng.randint(max(0, i - 8), i - 1),
+                             rng.randint(0, 5)))
+        divider = (
+            rng.choice((5, 12, 25)) if ports and rng.random() < divider_share
+            else 0
+        )
+        min_issue += rng.choice((0,) * 14 + (1, 4))
+        plan.append((ports, latency, KIND_ALU, divider, min_issue,
+                     tuple(deps)))
+    return tuple(plan)
+
+
+@st.composite
+def divider_port_plans(draw, port_pool):
+    """A plan whose divider µops sit on different ports, with idle
+    divider gaps: the cases the recurrence's reorder test must catch.
+
+    Divider µops take one of two or three single ports or a set of
+    them; front-end stalls and long input latencies leave the divider
+    idle between them, and ready and waiting divider µops interleave.
+    """
+    n = draw(st.integers(2, 30))
+    divider_ports = draw(st.lists(
+        st.sampled_from(port_pool), min_size=2, max_size=3, unique=True
+    ))
+    plan = []
+    min_issue = 0
+    for i in range(n):
+        is_divider = draw(st.integers(0, 2)) > 0
+        if is_divider:
+            ports = tuple(sorted(draw(st.sets(
+                st.sampled_from(divider_ports), min_size=1, max_size=2
+            ))))
+            divider = draw(st.sampled_from((1, 2, 5, 12)))
+        else:
+            ports = tuple(sorted(draw(st.sets(
+                st.sampled_from(port_pool), min_size=0, max_size=2
+            ))))
+            divider = 0
+        latency = draw(st.sampled_from((1, 3, 5, 12, 25)))
+        min_issue += draw(st.sampled_from((0, 0, 0, 1, 6, 20)))
+        deps = []
+        if i and draw(st.booleans()):
+            deps.append((draw(st.integers(0, i - 1)),
+                         draw(st.sampled_from((0, 1, 10, 30)))))
+        plan.append((ports, latency, KIND_ALU, divider, min_issue,
+                     tuple(deps)))
+    return tuple(plan)
+
+
 def build_stream(plan):
     """Materialize a plan as fresh ``_RUop`` objects with deps wired."""
     uops = []
@@ -154,6 +252,26 @@ def build_stream(plan):
     return uops
 
 
+def assert_three_tiers(uarch, plan, context):
+    """The event kernel, the closed form (wherever it answers) and the
+    default ``_timing`` equal the reference loop on *plan*.  Each tier
+    times a fresh stream: the reference loop mutates dispatch and
+    completion state in place."""
+    reference = Core(uarch, kernel="reference")._timing(build_stream(plan))
+    expected = (reference.cycles, reference.port_uops)
+    assert timing_event(uarch, build_stream(plan)) == expected, (
+        f"{context}, event vs reference"
+    )
+    analytic = schedule_analytic(uarch, build_stream(plan))
+    assert analytic in (None, expected), f"{context}, analytic vs reference"
+    if not any(step[3] for step in plan):
+        assert analytic is not None, f"{context}: no divider, no abort"
+    assert_identical(
+        Core(uarch)._timing(build_stream(plan)), reference,
+        f"{context}, default vs reference",
+    )
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)
 class TestSyntheticStreams:
@@ -164,50 +282,55 @@ class TestSyntheticStreams:
     def test_three_tiers_identical(self, uarch_name, data):
         uarch = get_uarch(uarch_name)
         plan = data.draw(stream_plans(uarch.ports), label="stream")
-        # Fresh stream per kernel: the reference loop mutates
-        # dispatch/completion state in place.
-        reference = Core(uarch, kernel="reference")._timing(
-            build_stream(plan)
-        )
-        expected = (reference.cycles, reference.port_uops)
-        assert timing_event(uarch, build_stream(plan)) == expected, (
-            f"({uarch_name} stream, event vs reference)"
-        )
-        assert schedule_analytic(uarch, build_stream(plan)) in (
-            None, expected,
-        ), f"({uarch_name} stream, analytic vs reference)"
-        assert_identical(
-            Core(uarch)._timing(build_stream(plan)), reference,
-            f"({uarch_name} stream, default vs reference)",
-        )
+        assert_three_tiers(uarch, plan, f"({uarch_name} stream)")
 
     @given(data=st.data())
     @settings(max_examples=max(_BUDGET // 4, 10), **_SETTINGS)
     def test_boundary_finishes_identical(self, uarch_name, data):
-        """When the analytic recurrence answers, its per-boundary finish
-        cycles (what the extrapolator consumes) match the event kernel."""
+        """The prefix property the ladder reads targets by: where the
+        recurrence answers, ``finishes[b] + 1`` is the reference cycle
+        count of the stream truncated at ``boundaries[b]``."""
         uarch = get_uarch(uarch_name)
-        plan = data.draw(stream_plans(uarch.ports), label="stream")
+        plan = data.draw(st.one_of(
+            stream_plans(uarch.ports),
+            long_stream_plans(uarch.ports),
+            divider_port_plans(uarch.ports),
+        ), label="stream")
         n = len(plan)
         cut = data.draw(st.integers(1, n), label="boundary")
         boundaries = sorted({cut, n})
-        ports, lat, min_issue, deps, divider = extract_arrays(
-            build_stream(plan)
-        )
-        if any(divider):
-            return  # no closed form: the fallback ladder covers it
         analytic = schedule_arrays(
-            uarch, ports, lat, min_issue, deps, boundaries
+            uarch, *extract_arrays(build_stream(plan)), boundaries
         )
         if analytic is None:
-            return
+            return  # a divider reorder: the event kernel serves it
         cycles, port_counts, finishes, _bounds = analytic
-        e_cycles, e_ports, e_finishes, _bound = timing_event_arrays(
-            uarch, ports, lat, min_issue, deps, divider, boundaries
-        )
-        assert cycles == e_cycles
-        assert port_counts == e_ports
-        assert finishes == e_finishes
+        for boundary, finish in zip(boundaries, finishes):
+            prefix = Core(uarch, kernel="reference")._timing(
+                build_stream(plan[:boundary])
+            )
+            assert finish + 1 == prefix.cycles, (
+                f"({uarch_name} prefix of {boundary}/{n} µops)"
+            )
+        assert (cycles, port_counts) == (prefix.cycles, prefix.port_uops)
+
+    @given(data=st.data())
+    @settings(max_examples=max(_BUDGET // 4, 10), **_SETTINGS)
+    def test_long_streams_identical(self, uarch_name, data):
+        """Streams long enough to fill the reservation station and the
+        ROB, through all three tiers."""
+        uarch = get_uarch(uarch_name)
+        plan = data.draw(long_stream_plans(uarch.ports), label="stream")
+        assert_three_tiers(uarch, plan, f"({uarch_name} long stream)")
+
+    @given(data=st.data())
+    @settings(max_examples=_BUDGET, **_SETTINGS)
+    def test_divider_ports_identical(self, uarch_name, data):
+        """Divider µops on different ports, with idle divider gaps,
+        through all three tiers."""
+        uarch = get_uarch(uarch_name)
+        plan = data.draw(divider_port_plans(uarch.ports), label="stream")
+        assert_three_tiers(uarch, plan, f"({uarch_name} divider ports)")
 
 
 # ----------------------------------------------------------------------
@@ -686,39 +809,61 @@ class TestMovingAddressBodies:
 # Deterministic anchors: the analytic tier must actually fire.
 # ----------------------------------------------------------------------
 
+def _answers(monkeypatch):
+    """Record, per ``Core.run``, whether the closed form answered."""
+    answers = []
+
+    def spy(uarch, uops):
+        timed = schedule_analytic(uarch, uops)
+        answers.append(timed is not None)
+        return timed
+
+    monkeypatch.setattr(core_module, "schedule_analytic", spy)
+    return answers
+
+
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)
-def test_analytic_answers_common_shapes(uarch_name):
+def test_analytic_answers_common_shapes(uarch_name, monkeypatch):
     """The closed form must cover the bread-and-butter shapes (else the
     fuzz suite would vacuously compare event against itself)."""
     uarch = get_uarch(uarch_name)
     core = Core(uarch, kernel="analytic")
+    answers = _answers(monkeypatch)
     for uid, build in (
         ("ADD_R64_R64", lambda f: independent_sequence(f, 12)),
         ("IMUL_R64_R64", lambda f: [instantiate(f)] * 12),
         ("ADDPS_XMM_XMM", lambda f: independent_sequence(f, 6)),
     ):
         form = DATABASE.by_uid(uid)
-        before = core.runs_analytic
         core.run(build(form))
-        assert core.runs_analytic > before, (
+        assert answers.pop(), (
             f"analytic tier never fired for {uid} on {uarch_name}"
         )
 
 
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)
-def test_divider_streams_fall_back(uarch_name):
-    """Divider occupancy has no closed form: schedule_analytic refuses
-    and the analytic core falls back to the event kernel."""
+def test_divider_streams_fall_back(uarch_name, monkeypatch):
+    """Divider streams whose divider µops take the divider in age order
+    have a closed form; a constructed divider reorder — the younger
+    divider µop is ready while the older waits for a square root —
+    makes schedule_analytic refuse, and the core falls back to the
+    event kernel."""
     uarch = get_uarch(uarch_name)
     form = DATABASE.by_uid("DIV_R32")
     core = Core(uarch, kernel="analytic")
     if not core.supports(form):
         pytest.skip(f"DIV_R32 unsupported on {uarch_name}")
-    code = [instantiate(form)] * 4
-    before = core.runs_analytic
-    counters = core.run(code)
-    assert core.runs_analytic == before
     reference = Core(uarch, kernel="reference")
-    assert_identical(
-        counters, reference.run(code), f"({uarch_name} DIV_R32 fallback)"
-    )
+    answers = _answers(monkeypatch)
+    for code, answered in (
+        ([instantiate(form)] * 4, True),
+        (parse_sequence(
+            "SQRTSD XMM1, XMM1\nDIVSD XMM0, XMM1\nDIVSD XMM2, XMM3",
+            DATABASE,
+        ), False),
+    ):
+        counters = core.run(code)
+        assert answers.pop() is answered, code
+        assert_identical(
+            counters, reference.run(code), f"({uarch_name} {code})"
+        )
