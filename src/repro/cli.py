@@ -21,8 +21,7 @@ Commands mirror the workflows of the paper:
 * ``list [MNEMONIC]``              — catalog queries,
 * ``analyze FILE [UARCH]``         — predict a loop kernel's performance,
 * ``lint [PATHS]``                 — the repo's own invariant checker
-  (:mod:`repro.lint`): AST code-contract rules plus the uarch model
-  consistency pass.
+  (:mod:`repro.lint`): one serial pass of AST code-contract rules.
 
 Exit codes are uniform: 0 on success, 1 on findings or user errors
 (including a consumer closing our stdout mid-print), 2 on internal
@@ -452,42 +451,8 @@ def _cmd_lint(args) -> int:
             print(f"{rule.code}  {rule.name} [{rule.severity}] — "
                   f"{rule.summary}")
         return 0
-    def split(spec):
-        return [c for c in spec.split(",") if c] if spec else None
-
-    paths = args.paths or None
-    if args.changed is not None:
-        from repro.lint import changed_paths
-
-        if args.paths:
-            print(
-                "repro lint: --changed and explicit paths are "
-                "mutually exclusive",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            paths = changed_paths(args.changed)
-        except LintUsageError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        if not paths:
-            print(
-                "0 violation(s) in 0 file(s), 0 suppressed "
-                f"(no .py files changed vs {args.changed})"
-            )
-            return 0
-    model = False if args.no_model else None
     try:
-        report = run_lint(
-            paths=paths,
-            select=split(args.select),
-            ignore=split(args.ignore),
-            baseline_path=args.baseline,
-            cache_path=args.cache,
-            model=model,
-            jobs=args.jobs,
-        )
+        report = run_lint(args.paths or None)
     except (BrokenPipeError, SystemExit, KeyboardInterrupt):
         raise
     except LintUsageError as exc:
@@ -640,32 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lint", help="run the repo's invariant checker")
     p.add_argument("paths", nargs="*",
                    help="files/directories to lint (default: the "
-                        "installed repro package + the model "
-                        "consistency pass)")
-    p.add_argument("--select", default=None, metavar="CODES",
-                   help="comma-separated rule-code prefixes to "
-                        "enable, e.g. RPR1,RPR203")
-    p.add_argument("--ignore", default=None, metavar="CODES",
-                   help="comma-separated rule-code prefixes to skip")
+                        "installed repro package)")
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON on stdout")
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="a previous --json report whose findings are "
-                        "accepted and filtered out")
-    p.add_argument("--cache", default=None, metavar="PATH",
-                   help="per-file result cache (JSON, keyed by "
-                        "content hash) to speed up repeated runs")
-    p.add_argument("--no-model", action="store_true",
-                   help="skip the uarch model consistency pass")
-    p.add_argument("--changed", nargs="?", const="HEAD", default=None,
-                   metavar="BASE",
-                   help="lint only .py files changed vs the given git "
-                        "ref (default HEAD); an empty diff exits 0 "
-                        "without linting anything")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="run per-file passes of cache misses in N "
-                        "worker processes (output is byte-identical "
-                        "to a serial run)")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalog and exit")
     p.set_defaults(func=_cmd_lint)

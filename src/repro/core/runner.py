@@ -13,11 +13,12 @@ the adaptive port-usage rounds.  One executor serves the runner's whole
 lifetime, so identical experiments planned by different algorithms — or by
 different forms of a sweep shard — are measured exactly once.
 
-Contract (enforced by ``repro lint``, RPR120): :class:`FormFailure` and
-:class:`~repro.stats.RunStatistics` cross the sweep worker queues, so
-their fields must stay picklable.  Counters need no registration:
-``RunStatistics`` is the one record every layer reports in, and the
-CLI's stderr summary is generated from its fields.
+:class:`FormFailure` and :class:`~repro.stats.RunStatistics` cross the
+sweep worker queues, so their fields must stay picklable
+(``tests/test_sweep_engine.py::TestQueuePayloadsPickle`` round-trips
+them).  Counters need no registration: ``RunStatistics`` is the one
+record every layer reports in, and the CLI's stderr summary is
+generated from its fields.
 """
 
 from __future__ import annotations

@@ -11,8 +11,6 @@ generic linter can know:
 * ``RPR112`` — loops must not iterate freshly concatenated sequences
   (the PR-2 ``_next_event`` bug class: a per-call copy of two live
   containers).
-* ``RPR120`` — classes crossing the sweep worker queues must not carry
-  unpicklable state (lambdas, locks, open handles, generators).
 * ``RPR130``/``RPR131`` — the measurement layer raises only the
   ``BackendError`` taxonomy, and no broad ``except`` may silently
   swallow a ``TransientBackendError``.
@@ -23,23 +21,18 @@ generic linter can know:
   in-place rewrites and whole-file replacements must go through the
   shared journal writers so torn-tail recovery, CRCs, the lock scope,
   durability policy, and crash points cover them.
-
-Facts for the ``RPR203`` catalog-reference check in
-:mod:`repro.lint.model_rules` are extracted here so they ride the
-per-file cache.
 """
 
 from __future__ import annotations
 
 import ast
 from itertools import chain
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.lint.framework import (
     SEVERITY_ERROR,
     SEVERITY_WARNING,
     Violation,
-    fact_extractor,
     file_rule,
     register_rule,
 )
@@ -59,19 +52,6 @@ PLAN_MODULES = (
     "core/throughput.py",
     "core/blocking.py",
 )
-
-#: Classes whose instances cross the sweep worker queues (``core/sweep.py``
-#: puts them on ``out_queue``).  Fixtures can opt a class in with a
-#: ``# repro-lint: queue-crossing`` marker on its ``class`` line.
-QUEUE_CLASSES = frozenset(
-    {
-        ("core/runner.py", "FormFailure"),
-        ("repro/stats.py", "RunStatistics"),
-        ("measure/backend.py", "MeasurementConfig"),
-    }
-)
-
-QUEUE_MARKER = "repro-lint: queue-crossing"
 
 #: The only exception types the measurement path may construct and raise
 #: (plus ``NotImplementedError`` for abstract methods).
@@ -110,12 +90,6 @@ RPR112 = register_rule(
     "loop-over-concatenation",
     SEVERITY_WARNING,
     "loop iterates a freshly concatenated sequence",
-)
-RPR120 = register_rule(
-    "RPR120",
-    "unpicklable-queue-field",
-    SEVERITY_ERROR,
-    "queue-crossing class stores unpicklable state in a field",
 )
 RPR130 = register_rule(
     "RPR130",
@@ -412,67 +386,6 @@ def check_concat_loops(
 
 
 # ---------------------------------------------------------------------------
-# RPR120 — picklability of queue-crossing classes
-# ---------------------------------------------------------------------------
-
-_UNPICKLABLE_FACTORIES = frozenset(
-    {"Lock", "RLock", "Event", "Condition", "Semaphore",
-     "BoundedSemaphore", "Queue", "open"}
-)
-
-
-def _queue_crossing(path: str, node: ast.ClassDef,
-                    lines: Sequence[str]) -> bool:
-    if any(
-        path.endswith(suffix) and node.name == name
-        for suffix, name in QUEUE_CLASSES
-    ):
-        return True
-    def_line = lines[node.lineno - 1] if node.lineno <= len(lines) else ""
-    return QUEUE_MARKER in def_line
-
-
-@file_rule(RPR120)
-def check_queue_picklability(
-    path: str, tree: ast.AST, lines: Sequence[str]
-) -> List[Violation]:
-    violations: List[Violation] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        if not _queue_crossing(path, node, lines):
-            continue
-        for stmt in node.body:
-            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                continue
-            value = stmt.value
-            if value is None:
-                continue
-            for inner in ast.walk(value):
-                reason = None
-                if isinstance(inner, ast.Lambda):
-                    reason = "a lambda (unpicklable as instance state)"
-                elif isinstance(inner, ast.GeneratorExp):
-                    reason = "a generator (unpicklable)"
-                elif isinstance(inner, ast.Call):
-                    parts = _dotted(inner.func)
-                    if parts and parts[-1] in _UNPICKLABLE_FACTORIES:
-                        reason = (
-                            f"{'.'.join(parts)}() (locks, queues, and "
-                            "open handles do not pickle)"
-                        )
-                if reason is not None:
-                    violations.append(
-                        _violation(
-                            RPR120, path, inner,
-                            f"queue-crossing class {node.name} stores "
-                            f"{reason} in a field default",
-                        )
-                    )
-    return violations
-
-
-# ---------------------------------------------------------------------------
 # RPR130 — measurement-path raise taxonomy
 # ---------------------------------------------------------------------------
 
@@ -581,55 +494,6 @@ def check_swallowed_transients(
                 )
             )
     return violations
-
-
-# ---------------------------------------------------------------------------
-# Facts for the catalog-reference check
-# ---------------------------------------------------------------------------
-
-
-@fact_extractor
-def extract_catalog_refs(path: str, tree: ast.AST) -> Dict[str, Any]:
-    refs: List[Dict[str, Any]] = []
-
-    def literal(node: ast.AST) -> Optional[str]:
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value
-        return None
-
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        parts = _dotted(node.func)
-        if not parts:
-            continue
-        name = parts[-1]
-        if name in ("by_uid", "forms_for_mnemonic", "get_uarch"):
-            if len(node.args) >= 1:
-                value = literal(node.args[0])
-                if value is not None:
-                    kind = {
-                        "by_uid": "uid",
-                        "forms_for_mnemonic": "mnemonic",
-                        "get_uarch": "uarch",
-                    }[name]
-                    refs.append(
-                        {"kind": kind, "value": value,
-                         "line": node.lineno}
-                    )
-        elif name == "override" and len(node.args) == 2:
-            uarch = literal(node.args[0])
-            uid = literal(node.args[1])
-            if uarch is not None:
-                refs.append(
-                    {"kind": "uarch", "value": uarch,
-                     "line": node.lineno}
-                )
-            if uid is not None:
-                refs.append(
-                    {"kind": "uid", "value": uid, "line": node.lineno}
-                )
-    return {"catalog_refs": refs} if refs else {}
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@ with the unit placements that the paper's case studies depend on (e.g. AES
 on port 5 on Haswell but port 0 on Skylake, Section 7.3.1; the shift/branch
 units on ports 0 and 6 from Haswell on).
 
-Contract (enforced by ``repro lint``, RPR201/RPR204): every port named
-by a functional-unit map must exist in that generation's ``ports``
-tuple, every generation must place ``store_addr`` and ``store_data``
-units (the blocking discovery of Section 5.1.1 depends on them), and
-declared ``iaca_versions`` must be known to the analyzer.  The model
-pass rebuilds every (form, generation) entry and cross-checks all of
-this; seeding a fake port here fails CI.
+Contract (checked by ``tests/test_uarch_tables.py``): every port named
+by a functional-unit map or a built µop must exist in that generation's
+``ports`` tuple, every generation must place ``store_addr`` and
+``store_data`` units (the blocking discovery of Section 5.1.1 depends on
+them), and declared ``iaca_versions`` must be known to the analyzer.
+The tests rebuild every (form, generation) entry and cross-check all of
+this; seeding a fake port here fails them.
 """
 
 from __future__ import annotations

@@ -15,16 +15,14 @@ Three layers:
   trace realizes that the table forbids fails, and a table edge or
   store kind the trace never witnesses fails too (a stale table is as
   wrong as an unsound one);
-* the lint machinery: rules-hash cache keying, ``--changed``,
-  ``--jobs`` determinism, CLI edge cases, and the shared ``--json``
-  emitter.
+* the lint CLI's edge cases (empty and missing paths, a broken pipe)
+  and the ``--json`` emitter it shares with ``repro doctor``.
 """
 
 import json
 import multiprocessing
 import os
 import signal
-import subprocess
 import textwrap
 
 import pytest
@@ -48,13 +46,7 @@ from repro.core.journal import (
 )
 from repro.core.sweep import SweepEngine
 from repro.core.workqueue import WorkQueue, WorkUnit
-from repro.lint import (
-    LintUsageError,
-    changed_paths,
-    lint_paths,
-    run_lint,
-    rules_signature,
-)
+from repro.lint import LintUsageError, run_lint
 from repro.lint.framework import collect_files
 from repro.measure.faults import CRASH_SITES
 
@@ -62,15 +54,14 @@ _FORK = multiprocessing.get_context("fork")
 SIGKILLED = -signal.SIGKILL
 
 
-def lint_snippets(root, sources, **kwargs):
+def lint_snippets(root, sources):
     """Write ``{relpath: source}`` under *root* and lint the tree."""
     for relpath, source in sources.items():
         path = os.path.join(root, relpath)
         os.makedirs(os.path.dirname(path) or root, exist_ok=True)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(textwrap.dedent(source))
-    kwargs.setdefault("catalog_refs", False)
-    return lint_paths([root], **kwargs)
+    return run_lint([root])
 
 
 def codes(report):
@@ -439,8 +430,10 @@ class TestStaticLockModel:
     def test_current_tree_has_no_concurrency_findings(self):
         """No module outside the journal opens a store for appending or
         in-place rewriting."""
-        report = run_lint(select=["RPR150"])
-        assert [v.render() for v in report.violations] == []
+        report = run_lint()
+        assert [
+            v.render() for v in report.violations if v.code == "RPR150"
+        ] == []
 
     def test_model_matches_the_documented_invariants(self):
         assert journal.LOCK_ORDER == {
@@ -662,7 +655,7 @@ class TestDynamicOracle:
 
 
 # ---------------------------------------------------------------------------
-# Satellites: cache keying, --changed, --jobs, CLI edges, JSON emitter
+# CLI edges and the shared JSON emitter
 # ---------------------------------------------------------------------------
 
 
@@ -672,173 +665,9 @@ def double(value):
 """
 
 
-class TestRulesHashCacheKeying:
-    def test_cache_hits_when_signature_matches(self, tmp_path):
-        cache_path = str(tmp_path / "lint-cache.json")
-        first = lint_snippets(
-            str(tmp_path / "tree"), {"mod.py": CLEAN_SNIPPET},
-            cache_path=cache_path,
-        )
-        assert first.cache_misses == 1 and first.cache_hits == 0
-        second = lint_paths(
-            [str(tmp_path / "tree")], cache_path=cache_path,
-            catalog_refs=False,
-        )
-        assert second.cache_hits == 1 and second.cache_misses == 0
-        with open(cache_path, "r", encoding="utf-8") as handle:
-            stored = json.load(handle)
-        assert stored["rules"] == rules_signature()
-
-    def test_stale_rules_signature_invalidates(self, tmp_path):
-        cache_path = str(tmp_path / "lint-cache.json")
-        lint_snippets(
-            str(tmp_path / "tree"), {"mod.py": CLEAN_SNIPPET},
-            cache_path=cache_path,
-        )
-        with open(cache_path, "r", encoding="utf-8") as handle:
-            stored = json.load(handle)
-        stored["rules"] = "0" * 64  # an older rule set wrote this
-        with open(cache_path, "w", encoding="utf-8") as handle:
-            json.dump(stored, handle)
-        rerun = lint_paths(
-            [str(tmp_path / "tree")], cache_path=cache_path,
-            catalog_refs=False,
-        )
-        assert rerun.cache_misses == 1 and rerun.cache_hits == 0
-
-
-def _git(repo, *args):
-    subprocess.run(
-        ["git", "-C", repo, *args],
-        check=True,
-        capture_output=True,
-        env=dict(
-            os.environ,
-            GIT_AUTHOR_NAME="t", GIT_AUTHOR_EMAIL="t@t",
-            GIT_COMMITTER_NAME="t", GIT_COMMITTER_EMAIL="t@t",
-        ),
-    )
-
-
-class TestChangedFlag:
-    def test_changed_lints_only_the_diff(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        repo = str(tmp_path)
-        _git(repo, "init", "-q")
-        with open(os.path.join(repo, "clean.py"), "w") as handle:
-            handle.write(CLEAN_SNIPPET)
-        _git(repo, "add", "clean.py")
-        _git(repo, "commit", "-qm", "seed")
-        # A new staged file with an unjustified suppression (RPR100).
-        with open(os.path.join(repo, "dirty.py"), "w") as handle:
-            handle.write("x = 1  # repro-lint: disable=RPR101\n")
-        _git(repo, "add", "dirty.py")
-        monkeypatch.chdir(repo)
-        assert changed_paths("HEAD", root=repo) == [
-            os.path.join(repo, "dirty.py")
-        ]
-        assert cli.main(["lint", "--changed"]) == 1
-        out = capsys.readouterr().out
-        assert "dirty.py" in out
-        assert "1 file(s)" in out  # clean.py was not linted
-
-    def test_changed_with_empty_diff_exits_zero(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        repo = str(tmp_path)
-        _git(repo, "init", "-q")
-        with open(os.path.join(repo, "clean.py"), "w") as handle:
-            handle.write(CLEAN_SNIPPET)
-        _git(repo, "add", "clean.py")
-        _git(repo, "commit", "-qm", "seed")
-        monkeypatch.chdir(repo)
-        assert cli.main(["lint", "--changed"]) == 0
-        assert "0 file(s)" in capsys.readouterr().out
-
-    def test_changed_outside_a_repo_exits_two(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(str(tmp_path))
-        assert cli.main(["lint", "--changed"]) == 2
-        assert "repro lint:" in capsys.readouterr().err
-
-    def test_changed_conflicts_with_paths(self, tmp_path, capsys):
-        assert cli.main(
-            ["lint", "--changed=HEAD", str(tmp_path)]
-        ) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_bad_base_raises_usage_error(self, tmp_path):
-        repo = str(tmp_path)
-        _git(repo, "init", "-q")
-        with pytest.raises(LintUsageError):
-            changed_paths("no-such-ref", root=repo)
-
-    def test_changed_is_scoped_to_the_gate_root(
-        self, tmp_path, monkeypatch
-    ):
-        """--changed approximates the repo-wide gate on a subset: when
-        the gate's default root lives inside the diffed repository,
-        changed files outside it (e.g. tests/) stay out of scope."""
-        import repro.lint.framework as framework
-
-        repo = str(tmp_path)
-        _git(repo, "init", "-q")
-        os.makedirs(os.path.join(repo, "pkg"))
-        with open(os.path.join(repo, "seed.py"), "w") as handle:
-            handle.write(CLEAN_SNIPPET)
-        _git(repo, "add", "seed.py")
-        _git(repo, "commit", "-qm", "seed")
-        for relpath in ("pkg/in_scope.py", "tests_misc.py"):
-            with open(os.path.join(repo, relpath), "w") as handle:
-                handle.write(CLEAN_SNIPPET)
-        _git(repo, "add", "pkg/in_scope.py", "tests_misc.py")
-        monkeypatch.setattr(
-            framework, "default_target",
-            lambda: os.path.join(repo, "pkg"),
-        )
-        assert changed_paths("HEAD", root=repo) == [
-            os.path.join(repo, "pkg", "in_scope.py")
-        ]
-
-
-class TestParallelJobs:
-    def test_jobs_report_is_byte_identical_to_serial(self, tmp_path):
-        sources = {
-            "pipeline/core.py": """\
-            def drain(a, b):
-                for item in a + b:
-                    yield item
-            """,
-            "a.py": CLEAN_SNIPPET,
-            "b.py": "x = 1  # repro-lint: disable=RPR101\n",
-            "c.py": CLEAN_SNIPPET,
-        }
-        serial = lint_snippets(str(tmp_path / "one"), sources)
-        parallel = lint_snippets(
-            str(tmp_path / "two"), sources, jobs=2
-        )
-
-        def normalized(report, root):
-            return [
-                (
-                    os.path.relpath(v.path, root), v.line, v.col,
-                    v.code, v.message,
-                )
-                for v in report.violations
-            ]
-
-        assert normalized(
-            parallel, str(tmp_path / "two")
-        ) == normalized(serial, str(tmp_path / "one"))
-        assert parallel.files == serial.files
-        assert parallel.suppressed == serial.suppressed
-
-
 class TestCliEdgeCases:
     def test_empty_path_list_is_a_clean_run(self):
-        report = lint_paths([])
+        report = run_lint([])
         assert report.files == 0
         assert report.violations == []
 
@@ -848,29 +677,6 @@ class TestCliEdgeCases:
         ) == 2
         err = capsys.readouterr().err
         assert "no such file or directory" in err
-
-    def test_baseline_with_stale_entries_still_filters(
-        self, tmp_path, capsys
-    ):
-        root = str(tmp_path / "tree")
-        lint_snippets(root, {
-            "bad.py": "x = 1  # repro-lint: disable=RPR101\n",
-        })
-        assert cli.main(["lint", root, "--json"]) == 1
-        baseline_payload = json.loads(capsys.readouterr().out)
-        # A stale entry: accepted once, since fixed.  It must be
-        # ignored, not crash the run or resurrect anything.
-        baseline_payload["violations"].append({
-            "code": "RPR101", "severity": "error",
-            "path": "gone/forever.py", "line": 3, "col": 1,
-            "message": "a finding from a deleted file",
-        })
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(baseline_payload))
-        assert cli.main(
-            ["lint", root, "--baseline", str(baseline)]
-        ) == 0
-        capsys.readouterr()
 
     def test_broken_pipe_during_json_exits_one(
         self, tmp_path, monkeypatch
@@ -932,7 +738,3 @@ class TestFrameworkHousekeeping:
     def test_collect_files_rejects_missing_paths(self, tmp_path):
         with pytest.raises(LintUsageError):
             collect_files([str(tmp_path / "missing")])
-
-    def test_rules_signature_is_stable(self):
-        assert rules_signature() == rules_signature()
-        assert len(rules_signature()) == 64

@@ -1,23 +1,24 @@
 """Tests for :mod:`repro.lint` — the repo's own invariant checker.
 
-Three layers:
+Four layers:
 
 * per-rule fixture snippets (violating + clean + suppressed variants),
-  including minimized reproductions of the two historical bugs the rule
-  set was designed around (the PR-3 parallel-tuple ``zip`` stats fold,
-  the PR-2 dead-list iteration in ``_next_event``);
-* the model-consistency pass with injected microarchitectures and
-  databases (fake port 9, removed store units, uncovered categories);
+  including a minimized reproduction of the historical bug the rule set
+  was designed around (the PR-2 dead-list iteration in ``_next_event``);
+* the catalog literals of the source: every string literal handed to
+  ``by_uid``/``forms_for_mnemonic``/``get_uarch`` in ``src/repro``
+  resolves through those same functions, and a registered override for
+  an unknown generation or form is caught;
 * the ``repro lint`` CLI: exit codes (0 clean / 1 findings / 2 crash,
-  broken-pipe safe), ``--json`` round-tripping, ``--select`` /
-  ``--ignore`` / ``--baseline`` filtering, and a hypothesis property
-  that reports are stable under file-order shuffling.
+  broken-pipe safe), ``--json`` round-tripping, ``--list-rules``, and a
+  hypothesis property that reports are stable under file-order
+  shuffling.
 
-Finally, the linter must be clean on the current tree — the acceptance
-bar this PR gates CI on.
+Finally, the linter must be clean on the current tree — the bar CI
+gates on.
 """
 
-import dataclasses
+import ast
 import json
 import os
 import random
@@ -29,24 +30,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import cli
-from repro.stats import RunStatistics
-from repro.lint import all_rules, lint_paths, model_violations, run_lint
+from repro.isa.database import load_default_database
+from repro.lint import all_rules, run_lint
 from repro.lint.framework import (
-    LINT_VERSION,
     Violation,
     collect_files,
-    filter_violations,
+    default_target,
     parse_suppressions,
 )
+from repro.stats import RunStatistics
+from repro.uarch.configs import ALL_UARCHES, get_uarch
+from tests.test_uarch_tables import dangling_overrides
 
 
-def lint_snippet(root, relpath, source, **kwargs):
+def lint_snippet(root, relpath, source):
     path = os.path.join(root, relpath)
     os.makedirs(os.path.dirname(path) or root, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(textwrap.dedent(source))
-    kwargs.setdefault("catalog_refs", False)
-    return lint_paths([root], **kwargs)
+    return run_lint([root])
 
 
 def codes(report):
@@ -126,18 +128,6 @@ FILE_RULE_FIXTURES = {
                     if best is None or item < best:
                         best = item
             return best
-        """,
-    ),
-    "RPR120": (
-        "queue_payload.py",
-        """
-        class Payload:  # repro-lint: queue-crossing
-            transform = lambda value: value + 1
-        """,
-        """
-        class Payload:  # repro-lint: queue-crossing
-            count: int = 0
-            name: str = ""
         """,
     ),
     "RPR130": (
@@ -339,19 +329,6 @@ class TestFileRules:
         )
         assert codes(report) == []
 
-    def test_rpr120_registered_class_with_lock(self, tmp_path):
-        report = lint_snippet(
-            str(tmp_path),
-            "core/runner.py",
-            """
-            import threading
-
-            class FormFailure:
-                guard = threading.Lock()
-            """,
-        )
-        assert "RPR120" in codes(report)
-
     def test_rpr131_reraise_is_clean(self, tmp_path):
         report = lint_snippet(
             str(tmp_path),
@@ -393,112 +370,101 @@ class TestHistoricalBugRegressions:
 
 
 # ---------------------------------------------------------------------------
-# Catalog references (RPR203)
+# Catalog literals in the source
 # ---------------------------------------------------------------------------
+
+
+def catalog_literals(paths):
+    """``(path, line, function, literal)`` for every call of ``by_uid``,
+    ``forms_for_mnemonic`` or ``get_uarch`` under *paths* whose first
+    argument is a string literal."""
+    found = []
+    for path in collect_files(paths):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            arg = node.args[0]
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("by_uid", "forms_for_mnemonic", "get_uarch") and (
+                isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            ):
+                found.append((path, node.lineno, name, arg.value))
+    return found
+
+
+def dangling_literals(paths):
+    """The catalog literals under *paths* that do not resolve through
+    the function they are handed to."""
+    database = load_default_database()
+    resolvers = {
+        "by_uid": database.by_uid,
+        "forms_for_mnemonic": database.forms_for_mnemonic,
+        "get_uarch": get_uarch,
+    }
+    dangling = []
+    for path, line, name, literal in catalog_literals(paths):
+        try:
+            resolved = resolvers[name](literal)
+        except KeyError:
+            resolved = None
+        if not resolved:
+            dangling.append((os.path.basename(path), line, name, literal))
+    return dangling
+
+
+def write_source(root, source):
+    (root / "mod.py").write_text(textwrap.dedent(source))
+    return [str(root)]
 
 
 class TestCatalogReferences:
+    def test_source_tree_literals_resolve(self):
+        literals = catalog_literals([default_target()])
+        assert literals, "no catalog literal found to check"
+        assert dangling_literals([default_target()]) == []
+
     def test_dangling_uid(self, tmp_path):
-        report = lint_snippet(
-            str(tmp_path),
-            "core/latency.py",
-            """
+        paths = write_source(tmp_path, """
             def calibration(db):
                 return db.by_uid("NOT_A_REAL_FORM_XYZ")
-            """,
-            catalog_refs=True,
-        )
-        assert codes(report) == ["RPR203"]
+            """)
+        assert dangling_literals(paths) == [
+            ("mod.py", 3, "by_uid", "NOT_A_REAL_FORM_XYZ")
+        ]
 
     def test_existing_uid_and_mnemonic_pass(self, tmp_path):
-        report = lint_snippet(
-            str(tmp_path),
-            "core/latency.py",
-            """
+        """Literals resolve through the lookup itself, so any spelling
+        ``get_uarch`` accepts (``"skylake"``) is a valid reference."""
+        paths = write_source(tmp_path, """
             def calibration(db):
                 db.forms_for_mnemonic("MOV")
+                get_uarch("skylake")
+                get_uarch("Sandy Bridge")
                 return db.by_uid("ADD_R64_R64")
-            """,
-            catalog_refs=True,
-        )
-        assert codes(report) == []
+            """)
+        assert len(catalog_literals(paths)) == 4
+        assert dangling_literals(paths) == []
+        unknown = write_source(tmp_path, """
+            get_uarch("Zen2")
+            forms_for_mnemonic("NOT_A_MNEMONIC")
+            """)
+        assert [d[2] for d in dangling_literals(unknown)] == [
+            "get_uarch", "forms_for_mnemonic",
+        ]
 
-    def test_dangling_override_reference(self, tmp_path):
-        report = lint_snippet(
-            str(tmp_path),
-            "uarch/special.py",
-            """
-            from repro.uarch.overrides import override
-
-            @override("ZZZ", "NOT_A_REAL_FORM_XYZ")
-            def fix_entry(form, uarch, entry):
-                return entry
-            """,
-            catalog_refs=True,
-        )
-        assert codes(report) == ["RPR203", "RPR203"]
-
-
-# ---------------------------------------------------------------------------
-# Model consistency (RPR201/202/204/205)
-# ---------------------------------------------------------------------------
-
-
-class TestModelConsistency:
-    def test_current_model_is_consistent(self):
-        assert model_violations() == []
-
-    def test_fake_port_p9_fires_rpr201(self):
-        from repro.uarch.configs import SKYLAKE
-
-        fu_map = dict(SKYLAKE.fu_map)
-        fu_map["int_alu"] = frozenset(fu_map["int_alu"] | {9})
-        fake = dataclasses.replace(SKYLAKE, fu_map=fu_map)
-        found = codes_of(model_violations(uarches=[fake]))
-        assert "RPR201" in found
-
-    def test_missing_store_unit_fires_rpr204(self):
-        from repro.uarch.configs import SKYLAKE
-
-        fu_map = dict(SKYLAKE.fu_map)
-        del fu_map["store_data"]
-        fake = dataclasses.replace(SKYLAKE, fu_map=fu_map)
-        found = model_violations(uarches=[fake])
-        assert any(
-            v.code == "RPR204" and "store_data" in v.message
-            for v in found
-        )
-
-    def test_unknown_iaca_version_fires_rpr204(self):
-        from repro.uarch.configs import SKYLAKE
-
-        fake = dataclasses.replace(SKYLAKE, iaca_versions=("9.9",))
-        found = model_violations(uarches=[fake])
-        assert any(
-            v.code == "RPR204" and "9.9" in v.message for v in found
-        )
-
-    def test_uncovered_category_fires_rpr205(self):
-        from repro.isa.database import (
-            InstructionDatabase,
-            load_default_database,
-        )
-        from repro.uarch.configs import SKYLAKE
-
-        form = load_default_database().by_uid("ADD_R64_R64")
-        weird = dataclasses.replace(form, category="uncovered_cat")
-        found = model_violations(
-            uarches=[SKYLAKE],
-            database=InstructionDatabase([weird]),
-        )
-        assert any(
-            v.code == "RPR205" and "uncovered_cat" in v.message
-            for v in found
-        )
-
-
-def codes_of(violations):
-    return [violation.code for violation in violations]
+    def test_dangling_override_reference(self, db):
+        """An override registered for an unknown generation or form."""
+        registry = {
+            ("ZZZ", "ADD_R64_R64"): None,
+            ("SKL", "NOT_A_REAL_FORM_XYZ"): None,
+            ("SKL", "ADD_R64_R64"): None,
+        }
+        assert dangling_overrides(registry, ALL_UARCHES, db) == [
+            ("SKL", "NOT_A_REAL_FORM_XYZ"),
+            ("ZZZ", "ADD_R64_R64"),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +478,7 @@ class TestFramework:
             (tmp_path / name).write_text(
                 "def f(x, y):\n    for i in x + y:\n        pass\n"
             )
-        report = lint_paths([str(tmp_path)], catalog_refs=False)
+        report = run_lint([str(tmp_path)])
         assert codes(report) == ["RPR112", "RPR112"]
         assert [
             os.path.basename(v.path) for v in report.violations
@@ -522,57 +488,6 @@ class TestFramework:
         (tmp_path / "m.py").write_text("x = 1\n")
         target = str(tmp_path / "m.py")
         assert collect_files([target, str(tmp_path)]) == [target]
-
-    def test_cache_round_trip(self, tmp_path):
-        (tmp_path / "m.py").write_text(
-            "def f(a, b):\n    for i in a + b:\n        pass\n"
-        )
-        cache_path = str(tmp_path / "lint-cache.json")
-        cold = lint_paths(
-            [str(tmp_path / "m.py")],
-            cache_path=cache_path,
-            catalog_refs=False,
-        )
-        warm = lint_paths(
-            [str(tmp_path / "m.py")],
-            cache_path=cache_path,
-            catalog_refs=False,
-        )
-        assert cold.cache_misses == 1 and cold.cache_hits == 0
-        assert warm.cache_hits == 1 and warm.cache_misses == 0
-        assert warm.to_json() == cold.to_json()
-        with open(cache_path, encoding="utf-8") as handle:
-            assert json.load(handle)["version"] == LINT_VERSION
-
-    def test_cache_invalidated_on_edit(self, tmp_path):
-        source = tmp_path / "m.py"
-        source.write_text("x = 1\n")
-        cache_path = str(tmp_path / "lint-cache.json")
-        lint_paths([str(source)], cache_path=cache_path,
-                   catalog_refs=False)
-        source.write_text(
-            "def f(a, b):\n    for i in a + b:\n        pass\n"
-        )
-        warm = lint_paths([str(source)], cache_path=cache_path,
-                          catalog_refs=False)
-        assert warm.cache_misses == 1
-        assert codes(warm) == ["RPR112"]
-
-    def test_filter_select_ignore_baseline(self):
-        violations = [
-            Violation("RPR112", "warning", "a.py", 3, 1, "concat"),
-            Violation("RPR131", "error", "a.py", 9, 1, "swallow"),
-        ]
-        assert codes_of(
-            filter_violations(violations, select=["RPR131"])
-        ) == ["RPR131"]
-        assert codes_of(
-            filter_violations(violations, ignore=["RPR1"])
-        ) == []
-        baseline = {violations[0].fingerprint()}
-        assert codes_of(
-            filter_violations(violations, baseline=baseline)
-        ) == ["RPR131"]
 
     def test_parse_suppressions_requires_justification(self):
         suppressed, meta = parse_suppressions(
@@ -588,13 +503,10 @@ class TestFramework:
 
     def test_rule_catalog_is_complete(self):
         listed = {rule.code for rule in all_rules()}
-        expected = {
+        assert listed == {
             "RPR100", "RPR101", "RPR102", "RPR110", "RPR112",
-            "RPR120", "RPR130", "RPR131",
-            "RPR201", "RPR202", "RPR203", "RPR204", "RPR205",
-            "RPR999",
+            "RPR130", "RPR131", "RPR150", "RPR999",
         }
-        assert expected <= listed
 
 
 #: Snippet pool for the shuffle-stability property.
@@ -605,10 +517,7 @@ PROPERTY_SNIPPETS = {
         "    except Exception:\n        pass\n"
     ),
     "clean": "def f(values):\n    return sorted(values)\n",
-    "queue": (
-        "class P:  # repro-lint: queue-crossing\n"
-        "    fn = lambda: 1\n"
-    ),
+    "unjustified": "x = 1  # repro-lint: disable=RPR101\n",
 }
 
 
@@ -630,21 +539,19 @@ class TestReportProperties:
                 with open(path, "w", encoding="utf-8") as handle:
                     handle.write(PROPERTY_SNIPPETS[name])
                 paths.append(path)
-            base = lint_paths(paths, catalog_refs=False)
+            base = run_lint(paths)
             shuffled = list(paths)
             random.Random(seed).shuffle(shuffled)
-            other = lint_paths(shuffled, catalog_refs=False)
+            other = run_lint(shuffled)
             assert other.to_json() == base.to_json()
             decoded = json.loads(base.to_json())
-            rebuilt = [
-                Violation.from_dict(v) for v in decoded["violations"]
-            ]
+            rebuilt = [Violation(**v) for v in decoded["violations"]]
             assert rebuilt == base.violations
             assert decoded["counts"] == base.counts()
 
 
 # ---------------------------------------------------------------------------
-# CLI: exit codes, output modes, filters
+# CLI: exit codes, output modes
 # ---------------------------------------------------------------------------
 
 
@@ -683,37 +590,16 @@ class TestLintCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"] == {"RPR112": 1}
 
-    def test_select_and_ignore(self, tmp_path, capsys):
-        write_violating_tree(str(tmp_path))
-        assert cli.main(
-            ["lint", str(tmp_path), "--select", "RPR131"]
-        ) == 0
-        assert cli.main(
-            ["lint", str(tmp_path), "--ignore", "RPR112"]
-        ) == 0
-        capsys.readouterr()
-
-    def test_baseline_filters_accepted_findings(self, tmp_path,
-                                                capsys):
-        write_violating_tree(str(tmp_path))
-        assert cli.main(["lint", str(tmp_path), "--json"]) == 1
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(capsys.readouterr().out)
-        assert cli.main(
-            ["lint", str(tmp_path), "--baseline", str(baseline)]
-        ) == 0
-        capsys.readouterr()
-
     def test_list_rules(self, capsys):
         assert cli.main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "RPR101" in out and "RPR205" in out
+        assert "RPR101" in out and "RPR150" in out
 
     def test_internal_crash_exits_2(self, tmp_path, capsys,
                                     monkeypatch):
         import repro.lint as lint_pkg
 
-        def boom(**kwargs):
+        def boom(paths):
             raise RuntimeError("lint blew up")
 
         monkeypatch.setattr(lint_pkg, "run_lint", boom)

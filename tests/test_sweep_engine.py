@@ -6,14 +6,20 @@ characterizations, and a warm sweep must perform zero backend
 measurements.
 """
 
+import dataclasses
 import json
+import pickle
+from typing import Callable
 
 import pytest
 
 from repro.core.cache import ResultCache, cache_key
-from repro.core.runner import CharacterizationRunner
-from repro.core.sweep import SweepEngine
+from repro.core.experiment import ExperimentFailure
+from repro.core.runner import CharacterizationRunner, FormFailure
+from repro.core.sweep import SweepEngine, _DrainPayload
+from repro.measure import PermanentBackendError
 from repro.measure.backend import HardwareBackend, MeasurementConfig
+from repro.stats import RunStatistics
 from repro.uarch.configs import get_uarch
 
 #: Sampled so the differential covers ALU, vector, divider, branch,
@@ -376,3 +382,58 @@ class TestCache:
         assert by_uid["ADD_R64_R64"]["data"]["uop_count"] == 1
         assert by_uid["UD2"]["data"] is None  # skip marker
         assert all(entry["uarch"] == "SKL" for entry in lines)
+
+
+def _round_trip(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+@dataclasses.dataclass
+class _LambdaPayload:
+    transform: Callable
+
+
+class TestQueuePayloadsPickle:
+    """Everything that crosses the sweep's ``multiprocessing`` queues
+    (drainer payloads in, results, failures and counters out) survives
+    ``pickle`` unchanged."""
+
+    def test_form_failure_from_a_real_backend_error(self):
+        with pytest.raises(PermanentBackendError) as info:
+            ExperimentFailure(
+                error=PermanentBackendError("wedged"), key="k" * 12,
+                tag="lat:RAX", attempts=3,
+            ).reraise()
+        failure = dataclasses.replace(
+            FormFailure.from_error("DIV_M16", info.value), shard=1
+        )
+        assert (failure.phase, failure.attempts) == ("lat", 3)
+        assert _round_trip(failure) == failure
+
+    def test_merged_run_statistics(self):
+        ones = RunStatistics(**{
+            spec.name: 1 for spec in dataclasses.fields(RunStatistics)
+        })
+        merged = RunStatistics(seconds=0.25)
+        merged.merge(ones)
+        merged.merge(ones)
+        assert merged.as_dict()["cache_hits"] == 2
+        assert _round_trip(merged) == merged
+
+    @pytest.mark.parametrize(
+        "config", [MeasurementConfig(), MeasurementConfig.paper()],
+        ids=["default", "paper"],
+    )
+    def test_measurement_config(self, config):
+        assert _round_trip(config) == config
+
+    def test_drain_payload(self, tmp_path):
+        payload: _DrainPayload = (
+            "SKL", MeasurementConfig.paper(), str(tmp_path), "salt",
+            str(tmp_path), "memo-salt", "seed=3,kill_once=NOP", 60.0, 1,
+        )
+        assert _round_trip(payload) == payload
+
+    def test_lambda_field_fails(self):
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            _round_trip(_LambdaPayload(transform=lambda value: value))

@@ -1,11 +1,82 @@
 """Ground-truth table tests: every case study's µop decomposition, and
-structural invariants over all (form, generation) pairs."""
+structural invariants over all (form, generation) pairs.
+
+The consistency checks over the tables themselves live here as plain
+tests: ports inside the machine, divider classes that resolve, store
+units, IACA versions and overrides (category coverage is in
+``tests/test_catalog.py``).  Each check is a function returning its
+findings, so ``TestSeededViolations`` can feed it a deliberately broken
+generation or entry and watch it fail.
+"""
+
+import dataclasses
+from itertools import chain
 
 import pytest
 
-from repro.uarch.configs import ALL_UARCHES, get_uarch
+from repro.core.blocking import _find_store_blocker, _is_candidate
+from repro.iaca.analyzer import ALL_VERSIONS
+from repro.uarch import overrides
+from repro.uarch.configs import ALL_UARCHES, SKYLAKE, get_uarch
 from repro.uarch.tables import build_entry, supported_on
 from repro.uarch.uops import KIND_LOAD, KIND_STORE_ADDR, KIND_STORE_DATA
+
+
+def ghost_ports(uarch, entries=()):
+    """Ports named by *uarch*'s functional-unit map or by the ``uops``
+    and ``same_reg_uops`` of *entries* (``(form, entry)`` pairs) that
+    the generation does not have."""
+    ports = set(uarch.ports)
+    found = [
+        (uarch.name, unit, sorted(unit_ports - ports))
+        for unit, unit_ports in sorted(uarch.fu_map.items())
+        if not unit_ports <= ports
+    ]
+    for form, entry in entries:
+        for uop in chain(entry.uops, entry.same_reg_uops or ()):
+            if not uop.ports <= ports:
+                found.append((uarch.name, form.uid, sorted(uop.ports - ports)))
+    return found
+
+
+def unresolved_divider_classes(uarch, entries):
+    """Entries whose divider µops have no value class, or whose class
+    :meth:`~repro.uarch.model.UarchConfig.divider_timing` rejects."""
+    found = []
+    for form, entry in entries:
+        if entry.divider_class is None:
+            if any(
+                uop.divider_cycles > 0
+                for uop in chain(entry.uops, entry.same_reg_uops or ())
+            ):
+                found.append((uarch.name, form.uid, None))
+            continue
+        try:
+            uarch.divider_timing(entry.divider_class)
+        except KeyError:
+            found.append((uarch.name, form.uid, entry.divider_class))
+    return found
+
+
+def missing_store_units(uarch):
+    return [
+        unit for unit in ("store_addr", "store_data")
+        if unit not in uarch.fu_map
+    ]
+
+
+def unknown_iaca_versions(uarch):
+    return [v for v in uarch.iaca_versions if v not in ALL_VERSIONS]
+
+
+def dangling_overrides(registry, uarches, database):
+    """``(generation, uid)`` keys of *registry* naming a generation or a
+    form that does not exist."""
+    names = {uarch.name for uarch in uarches}
+    return [
+        key for key in sorted(registry)
+        if key[0] not in names or key[1] not in database
+    ]
 
 
 def _usage(db, uid, uarch_name):
@@ -115,6 +186,15 @@ class TestStructuralInvariants:
                     entries.append((uarch, form, entry))
         return entries
 
+    @pytest.fixture(scope="class")
+    def entries_by_uarch(self, all_entries):
+        """``(uarch, [(form, entry), ...])`` for every generation."""
+        return [
+            (uarch, [(form, entry) for u, form, entry in all_entries
+                     if u is uarch])
+            for uarch in ALL_UARCHES
+        ]
+
     def test_every_supported_form_builds(self, db):
         for uarch in ALL_UARCHES:
             for form in db:
@@ -124,11 +204,13 @@ class TestStructuralInvariants:
                         form.uid, uarch.name
                     )
 
-    def test_ports_within_machine(self, all_entries):
-        for uarch, form, entry in all_entries:
-            for uop in entry.uops:
-                assert uop.ports <= set(uarch.ports), (form.uid,
-                                                       uarch.name)
+    def test_ports_within_machine(self, entries_by_uarch):
+        for uarch, pairs in entries_by_uarch:
+            assert ghost_ports(uarch, pairs) == []
+
+    def test_divider_classes_resolve(self, entries_by_uarch):
+        for uarch, pairs in entries_by_uarch:
+            assert unresolved_divider_classes(uarch, pairs) == []
 
     def test_memory_forms_have_memory_uops(self, all_entries):
         for uarch, form, entry in all_entries:
@@ -188,6 +270,14 @@ class TestBlockingFeasibility:
                 sorted(combination),
             )
 
+    def test_discovery_prerequisites(self, db):
+        """Every generation places the store units, the catalog has a
+        MOV store blocker, and some form qualifies as a candidate."""
+        for uarch in ALL_UARCHES:
+            assert missing_store_units(uarch) == [], uarch.name
+        assert _find_store_blocker(db, None) is not None
+        assert any(_is_candidate(form) for form in db)
+
 
 class TestUarchConfigs:
     def test_nine_generations(self):
@@ -211,9 +301,59 @@ class TestUarchConfigs:
         assert versions["SKL"] == ("2.3", "3.0")
         assert versions["KBL"] == ()
         assert versions["CFL"] == ()
+        for uarch in ALL_UARCHES:
+            assert unknown_iaca_versions(uarch) == [], uarch.name
+
+    def test_overrides_name_real_generations_and_forms(self, db):
+        assert dangling_overrides(overrides._OVERRIDES, ALL_UARCHES, db) == []
 
     def test_lookup_by_any_name(self):
         assert get_uarch("skylake").name == "SKL"
         assert get_uarch("Sandy Bridge").name == "SNB"
         with pytest.raises(KeyError):
             get_uarch("Zen2")
+
+
+class TestSeededViolations:
+    """Each consistency check above fails on a deliberately broken
+    generation or entry."""
+
+    def test_fake_port_in_fu_map(self):
+        fu_map = dict(SKYLAKE.fu_map)
+        fu_map["int_alu"] = frozenset(fu_map["int_alu"] | {9})
+        fake = dataclasses.replace(SKYLAKE, fu_map=fu_map)
+        assert ghost_ports(fake) == [("SKL", "int_alu", [9])]
+
+    @pytest.mark.parametrize("field", ["uops", "same_reg_uops"])
+    def test_fake_port_in_a_built_uop(self, db, field):
+        form = db.by_uid("SHLD_R64_R64_I8")
+        entry = build_entry(form, SKYLAKE)
+        first, *rest = getattr(entry, field)
+        seeded = dataclasses.replace(
+            entry,
+            **{field: (dataclasses.replace(first, ports=frozenset({9})),
+                       *rest)},
+        )
+        assert ghost_ports(SKYLAKE, [(form, seeded)]) == [
+            ("SKL", form.uid, [9])
+        ]
+
+    def test_missing_store_unit(self):
+        fu_map = dict(SKYLAKE.fu_map)
+        del fu_map["store_data"]
+        fake = dataclasses.replace(SKYLAKE, fu_map=fu_map)
+        assert missing_store_units(fake) == ["store_data"]
+
+    def test_unknown_iaca_version(self):
+        fake = dataclasses.replace(SKYLAKE, iaca_versions=("9.9",))
+        assert unknown_iaca_versions(fake) == ["9.9"]
+
+    @pytest.mark.parametrize("divider_class", [None, "fp_rcp"])
+    def test_divider_uop_without_a_resolvable_class(self, db,
+                                                    divider_class):
+        form = db.by_uid("DIV_R64")
+        entry = build_entry(form, SKYLAKE)
+        seeded = dataclasses.replace(entry, divider_class=divider_class)
+        assert unresolved_divider_classes(SKYLAKE, [(form, seeded)]) == [
+            ("SKL", form.uid, divider_class)
+        ]
