@@ -3,7 +3,7 @@
 Measures a cold characterization sweep (blocking-instruction discovery
 plus a small form set) under the paper's measurement configuration
 (``unroll 10/110, 3 repeats``, Section 6.2) on the default measurement
-ladder (closed form, the event kernel only on divider reorders, full
+ladder (closed form, the reference loop only on divider reorders, full
 simulation of declined bodies) and on the seed per-cycle reference
 loop, plus a
 memo-warm pass that replays the same measurements from the persistent

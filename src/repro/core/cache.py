@@ -486,7 +486,7 @@ def form_fingerprint(
     """Digest of every input of one form's characterization.
 
     Covers the catalog entry (:meth:`InstructionForm.fingerprint_payload`),
-    the ground-truth µop tables (``build_entry``, overrides included),
+    the ground-truth µop tables (``build_entry``),
     the generation's simulation knobs, the measurement protocol, the
     code-version salt, and optionally the catalog-wide blocking
     *context* (:func:`catalog_context_digest`).  Two sweeps whose

@@ -1,6 +1,7 @@
 """Analytic timing: a closed-form single-pass schedule of renamed µops.
 
-The third (fastest) tier of the timing ladder.  The simulated core's
+The fast tier of the simulated core's timing; the per-cycle reference
+loop in :mod:`repro.pipeline.core` is the other.  The simulated core's
 schedule is computable by one forward recurrence in age order — no event
 loop, no per-cycle scan:
 
@@ -19,8 +20,8 @@ loop, no per-cycle scan:
 * **The divider** is one more resource of the same pass: a divider µop
   cannot dispatch before the previous divider µop frees it.  That is
   exact while divider µops take the divider in age order; the pass
-  returns ``None`` (and the caller runs the event kernel) when a younger
-  divider µop could take it first.
+  returns ``None`` (and the caller runs the reference loop) when a
+  younger divider µop could take it first.
 
 The subtlety is intra-cycle phase ordering (retire -> issue -> portless
 completion -> per-port dispatch in canonical port order): a value
@@ -34,9 +35,9 @@ a copy boundary (``boundaries``) equal the counters of scheduling just
 those copies.  The measurement ladder reads every unroll target off one
 synthesized stream this way.
 
-Equivalence contract: identical counters to the reference loop and the
-event kernel, pinned by tests/test_sim_differential.py and the
-generative harness in tests/test_sim_fuzz.py.
+Equivalence contract: identical counters to the reference loop, pinned
+by tests/test_sim_differential.py and the generative harness in
+tests/test_sim_fuzz.py.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ def extract_arrays(uops):
     """Structure-of-arrays view of a renamed µop stream.
 
     Assigns ``uop.index`` and returns parallel lists
-    ``(ports, lat, min_issue, deps, divider)`` indexed by µop id; shared
-    by this module's recurrence and the event kernel's scheduling loop.
+    ``(ports, lat, min_issue, deps, divider)`` indexed by µop id, the
+    input of :func:`schedule_arrays`.
     Deps are rewritten as ``(producer index | None, offset)`` pairs.
     """
     for index, uop in enumerate(uops):
@@ -111,10 +112,11 @@ def schedule_arrays(
     port ids (empty for portless µops) and ``divider[k]`` the divider
     occupancy in cycles (all zero when omitted).  Returns
     ``(cycles, port_counts, finishes, bounds)``: total cycles and
-    per-port µop counts as the event kernel reports them, ``finishes[b]``
-    the retire cycle of the µop closing ``boundaries[b]`` (a cumulative
-    µop count; ``-1`` for an empty prefix), and ``bounds`` the port each
-    µop was bound to (``None`` for portless).
+    per-port µop counts as the reference loop reports them,
+    ``finishes[b]`` the retire cycle of the µop closing
+    ``boundaries[b]`` (a cumulative µop count; ``-1`` for an empty
+    prefix), and ``bounds`` the port each µop was bound to (``None`` for
+    portless).
 
     **Dispatch.**  Each port dispatches its oldest ready µop per cycle.
     A µop's effective ready cycle ``eff`` (inputs visible to its port's
@@ -320,10 +322,10 @@ def schedule_arrays(
 def schedule_analytic(uarch, uops):
     """Closed-form schedule of renamed ``_RUop`` objects.
 
-    Returns ``(cycles, port_counts)`` exactly like ``timing_event``, or
-    ``None`` on a divider reorder (see :func:`schedule_arrays`).
-    Nothing but ``uop.index`` is written, so on ``None`` the event
-    kernel can run the same stream.
+    Returns ``(cycles, port_counts)`` exactly like the reference loop,
+    or ``None`` on a divider reorder (see :func:`schedule_arrays`).
+    Nothing but ``uop.index`` is written, so on ``None`` the reference
+    loop can run the same stream.
     """
     result = schedule_arrays(uarch, *extract_arrays(uops))
     if result is None:

@@ -33,7 +33,6 @@ from typing import Dict, List, MutableMapping, Optional, Sequence, Tuple
 from repro.isa.instruction import ATTR_MOVE, Instruction
 from repro.isa.operands import Memory, OperandKind, RegisterOperand
 from repro.pipeline.analytic import schedule_analytic
-from repro.pipeline.event_kernel import timing_event
 from repro.pipeline.semantics import evaluate
 from repro.pipeline.state import MachineState
 from repro.uarch.model import UarchConfig
@@ -50,12 +49,12 @@ KERNEL_REFERENCE = "reference"
 def kernel_mode(explicit: Optional[str] = None) -> str:
     """Resolve the timing-kernel selection.
 
-    The default is the closed-form analytic tier, which falls back to
-    the event kernel per run on a divider reorder (the one stream shape
-    without a closed form) and is exact wherever it answers.  An
-    explicit ``"reference"`` selects the original per-cycle loop (the
+    The default is the closed-form analytic tier, exact wherever it
+    answers, which falls back to the per-cycle reference loop per run on
+    a divider reorder (the one stream shape without a closed form).  An
+    explicit ``"reference"`` selects that loop for every run (the
     differential-test oracle and the escape hatch when debugging a
-    suspected kernel mismatch).
+    suspected closed-form mismatch).
     """
     mode = explicit or KERNEL_ANALYTIC
     if mode not in (KERNEL_ANALYTIC, KERNEL_REFERENCE):
@@ -648,26 +647,26 @@ class Core:
     def _timing(self, uops: List[_RUop]) -> CounterValues:
         """Resolve the timing of a renamed µop stream.
 
-        The closed-form recurrence answers where it can; on a divider
-        reorder (a younger divider µop could take the divider first) the
-        event kernel runs the stream instead.  With
-        ``kernel="reference"`` the original per-cycle loop does.  All
-        produce bit-identical counters (pinned by
-        tests/test_sim_differential.py and tests/test_sim_fuzz.py).
+        The closed-form recurrence answers where it can.  With
+        ``kernel="reference"``, or on a divider reorder (a younger
+        divider µop could take the divider first), the per-cycle
+        reference loop times the stream instead; the closed form writes
+        nothing but ``uop.index`` before it declines.  Both produce
+        bit-identical counters (pinned by tests/test_sim_differential.py
+        and tests/test_sim_fuzz.py).
         """
-        if self.kernel == KERNEL_REFERENCE:
-            return self._timing_reference(uops)
-        timed = schedule_analytic(self.uarch, uops)
-        if timed is None:
-            timed = timing_event(self.uarch, uops)
-        cycles, port_counts = timed
-        self.cycles_simulated += cycles
-        return CounterValues(
-            cycles=cycles,
-            port_uops=port_counts,
-            uops=len(uops),
-            instructions=0,
-        )
+        if self.kernel != KERNEL_REFERENCE:
+            timed = schedule_analytic(self.uarch, uops)
+            if timed is not None:
+                cycles, port_counts = timed
+                self.cycles_simulated += cycles
+                return CounterValues(
+                    cycles=cycles,
+                    port_uops=port_counts,
+                    uops=len(uops),
+                    instructions=0,
+                )
+        return self._timing_reference(uops)
 
     def _timing_reference(self, uops: List[_RUop]) -> CounterValues:
         uarch = self.uarch

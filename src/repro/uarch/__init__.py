@@ -3,8 +3,8 @@
 Each Intel Core generation from Nehalem to Coffee Lake is described by a
 :class:`~repro.uarch.model.UarchConfig` (ports, functional-unit map, buffer
 sizes, divider behaviour) plus a per-instruction-form table of µop
-decompositions built by :mod:`repro.uarch.tables` and specialized by the
-named case-study overrides in :mod:`repro.uarch.overrides`.
+decompositions built by :mod:`repro.uarch.tables`, whose
+generation-grouped category rules express the case studies directly.
 
 These tables play the role of the real silicon: the inference algorithms in
 :mod:`repro.core` never read them — they only observe performance counters —

@@ -1745,8 +1745,6 @@ def build_entry(
         else None
     )
     zero_idiom = form.has_attribute(ATTR_ZERO_IDIOM)
-    from repro.uarch.overrides import apply_overrides
-
     divider_class = None
     if form.category == "div":
         divider_class = "int_div"
@@ -1754,7 +1752,7 @@ def build_entry(
         divider_class = "fp_div"
     elif form.category == "vec_fp_sqrt":
         divider_class = "fp_sqrt"
-    entry = UarchEntry(
+    return UarchEntry(
         uops=uops,
         fused_uop_count=_fused_count(uops),
         same_reg_uops=same_reg,
@@ -1767,7 +1765,6 @@ def build_entry(
         divider_class=divider_class,
         serializing=form.has_attribute("serializing"),
     )
-    return apply_overrides(form, uarch, entry)
 
 
 def _strip_vex(mnemonic: str) -> str:

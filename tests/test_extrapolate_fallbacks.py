@@ -1,9 +1,9 @@
 """Unit tests for every fallback edge of the measurement ladder.
 
 :func:`repro.measure.extrapolate.unrolled_counters` serves unroll
-targets through a ladder — the analytic closed form (whose divider
-bodies run on the array event kernel when a younger divider µop could
-take the divider first), then full per-target simulation — and every
+targets through a ladder — the analytic closed form, then full
+per-target simulation (whose runs the reference loop times when a
+younger divider µop could take the divider first) — and every
 rung must (a) take the fallback it claims to take and (b) stay
 bit-identical to simulating each target outright.  Each edge gets a
 targeted test: reference-kernel opt-out, divider forms, store forms, the
@@ -236,7 +236,7 @@ class TestNoPeriodFallback:
     def test_targets_need_a_period(self):
         assert _first_probe(self.TARGETS) == MIN_PROBE < self.TARGETS[-1]
 
-    def test_event_probe_falls_back(self, monkeypatch):
+    def test_probe_falls_back_to_full_length(self, monkeypatch):
         """The doubled probe is scheduled first; with no period the long
         target is synthesized at full length and serves both.  Pins the
         copy counts of this rare path: the doubled stream (scheduled up
@@ -340,7 +340,7 @@ class TestRecurrenceAbort:
     ``None`` on; the closed form then declines the body like its other
     guards, and the full rung runs every target — still bit-identical."""
 
-    def test_event_recovery_path(self):
+    def test_reorder_recovery_path(self):
         code = parse_sequence(DIVIDER_REORDER, DATABASE)
         targets = [10, 110]
         for uarch_name in ("SKL", "NHM"):

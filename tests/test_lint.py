@@ -7,8 +7,7 @@ Four layers:
   was designed around (the PR-2 dead-list iteration in ``_next_event``);
 * the catalog literals of the source: every string literal handed to
   ``by_uid``/``forms_for_mnemonic``/``get_uarch`` in ``src/repro``
-  resolves through those same functions, and a registered override for
-  an unknown generation or form is caught;
+  resolves through those same functions;
 * the ``repro lint`` CLI: exit codes (0 clean / 1 findings / 2 crash,
   broken-pipe safe), ``--json`` round-tripping, ``--list-rules``, and a
   hypothesis property that reports are stable under file-order
@@ -39,8 +38,7 @@ from repro.lint.framework import (
     parse_suppressions,
 )
 from repro.stats import RunStatistics
-from repro.uarch.configs import ALL_UARCHES, get_uarch
-from tests.test_uarch_tables import dangling_overrides
+from repro.uarch.configs import get_uarch
 
 
 def lint_snippet(root, relpath, source):
@@ -452,18 +450,6 @@ class TestCatalogReferences:
             """)
         assert [d[2] for d in dangling_literals(unknown)] == [
             "get_uarch", "forms_for_mnemonic",
-        ]
-
-    def test_dangling_override_reference(self, db):
-        """An override registered for an unknown generation or form."""
-        registry = {
-            ("ZZZ", "ADD_R64_R64"): None,
-            ("SKL", "NOT_A_REAL_FORM_XYZ"): None,
-            ("SKL", "ADD_R64_R64"): None,
-        }
-        assert dangling_overrides(registry, ALL_UARCHES, db) == [
-            ("SKL", "NOT_A_REAL_FORM_XYZ"),
-            ("ZZZ", "ADD_R64_R64"),
         ]
 
 

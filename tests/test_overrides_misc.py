@@ -1,46 +1,10 @@
-"""Tests for the override hook, case-study plumbing, and small utilities
-not covered elsewhere."""
-
-import pytest
+"""Tests for case-study plumbing and small utilities not covered
+elsewhere."""
 
 from repro.analysis.casestudies import CaseStudyResult
 from repro.core.result import LatencyValue
 from repro.uarch import build_entry, get_uarch
-from repro.uarch.overrides import _OVERRIDES, override
 from repro.uarch.uops import UarchEntry, UopSpec
-
-
-class TestOverrideHook:
-    def test_override_applies_to_exact_form(self, db):
-        form = db.by_uid("NOT_R64")
-        uarch = get_uarch("SKL")
-        baseline = build_entry(form, uarch)
-
-        @override("SKL", "NOT_R64")
-        def _tweak(form_, uarch_, entry):
-            return UarchEntry(uops=entry.uops * 2)
-
-        try:
-            tweaked = build_entry(form, uarch)
-            assert len(tweaked.uops) == 2 * len(baseline.uops)
-            # Other generations unaffected.
-            other = build_entry(form, get_uarch("HSW"))
-            assert len(other.uops) == len(baseline.uops)
-        finally:
-            del _OVERRIDES[("SKL", "NOT_R64")]
-
-    def test_duplicate_override_rejected(self):
-        @override("SKL", "__TEST_FORM__")
-        def _first(form, uarch, entry):
-            return entry
-
-        try:
-            with pytest.raises(AssertionError):
-                @override("SKL", "__TEST_FORM__")
-                def _second(form, uarch, entry):
-                    return entry
-        finally:
-            del _OVERRIDES[("SKL", "__TEST_FORM__")]
 
 
 class TestCaseStudyResult:

@@ -1,7 +1,7 @@
-"""Differential tests: timing kernels / measurement ladder vs. the seed.
+"""Differential tests: closed-form timing / measurement ladder vs. the seed.
 
-The optimized simulation path (closed-form schedule with the event
-kernel as its fallback, steady-state extrapolation, collapsed repeats)
+The optimized simulation path (closed-form schedule with the reference
+loop as its fallback, steady-state extrapolation, collapsed repeats)
 claims **bit-identical** counters to the seed per-cycle loop, not
 approximate agreement.  These tests pin that claim with exact
 ``CounterValues`` equality — cycles, per-port µop counts,
@@ -9,8 +9,9 @@ approximate agreement.  These tests pin that claim with exact
 representative catalog slice (GPR/SSE/AVX arithmetic, divider forms
 with value dependence, memory forms, eliminated idioms) plus a
 stratified catalog sample, on at least two microarchitectures.  The
-event kernel has no kernel mode of its own, so the kernel-level tests
-time fresh renames of each stream with every kernel directly.
+kernel-level tests also time a fresh rename of each stream with the
+closed form directly, since ``Core.run`` hides a decline behind the
+fallback.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.isa.database import load_default_database
 from repro.measure.backend import HardwareBackend, MeasurementConfig
 from repro.pipeline.analytic import schedule_analytic
 from repro.pipeline.core import Core, CounterValues
-from repro.pipeline.event_kernel import timing_event
 from repro.pipeline.state import MachineState
 from repro.uarch.configs import get_uarch
 
@@ -81,34 +81,29 @@ def assert_identical(a: CounterValues, b: CounterValues, context=""):
 
 
 def assert_tiers_agree(default, reference, code, init=None, context=""):
-    """Every timing tier on one block, against the reference loop.
+    """Both timing tiers on one block, against the reference loop.
 
-    ``default.run`` (closed form, event kernel on a decline) must equal
-    ``reference.run`` exactly.  Then fresh renames of the same stream
-    are timed by the event kernel, which must match on every stream, and
-    by the closed form, which must match wherever it answers.  Returns
-    whether the closed form answered.
+    ``default.run`` (closed form, reference loop on a decline) must
+    equal ``reference.run`` exactly.  Then a fresh rename of the same
+    stream is timed by the closed form, which must match wherever it
+    answers.  Returns whether the closed form answered.
     """
     __tracebackhint__ = True
     expected = reference.run(code, init)
     assert_identical(default.run(code, init), expected, context)
-
-    def fresh():
-        return reference._rename(list(code), MachineState.initial(init))
-
-    observed = (expected.cycles, expected.port_uops)
-    uarch = reference.uarch
-    assert timing_event(uarch, fresh()) == observed, (
-        f"event kernel differs {context}"
+    analytic = schedule_analytic(
+        reference.uarch,
+        reference._rename(list(code), MachineState.initial(init)),
     )
-    analytic = schedule_analytic(uarch, fresh())
-    assert analytic in (None, observed), f"closed form differs {context}"
+    assert analytic in (None, (expected.cycles, expected.port_uops)), (
+        f"closed form differs {context}"
+    )
     return analytic is not None
 
 
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)
 class TestKernelDifferential:
-    """Core.run and every timing kernel vs. the reference loop, exact
+    """Core.run and the closed form vs. the reference loop, exact
     equality."""
 
     def test_independent_blocks(self, uarch_name):
@@ -256,7 +251,7 @@ class TestMeasureDifferential:
 
 class TestKernelModes:
     """Two kernel modes: the default ladder and the reference oracle.
-    The event kernel is the closed form's fallback, not a mode."""
+    The deleted ``"event"`` mode, like any other name, raises."""
 
     def test_accepted_modes(self):
         uarch = get_uarch("SKL")

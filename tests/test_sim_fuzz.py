@@ -1,13 +1,13 @@
 """Cross-kernel differential fuzz harness (generative tier equivalence).
 
-The three timing tiers — analytic closed form
-(:mod:`repro.pipeline.analytic`), event kernel
-(:mod:`repro.pipeline.event_kernel`) and the seed per-cycle reference
-loop — claim **bit-identical** ``CounterValues``.  The event kernel is
-not a kernel mode of its own (it is the closed form's fallback), so the
-kernel-level strategies time fresh copies of each drawn stream with all
-three directly, and the measure-level strategies compare the default
-ladder against ``kernel="reference"``.  The fixed-uid sampling in
+The two timing tiers — the analytic closed form
+(:mod:`repro.pipeline.analytic`) and the seed per-cycle reference loop
+(``Core._timing_reference``, also the closed form's fallback on a
+divider reorder) — claim **bit-identical** ``CounterValues``.  The
+kernel-level strategies time fresh copies of each drawn stream with the
+closed form directly, the default ``_timing`` and the reference loop,
+and the measure-level strategies compare the default ladder against
+``kernel="reference"``.  The fixed-uid sampling in
 ``test_sim_differential.py`` pins the claim on catalog slices; this
 module promotes it to generative coverage with Hypothesis strategies
 over
@@ -69,7 +69,6 @@ from repro.pipeline.core import (
     divider_operands_fast,
     split_accesses,
 )
-from repro.pipeline.event_kernel import timing_event
 from repro.pipeline.semantics import evaluate
 from repro.pipeline.state import MachineState
 from repro.uarch.configs import get_uarch
@@ -252,16 +251,12 @@ def build_stream(plan):
     return uops
 
 
-def assert_three_tiers(uarch, plan, context):
-    """The event kernel, the closed form (wherever it answers) and the
-    default ``_timing`` equal the reference loop on *plan*.  Each tier
-    times a fresh stream: the reference loop mutates dispatch and
-    completion state in place."""
+def assert_two_tiers(uarch, plan, context):
+    """The closed form (wherever it answers) and the default ``_timing``
+    equal the reference loop on *plan*.  Each times a fresh stream: the
+    reference loop mutates dispatch and completion state in place."""
     reference = Core(uarch, kernel="reference")._timing(build_stream(plan))
     expected = (reference.cycles, reference.port_uops)
-    assert timing_event(uarch, build_stream(plan)) == expected, (
-        f"{context}, event vs reference"
-    )
     analytic = schedule_analytic(uarch, build_stream(plan))
     assert analytic in (None, expected), f"{context}, analytic vs reference"
     if not any(step[3] for step in plan):
@@ -275,14 +270,14 @@ def assert_three_tiers(uarch, plan, context):
 @pytest.mark.slow
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)
 class TestSyntheticStreams:
-    """Kernel level: arbitrary µop DAGs through all three tiers."""
+    """Kernel level: arbitrary µop DAGs through both tiers."""
 
     @given(data=st.data())
     @settings(max_examples=_BUDGET, **_SETTINGS)
     def test_three_tiers_identical(self, uarch_name, data):
         uarch = get_uarch(uarch_name)
         plan = data.draw(stream_plans(uarch.ports), label="stream")
-        assert_three_tiers(uarch, plan, f"({uarch_name} stream)")
+        assert_two_tiers(uarch, plan, f"({uarch_name} stream)")
 
     @given(data=st.data())
     @settings(max_examples=max(_BUDGET // 4, 10), **_SETTINGS)
@@ -303,7 +298,7 @@ class TestSyntheticStreams:
             uarch, *extract_arrays(build_stream(plan)), boundaries
         )
         if analytic is None:
-            return  # a divider reorder: the event kernel serves it
+            return  # a divider reorder: the reference loop serves it
         cycles, port_counts, finishes, _bounds = analytic
         for boundary, finish in zip(boundaries, finishes):
             prefix = Core(uarch, kernel="reference")._timing(
@@ -318,19 +313,19 @@ class TestSyntheticStreams:
     @settings(max_examples=max(_BUDGET // 4, 10), **_SETTINGS)
     def test_long_streams_identical(self, uarch_name, data):
         """Streams long enough to fill the reservation station and the
-        ROB, through all three tiers."""
+        ROB, through both tiers."""
         uarch = get_uarch(uarch_name)
         plan = data.draw(long_stream_plans(uarch.ports), label="stream")
-        assert_three_tiers(uarch, plan, f"({uarch_name} long stream)")
+        assert_two_tiers(uarch, plan, f"({uarch_name} long stream)")
 
     @given(data=st.data())
     @settings(max_examples=_BUDGET, **_SETTINGS)
     def test_divider_ports_identical(self, uarch_name, data):
         """Divider µops on different ports, with idle divider gaps,
-        through all three tiers."""
+        through both tiers."""
         uarch = get_uarch(uarch_name)
         plan = data.draw(divider_port_plans(uarch.ports), label="stream")
-        assert_three_tiers(uarch, plan, f"({uarch_name} divider ports)")
+        assert_two_tiers(uarch, plan, f"({uarch_name} divider ports)")
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +406,7 @@ def synthetic_bodies(draw, form):
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)
 class TestSyntheticForms:
     """Core.run over generated ground-truth entries: the rename stage,
-    divider value classes and all three kernels agree exactly."""
+    divider value classes and both tiers agree exactly."""
 
     @given(data=st.data())
     @settings(max_examples=max(_BUDGET * 4 // 5, 10), **_SETTINGS)
@@ -680,9 +675,9 @@ def _emulated_classes(core, code, init, copies):
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)
 class TestDividerBodies:
     """Divider bodies: the slice-only value classes equal full
-    emulation's copy by copy, and the closed form (class-aware
-    templates, one synthesized stream per target on the event kernel)
-    and the reference loop agree exactly."""
+    emulation's copy by copy, and the default ladder (class-aware
+    closed-form templates; on a divider reorder, each target's stream
+    on the reference loop) and ``kernel="reference"`` agree exactly."""
 
     @given(data=st.data())
     @settings(max_examples=max(_BUDGET // 3 + 1, 10), **_SETTINGS)
@@ -825,7 +820,8 @@ def _answers(monkeypatch):
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)
 def test_analytic_answers_common_shapes(uarch_name, monkeypatch):
     """The closed form must cover the bread-and-butter shapes (else the
-    fuzz suite would vacuously compare event against itself)."""
+    fuzz suite would vacuously compare the reference loop against
+    itself)."""
     uarch = get_uarch(uarch_name)
     core = Core(uarch, kernel="analytic")
     answers = _answers(monkeypatch)
@@ -847,7 +843,8 @@ def test_divider_streams_fall_back(uarch_name, monkeypatch):
     have a closed form; a constructed divider reorder — the younger
     divider µop is ready while the older waits for a square root —
     makes schedule_analytic refuse, and the core falls back to the
-    event kernel."""
+    reference loop, which counts its cycles in ``cycles_simulated``
+    once, exactly as the reference core does."""
     uarch = get_uarch(uarch_name)
     form = DATABASE.by_uid("DIV_R32")
     core = Core(uarch, kernel="analytic")
@@ -862,8 +859,15 @@ def test_divider_streams_fall_back(uarch_name, monkeypatch):
             DATABASE,
         ), False),
     ):
+        before = (core.cycles_simulated, reference.cycles_simulated)
         counters = core.run(code)
         assert answers.pop() is answered, code
         assert_identical(
             counters, reference.run(code), f"({uarch_name} {code})"
         )
+        if not answered:
+            assert (
+                core.cycles_simulated - before[0]
+                == reference.cycles_simulated - before[1]
+                == counters.cycles
+            ), code

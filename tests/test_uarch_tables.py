@@ -3,7 +3,7 @@ structural invariants over all (form, generation) pairs.
 
 The consistency checks over the tables themselves live here as plain
 tests: ports inside the machine, divider classes that resolve, store
-units, IACA versions and overrides (category coverage is in
+units and IACA versions (category coverage is in
 ``tests/test_catalog.py``).  Each check is a function returning its
 findings, so ``TestSeededViolations`` can feed it a deliberately broken
 generation or entry and watch it fail.
@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.blocking import _find_store_blocker, _is_candidate
 from repro.iaca.analyzer import ALL_VERSIONS
-from repro.uarch import overrides
 from repro.uarch.configs import ALL_UARCHES, SKYLAKE, get_uarch
 from repro.uarch.tables import build_entry, supported_on
 from repro.uarch.uops import KIND_LOAD, KIND_STORE_ADDR, KIND_STORE_DATA
@@ -67,16 +66,6 @@ def missing_store_units(uarch):
 
 def unknown_iaca_versions(uarch):
     return [v for v in uarch.iaca_versions if v not in ALL_VERSIONS]
-
-
-def dangling_overrides(registry, uarches, database):
-    """``(generation, uid)`` keys of *registry* naming a generation or a
-    form that does not exist."""
-    names = {uarch.name for uarch in uarches}
-    return [
-        key for key in sorted(registry)
-        if key[0] not in names or key[1] not in database
-    ]
 
 
 def _usage(db, uid, uarch_name):
@@ -303,9 +292,6 @@ class TestUarchConfigs:
         assert versions["CFL"] == ()
         for uarch in ALL_UARCHES:
             assert unknown_iaca_versions(uarch) == [], uarch.name
-
-    def test_overrides_name_real_generations_and_forms(self, db):
-        assert dangling_overrides(overrides._OVERRIDES, ALL_UARCHES, db) == []
 
     def test_lookup_by_any_name(self):
         assert get_uarch("skylake").name == "SKL"
