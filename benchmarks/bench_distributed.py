@@ -1,22 +1,22 @@
-"""Distributed sweep benchmark: queue scaling and incremental re-sweeps.
+"""Parallel sweep benchmark: pool scaling and incremental re-sweeps.
 
-Two gates for the work-queue sweep path (``core/workqueue.py``,
+Two gates for the pool sweep path (``core/sweep.py``,
 ``docs/sweep-engine.md``), written to ``BENCH_distributed.json`` at the
 repository root and ``results/distributed.txt``:
 
-* **Scaling** — a cold sweep distributed over 4 drainers must finish in
+* **Scaling** — a cold sweep over a pool of 4 workers must finish in
   under half the serial wall time (>= 2x).  Wall-clock scaling is a
   property of the host's core count (CI containers are frequently
   pinned to one core, where four processes cannot beat one), while the
-  queue's contribution — dynamic balancing via lease-on-demand — is
-  machine-independent.  The gate therefore measures every work unit's
-  serial characterization time, then *replays* the real ``WorkQueue``
-  (enqueue/lease/ack, sorted-uid hand-out) with four virtual drainer
-  clocks: each drainer leases its next unit the moment its clock frees
-  up, exactly the schedule four real drainers produce on four cores.
-  The makespan charges the coordinator's cold blocking discovery as a
-  serial prefix and one warm (memo-served) discovery per drainer,
-  matching the queue path's pre-warm topology.
+  pool's contribution — dynamic balancing, the next form to whichever
+  worker is idle — is machine-independent.  The gate therefore
+  measures every form's serial characterization time, then *replays*
+  the pool's hand-out with four virtual worker clocks: the next form
+  in sorted-uid order goes to the first worker whose clock is free,
+  exactly the schedule four real workers produce on four cores.  The
+  makespan charges the parent's cold blocking discovery as a serial
+  prefix and one warm (memo-served) discovery per worker, matching the
+  pool's pre-warm topology.
 
 * **Incremental** — after an inert 5-form catalog edit (attribute-only:
   fingerprints flip, generated measurement code does not), a
@@ -39,7 +39,6 @@ from repro.core.cache import MeasurementMemo, ResultCache
 from repro.core.result import encode_characterization
 from repro.core.runner import CharacterizationRunner
 from repro.core.sweep import SweepEngine
-from repro.core.workqueue import WorkQueue, WorkUnit
 from repro.analysis.sampling import stratified_sample
 from repro.measure.backend import HardwareBackend
 from repro.uarch.configs import get_uarch
@@ -49,7 +48,7 @@ from conftest import RESULTS_DIR
 BENCH_JSON = RESULTS_DIR.parent / "BENCH_distributed.json"
 
 UARCH = "SKL"
-DRAINERS = 4
+WORKERS = 4
 #: Cheap single-uop ALU forms for the 5-form edit (present on every
 #: generation; editing them never changes blocking-instruction
 #: selection, so the context digest stays put and the diff is minimal).
@@ -84,7 +83,7 @@ def _form_set(db):
 
 def _measure_serial(db, forms, cache_dir: str, salt: str):
     """Cold serial reference: blocking discovery plus every form, each
-    individually timed (these per-unit times drive the replay)."""
+    individually timed (these per-form times drive the replay)."""
     backend = _backend(cache_dir, salt)
     runner = CharacterizationRunner(backend, db)
     started = time.perf_counter()
@@ -97,7 +96,7 @@ def _measure_serial(db, forms, cache_dir: str, salt: str):
         unit_seconds[form.uid] = time.perf_counter() - started
 
     # A second runner against the now-warm memo: the startup cost every
-    # drainer pays after the coordinator's pre-warm.
+    # worker pays after the parent's pre-warm.
     warm_runner = CharacterizationRunner(_backend(cache_dir, salt), db)
     started = time.perf_counter()
     _ = warm_runner.blocking
@@ -105,31 +104,18 @@ def _measure_serial(db, forms, cache_dir: str, salt: str):
     return blocking_cold_s, blocking_warm_s, unit_seconds
 
 
-def _replay_queue(cache_dir: str, salt: str, unit_seconds):
-    """Drive the real WorkQueue with virtual drainer clocks.
+def _replay_pool(unit_seconds):
+    """The pool's hand-out over virtual worker clocks.
 
-    Each drainer leases one unit whenever its clock is the earliest —
-    the schedule lease-on-demand produces when every drainer runs on
-    its own core.  Returns per-drainer busy seconds.
+    The next form in sorted-uid order goes to the first free worker,
+    i.e. the one whose clock is earliest — the schedule the parent
+    produces when every worker runs on its own core.  Returns
+    per-worker busy seconds.
     """
-    work = WorkQueue(cache_dir, UARCH, salt=salt)
-    work.enqueue([
-        WorkUnit(key=f"unit-{uid}", uid=uid) for uid in sorted(unit_seconds)
-    ])
-    clocks = [0.0] * DRAINERS
-    while True:
-        drainer = min(range(DRAINERS), key=clocks.__getitem__)
-        owner = f"drainer-{drainer}"
-        leased = work.lease(owner, limit=1, lease_seconds=3600.0)
-        if not leased:
-            break
-        unit = leased[0]
-        clocks[drainer] += unit_seconds[unit.uid]
-        work.ack(unit.key, owner)
-    assert work.drained
-    counters = work.counters()
-    assert counters["units_acked"] == len(unit_seconds)
-    assert counters["units_stolen"] == 0
+    clocks = [0.0] * WORKERS
+    for uid in sorted(unit_seconds):
+        worker = min(range(WORKERS), key=clocks.__getitem__)
+        clocks[worker] += unit_seconds[uid]
     return clocks
 
 
@@ -160,14 +146,14 @@ def test_distributed_sweep(db, emit, tmp_path):
     forms = _form_set(db)
     assert set(EDIT_UIDS) <= {form.uid for form in forms}
 
-    # ---- scaling: serial reference, then the queue replay -------------
+    # ---- scaling: serial reference, then the pool replay --------------
     scale_dir = str(tmp_path / "scale")
     salt = ResultCache(scale_dir).salt
     blocking_cold_s, blocking_warm_s, unit_seconds = _measure_serial(
         db, forms, scale_dir, salt
     )
     serial_s = blocking_cold_s + sum(unit_seconds.values())
-    clocks = _replay_queue(scale_dir, salt, unit_seconds)
+    clocks = _replay_pool(unit_seconds)
     makespan_s = blocking_cold_s + blocking_warm_s + max(clocks)
     speedup = serial_s / makespan_s
 
@@ -202,14 +188,14 @@ def test_distributed_sweep(db, emit, tmp_path):
         "uarch": UARCH,
         "forms": len(forms),
         "scaling": {
-            "drainers": DRAINERS,
+            "workers": WORKERS,
             "serial_s": round(serial_s, 3),
             "makespan_s": round(makespan_s, 3),
             "speedup": round(speedup, 2),
             "blocking_cold_s": round(blocking_cold_s, 3),
             "blocking_warm_s": round(blocking_warm_s, 3),
             "longest_unit_s": round(max(unit_seconds.values()), 3),
-            "drainer_busy_s": [round(clock, 3) for clock in clocks],
+            "worker_busy_s": [round(clock, 3) for clock in clocks],
             "host_cpus": os.cpu_count(),
         },
         "incremental": {
@@ -228,13 +214,13 @@ def test_distributed_sweep(db, emit, tmp_path):
 
     emit(
         "distributed.txt",
-        "Distributed sweeps: queue scaling and incremental re-sweep\n"
-        f"({UARCH}, {len(forms)} forms, analytic kernel; queue replay "
-        f"over measured per-unit times)\n\n"
+        "Parallel sweeps: pool scaling and incremental re-sweep\n"
+        f"({UARCH}, {len(forms)} forms, analytic kernel; pool replay "
+        f"over measured per-form times)\n\n"
         f"serial cold sweep:          {serial_s:7.2f}s\n"
-        f"queue makespan, {DRAINERS} drainers: {makespan_s:7.2f}s "
+        f"pool makespan, {WORKERS} workers:  {makespan_s:7.2f}s "
         f"({speedup:.2f}x)\n"
-        f"drainer busy seconds:       "
+        f"worker busy seconds:        "
         f"{', '.join(f'{clock:.2f}' for clock in clocks)}\n\n"
         f"cold sweep:        {cold_calls} measure calls, "
         f"{cold_wall_s:.2f}s\n"
@@ -244,10 +230,10 @@ def test_distributed_sweep(db, emit, tmp_path):
         f"{stats.incremental_skips} skipped",
     )
 
-    # CI gates: the queue must halve the cold sweep at 4 drainers, and
+    # CI gates: the pool must halve the cold sweep at 4 workers, and
     # an incremental re-sweep after a 5-form edit must stay within 5%
     # of the cold sweep's measurement work.
-    assert speedup >= 2.0, f"queue scaling below bar: {payload}"
+    assert speedup >= 2.0, f"pool scaling below bar: {payload}"
     assert fresh_fraction <= 0.05, (
         f"incremental re-sweep too expensive: {payload}"
     )

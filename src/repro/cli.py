@@ -4,19 +4,16 @@ Commands mirror the workflows of the paper:
 
 * ``characterize FORM [UARCH]``    — one variant, full report,
 * ``sweep [UARCH] [--sample N] [--jobs N] [--cache-dir D | --no-cache]``
-  — many variants → XML (Section 6.4), parallelized through a shared
-  work queue of content-keyed units next to the persistent result
-  cache; ``--enqueue-only`` / ``--drain`` split the coordinator and
-  worker roles across processes (or machines sharing the cache
-  directory), and ``--incremental`` re-measures only forms whose input
+  — many variants → XML (Section 6.4), on a pool of ``--jobs`` worker
+  processes fed by the sweep, which alone writes the persistent result
+  cache; ``--incremental`` re-measures only forms whose input
   fingerprints changed since the last recorded sweep,
 * ``table1 [--sample N]``          — regenerate Table 1 (same flags),
 * ``cache gc``                     — compact the cache stores: drop
-  orphaned/stale/superseded entries and drained work queues (refuses
-  under live drainer leases; ``--force`` overrides),
+  orphaned/stale/superseded entries (run it between sweeps),
 * ``doctor [--repair]``            — scan every persistent store for
-  crash damage (torn tails, CRC failures, orphaned leases, stale
-  locks, manifest/cache disagreement) and optionally repair it,
+  crash damage (torn tails, CRC failures, stale locks, manifest/cache
+  disagreement) and optionally repair it,
 * ``case-studies``                 — all Section 7.3 case studies,
 * ``list [MNEMONIC]``              — catalog queries,
 * ``analyze FILE [UARCH]``         — predict a loop kernel's performance,
@@ -139,16 +136,12 @@ def _cmd_sweep(args) -> int:
     from repro.core.xml_output import results_to_xml, write_xml
     from repro.isa.database import load_default_database
 
-    for flag in ("resume", "drain", "enqueue_only", "incremental"):
+    for flag in ("resume", "incremental"):
         if getattr(args, flag) and args.no_cache:
             raise SystemExit(
-                f"error: --{flag.replace('_', '-')} needs the "
+                f"error: --{flag} needs the "
                 "persistent cache (incompatible with --no-cache)"
             )
-    if args.drain and args.enqueue_only:
-        raise SystemExit(
-            "error: --drain and --enqueue-only are mutually exclusive"
-        )
     database = load_default_database()
     engine = SweepEngine(
         get_uarch(args.uarch),
@@ -156,47 +149,13 @@ def _cmd_sweep(args) -> int:
         jobs=args.jobs,
         cache=_make_cache(args),
         fault_spec=args.fault_spec,
-        lease_timeout=args.lease_timeout,
         incremental=args.incremental,
     )
-    if args.drain:
-        # Worker role: execute queued units until the shared queue is
-        # drained.  No XML — the coordinating (or a final, warm) sweep
-        # collects the full result set from the cache.
-        results = engine.drain(
-            progress=(lambda line: print(line, file=sys.stderr))
-            if args.verbose else None,
-        )
-        _report_quarantine(engine.failures)
-        _print_cache_stats(engine.statistics)
-        _write_stats_json(
-            engine.statistics, args.stats_json, engine.failures
-        )
-        print(
-            f"drained {len(results)} characterization(s) into "
-            f"{engine.cache.cache_dir}"
-        )
-        if args.strict and engine.failures:
-            print(
-                f"strict: {len(engine.failures)} form(s) quarantined",
-                file=sys.stderr,
-            )
-            return 3
-        return 0
     supported = engine.supported_forms()
     forms = (
         supported if args.sample == 0
         else stratified_sample(supported, args.sample)
     )
-    if args.enqueue_only:
-        counts = engine.enqueue_pending(forms)
-        print(
-            f"enqueued {counts['enqueued']} unit(s) for "
-            f"{engine.uarch.name}: {counts['pending']} pending of "
-            f"{counts['requested']} requested "
-            f"({counts['cached']} already cached)"
-        )
-        return 0
     print(f"characterizing {len(forms)} of {len(supported)} variants on "
           f"{engine.uarch.full_name} ({args.jobs} jobs)", file=sys.stderr)
     results = engine.sweep(
@@ -258,7 +217,6 @@ def _cmd_table1(args) -> int:
         engine = SweepEngine(
             uarch, jobs=args.jobs, cache=cache,
             fault_spec=args.fault_spec,
-            lease_timeout=args.lease_timeout,
         )
         supported = engine.supported_forms()
         sample = (
@@ -364,19 +322,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_cache_gc(args) -> int:
     """Compact the persistent cache stores (``repro cache gc``)."""
-    from repro.core.cache import LiveLeaseError, collect_garbage
+    from repro.core.cache import collect_garbage
     from repro.stats import RunStatistics
 
-    try:
-        stats = collect_garbage(args.cache_dir, force=args.force)
-    except LiveLeaseError as exc:
-        print(f"gc: refusing to compact: {exc}", file=sys.stderr)
-        print(
-            "gc: drainers appear to be live; wait for them to finish "
-            "(or pass --force if they are known dead)",
-            file=sys.stderr,
-        )
-        return 1
+    stats = collect_garbage(args.cache_dir)
     summary = stats.as_dict()
     print(
         f"gc: kept {summary['result_kept']} result(s) and "
@@ -386,7 +335,6 @@ def _cmd_cache_gc(args) -> int:
         f"{summary['result_dropped_superseded']} superseded, "
         f"{summary['memo_dropped']} memo, "
         f"{summary['corrupt_dropped']} corrupt line(s); "
-        f"removed {summary['queues_removed']} drained queue(s); "
         f"{summary['bytes_before']} -> {summary['bytes_after']} bytes"
     )
     if args.stats_json:
@@ -413,22 +361,13 @@ def _cmd_doctor(args) -> int:
     Exit 0 when every store is healthy (after repair, if requested),
     1 when findings remain, 2 on an internal error.
     """
-    from repro.core.cache import LiveLeaseError
     from repro.core.doctor import diagnose, repair
 
     try:
         if args.repair:
-            report = repair(args.cache_dir, force=args.force)
+            report = repair(args.cache_dir)
         else:
             report = diagnose(args.cache_dir)
-    except LiveLeaseError as exc:
-        print(f"doctor: refusing to repair: {exc}", file=sys.stderr)
-        print(
-            "doctor: drainers appear to be live; wait for them to "
-            "finish (or pass --force if they are known dead)",
-            file=sys.stderr,
-        )
-        return 1
     except (BrokenPipeError, SystemExit, KeyboardInterrupt):
         raise
     except Exception as exc:
@@ -486,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sweep_options(p) -> None:
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the work-queue sweep")
+                       help="worker processes of the sweep's pool")
         p.add_argument("--cache-dir", default=None,
                        help="persistent result cache directory "
                             "(default: ~/.cache/repro)")
@@ -499,11 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inject deterministic faults for chaos "
                             "testing, e.g. 'seed=7,transient=0.1' "
                             "(same syntax as $REPRO_FAULTS)")
-        p.add_argument("--lease-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="queue mode: how long a leased work unit "
-                            "is protected from being stolen by "
-                            "another drainer (default: 60)")
 
     p = sub.add_parser("sweep", help="characterize many variants -> XML")
     p.add_argument("uarch", nargs="?", default="SKL")
@@ -523,15 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "sweep manifest and re-measure only forms "
                         "whose inputs (catalog entry, µop tables, "
                         "uarch knobs, protocol) changed")
-    p.add_argument("--drain", action="store_true",
-                   help="worker role: execute units from the shared "
-                        "work queue in the cache directory until it "
-                        "is drained (no XML output; any number of "
-                        "drainers may share one cache directory)")
-    p.add_argument("--enqueue-only", action="store_true",
-                   help="coordinator role: enqueue the pending work "
-                        "units for --drain processes instead of "
-                        "executing them")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when any form was quarantined or "
                         "failed, so CI cannot silently pass on a "
@@ -568,36 +493,28 @@ def build_parser() -> argparse.ArgumentParser:
     g = cache_sub.add_parser(
         "gc",
         help="compact the cache stores: drop orphaned, stale, "
-             "superseded, and corrupt entries; remove drained work "
-             "queues",
+             "superseded, and corrupt entries (run it between sweeps)",
     )
     g.add_argument("--cache-dir", default=None,
                    help="cache directory (default: ~/.cache/repro)")
     g.add_argument("--stats-json", default=None, metavar="PATH",
                    help="write the run statistics (gc_keys_dropped) "
                         "as JSON")
-    g.add_argument("--force", action="store_true",
-                   help="compact even when work queues hold unexpired "
-                        "leases (only when the drainers are known "
-                        "dead)")
     g.set_defaults(func=_cmd_cache_gc)
 
     p = sub.add_parser(
         "doctor",
         help="scan the persistent stores for crash damage (torn "
-             "tails, CRC failures, orphaned leases, stale locks, "
-             "manifest/cache disagreement) and optionally repair it",
+             "tails, CRC failures, stale locks, manifest/cache "
+             "disagreement) and optionally repair it",
     )
     p.add_argument("--cache-dir", default=None,
                    help="cache directory (default: ~/.cache/repro)")
     p.add_argument("--repair", action="store_true",
                    help="apply the repair plan (truncate torn tails, "
-                        "quarantine corrupt lines, release orphaned "
-                        "leases, re-enqueue missing results)")
-    p.add_argument("--force", action="store_true",
-                   help="repair even when work queues hold unexpired "
-                        "leases (only when the drainers are known "
-                        "dead)")
+                        "quarantine corrupt lines, withdraw manifest "
+                        "claims of missing results); run it between "
+                        "sweeps")
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON on stdout")
     p.set_defaults(func=_cmd_doctor)

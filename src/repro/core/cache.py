@@ -49,18 +49,15 @@ entries must be deterministic functions of their inputs — no wall-clock
 reads, no unseeded randomness, no iteration over unordered sets on any
 path that feeds a digest or a serialized line.  ``time.monotonic`` /
 ``time.sleep`` are exempt because the flock retry loop paces with them;
-they never reach a key.  (The sweep *work queue* needs wall-clock lease
-expiry and therefore lives in :mod:`repro.core.workqueue`, outside this
-contract.)
+they never reach a key.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 from repro.core.journal import (
     LOCK_TIMEOUT,
@@ -83,24 +80,6 @@ from repro.stats import RunStatistics
 CACHE_SCHEMA = 2
 
 _MISS = object()
-
-
-class LiveLeaseError(RuntimeError):
-    """GC (or doctor ``--repair``) refused to run: a work queue in the
-    cache directory holds unexpired leases, i.e. drainers are (or very
-    recently were) live.  Compacting or repairing under them could drop
-    bytes they are about to write or read; wait, or force past the
-    check when the drainers are known dead."""
-
-    def __init__(self, queues: List[Tuple[str, int]]):
-        self.queues = queues
-        detail = ", ".join(
-            f"{os.path.basename(path)} ({count} live lease(s))"
-            for path, count in queues
-        )
-        super().__init__(
-            f"live leases in work queue(s): {detail}"
-        )
 
 
 def cache_salt() -> str:
@@ -239,16 +218,8 @@ class ResultCache:
         form_uid: str,
         uarch_name: str,
         data: Optional[Dict[str, Any]],
-        fence: Optional[int] = None,
     ) -> None:
-        """Persist one characterization (``data=None`` marks a skip).
-
-        *fence* stamps the work-queue fencing token of the lease the
-        write happened under (queue-mode drainers; see
-        :meth:`~repro.core.workqueue.WorkQueue.deposit`), so a write by
-        a zombie whose lease was stolen is attributable.  Serial sweeps
-        write unfenced entries.
-        """
+        """Persist one characterization (``data=None`` marks a skip)."""
         self.load(uarch_name)
         entry = {
             "salt": self.salt,
@@ -257,8 +228,6 @@ class ResultCache:
             "uarch": uarch_name,
             "data": data,
         }
-        if fence is not None:
-            entry["fence"] = fence
         self._entries[key] = entry
         os.makedirs(self.cache_dir, exist_ok=True)
         append_entry(
@@ -300,7 +269,7 @@ def measurement_key(
 
 
 class MeasurementMemo:
-    """Persistent memo of raw backend measurements, shared across shards.
+    """Persistent memo of raw backend measurements, shared across workers.
 
     The characterization algorithms re-measure the same *sub*-sequences
     for thousands of forms: every blocking-instruction discovery run
@@ -319,7 +288,7 @@ class MeasurementMemo:
     at line granularity and a torn tail line is dropped as an
     invalidation on the next load.  Entries written by one worker become
     visible to *other* processes on their next load — the parent
-    pre-warms shared measurements before forking so shards start hot.
+    pre-warms shared measurements before forking so workers start hot.
     """
 
     #: File suffix distinguishing memo files from result-cache files.
@@ -492,7 +461,7 @@ def form_fingerprint(
     *context* (:func:`catalog_context_digest`).  Two sweeps whose
     fingerprints agree for a form would measure byte-identical results,
     so the incremental path may serve the cached one; any input edit
-    flips the fingerprint and re-enqueues exactly the affected forms.
+    flips the fingerprint and re-measures exactly the affected forms.
     """
     from repro.uarch.tables import build_entry
     from repro.uarch.uops import encode_entry
@@ -522,7 +491,7 @@ class SweepManifest:
     holding — per measurement-config digest — the ``uid ->
     {fingerprint, key}`` map of every form the last sweep(s) resolved.
     The incremental sweep path diffs current fingerprints against it to
-    enqueue only affected forms, and :func:`collect_garbage` uses the
+    re-measure only affected forms, and :func:`collect_garbage` uses the
     union of recorded ``key`` values as the *root set*: a result-cache
     entry no manifest references is an orphan.
 
@@ -695,7 +664,6 @@ class GCStats:
         self.memo_kept = 0
         self.memo_dropped = 0
         self.corrupt_dropped = 0
-        self.queues_removed = 0
         self.bytes_before = 0
         self.bytes_after = 0
 
@@ -720,7 +688,6 @@ class GCStats:
             "memo_kept": self.memo_kept,
             "memo_dropped": self.memo_dropped,
             "corrupt_dropped": self.corrupt_dropped,
-            "queues_removed": self.queues_removed,
             "keys_dropped": self.keys_dropped,
             "bytes_before": self.bytes_before,
             "bytes_after": self.bytes_after,
@@ -788,7 +755,6 @@ def _compact_jsonl(path: str, keep, stats: GCStats, kind: str) -> None:
 def collect_garbage(
     cache_dir: Optional[str] = None,
     salt: Optional[str] = None,
-    force: bool = False,
 ) -> GCStats:
     """Compact the persistent stores under *cache_dir*.
 
@@ -802,34 +768,19 @@ def collect_garbage(
     * **Measurement memos** (``<uarch>.measure.jsonl``): stale-salt,
       duplicate, and corrupt lines are dropped (memo keys are raw
       measurement content; no per-form root set exists for them).
-    * **Work queues** (``<uarch>.queue.json``): fully drained queue
-      files are removed.
 
-    GC is **lease-aware**: it takes (and holds, for the whole run)
-    every queue's transaction lock, so no drainer can lease, ack, or
-    write through mid-compaction — and it *refuses to run at all*,
-    raising :class:`LiveLeaseError`, when any queue holds an unexpired
-    lease, i.e. drainers are live (*force* overrides, for queues whose
-    machines are known dead).  Returns the per-store :class:`GCStats`.
+    Every rewrite holds the store's own lock, so a concurrent append
+    waits instead of landing in a doomed inode; but GC cannot tell
+    whether a sweep is running, and may drop the orphans a running
+    sweep is about to claim in its manifest.  Run it between sweeps.
+    Returns the per-store :class:`GCStats`.
     """
-    from repro.core.workqueue import (
-        WorkQueue,
-        live_lease_count,
-        outstanding_count,
-        read_queue_state,
-    )
-
     cache_dir = cache_dir or default_cache_dir()
     salt = salt if salt is not None else cache_salt()
     stats = GCStats()
     if not os.path.isdir(cache_dir):
         return stats
     manifest = SweepManifest(cache_dir, salt=salt)
-    names = sorted(os.listdir(cache_dir))
-    queue_paths = [
-        os.path.join(cache_dir, name)
-        for name in names if name.endswith(WorkQueue.SUFFIX)
-    ]
 
     def tally(path: str, attr: str) -> None:
         try:
@@ -838,69 +789,33 @@ def collect_garbage(
         except OSError:
             pass
 
-    removed_locks: List[str] = []
+    for name in sorted(os.listdir(cache_dir)):
+        path = os.path.join(cache_dir, name)
+        if name.endswith(MeasurementMemo.SUFFIX):
+            tally(path, "bytes_before")
 
-    def remove_lock_files() -> None:
-        for lock_path in removed_locks:
-            try:
-                os.remove(lock_path)
-            except OSError:
-                pass
+            def keep_memo(entry):
+                return (
+                    "keep" if entry.get("salt") == salt else "stale"
+                )
 
-    with contextlib.ExitStack() as held:
-        # Registered first, so it runs last: after every lock is
-        # released.
-        held.callback(remove_lock_files)
-        live = []
-        for path in queue_paths:
-            lock = held.enter_context(
-                open(path + ".lock", "a+", encoding="utf-8")
-            )
-            held.enter_context(lock_scope(lock, "queue", salt=path))
-            count = live_lease_count(read_queue_state(path, salt))
-            if count:
-                live.append((path, count))
-        if live and not force:
-            raise LiveLeaseError(live)
+            _compact_jsonl(path, keep_memo, stats, "memo")
+            tally(path, "bytes_after")
+        elif name.endswith(".jsonl"):
+            uarch_name = name[: -len(".jsonl")]
+            tally(path, "bytes_before")
+            live_keys = manifest.live_keys(uarch_name)
 
-        for name in names:
-            path = os.path.join(cache_dir, name)
-            if name.endswith(MeasurementMemo.SUFFIX):
-                tally(path, "bytes_before")
+            def keep_result(entry):
+                if entry.get("salt") != salt:
+                    return "stale"
+                if (
+                    live_keys is not None
+                    and entry["key"] not in live_keys
+                ):
+                    return "orphan"
+                return "keep"
 
-                def keep_memo(entry):
-                    return (
-                        "keep" if entry.get("salt") == salt else "stale"
-                    )
-
-                _compact_jsonl(path, keep_memo, stats, "memo")
-                tally(path, "bytes_after")
-            elif name.endswith(WorkQueue.SUFFIX):
-                # While the lock is held, queue state cannot move under
-                # us: drained (or missing/torn/stale-salt, which a
-                # drainer would reset to empty anyway) means removable.
-                if outstanding_count(read_queue_state(path, salt)) == 0:
-                    try:
-                        os.remove(path)
-                    except OSError:
-                        pass
-                    removed_locks.append(path + ".lock")
-                    stats.queues_removed += 1
-            elif name.endswith(".jsonl"):
-                uarch_name = name[: -len(".jsonl")]
-                tally(path, "bytes_before")
-                live_keys = manifest.live_keys(uarch_name)
-
-                def keep_result(entry):
-                    if entry.get("salt") != salt:
-                        return "stale"
-                    if (
-                        live_keys is not None
-                        and entry["key"] not in live_keys
-                    ):
-                        return "orphan"
-                    return "keep"
-
-                _compact_jsonl(path, keep_result, stats, "result")
-                tally(path, "bytes_after")
+            _compact_jsonl(path, keep_result, stats, "result")
+            tally(path, "bytes_after")
     return stats

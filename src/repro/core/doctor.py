@@ -3,10 +3,9 @@
 A crashed sweep leaves recognizable debris in the cache directory: a
 torn final line in a JSONL store (the writer died mid-append), a
 CRC-damaged mid-file line (bit rot, interleaved unlocked writers), a
-work-queue lease whose owner is gone, a ``.tmp.<pid>`` publish that
-never reached its rename, a lock file whose store was GC'd, or a
-manifest that claims a form was resolved while the result store holds
-no bytes for it.  Doctor walks every store, classifies each of these
+``.tmp.<pid>`` publish that never reached its rename, a lock file
+whose store was GC'd, or a manifest that claims a form was resolved
+while the result store holds no bytes for it.  Doctor walks every store, classifies each of these
 into a :class:`Finding` with an explicit repair plan, and — with
 ``--repair`` — applies the plan:
 
@@ -16,34 +15,31 @@ finding                   repair
 ``torn-tail``             truncate the store at the torn offset
 ``corrupt-lines``         quarantine damaged lines to ``<store>.quarantine``,
                           rewrite the intact records in place
-``torn-queue``            remove the undecodable queue (drainers rebuild
-                          it from an enqueue)
 ``torn-manifest``         quarantine the undecodable manifest (the next
                           full sweep rebuilds it)
-``orphaned-lease``        return expired leases to pending
 ``stale-lock``            remove the lock file (its store is gone)
 ``stray-tmp``             remove the unpublished temp file
-``missing-result``        withdraw the manifest claim and re-enqueue the
-                          form for re-measurement
+``missing-result``        withdraw the manifest claim (the next sweep
+                          re-measures the form)
 ========================  ==============================================
 
-Repair is **lease-aware** like GC: it refuses to mutate stores while
-any queue holds an unexpired lease (:class:`~repro.core.cache.
-LiveLeaseError`; ``--force`` overrides).  Reads are lockless — the
-atomic-rename publish and line-granular appends make any observed
-snapshot consistent — so a plain ``repro doctor`` scan is always safe
-to run, even under live drainers.
+Reads are lockless — the atomic-rename publish and line-granular
+appends make any observed snapshot consistent — so a plain ``repro
+doctor`` scan is always safe to run, even under a live sweep.  Repair
+rewrites each store under its own lock, but cannot tell whether a sweep
+is running: a sweep's in-flight manifest claims and temp files look
+like crash debris.  Repair between sweeps.  Files it does not know,
+such as the ``<uarch>.queue.json`` work queues of older versions, are
+left alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import time
 from typing import Any, Dict, List, Optional
 
 from repro.core.cache import (
-    LiveLeaseError,
     MeasurementMemo,
     SweepManifest,
     cache_salt,
@@ -54,12 +50,6 @@ from repro.core.journal import (
     rewrite_store,
     scan_blob,
     scan_journal,
-)
-from repro.core.workqueue import (
-    WorkQueue,
-    WorkUnit,
-    live_lease_count,
-    read_queue_state,
 )
 
 
@@ -93,12 +83,10 @@ class DoctorReport:
         cache_dir: str,
         findings: List[Finding],
         stores_scanned: int,
-        live_leases: int,
     ):
         self.cache_dir = cache_dir
         self.findings = findings
         self.stores_scanned = stores_scanned
-        self.live_leases = live_leases
 
     @property
     def healthy(self) -> bool:
@@ -109,7 +97,6 @@ class DoctorReport:
             "cache_dir": self.cache_dir,
             "healthy": self.healthy,
             "stores_scanned": self.stores_scanned,
-            "live_leases": self.live_leases,
             "findings": [
                 finding.as_dict() for finding in self.findings
             ],
@@ -118,7 +105,7 @@ class DoctorReport:
     def render_text(self) -> str:
         lines = [
             f"doctor: scanned {self.stores_scanned} store(s) in "
-            f"{self.cache_dir} ({self.live_leases} live lease(s))"
+            f"{self.cache_dir}"
         ]
         if self.healthy:
             lines.append("doctor: all stores healthy")
@@ -176,9 +163,8 @@ def diagnose(
     salt = salt if salt is not None else cache_salt()
     findings: List[Finding] = []
     scanned = 0
-    live_leases = 0
     if not os.path.isdir(cache_dir):
-        return DoctorReport(cache_dir, findings, scanned, live_leases)
+        return DoctorReport(cache_dir, findings, scanned)
     names = sorted(os.listdir(cache_dir))
     present = set(names)
     manifest = SweepManifest(cache_dir, salt=salt)
@@ -201,39 +187,6 @@ def diagnose(
                     kind="stale-lock",
                     detail="lock file whose store no longer exists",
                     repair="remove",
-                ))
-        elif name.endswith(WorkQueue.SUFFIX):
-            scanned += 1
-            state = read_queue_state(path, salt)
-            if state is None and os.path.getsize(path) > 0:
-                findings.append(Finding(
-                    store=path,
-                    kind="torn-queue",
-                    detail=(
-                        "queue state is undecodable or from another "
-                        "code version"
-                    ),
-                    repair="remove (drainers rebuild from an enqueue)",
-                ))
-                continue
-            live_leases += live_lease_count(state)
-            orphaned = 0
-            if state is not None:
-                now = time.time()
-                orphaned = sum(
-                    1 for raw in state["units"].values()
-                    if raw.get("state") == "leased"
-                    and raw.get("expires", 0) <= now
-                )
-            if orphaned:
-                findings.append(Finding(
-                    store=path,
-                    kind="orphaned-lease",
-                    detail=(
-                        f"{orphaned} expired lease(s) whose owners "
-                        "are gone"
-                    ),
-                    repair="release to pending",
                 ))
         elif name.endswith(SweepManifest.SUFFIX):
             scanned += 1
@@ -270,13 +223,10 @@ def diagnose(
                         + ", ".join(sorted(missing)[:5])
                         + ("..." if len(missing) > 5 else "")
                     ),
-                    repair=(
-                        "withdraw manifest claim and re-enqueue for "
-                        "re-measurement"
-                    ),
+                    repair="withdraw the manifest claims",
                     context={"uarch": uarch_name, "missing": missing},
                 ))
-    return DoctorReport(cache_dir, findings, scanned, live_leases)
+    return DoctorReport(cache_dir, findings, scanned)
 
 
 def _missing_results(
@@ -351,12 +301,6 @@ def _apply(finding: Finding, cache_dir: str, salt: str) -> None:
             os.remove(path)
         except OSError:
             pass
-    elif finding.kind == "torn-queue":
-        for victim in (path, path + ".lock"):
-            try:
-                os.remove(victim)
-            except OSError:
-                pass
     elif finding.kind == "torn-manifest":
         try:
             os.replace(path, _quarantine_path(path))
@@ -366,9 +310,6 @@ def _apply(finding: Finding, cache_dir: str, salt: str) -> None:
             os.remove(path + ".lock")
         except OSError:
             pass
-    elif finding.kind == "orphaned-lease":
-        name = os.path.basename(path)[: -len(WorkQueue.SUFFIX)]
-        WorkQueue(cache_dir, name, salt=salt).release_expired()
     elif finding.kind == "missing-result":
         context = finding.context or {}
         uarch_name = context.get("uarch")
@@ -378,43 +319,23 @@ def _apply(finding: Finding, cache_dir: str, salt: str) -> None:
         SweepManifest(cache_dir, salt=salt).prune(
             uarch_name, missing.keys()
         )
-        WorkQueue(cache_dir, uarch_name, salt=salt).enqueue([
-            WorkUnit(key=key, uid=uid)
-            for uid, key in sorted(missing.items())
-        ])
 
 
 #: Repair passes before giving up: one repair can surface the next
-#: finding (a removed torn queue leaves a stale lock; a truncated tail
-#: may reveal a missing result), so doctor re-diagnoses until the scan
-#: comes back healthy or the fixpoint budget runs out.
+#: finding (a truncated tail may reveal a missing result), so doctor
+#: re-diagnoses until the scan comes back healthy or the fixpoint
+#: budget runs out.
 MAX_REPAIR_PASSES = 3
 
 
 def repair(
     cache_dir: Optional[str] = None,
     salt: Optional[str] = None,
-    force: bool = False,
 ) -> DoctorReport:
-    """Diagnose-and-repair to a fixpoint; returns the final report.
-
-    Raises :class:`~repro.core.cache.LiveLeaseError` when any queue
-    holds an unexpired lease and *force* is not set — repairing under
-    live drainers could truncate a line one of them is about to read.
-    """
+    """Diagnose-and-repair to a fixpoint; returns the final report."""
     cache_dir = cache_dir or default_cache_dir()
     salt = salt if salt is not None else cache_salt()
     report = diagnose(cache_dir, salt=salt)
-    if report.live_leases and not force:
-        live = []
-        for name in sorted(os.listdir(cache_dir)):
-            if not name.endswith(WorkQueue.SUFFIX):
-                continue
-            path = os.path.join(cache_dir, name)
-            count = live_lease_count(read_queue_state(path, salt))
-            if count:
-                live.append((path, count))
-        raise LiveLeaseError(live)
     for _ in range(MAX_REPAIR_PASSES):
         if report.healthy:
             break

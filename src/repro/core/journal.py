@@ -1,8 +1,8 @@
 """Checksummed, torn-write-safe journal I/O: the shared persistence writer.
 
 Every durable byte the sweep stack writes — result-cache and memo JSONL
-lines, the sweep manifest, the work-queue state — goes through this
-module, so crash safety is implemented (and chaos-tested) exactly once:
+lines, the sweep manifest — goes through this module, so crash safety
+is implemented (and chaos-tested) exactly once:
 
 * **Per-line CRC** (:func:`encode_entry` / :func:`decode_entry`): each
   JSONL record carries a CRC-32 of its canonical body.  A reader can
@@ -12,7 +12,7 @@ module, so crash safety is implemented (and chaos-tested) exactly once:
   malformed envelope).  Torn tails are truncated and the sweep
   continues; corruption is counted and surfaced by ``repro doctor``,
   which quarantines the damaged bytes rather than silently dropping
-  them.  Whole-file JSON states (queue, manifest) get the same
+  them.  Whole-file JSON states (the manifest) get the same
   treatment via :func:`encode_blob` / :func:`decode_blob`.
 * **One append path** (:func:`append_entry`): single-``write()`` line
   appends under a bounded advisory flock, with a *self-healing* check
@@ -23,9 +23,8 @@ module, so crash safety is implemented (and chaos-tested) exactly once:
   and ``r+`` ``open()`` calls anywhere else in the package.
 * **Lock discipline by construction**: every lock in the persistence
   layer is taken through :func:`lock_scope`, which checks the one
-  table below (:data:`LOCK_ORDER`, :data:`ORDERED_SELF`,
-  :data:`STORE_KINDS`) on entry and raises :class:`LockOrderError` for
-  a nesting the table does not allow; :func:`publish_blob` raises
+  table below (:data:`LOCK_ORDER`, :data:`STORE_KINDS`) on entry and
+  raises :class:`LockOrderError` for a nesting the table does not allow; :func:`publish_blob` raises
   unless its kind's lock scope is held, and every writer that takes a
   kind rejects one it does not own with ``ValueError``.
 * **Durability policy** (``REPRO_DURABILITY``): ``fsync`` syncs every
@@ -36,7 +35,7 @@ module, so crash safety is implemented (and chaos-tested) exactly once:
   (throwaway stores, tests).
 * **Crash points**: every writer calls :func:`maybe_crash` with the
   site suffixes it declares in :data:`WRITER_SITES`
-  (``cache.pre-append``, ``queue.post-rename``, ...); :data:`CRASH_SITES`
+  (``cache.pre-append``, ``manifest.post-rename``, ...); :data:`CRASH_SITES`
   is derived from that declaration and the kind table.  When
   ``REPRO_CRASH_POINT`` is armed the process SIGKILLs itself there
   (see :mod:`repro.measure.faults`), which is how the crash-consistency
@@ -77,11 +76,11 @@ DURABILITY_MODES = ("fsync", "batch", "off")
 #: in :mod:`repro.measure.faults`.
 CRASH_POINT_ENV = "REPRO_CRASH_POINT"
 
-#: Environment variable naming a JSONL file the lock/fence trace
-#: recorder appends to.  Unset (the default) the recorder is a no-op
-#: costing one ``os.environ`` lookup per event; set, every flock
-#: acquire/release, fence check, and durable write emits one line — the
-#: dynamic oracle the test suite compares against the lock table below.
+#: Environment variable naming a JSONL file the lock trace recorder
+#: appends to.  Unset (the default) the recorder is a no-op costing one
+#: ``os.environ`` lookup per event; set, every flock acquire/release and
+#: durable write emits one line — the dynamic oracle the test suite
+#: compares against the lock table below.
 LOCK_TRACE_ENV = "REPRO_LOCK_TRACE"
 
 #: Longest a writer waits for the advisory file lock before proceeding
@@ -134,17 +133,11 @@ def _crash_armed(site: str) -> bool:
 # The persistence invariants, as one table
 # ---------------------------------------------------------------------------
 
-#: ``(held, acquired)`` pairs a thread may nest.  A queue transaction
-#: writes through to the result store (``WorkQueue.deposit``) and GC
-#: compacts the stores under every queue lock; doctor quarantines
+#: ``(held, acquired)`` pairs a thread may nest.  Doctor quarantines
 #: damaged lines while it holds the store it repairs.  No other nesting
-#: exists, so the order is acyclic and the layer cannot deadlock.
-LOCK_ORDER = frozenset({("queue", "store"), ("store", "quarantine")})
-
-#: Classes that may nest in themselves — in strictly increasing path
-#: order only (GC's sorted multi-queue acquisition), so two threads
-#: taking several locks of the class always take them in one order.
-ORDERED_SELF = frozenset({"queue"})
+#: exists — no class nests in itself — so the order is acyclic and the
+#: layer cannot deadlock.
+LOCK_ORDER = frozenset({("store", "quarantine")})
 
 #: Crash-site suffixes of each writer, declared once.  ``pre-append``
 #: fires before the store is even opened, ``mid-append`` splits the
@@ -167,7 +160,6 @@ STORE_KINDS = {
     "cache": ("store", "append"),
     "memo": ("store", "append"),
     "quarantine": ("quarantine", "quarantine"),
-    "queue": ("queue", "publish"),
     "manifest": ("manifest", "publish"),
     "compact": ("store", "rewrite"),
     "repair": ("store", "rewrite"),
@@ -175,7 +167,7 @@ STORE_KINDS = {
 
 #: Lock classes, derived from the kind table.  A class names a family
 #: of files sharing one discipline, not a path: every
-#: ``<uarch>.queue.json.lock`` is "queue".
+#: ``<uarch>.manifest.json.lock`` is "manifest".
 LOCK_CLASSES = tuple(sorted({lock for lock, _ in STORE_KINDS.values()}))
 
 #: Every named crash point, derived from the two tables above (the
@@ -202,7 +194,7 @@ def _lock_for(kind: str, writer: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Lock/fence trace recorder
+# Lock trace recorder
 # ---------------------------------------------------------------------------
 
 #: Per-thread stack of the ``(lock class, path)`` scopes this thread is
@@ -305,8 +297,8 @@ def lock_scope(handle, name: str, salt: str = "", stats=None):
     """Hold the lock class *name* on *handle* for the ``with`` body.
 
     *name* must be one of :data:`LOCK_CLASSES`.  On entry the nesting
-    is checked against :data:`LOCK_ORDER` and :data:`ORDERED_SELF` for
-    every scope this thread is already in — a violation raises
+    is checked against :data:`LOCK_ORDER` for every scope this thread
+    is already in — a violation raises
     :class:`LockOrderError` before any flock is tried.  Then the
     bounded flock is taken (its retries and a timeout are folded into
     *stats*' ``lock_retries`` / ``lock_timeouts``, when it carries
@@ -320,14 +312,7 @@ def lock_scope(handle, name: str, salt: str = "", stats=None):
         raise ValueError(f"unknown lock class {name!r}")
     held = _held_locks()
     path = getattr(handle, "name", "")
-    for held_name, held_path in held:
-        if held_name == name and name in ORDERED_SELF:
-            if path > held_path:
-                continue
-            raise LockOrderError(
-                f"{name!r} lock on {path!r} taken inside {held_path!r}: "
-                f"nested {name!r} locks go in increasing path order"
-            )
+    for held_name, _ in held:
         if (held_name, name) not in LOCK_ORDER:
             raise LockOrderError(
                 f"{name!r} lock taken while holding {held_name!r}"
@@ -408,7 +393,7 @@ def decode_entry(line: str):
 
 
 # ---------------------------------------------------------------------------
-# Whole-file JSON states (queue, manifest)
+# Whole-file JSON states (the manifest)
 # ---------------------------------------------------------------------------
 
 

@@ -11,11 +11,11 @@ the throughput sequences of one form are merged into a single dispatch
 through an :class:`~repro.measure.executor.ExperimentExecutor`, followed by
 the adaptive port-usage rounds.  One executor serves the runner's whole
 lifetime, so identical experiments planned by different algorithms — or by
-different forms of a sweep shard — are measured exactly once.
+different forms of one sweep — are measured exactly once.
 
 :class:`FormFailure` and :class:`~repro.stats.RunStatistics` cross the
-sweep worker queues, so their fields must stay picklable
-(``tests/test_sweep_engine.py::TestQueuePayloadsPickle`` round-trips
+sweep pool's pipes, so their fields must stay picklable
+(``tests/test_sweep_engine.py::TestPoolPayloadsPickle`` round-trips
 them).  Counters need no registration: ``RunStatistics`` is the one
 record every layer reports in, and the CLI's stderr summary is
 generated from its fields.
@@ -64,13 +64,15 @@ class FormFailure:
 
     uid: str
     #: The characterization stage that died: an experiment-tag prefix
-    #: (``iso``, ``lat``, ``ports``, ``tp``, ``blocking``), ``shard`` for
-    #: a lost worker, or ``characterize`` when unattributable.
+    #: (``iso``, ``lat``, ``ports``, ``tp``, ``blocking``), ``pool`` for
+    #: a form whose pool workers kept dying, or ``characterize`` when
+    #: unattributable.
     phase: str
     error_type: str
     message: str
     attempts: int = 1
-    #: Shard index for worker-loss failures, ``None`` otherwise.
+    #: Index of the pool worker that reported the failure, ``None`` on
+    #: the serial path and for ``pool`` failures.
     shard: Optional[int] = None
 
     @classmethod

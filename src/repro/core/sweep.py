@@ -1,4 +1,4 @@
-"""Parallel characterization sweeps: cached, distributed, incremental.
+"""Parallel characterization sweeps: cached, pooled, incremental.
 
 :class:`CharacterizationRunner` walks the catalog serially; at the scale
 of the paper's tool (thousands of variants per generation, Section 6)
@@ -11,16 +11,15 @@ count, cache state, or completion order:
 
 * **serial** (``jobs=1``): in-process, optionally on an injected
   backend — the debugging path and the differential-test reference;
-* **queue** (``jobs>1``): the pending forms
-  become content-keyed :class:`~repro.core.workqueue.WorkUnit` entries
-  in a persistent, flock-guarded work queue next to the result cache.
-  Worker processes — spawned by this engine, or by independent
-  ``repro sweep --drain`` invocations on machines sharing the cache
-  directory — *lease* units, characterize them, write the result
-  through the shared cache, and *ack*.  A worker that dies or stalls
-  lets its lease expire; any surviving worker **steals** the unit.
-  A unit that reliably kills workers is poisoned after
-  :data:`~repro.core.workqueue.MAX_UNIT_LEASES` leases and quarantined.
+* **pool** (``jobs>1``): ``jobs`` worker processes on this host, one
+  pipe each.  The parent hands the next pending form, in sorted-uid
+  order, to whichever worker is idle, and is the only process that
+  writes the result cache and the manifest.  A worker that dies
+  charges one attempt to the one form it held; that form goes back to
+  the front of the line and a fresh worker replaces the dead one.  A
+  form that has killed :data:`MAX_FORM_ATTEMPTS` workers is quarantined
+  as ``WorkerLost``.  Workers exit on end-of-file of their pipe, so
+  none outlives a killed parent.
 
 *Incremental re-characterization* (``incremental=True`` /
 ``--incremental``): every cached sweep records a per-form *input
@@ -45,23 +44,19 @@ seams; nothing is injected unless explicitly requested.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import os
-import shutil
-import tempfile
-import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.cache import (
     MeasurementMemo,
     ResultCache,
     SweepManifest,
-    cache_key,
     catalog_context_digest,
     catalog_context_key,
     form_fingerprint,
 )
-from repro.core.workqueue import LeaseHeartbeat, WorkQueue, WorkUnit
 from repro.core.result import (
     InstructionCharacterization,
     decode_characterization,
@@ -80,19 +75,14 @@ from repro.uarch.model import UarchConfig
 #: distinctive so a chaos log reads unambiguously.
 KILL_EXIT_CODE = 23
 
-#: Default lease window for queue-mode work units (seconds).  Generous
-#: relative to one form's characterization so healthy workers are never
-#: preempted; the coordinating engine force-expires the leases of
-#: workers it *knows* died, so only cross-machine losses wait this out.
-DEFAULT_LEASE_SECONDS = 60.0
+#: Workers a form may kill before it is quarantined as ``WorkerLost``.
+MAX_FORM_ATTEMPTS = 3
 
 
-#: Queue-drainer payload: (uarch name, measurement config, queue/store
-#: directory, salt, memo directory or None, memo salt, fault spec or
-#: None, lease window in seconds, worker id).
-_DrainPayload = Tuple[
-    str, MeasurementConfig, str, str, Optional[str], Optional[str],
-    Optional[str], float, int,
+#: Pool-worker payload: (uarch name, measurement config, memo directory
+#: or None, memo salt, fault spec or None).
+_WorkerPayload = Tuple[
+    str, MeasurementConfig, Optional[str], Optional[str], Optional[str],
 ]
 
 
@@ -104,126 +94,82 @@ def _total(parts: Iterable[RunStatistics]) -> RunStatistics:
     return total
 
 
-def _drain_worker(payload: _DrainPayload, out_queue) -> None:
-    """Drain the shared work queue from a worker process.
+def _pool_worker(payload: _WorkerPayload, conn, inherited=()) -> None:
+    """Characterize the forms the parent sends over *conn*.
 
-    The worker leases units from the persistent
-    :class:`~repro.core.workqueue.WorkQueue` one at a time until the
-    queue is drained, so a slow form never idles the rest of the fleet.
-    Results are written through the shared result cache *before* the
-    ack — a worker dying between the two leaves the unit leased, and
-    whoever steals it re-measures (deterministically identical) bytes —
-    and additionally streamed to the coordinating engine (when there is
-    one) for progress reporting.
+    The worker announces ``("ready",)``, then answers each
+    ``(uid, attempts)`` with ``("result", uid, data, counters)`` or
+    ``("failure", uid, FormFailure, counters)``, where *counters* is
+    the :class:`RunStatistics` of the work since its previous answer —
+    so the work of a worker that dies later is still counted.  A
+    ``None`` is the last order: it answers ``("done",)`` and returns.
+    End of file on the pipe (the parent died) ends it too.  *inherited*
+    are the parent's ends of sibling pipes a forked worker must close,
+    or those siblings would never see end of file.
 
-    Chaos faults map onto queue semantics: a ``kill``/``kill_once``/
-    ``stall`` fault considers a unit "respawned" when it was leased
-    more than once, i.e. the first lease crashed and this worker stole
-    the unit.
+    A ``kill``/``kill_once`` fault fires before the form is measured;
+    ``kill_once`` spares a form that already cost a worker.
     """
-    (
-        uarch_name, config, store_dir, salt, memo_dir, memo_salt,
-        fault_spec, lease_seconds, worker_id,
-    ) = payload
+    for other in inherited:
+        other.close()
+    uarch_name, config, memo_dir, memo_salt, fault_spec = payload
     plan = FaultPlan.parse(fault_spec) if fault_spec else None
     database = load_default_database()
     memo = (
         MeasurementMemo(memo_dir, salt=memo_salt)
         if memo_dir is not None else None
     )
-    backend = HardwareBackend(get_uarch(uarch_name), config, memo=memo)
-    backend = maybe_faulty(backend, fault_spec)
+    backend = maybe_faulty(
+        HardwareBackend(get_uarch(uarch_name), config, memo=memo),
+        fault_spec,
+    )
     runner = CharacterizationRunner(backend, database)
-    cache = ResultCache(store_dir, salt=salt)
-    work = WorkQueue(store_dir, uarch_name, salt=salt)
-    stores = [store for store in (cache, memo) if store is not None]
-    # The coordinator counted the shared stores' damage and
-    # invalidations when it read them; this drainer reports only what
-    # it adds after its own read.
+    # The parent counted the memo's damage and invalidations when it
+    # read it; this worker reports only what it adds after its own read.
+    stores = [memo] if memo is not None else []
     for store in stores:
         store.load(uarch_name)
-    loaded = _total(store.stats() for store in stores)
-    owner = f"{os.getpid()}.{worker_id}"
-    heartbeat = LeaseHeartbeat(
-        work, owner, lease_seconds=lease_seconds
-    ).start()
+    reported = _total(store.stats() for store in stores)
     try:
+        conn.send(("ready",))
         while True:
-            units = work.lease(
-                owner, limit=1, lease_seconds=lease_seconds
-            )
-            if not units:
-                if work.drained:
-                    break
-                # Other drainers hold live leases; poll until they
-                # finish (or their leases expire and become stealable).
-                time.sleep(SweepEngine.POLL_INTERVAL)
-                continue
-            for unit in units:
-                heartbeat.watch(unit)
-                try:
-                    respawned = unit.leases > 1
-                    if plan is not None:
-                        stall = plan.stall_seconds(unit.uid, respawned)
-                        if stall:
-                            time.sleep(stall)
-                        if plan.should_kill(unit.uid, respawned):
-                            out_queue.close()
-                            out_queue.join_thread()
-                            os._exit(KILL_EXIT_CODE)
-                    outcome = runner.characterize_resilient(
-                        database.by_uid(unit.uid)
-                    )
-                    if isinstance(outcome, FormFailure):
-                        failure = dataclasses.replace(
-                            outcome, shard=worker_id
-                        )
-                        work.fail(unit.key, owner, failure.as_dict())
-                        out_queue.put(
-                            ("failure", worker_id, unit.uid, failure)
-                        )
-                        continue
-                    data = (
-                        encode_characterization(outcome)
-                        if outcome is not None else None
-                    )
-                    verdict = work.deposit(
-                        unit.key, owner, unit.fence,
-                        lambda: cache.put(
-                            unit.key, unit.uid, uarch_name, data,
-                            fence=unit.fence,
-                        ),
-                    )
-                    if verdict in ("acked", "duplicate"):
-                        out_queue.put(
-                            ("result", worker_id, unit.uid, data)
-                        )
-                finally:
-                    heartbeat.unwatch(unit.key)
-    finally:
-        heartbeat.stop()
-    # Lease counters live in the shared queue state (the coordinator
-    # folds their delta); this process's lock waits on it do not.
-    totals = _total([
-        runner.statistics,
-        backend.snapshot(),
-        runner.executor.snapshot(),
-        work.stats(),
-        *(store.stats() for store in stores),
-    ])
-    out_queue.put(("done", worker_id, totals - loaded))
+            order = conn.recv()
+            if order is None:
+                break
+            uid, attempts = order
+            if plan is not None and plan.should_kill(uid, attempts > 0):
+                os._exit(KILL_EXIT_CODE)
+            outcome = runner.characterize_resilient(database.by_uid(uid))
+            totals = _total([
+                runner.statistics,
+                backend.snapshot(),
+                runner.executor.snapshot(),
+                *(store.stats() for store in stores),
+            ])
+            if isinstance(outcome, FormFailure):
+                answer = ("failure", uid, outcome)
+            else:
+                answer = (
+                    "result", uid,
+                    encode_characterization(outcome)
+                    if outcome is not None else None,
+                )
+            conn.send(answer + (totals - reported,))
+            reported = totals
+        conn.send(("done",))
+    except (EOFError, OSError):
+        pass  # the parent is gone: nobody is left to report to
 
 
-class _DrainerState:
-    """The coordinating engine's view of one queue-mode worker."""
+class _Worker:
+    """The parent's view of one pool worker."""
 
-    def __init__(self, worker_id: int, owner: str):
+    def __init__(self, worker_id: int, process, conn):
         self.worker_id = worker_id
-        self.owner = owner
-        self.process = None
-        self.queue = None
-        self.done = False
-        self.dead = False
+        self.process = process
+        self.conn = conn
+        #: The uid this worker was handed and has not answered, if any.
+        self.form: Optional[str] = None
 
 
 class SweepEngine:
@@ -233,12 +179,9 @@ class SweepEngine:
     :class:`~repro.core.runner.FormFailure` records after a sweep; a
     fully healthy run leaves it empty.
 
-    ``jobs=1`` characterizes in-process; ``jobs > 1`` runs the shared
-    work queue any drainer can join.
+    ``jobs=1`` characterizes in-process; ``jobs > 1`` runs a pool of
+    ``jobs`` worker processes fed by this one.
     """
-
-    #: How often the supervisor wakes to check worker health (seconds).
-    POLL_INTERVAL = 0.2
 
     def __init__(
         self,
@@ -250,7 +193,6 @@ class SweepEngine:
         backend: Optional[HardwareBackend] = None,
         measure_memo: Optional[MeasurementMemo] = None,
         fault_spec: Optional[str] = None,
-        lease_timeout: Optional[float] = None,
         incremental: bool = False,
     ):
         self.uarch = get_uarch(uarch) if isinstance(uarch, str) else uarch
@@ -275,12 +217,6 @@ class SweepEngine:
         self.fault_spec = (
             fault_spec if fault_spec is not None
             else os.environ.get(FAULTS_ENV)
-        )
-        #: Queue-mode lease window; an expired lease makes the unit
-        #: stealable by any other drainer.
-        self.lease_timeout = (
-            lease_timeout if lease_timeout is not None
-            else DEFAULT_LEASE_SECONDS
         )
         #: Incremental re-characterization: diff per-form input
         #: fingerprints against the sweep manifest and re-measure only
@@ -371,7 +307,7 @@ class SweepEngine:
             if self.jobs == 1:
                 self._sweep_serial(pending, results, progress)
             else:
-                self._sweep_queue(pending, results, progress)
+                self._sweep_pool(pending, results, progress)
         self._record_manifest(requested)
         self.statistics.merge(self._snapshot() - before)
         self.statistics.forms_failed = len(self.failures)
@@ -388,13 +324,11 @@ class SweepEngine:
         )
         return self.cache.get(key, self.uarch.name)
 
-    def _cache_store(
-        self, uid: str, data, fence: Optional[int] = None
-    ) -> None:
+    def _cache_store(self, uid: str, data) -> None:
         if self.cache is None:
             return
         key = self.cache.key_for(uid, self.uarch.name, self.config)
-        self.cache.put(key, uid, self.uarch.name, data, fence=fence)
+        self.cache.put(key, uid, self.uarch.name, data)
 
     # -- incremental re-characterization -------------------------------
 
@@ -538,407 +472,169 @@ class SweepEngine:
                 if outcome is not None else None,
             )
 
+
     # ------------------------------------------------------------------
-    # Queue mode: shared work queue, lease/steal, external drainers
+    # Pool mode: jobs worker processes fed by this one
     # ------------------------------------------------------------------
 
-    def _queue_store(self) -> Tuple[str, Optional[str], bool]:
-        """``(store_dir, salt, owns_store)`` — where the work queue and
-        the workers' write-through result store live.
-
-        With a cache this is the cache directory itself (so external
-        ``--drain`` processes find the same queue and store); without
-        one, a temporary directory removed after the sweep.  ``salt``
-        is ``None`` for the temporary store (every component defaults
-        to the current code-version salt consistently).
-        """
-        if self.cache is not None:
-            return self.cache.cache_dir, self.cache.salt, False
-        return (
-            tempfile.mkdtemp(prefix="repro-sweep-queue-"), None, True
-        )
-
-    def _sweep_queue(
+    def _sweep_pool(
         self,
         pending: List[InstructionForm],
         results: Dict[str, InstructionCharacterization],
         progress: Optional[Callable[[str], None]],
     ) -> None:
-        """Queue-mode execution: enqueue, spawn drainers, supervise.
+        """Pool-mode execution: hand forms out, collect, replace losses.
 
-        The parent enqueues one content-keyed unit per pending form and
-        spawns up to ``jobs`` drainer processes — then mostly stays out
-        of the way: lease expiry and stealing recover lost or stalled
-        workers, and external ``repro sweep --drain`` processes may
-        join (or even finish) the work.  What remains of supervision:
-        progress/statistics plumbing, force-expiring the leases of
-        workers the parent *reaped* (so siblings steal immediately
-        instead of waiting out the lease window), respawning drainers
-        while pending work remains (bounded by ``jobs`` extra spawns),
-        and salvaging externally-acked results from the shared store.
+        The parent waits on every worker's pipe and process sentinel,
+        gives the next pending form to whichever worker is idle, and
+        writes each result through the cache itself.  A worker that
+        dies holding a form charges that form one attempt and is
+        replaced; one that dies holding nothing (before it was ready,
+        or after its last form) is replaced only while the fleet's
+        budget of ``jobs`` such respawns lasts.  When the whole pool is
+        gone with that budget spent, the remaining forms are
+        quarantined so the sweep terminates.
         """
         import multiprocessing
-        import queue as queue_module
+        from multiprocessing.connection import wait
 
         memo = self.measure_memo
         if memo is not None:
-            # Pre-warm the measurements every drainer would otherwise
+            # Pre-warm the measurements every worker would otherwise
             # repeat — the blocking-instruction discovery walks the
             # whole catalog (Section 5.1.1) and is identical in all
             # workers.
             _ = self.runner.blocking
 
-        store_dir, salt, owns_store = self._queue_store()
-        work = WorkQueue(store_dir, self.uarch.name, salt=salt)
-        base_counters = work.counters()
-        key_by_uid = {
-            form.uid: cache_key(
-                form.uid, self.uarch.name, self.config, salt
-            )
-            for form in pending
-        }
-        work.enqueue([
-            WorkUnit(key=key_by_uid[form.uid], uid=form.uid)
-            for form in pending
-        ])
-
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
+        forked = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if forked else None)
+        payload: _WorkerPayload = (
+            self.uarch.name,
+            self.config,
+            memo.cache_dir if memo is not None else None,
+            memo.salt if memo is not None else None,
+            self.fault_spec,
         )
-        workers: List[_DrainerState] = []
-        #: Skip markers (data=None) reported by our own workers — they
-        #: never enter ``results``, but they are resolved and must not
-        #: be salvaged (and re-counted) from the store afterwards.
-        reported_skips: set = set()
-
-        def spawn(worker_id: int) -> None:
-            payload: _DrainPayload = (
-                self.uarch.name,
-                self.config,
-                store_dir,
-                salt,
-                memo.cache_dir if memo is not None else None,
-                memo.salt if memo is not None else None,
-                self.fault_spec,
-                self.lease_timeout,
-                worker_id,
-            )
-            state = _DrainerState(worker_id, owner="")
-            state.queue = context.Queue()
-            state.process = context.Process(
-                target=_drain_worker, args=(payload, state.queue),
-                daemon=True,
-            )
-            state.process.start()
-            # The worker identifies itself by its own pid (matches
-            # _drain_worker's owner string).
-            state.owner = f"{state.process.pid}.{worker_id}"
-            workers.append(state)
-
-        for worker_id in range(max(1, min(self.jobs, len(pending)))):
-            spawn(worker_id)
-        next_worker_id = len(workers)
+        line = collections.deque(form.uid for form in pending)
+        attempts: Dict[str, int] = {}
+        workers: List[_Worker] = []
+        spawned = 0
         respawns_left = self.jobs
 
-        def handle(state: _DrainerState, message) -> None:
+        def spawn() -> None:
+            nonlocal spawned
+            parent_end, child_end = context.Pipe()
+            inherited = (
+                tuple(worker.conn for worker in workers) + (parent_end,)
+                if forked else ()
+            )
+            process = context.Process(
+                target=_pool_worker,
+                args=(payload, child_end, inherited),
+                daemon=True,
+            )
+            process.start()
+            child_end.close()
+            workers.append(_Worker(spawned, process, parent_end))
+            spawned += 1
+
+        def hand_out(worker: _Worker) -> None:
+            worker.form = line.popleft() if line else None
+            order = (
+                (worker.form, attempts.get(worker.form, 0))
+                if worker.form is not None else None
+            )
+            try:
+                worker.conn.send(order)
+            except OSError:
+                pass  # it died; the wait loop reads its end of file
+
+        def handle(worker: _Worker, message) -> None:
             kind = message[0]
             if kind == "done":
-                state.done = True
-                self.statistics.merge(message[2])
-                state.process.join()
+                retire(worker)
                 return
-            uid, payload_data = message[2], message[3]
+            if kind != "ready":
+                self.statistics.merge(message[3])
             if kind == "failure":
-                self.failures[uid] = message[3]
-                return
-            if payload_data is None:
-                reported_skips.add(uid)
-            elif uid not in results:
-                outcome = decode_characterization(payload_data)
-                results[uid] = outcome
-                if progress is not None:
-                    progress(outcome.summary())
-
-        def drain(state: _DrainerState) -> int:
-            handled = 0
-            while not state.done:
-                try:
-                    message = state.queue.get_nowait()
-                except queue_module.Empty:
-                    break
-                except (EOFError, OSError):
-                    break  # torn channel; the health check takes over
-                handle(state, message)
-                handled += 1
-            return handled
-
-        drained_since = None
-        while True:
-            progressed = 0
-            for state in workers:
-                progressed += drain(state)
-            for state in workers:
-                if state.done or state.dead:
-                    continue
-                if state.process.is_alive():
-                    continue
-                # Death after the final put: messages may still be in
-                # flight — drain before declaring the worker lost.
-                drain(state)
-                if state.done:
-                    continue
-                state.process.join()
-                state.dead = True
-                work.expire_owner(state.owner)
-            active = [s for s in workers if not s.done and not s.dead]
-            if work.outstanding() == 0:
-                if not active:
-                    break
-                # Live workers exit on their own once they observe the
-                # drained queue; bound the wait in case one is wedged
-                # in an injected stall on an already-stolen unit.
-                if drained_since is None:
-                    drained_since = time.monotonic()
-                elif (
-                    time.monotonic() - drained_since
-                    > max(self.lease_timeout, 5.0)
-                ):
-                    for state in active:
-                        state.process.terminate()
-                        state.process.join(5)
-                        drain(state)
-                        state.dead = True
-                    break
-            else:
-                drained_since = None
-                if not active:
-                    if respawns_left > 0:
-                        respawns_left -= 1
-                        self.statistics.drainers_respawned += 1
-                        spawn(next_worker_id)
-                        next_worker_id += 1
-                    else:
-                        # The fleet died repeatedly with work left;
-                        # quarantine the remainder so the sweep (and
-                        # any external drainer) terminates.
-                        for unit in work.remaining_units():
-                            failure = FormFailure(
-                                uid=unit.uid,
-                                phase="queue",
-                                error_type="WorkerLost",
-                                message=(
-                                    "drainer fleet exhausted its "
-                                    f"respawn budget ({self.jobs}); "
-                                    "unit abandoned"
-                                ),
-                                attempts=unit.leases,
-                                shard=None,
-                            )
-                            work.fail(
-                                unit.key, "coordinator",
-                                failure.as_dict(),
-                            )
-                        break
-            if not progressed:
-                time.sleep(self.POLL_INTERVAL)
-
-        for state in workers:
-            if state.queue is not None:
-                state.queue.close()
-
-        # Quarantines recorded only in the queue: poisoned units, and
-        # failures reported by external drainers.
-        queue_failures = work.snapshot()["failures"]
-        for form in pending:
-            if form.uid in results or form.uid in self.failures:
-                continue
-            record = queue_failures.get(form.uid)
-            if record is not None:
-                self.failures[form.uid] = FormFailure(**record)
-
-        # Results acked without a message reaching us: units drained by
-        # external processes, or a worker lost between its ack and its
-        # report.  The shared store has the bytes either way.
-        missing = [
-            form for form in pending
-            if form.uid not in results
-            and form.uid not in self.failures
-            and form.uid not in reported_skips
-        ]
-        if missing:
-            store = ResultCache(store_dir, salt=salt)
-            for form in missing:
-                data = store.get(key_by_uid[form.uid], self.uarch.name)
-                if ResultCache.is_miss(data):
-                    self.failures[form.uid] = FormFailure(
-                        uid=form.uid,
-                        phase="queue",
-                        error_type="ResultMissing",
-                        message=(
-                            "work unit resolved but no stored "
-                            "result was found"
-                        ),
-                    )
-                    continue
-                if data is None:
-                    self.statistics.skipped += 1
-                    continue
-                try:
-                    outcome = decode_characterization(data)
-                except (KeyError, TypeError, ValueError):
-                    self.statistics.corrupt_lines += 1
-                    self.failures[form.uid] = FormFailure(
-                        uid=form.uid,
-                        phase="queue",
-                        error_type="DecodeError",
-                        message="stored result failed to decode",
-                    )
-                    continue
-                results[form.uid] = outcome
-                if progress is not None:
-                    progress(outcome.summary())
-
-        self.statistics.merge(
-            RunStatistics(**work.counters().delta(base_counters))
-        )
-        self.statistics.merge(work.stats())
-        if owns_store:
-            shutil.rmtree(store_dir, ignore_errors=True)
-
-    # ------------------------------------------------------------------
-    # Distributed entry points: --enqueue-only and --drain
-    # ------------------------------------------------------------------
-
-    def enqueue_pending(
-        self, forms: Optional[Iterable[InstructionForm]] = None
-    ) -> Dict[str, int]:
-        """Plan a sweep and enqueue its pending work — without executing.
-
-        The ``repro sweep --enqueue-only`` entry point: computes the
-        pending set exactly like :meth:`sweep` (cache misses, plus
-        fingerprint-stale forms in incremental mode) and enqueues one
-        content-keyed unit per form for ``--drain`` processes to
-        execute.  Requires a cache — the queue must live somewhere the
-        drainers can find it.  Returns counts for reporting.
-        """
-        if self.cache is None:
-            raise ValueError(
-                "enqueue-only needs a persistent cache directory"
-            )
-        requested = list(forms if forms is not None else self.database)
-        requested.sort(key=lambda form: form.uid)
-        results: Dict[str, InstructionCharacterization] = {}
-        pending = self._resolve_pending(requested, results)
-        work = WorkQueue(
-            self.cache.cache_dir, self.uarch.name, salt=self.cache.salt
-        )
-        enqueued = work.enqueue([
-            WorkUnit(
-                key=self.cache.key_for(
-                    form.uid, self.uarch.name, self.config
-                ),
-                uid=form.uid,
-            )
-            for form in pending
-        ])
-        return {
-            "requested": len(requested),
-            "cached": len(requested) - len(pending),
-            "pending": len(pending),
-            "enqueued": enqueued,
-        }
-
-    def drain(
-        self,
-        progress: Optional[Callable[[str], None]] = None,
-    ) -> Dict[str, InstructionCharacterization]:
-        """Drain the shared work queue in-process until it is empty.
-
-        The ``repro sweep --drain`` entry point: attach to the queue
-        next to the cache and lease/characterize/ack units until no
-        pending or leased work remains — cooperating (and competing)
-        with every other drainer of the same cache directory, stealing
-        expired leases along the way.  Returns the results *this*
-        process produced, keyed by uid; quarantines land in
-        :attr:`failures` and the lease/steal/ack counters in
-        :attr:`statistics`.
-        """
-        if self.cache is None:
-            raise ValueError("drain needs a persistent cache directory")
-        before = self._snapshot()
-        runner = self.runner
-        work = WorkQueue(
-            self.cache.cache_dir, self.uarch.name, salt=self.cache.salt
-        )
-        plan = (
-            FaultPlan.parse(self.fault_spec) if self.fault_spec else None
-        )
-        owner = f"{os.getpid()}.drain"
-        results: Dict[str, InstructionCharacterization] = {}
-        heartbeat = LeaseHeartbeat(
-            work, owner, lease_seconds=self.lease_timeout
-        ).start()
-        try:
-            while True:
-                units = work.lease(
-                    owner, limit=1, lease_seconds=self.lease_timeout
+                self.failures[message[1]] = dataclasses.replace(
+                    message[2], shard=worker.worker_id
                 )
-                if not units:
-                    if work.drained:
-                        break
-                    time.sleep(self.POLL_INTERVAL)
-                    continue
-                for unit in units:
-                    self.statistics.units_leased += 1
-                    if unit.stolen_now:
-                        self.statistics.units_stolen += 1
-                        self.statistics.lease_expirations += 1
-                    heartbeat.watch(unit)
+            elif kind == "result":
+                uid, data = message[1], message[2]
+                if data is not None:
+                    outcome = decode_characterization(data)
+                    results[uid] = outcome
+                    if progress is not None:
+                        progress(outcome.summary())
+                self._cache_store(uid, data)
+            hand_out(worker)
+
+        def retire(worker: _Worker) -> None:
+            workers.remove(worker)
+            worker.conn.close()
+            worker.process.join()
+
+        def quarantine(uid: str, message: str) -> None:
+            self.failures[uid] = FormFailure(
+                uid=uid,
+                phase="pool",
+                error_type="WorkerLost",
+                message=message,
+                attempts=attempts.get(uid, 0),
+            )
+
+        def lost(worker: _Worker) -> None:
+            nonlocal respawns_left
+            retire(worker)
+            uid = worker.form
+            if uid is not None:
+                attempts[uid] = attempts.get(uid, 0) + 1
+                if attempts[uid] >= MAX_FORM_ATTEMPTS:
+                    quarantine(uid, (
+                        f"{attempts[uid]} pool workers died "
+                        "characterizing this form"
+                    ))
+                else:
+                    line.appendleft(uid)
+            elif line and respawns_left:
+                respawns_left -= 1
+            else:
+                return
+            self.statistics.drainers_respawned += 1
+            spawn()
+
+        try:
+            for _ in range(min(self.jobs, len(line))):
+                spawn()
+            while workers:
+                ready = set(wait(
+                    [worker.conn for worker in workers]
+                    + [worker.process.sentinel for worker in workers]
+                ))
+                for worker in list(workers):
+                    exited = worker.process.sentinel in ready
+                    if not exited and worker.conn not in ready:
+                        continue
                     try:
-                        respawned = unit.leases > 1
-                        if plan is not None:
-                            stall = plan.stall_seconds(
-                                unit.uid, respawned
-                            )
-                            if stall:
-                                time.sleep(stall)
-                            if plan.should_kill(unit.uid, respawned):
-                                os._exit(KILL_EXIT_CODE)
-                        outcome = runner.characterize_resilient(
-                            self.database.by_uid(unit.uid)
-                        )
-                        if isinstance(outcome, FormFailure):
-                            self.failures[unit.uid] = outcome
-                            work.fail(unit.key, owner, outcome.as_dict())
-                            continue
-                        data = (
-                            encode_characterization(outcome)
-                            if outcome is not None else None
-                        )
-                        uid = unit.uid
-                        fence = unit.fence
-                        verdict = work.deposit(
-                            unit.key, owner, fence,
-                            lambda: self._cache_store(
-                                uid, data, fence=fence
-                            ),
-                        )
-                        if verdict == "fenced":
-                            self.statistics.zombie_writes += 1
-                            continue
-                        if verdict == "acked":
-                            self.statistics.units_acked += 1
-                        if outcome is not None:
-                            results[unit.uid] = outcome
-                            if progress is not None:
-                                progress(outcome.summary())
-                    finally:
-                        heartbeat.unwatch(unit.key)
+                        # An exited worker's pipe holds what it sent
+                        # before dying, then end of file.
+                        while worker in workers and (
+                            exited or worker.conn.poll()
+                        ):
+                            handle(worker, worker.conn.recv())
+                    except (EOFError, OSError):
+                        lost(worker)
+                if not workers and line:
+                    # Every worker died with the respawn budget spent.
+                    for uid in line:
+                        quarantine(uid, (
+                            "the pool exhausted its respawn budget "
+                            f"({self.jobs})"
+                        ))
+                    line.clear()
         finally:
-            heartbeat.stop()
-        self.statistics.leases_renewed += heartbeat.renewed
-        self.statistics.merge(self._snapshot() - before)
-        self.statistics.merge(work.stats())
-        self.statistics.forms_failed = len(self.failures)
-        return {uid: results[uid] for uid in sorted(results)}
+            for worker in workers:
+                worker.process.terminate()
+                worker.conn.close()
+                worker.process.join()

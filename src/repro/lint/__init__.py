@@ -16,7 +16,7 @@ registry are enforced at runtime by :mod:`repro.core.journal`.  Checks
 that read data rather than code — the ground-truth tables' ports,
 divider classes, cross-table references and category coverage, the
 catalog literals in the source, and the picklability of the objects
-that cross the sweep's queues — are tier-1 tests
+that cross the sweep pool's pipes — are tier-1 tests
 (``tests/test_uarch_tables.py``, ``tests/test_catalog.py``,
 ``tests/test_lint.py``, ``tests/test_sweep_engine.py``).
 

@@ -16,8 +16,7 @@ generic linter can know:
   swallow a ``TransientBackendError``.
 * ``RPR150`` — every append-mode or ``r+`` ``open()`` outside
   :mod:`repro.core.journal`, and every ``w``/``x`` ``open()`` in the
-  persistence modules (``core/cache.py``, ``core/workqueue.py``,
-  ``core/doctor.py``), is a crash-safety bypass: durable appends,
+  persistence modules (``core/cache.py``, ``core/doctor.py``), is a crash-safety bypass: durable appends,
   in-place rewrites and whole-file replacements must go through the
   shared journal writers so torn-tail recovery, CRCs, the lock scope,
   durability policy, and crash points cover them.
@@ -510,7 +509,6 @@ _ALLOWED_APPEND_MODES = frozenset({"a+"})
 #: bytes outside the journal too, so RPR150 flags those modes as well.
 _PERSISTENCE_SUFFIXES = (
     "core/cache.py",
-    "core/workqueue.py",
     "core/doctor.py",
 )
 

@@ -4,8 +4,8 @@ Real measurement campaigns fail in boring, predictable ways — a counter
 read glitches, a machine hiccups, one instruction reliably wedges the
 harness, a worker process dies mid-sweep (Section 5's per-instruction
 pitfalls, at fleet scale).  Every fault-tolerance mechanism in this
-repository (executor retries, form quarantine, lease stealing, resumable
-caches) is tested against this module rather than against luck.
+repository (executor retries, form quarantine, worker replacement,
+resumable caches) is tested against this module rather than against luck.
 
 A :class:`FaultPlan` is parsed from a compact ``key=value`` spec, e.g. ::
 
@@ -49,17 +49,12 @@ Supported keys:
     relative to a fault-free run — bit-identical comparisons should
     list non-candidate forms (e.g. memory-operand variants).
 ``kill=UID[+UID...]`` / ``kill_once=UID[+UID...]``
-    Sweep-worker crash (``os._exit``) when the worker is about to
-    characterize the listed form.  The dead worker's lease expires and
-    a sibling steals the unit.  ``kill_once`` does not fire on a stolen
-    unit (a transient machine loss); ``kill`` fires on every lease, so
-    the unit is poisoned after
-    :data:`~repro.core.workqueue.MAX_UNIT_LEASES` leases and
-    quarantined.
-``stall=UID:SECONDS[+UID:SECONDS...]``
-    Sweep worker sleeps before characterizing the listed form (not on a
-    stolen unit).  The worker stays alive, so its heartbeat renews the
-    lease and no sibling steals the unit.
+    Pool-worker crash (``os._exit``) when the worker is about to
+    characterize the listed form.  The parent charges the form one
+    attempt and hands it to the next idle worker.  ``kill_once`` does
+    not fire on a form that already cost a worker (a transient machine
+    loss); ``kill`` fires on every attempt, so the form is quarantined
+    after :data:`~repro.core.sweep.MAX_FORM_ATTEMPTS` attempts.
 
 Activation: the sweep engine and CLI consult ``REPRO_FAULTS`` (or the
 explicit ``--fault-spec`` flag) via :func:`maybe_faulty`; nothing is ever
@@ -145,18 +140,6 @@ def _parse_uids(value: str) -> Tuple[str, ...]:
     return tuple(part for part in value.split("+") if part)
 
 
-def _parse_stalls(value: str) -> Dict[str, float]:
-    stalls: Dict[str, float] = {}
-    for part in _parse_uids(value):
-        uid, _, seconds = part.partition(":")
-        if not seconds:
-            raise ValueError(
-                f"stall fault needs UID:SECONDS, got {part!r}"
-            )
-        stalls[uid] = float(seconds)
-    return stalls
-
-
 @dataclasses.dataclass(frozen=True)
 class FaultPlan:
     """A parsed, seedable description of which faults to inject where."""
@@ -170,7 +153,6 @@ class FaultPlan:
     permanent: Tuple[str, ...] = ()
     kill: Tuple[str, ...] = ()
     kill_once: Tuple[str, ...] = ()
-    stall: Tuple[Tuple[str, float], ...] = ()
 
     _PARSERS = {
         "seed": int,
@@ -197,16 +179,12 @@ class FaultPlan:
                 raise ValueError(
                     f"fault spec item {item!r} is not key=value"
                 )
-            if key == "stall":
-                values["stall"] = tuple(
-                    sorted(_parse_stalls(value).items())
-                )
-            elif key in cls._PARSERS:
+            if key in cls._PARSERS:
                 values[key] = cls._PARSERS[key](value)
             else:
                 raise ValueError(
                     f"unknown fault spec key {key!r} "
-                    f"(known: {', '.join(sorted(cls._PARSERS))}, stall)"
+                    f"(known: {', '.join(sorted(cls._PARSERS))})"
                 )
         return cls(**values)
 
@@ -255,12 +233,6 @@ class FaultPlan:
         if uid in self.kill:
             return True
         return uid in self.kill_once and not respawned
-
-    def stall_seconds(self, uid: str, respawned: bool) -> float:
-        """How long a worker sleeps before characterizing *uid*."""
-        if respawned:
-            return 0.0
-        return dict(self.stall).get(uid, 0.0)
 
 
 def _content_key(code: Sequence, init) -> str:

@@ -156,7 +156,7 @@ def _seed_digest(seed: str) -> int:
 def opaque_result(seed: str, inputs: Tuple[int, ...]) -> int:
     """Deterministic stand-in result for unmodeled instruction semantics.
 
-    Identical in every process: queue drainers, the shared memo and the
+    Identical in every process: pool workers, the shared memo and the
     result cache rely on values (addresses, divider classes) being
     bit-identical across processes.
     """

@@ -11,7 +11,7 @@ summary iterates the fields, so no counter can go unfolded or
 unprinted.
 
 Each field declares its stderr row (``cache``, ``memo``, ``simulation``,
-``executor``, ``faults``, ``queue``) in its ``dataclasses.field``
+``executor``, ``faults``, ``sweep``) in its ``dataclasses.field``
 metadata; rows print in order of first declaration.  This module is a
 leaf: it imports nothing from :mod:`repro`, so :mod:`repro.measure` and
 :mod:`repro.core` can both use it.
@@ -48,7 +48,7 @@ class RunStatistics:
     cache_misses: int = _counter("cache")
     cache_invalidations: int = _counter("cache")
     #: Measurement-memo counters (persistent raw-measurement memo shared
-    #: across drainers; see :class:`~repro.core.cache.MeasurementMemo`).
+    #: across pool workers; see :class:`~repro.core.cache.MeasurementMemo`).
     memo_hits: int = _counter("memo")
     memo_misses: int = _counter("memo")
     #: Timing-kernel work split: cycles of the full-length runs the core
@@ -94,8 +94,8 @@ class RunStatistics:
     cache_evictions: int = _counter("executor")
     #: Fault-tolerance counters: transient-failure re-dispatches, the
     #: experiments that exhausted the retry budget, forms quarantined
-    #: instead of characterized, and queue drainers respawned while work
-    #: remained after the fleet died.
+    #: instead of characterized, and pool workers started to replace dead
+    #: ones.
     retries: int = _counter("faults")
     experiments_gave_up: int = _counter("faults")
     forms_failed: int = _counter("faults")
@@ -108,22 +108,11 @@ class RunStatistics:
     torn_tails: int = _counter("faults")
     lock_timeouts: int = _counter("faults")
     lock_retries: int = _counter("faults")
-    #: Distributed-sweep queue health (see
-    #: :mod:`repro.core.workqueue`): work units this sweep leased,
-    #: leases reclaimed from dead/stalled drainers (and the expirations
-    #: that enabled the steals), units acknowledged as done, lease
-    #: renewals by drainer heartbeats, fenced-off writes by zombie
-    #: workers whose lease was stolen, forms served from cache because
-    #: their input fingerprints were unchanged (``--incremental``), and
-    #: cache lines dropped by ``repro cache gc``.
-    units_leased: int = _counter("queue")
-    units_stolen: int = _counter("queue")
-    units_acked: int = _counter("queue")
-    lease_expirations: int = _counter("queue")
-    leases_renewed: int = _counter("queue")
-    zombie_writes: int = _counter("queue")
-    incremental_skips: int = _counter("queue")
-    gc_keys_dropped: int = _counter("queue")
+    #: Forms served from cache because their input fingerprints were
+    #: unchanged (``--incremental``), and cache lines dropped by
+    #: ``repro cache gc``.
+    incremental_skips: int = _counter("sweep")
+    gc_keys_dropped: int = _counter("sweep")
 
     def merge(self, other: "RunStatistics") -> None:
         """Fold in the counters of another stretch of work."""

@@ -134,25 +134,17 @@ class TestCommands:
         assert rerun.read_bytes() == output.read_bytes()
 
 
-class TestDistributedFlags:
-    def test_parser_accepts_queue_flags(self):
+class TestCacheFlags:
+    def test_parser_accepts_incremental(self):
         args = build_parser().parse_args([
-            "sweep", "SKL", "--lease-timeout", "2.5", "--incremental",
+            "sweep", "SKL", "--incremental", "--jobs", "2",
         ])
-        assert args.lease_timeout == 2.5
         assert args.incremental
-        args = build_parser().parse_args(["sweep", "--drain"])
-        assert args.drain and not args.enqueue_only
-        args = build_parser().parse_args(["sweep", "--enqueue-only"])
-        assert args.enqueue_only and not args.drain
+        assert args.jobs == 2
 
-    def test_drain_and_enqueue_are_exclusive(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "SKL", "--drain", "--enqueue-only"])
-
-    def test_queue_flags_need_cache(self):
-        for flag in ("--drain", "--enqueue-only", "--incremental"):
-            with pytest.raises(SystemExit):
+    def test_incremental_and_resume_need_cache(self):
+        for flag in ("--resume", "--incremental"):
+            with pytest.raises(SystemExit, match=flag):
                 main(["sweep", "SKL", flag, "--no-cache"])
 
     def test_cache_gc_requires_subcommand(self):
@@ -165,69 +157,40 @@ class TestDistributedFlags:
         assert "kept 0 result(s)" in out
 
     @pytest.mark.slow
-    def test_enqueue_drain_gc_round_trip(self, tmp_path, capsys):
-        import json
-        import re
-
+    def test_parallel_sweep_gc_round_trip(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
-        # Coordinator plans the work without measuring anything.
-        # (--sample is per stratum, so the unit count is catalog-sized.)
-        assert main([
-            "sweep", "SKL", "--sample", "5", "--enqueue-only",
-            "--cache-dir", str(cache_dir),
-        ]) == 0
-        out = capsys.readouterr().out
-        match = re.search(r"enqueued (\d+) unit\(s\)", out)
-        assert match
-        enqueued = int(match.group(1))
-        assert enqueued > 0
-        assert not cache_dir.joinpath("SKL.jsonl").exists()
-
-        # A worker drains the queue into the shared cache.
-        stats_json = tmp_path / "drain.json"
-        assert main([
-            "sweep", "SKL", "--drain", "--cache-dir", str(cache_dir),
-            "--stats-json", str(stats_json),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "drained" in out
-        stats = json.loads(stats_json.read_text())
-        assert stats["units_leased"] == enqueued
-        assert stats["units_acked"] == enqueued
-
-        # The final (warm) sweep collects the XML from the cache only.
+        # A pool sweep fills the cache; a work queue an older version
+        # left behind is ignored.
+        cache_dir.mkdir()
+        cache_dir.joinpath("SKL.queue.json").write_text("{}")
         output = tmp_path / "out.xml"
         assert main([
-            "sweep", "SKL", "--sample", "5", "--output", str(output),
-            "--cache-dir", str(cache_dir),
+            "sweep", "SKL", "--sample", "5", "--jobs", "2",
+            "--output", str(output), "--cache-dir", str(cache_dir),
         ]) == 0
-        assert "cache_misses 0," in capsys.readouterr().err
+        capsys.readouterr()
 
-        # ... and is byte-identical to a from-scratch serial sweep.
-        reference_dir = tmp_path / "reference-cache"
+        # ... byte-identical to a from-scratch serial sweep.
         reference = tmp_path / "reference.xml"
         assert main([
             "sweep", "SKL", "--sample", "5", "--output",
-            str(reference), "--cache-dir", str(reference_dir),
+            str(reference), "--no-cache",
         ]) == 0
         capsys.readouterr()
         assert output.read_bytes() == reference.read_bytes()
 
-        # GC finds nothing live to drop and removes the drained queue.
-        gc_json = tmp_path / "gc.json"
-        assert main([
-            "cache", "gc", "--cache-dir", str(cache_dir),
-            "--stats-json", str(gc_json),
-        ]) == 0
-        assert "removed 1 drained queue(s)" in capsys.readouterr().out
-        assert not cache_dir.joinpath("SKL.queue.json").exists()
+        # GC finds nothing live to drop, and a warm sweep afterwards
+        # still serves everything from the cache.
+        assert main(["cache", "gc", "--cache-dir", str(cache_dir)]) == 0
+        assert "dropped 0 orphaned" in capsys.readouterr().out
         rerun = tmp_path / "rerun.xml"
         assert main([
-            "sweep", "SKL", "--sample", "5", "--output", str(rerun),
-            "--cache-dir", str(cache_dir),
+            "sweep", "SKL", "--sample", "5", "--jobs", "2",
+            "--output", str(rerun), "--cache-dir", str(cache_dir),
         ]) == 0
         assert "cache_misses 0," in capsys.readouterr().err
         assert rerun.read_bytes() == output.read_bytes()
+        assert cache_dir.joinpath("SKL.queue.json").read_text() == "{}"
 
     @pytest.mark.slow
     def test_incremental_flag_skips_unchanged(self, tmp_path, capsys):

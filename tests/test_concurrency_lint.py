@@ -5,24 +5,22 @@ Three layers:
 * the invariants :mod:`repro.core.journal` enforces at runtime, one
   test per shape a static analysis would have to flag — a blob
   published outside its lock scope, a nesting against the lock order,
-  same-class locks taken out of path order, a writer handed a kind it
-  does not own — plus the kind table and the crash-site registry
-  derived from it, and RPR150 keeping store writes inside the journal;
-* the **dynamic oracle**: a two-drainer chaos sweep (plus GC, doctor
+  a lock class nested in itself, a writer handed a kind it does not
+  own — plus the kind table and the crash-site registry derived from
+  it, and RPR150 keeping store writes inside the journal;
+* the **dynamic oracle**: a ``jobs=2`` pool sweep (plus GC, doctor
   repair, and a serial sweep) run under ``REPRO_LOCK_TRACE``, whose
-  observed lock orders, write locksets, and fence checks are validated
-  against the journal's lock table *in both directions* — an edge the
-  trace realizes that the table forbids fails, and a table edge or
-  store kind the trace never witnesses fails too (a stale table is as
-  wrong as an unsound one);
+  observed lock orders and write locksets are validated against the
+  journal's lock table *in both directions* — an edge the trace
+  realizes that the table forbids fails, and a table edge or store
+  kind the trace never witnesses fails too (a stale table is as wrong
+  as an unsound one);
 * the lint CLI's edge cases (empty and missing paths, a broken pipe)
   and the ``--json`` emitter it shares with ``repro doctor``.
 """
 
 import json
-import multiprocessing
 import os
-import signal
 import textwrap
 
 import pytest
@@ -45,13 +43,9 @@ from repro.core.journal import (
     rewrite_store,
 )
 from repro.core.sweep import SweepEngine
-from repro.core.workqueue import WorkQueue, WorkUnit
 from repro.lint import LintUsageError, run_lint
 from repro.lint.framework import collect_files
 from repro.measure.faults import CRASH_SITES
-
-_FORK = multiprocessing.get_context("fork")
-SIGKILLED = -signal.SIGKILL
 
 
 def lint_snippets(root, sources):
@@ -73,7 +67,7 @@ def lock_file(tmp_path, name):
     return open(str(tmp_path / f"{name}.lock"), "a+", encoding="utf-8")
 
 
-STATE = {"salt": "s", "units": {}}
+STATE = {"salt": "s", "configs": {}}
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +76,10 @@ STATE = {"salt": "s", "units": {}}
 
 
 class TestLocksetRule:
-    def test_naked_queue_publish_is_flagged(self, tmp_path):
-        with pytest.raises(LockOrderError, match="'queue' lock scope"):
-            publish_blob(str(tmp_path / "q.json"), STATE, kind="queue")
-        assert not os.path.exists(str(tmp_path / "q.json"))
+    def test_naked_manifest_publish_is_flagged(self, tmp_path):
+        with pytest.raises(LockOrderError, match="'manifest' lock scope"):
+            publish_blob(str(tmp_path / "m.json"), STATE, kind="manifest")
+        assert not os.path.exists(str(tmp_path / "m.json"))
 
     def test_publish_outside_persistence_layer_is_flagged(
         self, tmp_path
@@ -95,7 +89,7 @@ class TestLocksetRule:
         path = str(tmp_path / "m.json")
         with pytest.raises(LockOrderError, match="'manifest' lock scope"):
             publish_blob(path, STATE, kind="manifest")
-        with lock_file(tmp_path, "q") as lock, lock_scope(lock, "queue"):
+        with lock_file(tmp_path, "s") as lock, lock_scope(lock, "store"):
             with pytest.raises(LockOrderError):
                 publish_blob(path, STATE, kind="manifest")
         assert not os.path.exists(path)
@@ -126,30 +120,30 @@ class TestLocksetRule:
                     handle.write("")
             """
         report = lint_snippets(str(tmp_path), {
-            "core/workqueue.py": body,
+            "core/doctor.py": body,
             "analysis/report.py": body,
         })
         assert codes(report) == ["RPR150", "RPR150"]
         assert all(
-            v.path.endswith("core/workqueue.py") for v in report.violations
+            v.path.endswith("core/doctor.py") for v in report.violations
         )
 
     def test_publish_under_lock_is_clean(self, tmp_path):
-        path = str(tmp_path / "q.json")
-        with lock_file(tmp_path, "q") as lock, lock_scope(lock, "queue"):
-            publish_blob(path, STATE, kind="queue")
+        path = str(tmp_path / "m.json")
+        with lock_file(tmp_path, "m") as lock, lock_scope(lock, "manifest"):
+            publish_blob(path, STATE, kind="manifest")
         assert os.path.exists(path)
         assert journal._held_locks() == []
 
     def test_helper_covered_by_every_caller_is_clean(self, tmp_path):
-        """The ``_write_state``-under-``_transaction`` shape: the
-        publish helper holds nothing itself, but its caller does."""
-        path = str(tmp_path / "q.json")
+        """The manifest's read-modify-write shape: the publish helper
+        holds nothing itself, but its caller does."""
+        path = str(tmp_path / "m.json")
 
         def write_state(state):
-            publish_blob(path, state, kind="queue")
+            publish_blob(path, state, kind="manifest")
 
-        with lock_file(tmp_path, "q") as lock, lock_scope(lock, "queue"):
+        with lock_file(tmp_path, "m") as lock, lock_scope(lock, "manifest"):
             write_state(STATE)
         assert os.path.exists(path)
 
@@ -182,16 +176,20 @@ class TestLocksetRule:
 
 class TestLockOrderRule:
     def test_opposite_order_acquisitions_are_a_cycle(self, tmp_path):
-        """``queue`` then ``store`` is the deposit order; the reverse
-        raises before the second flock is even tried."""
+        """``store`` then ``quarantine`` is doctor's repair order; the
+        reverse raises before the second flock is even tried."""
         with lock_file(tmp_path, "s") as store, lock_file(
-            tmp_path, "q"
-        ) as queue:
-            with lock_scope(queue, "queue"), lock_scope(store, "store"):
+            tmp_path, "x"
+        ) as quarantine:
+            with lock_scope(store, "store"), lock_scope(
+                quarantine, "quarantine"
+            ):
                 pass
-            with lock_scope(store, "store"):
-                with pytest.raises(LockOrderError, match="holding 'store'"):
-                    with lock_scope(queue, "queue"):
+            with lock_scope(quarantine, "quarantine"):
+                with pytest.raises(
+                    LockOrderError, match="holding 'quarantine'"
+                ):
+                    with lock_scope(store, "store"):
                         pass
         assert journal._held_locks() == []
 
@@ -208,33 +206,28 @@ class TestLockOrderRule:
         assert journal._held_locks() == []
 
     def test_unsorted_multi_acquisition_is_flagged(self, tmp_path):
-        with lock_file(tmp_path, "b") as second, lock_file(
-            tmp_path, "a"
-        ) as first, lock_scope(second, "queue"):
-            with pytest.raises(LockOrderError, match="increasing path"):
-                with lock_scope(first, "queue"):
-                    pass
-            # Re-entering the same queue lock is out of order too.
-            with pytest.raises(LockOrderError):
-                with lock_scope(second, "queue"):
-                    pass
-
-    def test_sorted_multi_acquisition_is_clean(self, tmp_path):
+        """No class nests in itself, in any path order."""
         with lock_file(tmp_path, "a") as first, lock_file(
             tmp_path, "b"
         ) as second:
-            with lock_scope(first, "queue"), lock_scope(second, "queue"):
-                assert [n for n, _ in journal._held_locks()] == [
-                    "queue", "queue",
-                ]
+            for outer, inner in ((second, first), (first, second)):
+                with lock_scope(outer, "store"):
+                    with pytest.raises(
+                        LockOrderError, match="holding 'store'"
+                    ):
+                        with lock_scope(inner, "store"):
+                            pass
+            # Re-entering the same lock is a self-nesting too.
+            with lock_scope(first, "store"):
+                with pytest.raises(LockOrderError):
+                    with lock_scope(first, "store"):
+                        pass
         assert journal._held_locks() == []
 
     def test_consistent_order_across_modules_is_clean(self, tmp_path):
-        """Deposit's queue→store and doctor's store→quarantine, through
-        the real writers."""
+        """Doctor's store→quarantine, through the real writers."""
         store = str(tmp_path / "s.jsonl")
-        with lock_file(tmp_path, "q") as lock, lock_scope(lock, "queue"):
-            append_entry(store, {"key": "k", "data": {}})
+        append_entry(store, {"key": "k", "data": {}})
 
         def mend(blob):
             quarantine_lines(store + ".quarantine", [b"damaged"])
@@ -263,90 +256,14 @@ class TestLockOrderRule:
             lock_timeouts = 0
 
         counters = Counters()
-        path = str(tmp_path / "q.lock")
+        path = str(tmp_path / "s.lock")
         with open(path, "a+") as holder, open(path, "a+") as waiter:
             fcntl.flock(holder.fileno(), fcntl.LOCK_EX)
-            with lock_scope(waiter, "queue", stats=counters):
-                assert [n for n, _ in journal._held_locks()] == ["queue"]
+            with lock_scope(waiter, "store", stats=counters):
+                assert [n for n, _ in journal._held_locks()] == ["store"]
         assert counters.lock_timeouts == 1
         assert counters.lock_retries >= 1
         assert journal._held_locks() == []
-
-
-# ---------------------------------------------------------------------------
-# Fencing: a stale token cannot write through
-# ---------------------------------------------------------------------------
-
-
-class TestFencingRule:
-    """``WorkQueue.deposit`` checks the unit's fencing token inside its
-    transaction before running the write-through (the zombie test in
-    ``test_crash_chaos.py`` pins the end-to-end shape)."""
-
-    def _leased(self, tmp_path):
-        queue = WorkQueue(str(tmp_path), "SKL", salt="s")
-        queue.enqueue([WorkUnit(key="k" * 64, uid="NOP")])
-        (unit,) = queue.lease("owner")
-        return queue, unit
-
-    def test_unguarded_write_through_is_flagged(self, tmp_path):
-        queue, unit = self._leased(tmp_path)
-        writes = []
-        verdict = queue.deposit(
-            unit.key, "owner", unit.fence - 1, lambda: writes.append(1)
-        )
-        assert verdict == "fenced" and writes == []
-        assert queue.counters()["zombie_writes"] == 1
-
-    def test_constant_fence_argument_is_flagged(self, tmp_path):
-        queue, unit = self._leased(tmp_path)
-        writes = []
-        verdict = queue.deposit(
-            unit.key, "owner", 7, lambda: writes.append(1)
-        )
-        assert verdict == "fenced" and writes == []
-
-    def test_guarded_write_through_is_clean(self, tmp_path):
-        queue, unit = self._leased(tmp_path)
-        held = []
-        verdict = queue.deposit(
-            unit.key, "owner", unit.fence,
-            lambda: held.append(
-                [name for name, _ in journal._held_locks()]
-            ),
-        )
-        # The write-through runs inside the queue transaction.
-        assert verdict == "acked" and held == [["queue"]]
-
-    def test_derived_freshness_flag_is_clean(self, tmp_path, monkeypatch):
-        """The fence check derives one ``fresh`` flag from the token and
-        traces it under the queue lock, before any write-through."""
-        trace = str(tmp_path / "trace.jsonl")
-        monkeypatch.setenv(LOCK_TRACE_ENV, trace)
-        queue, unit = self._leased(tmp_path)
-        queue.deposit(unit.key, "owner", unit.fence + 1, lambda: None)
-        queue.deposit(unit.key, "owner", unit.fence, lambda: None)
-        with open(trace, encoding="utf-8") as handle:
-            checks = [
-                record for record in map(json.loads, handle)
-                if record["event"] == "fence-check"
-            ]
-        assert [r["fresh"] for r in checks] == [False, True]
-        assert all(r["held"] == ["queue"] for r in checks)
-
-    def test_real_fence_argument_is_clean(self, tmp_path):
-        """The token a lease hands out is the one deposit accepts; a
-        steal bumps it, fencing the previous holder out."""
-        queue, unit = self._leased(tmp_path)
-        queue.expire_owner("owner")
-        (stolen,) = queue.lease("thief")
-        assert stolen.fence == unit.fence + 1
-        assert queue.deposit(
-            unit.key, "owner", unit.fence, lambda: None
-        ) == "fenced"
-        assert queue.deposit(
-            stolen.key, "thief", stolen.fence, lambda: None
-        ) == "acked"
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +281,9 @@ class TestCrashSiteCoverageRule:
             lambda: rewrite_store(path, lambda blob: blob, kind="ledger"),
             # A known kind handed to a writer that does not own it.
             lambda: append_entry(path, {"key": "k", "data": {}},
-                                 kind="queue"),
+                                 kind="manifest"),
         ):
-            with pytest.raises(ValueError, match="'(ledger|queue)'"):
+            with pytest.raises(ValueError, match="'(ledger|manifest)'"):
                 write()
         assert os.listdir(str(tmp_path)) == []
 
@@ -394,9 +311,8 @@ class TestCrashSiteCoverageRule:
         for kind in ("cache", "memo"):
             append_entry(store, {"key": "k", "data": {}}, kind=kind)
         quarantine_lines(store + ".quarantine", [b"damaged"])
-        for kind in ("queue", "manifest"):
-            with lock_file(tmp_path, kind) as lock, lock_scope(lock, kind):
-                publish_blob(str(tmp_path / kind), STATE, kind=kind)
+        with lock_file(tmp_path, "m") as lock, lock_scope(lock, "manifest"):
+            publish_blob(str(tmp_path / "m.json"), STATE, kind="manifest")
         for kind in ("compact", "repair"):
             rewrite_store(store, lambda blob: blob, kind=kind)
         assert set(reached) == set(CRASH_SITES)
@@ -413,8 +329,6 @@ class TestCrashSiteCoverageRule:
             "memo.post-append",
             "quarantine.pre-append",
             "quarantine.post-append",
-            "queue.pre-rename",
-            "queue.post-rename",
             "manifest.pre-rename",
             "manifest.post-rename",
         )
@@ -436,10 +350,7 @@ class TestStaticLockModel:
         ] == []
 
     def test_model_matches_the_documented_invariants(self):
-        assert journal.LOCK_ORDER == {
-            ("queue", "store"), ("store", "quarantine"),
-        }
-        assert journal.ORDERED_SELF == {"queue"}
+        assert journal.LOCK_ORDER == {("store", "quarantine")}
         assert {
             kind: lock for kind, (lock, _) in journal.STORE_KINDS.items()
         } == {
@@ -448,12 +359,9 @@ class TestStaticLockModel:
             "manifest": "manifest",
             "memo": "store",
             "quarantine": "quarantine",
-            "queue": "queue",
             "repair": "store",
         }
-        assert journal.LOCK_CLASSES == (
-            "manifest", "quarantine", "queue", "store",
-        )
+        assert journal.LOCK_CLASSES == ("manifest", "quarantine", "store")
 
     def test_model_graph_is_acyclic(self):
         adjacency = {}
@@ -483,66 +391,33 @@ class TestStaticLockModel:
 UIDS = ("ADD_R64_R64", "NOP", "SUB_R64_R64", "XOR_R64_R64")
 
 
-def _drain_child(root, db):
-    engine = SweepEngine(
-        "SKL", db,
-        cache=ResultCache(root),
-        measure_memo=MeasurementMemo(root),
-        lease_timeout=5.0,
-    )
-    engine.drain()
-
-
-def _run_child(target, args, timeout=300.0):
-    proc = _FORK.Process(target=target, args=args)
-    proc.start()
-    proc.join(timeout)
-    assert not proc.is_alive(), "oracle child wedged"
-    return proc.exitcode
-
-
 @pytest.mark.slow
 class TestDynamicOracle:
     def _exercise(self, base, db):
         """Drive every store kind and lock class of the real layer:
-        a two-drainer queue sweep, a GC over multiple queues, a doctor
-        repair of a corrupted store, and a serial (manifest-updating)
-        sweep — all with the trace recorder armed."""
+        a ``jobs=2`` pool sweep, a GC compaction, a doctor repair of a
+        corrupted store, and a serial (manifest-updating) sweep — all
+        with the trace recorder armed."""
         forms = [db.by_uid(uid) for uid in UIDS]
 
-        # Two concurrent drainers over a shared queue.
-        drain_root = os.path.join(base, "drain")
-        os.makedirs(drain_root)
+        # A pool sweep: workers append to the memo, the parent to the
+        # result cache and the manifest.
+        pool_root = os.path.join(base, "pool")
+        os.makedirs(pool_root)
         engine = SweepEngine(
-            "SKL", db,
-            cache=ResultCache(drain_root),
-            measure_memo=MeasurementMemo(drain_root),
-            lease_timeout=5.0,
+            "SKL", db, jobs=2,
+            cache=ResultCache(pool_root),
+            measure_memo=MeasurementMemo(pool_root),
         )
-        engine.enqueue_pending(forms)
-        drainers = [
-            _FORK.Process(target=_drain_child, args=(drain_root, db))
-            for _ in range(2)
-        ]
-        for proc in drainers:
-            proc.start()
-        for proc in drainers:
-            proc.join(300.0)
-            assert proc.exitcode == 0
+        engine.sweep(forms)
+        assert engine.failures == {}
 
-        # GC: multiple queue locks (sorted multi-acquisition) plus a
-        # compaction (superseded cache line).
-        cache = ResultCache(drain_root)
+        # GC: a compaction (superseded cache line).
+        cache = ResultCache(pool_root)
         key = "c" * 64
         cache.put(key, "NOP", "SKL", {"i": 1})
         cache.put(key, "NOP", "SKL", {"i": 2})
-        WorkQueue(drain_root, "HSW").enqueue(
-            [WorkUnit(key="a" * 64, uid="NOP")]
-        )
-        WorkQueue(drain_root, "ICL").enqueue(
-            [WorkUnit(key="b" * 64, uid="NOP")]
-        )
-        collect_garbage(drain_root)
+        collect_garbage(pool_root)
 
         # Doctor repair: a corrupt *mid-file* line (garbage followed
         # by a valid append) gets quarantined under the
@@ -559,7 +434,7 @@ class TestDynamicOracle:
         repair_cache.put("e" * 64, "NOP", "SKL", {"i": 2})
         assert repair(repair_root).healthy
 
-        # Serial sweep: the coordinator path that publishes the
+        # Serial sweep: the in-process path that publishes the
         # manifest.
         serial_root = os.path.join(base, "serial")
         os.makedirs(serial_root)
@@ -583,11 +458,9 @@ class TestDynamicOracle:
             ]
         acquires = [r for r in records if r["event"] == "acquire"]
         writes = [r for r in records if r["event"] == "write"]
-        fences = [r for r in records if r["event"] == "fence-check"]
-        assert acquires and writes and fences
+        assert acquires and writes
 
         model_edges = set(journal.LOCK_ORDER)
-        self_edges = {(lock, lock) for lock in journal.ORDERED_SELF}
 
         observed_edges = set()
         for record in acquires:
@@ -595,14 +468,14 @@ class TestDynamicOracle:
                 observed_edges.add((held, record["lock"]))
 
         # Dynamic ⊆ table: every realized ordering must be allowed.
-        unmodeled = observed_edges - model_edges - self_edges
+        unmodeled = observed_edges - model_edges
         assert not unmodeled, (
             f"trace realized lock orders the lock table forbids: "
             f"{sorted(unmodeled)}"
         )
         # Table ⊆ dynamic: every allowed ordering must be realized —
         # a table edge the trace never witnesses is stale.
-        unrealized = (model_edges | self_edges) - observed_edges
+        unrealized = model_edges - observed_edges
         assert not unrealized, (
             f"lock table allows orders the trace never "
             f"realized: {sorted(unrealized)}"
@@ -621,37 +494,11 @@ class TestDynamicOracle:
         # Lock classes: exactly the table's, no unknown names.
         assert {r["lock"] for r in acquires} == set(journal.LOCK_CLASSES)
 
-        # Fencing: every fence check ran under the queue lock, and
-        # every deposit write-through (a cache/memo write while the
-        # queue lock is held) was dominated by one in its process.
-        assert all("queue" in r["held"] for r in fences)
-        by_thread = {}
-        for record in records:
-            by_thread.setdefault(
-                (record["pid"], record["thread"]), []
-            ).append(record)
-        dominated = 0
-        for sequence in by_thread.values():
-            fence_live = False
-            for record in sequence:
-                if record["event"] == "fence-check":
-                    fence_live = True
-                elif (
-                    record["event"] == "release"
-                    and record["lock"] == "queue"
-                ):
-                    fence_live = False
-                elif (
-                    record["event"] == "write"
-                    and record["store"] in ("cache", "memo")
-                    and "queue" in record["held"]
-                ):
-                    assert fence_live, (
-                        "write-through without a dominating "
-                        f"fence check: {record}"
-                    )
-                    dominated += 1
-        assert dominated > 0
+        # The pool's workers wrote the memo from their own processes.
+        memo_writers = {
+            r["pid"] for r in writes if r["store"] == "memo"
+        }
+        assert memo_writers - {os.getpid()}
 
 
 # ---------------------------------------------------------------------------

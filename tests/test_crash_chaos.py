@@ -1,34 +1,31 @@
 """Crash-point chaos harness: SIGKILL at every named write site.
 
-The persistence layer claims a drainer may die — SIGKILL, no ``finally``
+The persistence layer claims a sweep may die — SIGKILL, no ``finally``
 blocks, no flushes — at *any* of the named crash sites in
 :data:`repro.measure.faults.CRASH_SITES` and the stores stay
 recoverable: ``repro doctor --repair`` plus a fault-free resume
 reconverges to the byte-identical result a never-crashed run produces,
-with zero lost acked results and zero re-measured unchanged forms.
+with zero lost stored results and zero re-measured unchanged forms.
 
 Three layers of proof:
 
 * per-site unit tests fork a child, arm ``REPRO_CRASH_POINT``, and
   assert the post-mortem file state each site promises;
 * a hypothesis suite drives >= 200 random kill schedules (site x hit
-  count x durability mode) through a fixed op sequence over all four
+  count x durability mode) through a fixed op sequence over all three
   store kinds, then repairs + idempotently replays and demands every
   store file be byte-identical to a fault-free reference directory;
-* an end-to-end sweep per site: a drainer (or serial sweep, for
-  manifest sites) is killed mid-flight, doctor repairs, and the resumed
-  sweep's XML must match the reference bytes, with a final warm sweep
-  pinning "everything served from cache, nothing measured twice".
-
-Fencing (lease-steal zombie detection) is pinned here too, as the one
-crash mode that is about *surviving* writers rather than dead ones.
+* an end-to-end sweep per site: a ``jobs=2`` pool sweep (or a serial
+  sweep, for manifest sites) is killed mid-flight, doctor repairs, and
+  the resumed sweep's XML must match the reference bytes, with a final
+  warm sweep pinning "everything served from cache, nothing measured
+  twice".
 """
 
 import multiprocessing
 import os
 import shutil
 import signal
-import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -39,7 +36,6 @@ from repro.core.cache import (
     MeasurementMemo,
     ResultCache,
     SweepManifest,
-    cache_salt,
 )
 from repro.core.doctor import diagnose, repair
 from repro.core.journal import (
@@ -53,12 +49,6 @@ from repro.core.journal import (
 )
 from repro.core.runner import CharacterizationRunner
 from repro.core.sweep import SweepEngine
-from repro.core.workqueue import (
-    WorkQueue,
-    WorkUnit,
-    live_lease_count,
-    read_queue_state,
-)
 from repro.core.xml_output import results_to_xml
 from repro.measure.backend import HardwareBackend, MeasurementConfig
 from repro.measure.faults import CRASH_SITES, reset_crash_counters
@@ -129,8 +119,7 @@ def _quarantine_child(root, spec, count):
 def _publish_child(root, kind, spec):
     _arm(spec)
     path = os.path.join(root, "state.json")
-    # Queue and manifest states publish under the lock class of the
-    # same name.
+    # Manifest states publish under the lock class of the same name.
     with open(path + ".lock", "a+") as lock, lock_scope(lock, kind):
         publish_blob(path, {"salt": SALT, "units": {}}, kind=kind)
         publish_blob(
@@ -223,7 +212,7 @@ class TestQuarantineCrashSites:
         assert blob == b"damaged 0\ndamaged 1\n"
 
 
-@pytest.mark.parametrize("kind", ["queue", "manifest"])
+@pytest.mark.parametrize("kind", ["manifest"])
 class TestRenameCrashSites:
     def test_pre_rename_keeps_old_state_and_strands_tmp(
         self, tmp_path, kind
@@ -265,55 +254,12 @@ class TestEveryNamedSiteIsExercised:
                 f"{kind}.pre-fsync", f"{kind}.post-append",
             }
         covered |= {"quarantine.pre-append", "quarantine.post-append"}
-        for kind in ("queue", "manifest"):
-            covered |= {f"{kind}.pre-rename", f"{kind}.post-rename"}
+        covered |= {"manifest.pre-rename", "manifest.post-rename"}
         assert covered == set(CRASH_SITES)
 
 
 # ---------------------------------------------------------------------------
-# Fencing: the crash mode where the "dead" writer is still alive
-# ---------------------------------------------------------------------------
-
-
-class TestFencing:
-    def test_post_steal_zombie_write_is_rejected_and_counted(
-        self, tmp_path
-    ):
-        queue = WorkQueue(str(tmp_path), "SKL", salt=SALT)
-        key = "k" * 64
-        queue.enqueue([WorkUnit(key=key, uid="NOP")])
-        (stale,) = queue.lease("worker-a", lease_seconds=0.01)
-        time.sleep(0.05)
-        (stolen,) = queue.lease("worker-b", lease_seconds=60.0)
-        assert stolen.fence > stale.fence
-
-        wrote = []
-        verdict = queue.deposit(
-            key, "worker-a", stale.fence, lambda: wrote.append("a")
-        )
-        assert verdict == "fenced"
-        assert wrote == []  # the zombie's store append never ran
-
-        verdict = queue.deposit(
-            key, "worker-b", stolen.fence, lambda: wrote.append("b")
-        )
-        assert verdict == "acked"
-        assert wrote == ["b"]
-
-        counters = queue.counters()
-        assert counters["zombie_writes"] == 1
-        assert counters["units_stolen"] == 1
-
-        # A very late zombie retry cannot double-write either.
-        verdict = queue.deposit(
-            key, "worker-a", stale.fence, lambda: wrote.append("x")
-        )
-        assert verdict in ("fenced", "duplicate")
-        assert wrote == ["b"]
-
-
-# ---------------------------------------------------------------------------
-# Hypothesis: >= 200 random kill schedules over all four store kinds
+# Hypothesis: >= 200 random kill schedules over all three store kinds
 # ---------------------------------------------------------------------------
 
 FSALT = "chaos-fuzz"
@@ -332,12 +278,10 @@ def _fuzz_ops(root):
     """The fixed op sequence: interleaved writes to every store kind."""
     cache = ResultCache(root, salt=FSALT)
     memo = MeasurementMemo(root, salt=FSALT)
-    queue = WorkQueue(root, "SKL", salt=FSALT)
     for i in range(_FUZZ_COUNT):
         key = format(i, "064x")
         cache.put(key, f"U{i}", "SKL", {"i": i})
         memo.put(f"m{i}", "SKL", {"i": i})
-        queue.enqueue([WorkUnit(key=key, uid=f"U{i}")])
     SweepManifest(root, salt=FSALT).update(
         "SKL", _FUZZ_CONFIG, _fuzz_manifest_entries()
     )
@@ -349,18 +293,16 @@ def _fuzz_child(root, spec, durability):
 
 
 def _fuzz_replay(root):
-    """Idempotent resume: get-before-put, enqueue dedupes, manifest
-    update merges — exactly what a restarted drainer does."""
+    """Idempotent resume: get-before-put, manifest update merges —
+    exactly what a restarted sweep does."""
     cache = ResultCache(root, salt=FSALT)
     memo = MeasurementMemo(root, salt=FSALT)
-    queue = WorkQueue(root, "SKL", salt=FSALT)
     for i in range(_FUZZ_COUNT):
         key = format(i, "064x")
         if cache.is_miss(cache.get(key, "SKL")):
             cache.put(key, f"U{i}", "SKL", {"i": i})
         if memo.is_miss(memo.get(f"m{i}", "SKL")):
             memo.put(f"m{i}", "SKL", {"i": i})
-        queue.enqueue([WorkUnit(key=key, uid=f"U{i}")])
     SweepManifest(root, salt=FSALT).update(
         "SKL", _FUZZ_CONFIG, _fuzz_manifest_entries()
     )
@@ -441,22 +383,16 @@ def reference_xml(db, chaos_memo):
 
 def _sweep_child(root, spec, serial, db):
     _arm(spec)
-    engine = SweepEngine(
+    SweepEngine(
         "SKL", db,
+        jobs=1 if serial else 2,
         cache=ResultCache(root),
         measure_memo=MeasurementMemo(root),
-        lease_timeout=0.5,
-    )
-    forms = _forms(db)
-    if serial:
-        engine.sweep(forms)
-    else:
-        engine.enqueue_pending(forms)
-        engine.drain()
+    ).sweep(_forms(db))
 
 
 #: Quarantine is only written by ``doctor --repair`` (never by a
-#: healthy sweep), so those sites cannot fire mid-drain; their unit
+#: healthy sweep), so those sites cannot fire mid-sweep; their unit
 #: proofs live in TestQuarantineCrashSites instead.
 SWEEP_SITES = tuple(
     site for site in CRASH_SITES if not site.startswith("quarantine")
@@ -478,20 +414,12 @@ class TestSweepCrashRecovery:
                 os.path.join(chaos_memo, "SKL" + MeasurementMemo.SUFFIX),
                 os.path.join(root, "SKL" + MeasurementMemo.SUFFIX),
             )
-        # Manifest sites only fire on the serial (coordinator) path;
-        # everything else crashes a queue-mode drainer mid-drain.
+        # Manifest sites keep a serial child; everything else kills the
+        # parent of a jobs=2 pool mid-sweep (its workers see end of file
+        # and exit).
         serial = site.startswith("manifest")
         code = _run_child(_sweep_child, (root, site, serial, db))
         assert code == SIGKILLED, f"site {site} never fired"
-
-        # Let the dead drainer's lease expire before doctoring.
-        queue_path = os.path.join(root, "SKL" + WorkQueue.SUFFIX)
-        deadline = time.time() + 10.0
-        while (
-            live_lease_count(read_queue_state(queue_path, cache_salt()))
-            and time.time() < deadline
-        ):
-            time.sleep(0.1)
 
         assert repair(root).healthy
 
@@ -507,7 +435,7 @@ class TestSweepCrashRecovery:
         ) == reference_xml
 
         # Warm pin: every form served from cache, nothing re-measured —
-        # zero lost acked results, zero double-measured forms.
+        # zero lost stored results, zero double-measured forms.
         warm = SweepEngine(
             "SKL", db,
             cache=ResultCache(root),

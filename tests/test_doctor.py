@@ -3,27 +3,21 @@
 Each test seeds one concrete failure mode into a real cache directory,
 asserts ``diagnose`` names exactly that finding kind, and proves
 ``repair`` converges the directory back to healthy without inventing
-data.  The CLI layer is pinned separately: doctor exits 0/1, ``cache
-gc`` refuses to compact under live leases (satellite a), and ``sweep
---strict`` exits 3 on a quarantined form (satellite c).
+data.  The CLI layer is pinned separately: doctor exits 0/1, and
+``sweep --strict`` exits 3 on a quarantined form.
 """
-
-import os
-import time
 
 import pytest
 
 from repro import cli
 from repro.core.cache import (
-    LiveLeaseError,
     MeasurementMemo,
     ResultCache,
     SweepManifest,
     collect_garbage,
 )
 from repro.core.doctor import MAX_REPAIR_PASSES, diagnose, repair
-from repro.core.journal import encode_entry, scan_journal
-from repro.core.workqueue import WorkQueue, WorkUnit
+from repro.core.journal import scan_journal
 from repro.measure.backend import MeasurementConfig
 
 SALT = "doctor-suite"
@@ -46,7 +40,6 @@ class TestDiagnoseAndRepair:
         report = diagnose(str(tmp_path), salt=SALT)
         assert report.healthy
         assert report.stores_scanned >= 1
-        assert report.live_leases == 0
 
     def test_missing_directory_is_healthy(self, tmp_path):
         assert diagnose(str(tmp_path / "absent"), salt=SALT).healthy
@@ -85,21 +78,6 @@ class TestDiagnoseAndRepair:
         assert survivors.corrupt == 0
         assert {e["uid"] for e in survivors.entries()} == {"U0", "U2"}
 
-    def test_orphaned_lease_released_to_pending(self, tmp_path):
-        queue = WorkQueue(str(tmp_path), "SKL", salt=SALT)
-        queue.enqueue([WorkUnit(key="k" * 64, uid="NOP")])
-        assert queue.lease("dead-owner", lease_seconds=0.0)
-        report = diagnose(str(tmp_path), salt=SALT)
-        assert _kinds(report) == ["orphaned-lease"]
-        assert report.live_leases == 0
-
-        assert repair(str(tmp_path), salt=SALT).healthy
-        counts = WorkQueue(
-            str(tmp_path), "SKL", salt=SALT
-        ).snapshot()["counts"]
-        assert counts["pending"] == 1
-        assert counts["leased"] == 0
-
     def test_stale_lock_removed(self, tmp_path):
         _seed_cache(str(tmp_path))
         stale = tmp_path / "HSW.jsonl.lock"
@@ -116,21 +94,25 @@ class TestDiagnoseAndRepair:
 
     def test_stray_tmp_removed(self, tmp_path):
         _seed_cache(str(tmp_path))
-        stray = tmp_path / "SKL.queue.json.tmp.1234"
+        stray = tmp_path / "SKL.manifest.json.tmp.1234"
         stray.write_text("{half")
         report = diagnose(str(tmp_path), salt=SALT)
         assert _kinds(report) == ["stray-tmp"]
         assert repair(str(tmp_path), salt=SALT).healthy
         assert not stray.exists()
 
-    def test_torn_queue_removed_with_its_lock(self, tmp_path):
-        queue_path = tmp_path / f"SKL{WorkQueue.SUFFIX}"
-        queue_path.write_text("{not a valid queue blob")
-        (tmp_path / f"SKL{WorkQueue.SUFFIX}.lock").write_text("")
-        report = diagnose(str(tmp_path), salt=SALT)
-        assert _kinds(report) == ["torn-queue"]
+    def test_legacy_queue_file_is_ignored(self, tmp_path):
+        """Work queues of older versions are neither findings nor
+        garbage: doctor and GC leave them, and their locks, alone."""
+        _seed_cache(str(tmp_path))
+        queue_path = tmp_path / "SKL.queue.json"
+        queue_path.write_text("{not a store this version reads")
+        (tmp_path / "SKL.queue.json.lock").write_text("")
+        assert diagnose(str(tmp_path), salt=SALT).healthy
         assert repair(str(tmp_path), salt=SALT).healthy
-        assert not queue_path.exists()
+        assert collect_garbage(str(tmp_path), salt=SALT).result_kept == 3
+        assert queue_path.read_text() == "{not a store this version reads"
+        assert (tmp_path / "SKL.queue.json.lock").exists()
 
     def test_torn_manifest_quarantined(self, tmp_path):
         path = tmp_path / f"SKL{SweepManifest.SUFFIX}"
@@ -141,7 +123,7 @@ class TestDiagnoseAndRepair:
         assert not path.exists()
         assert (tmp_path / (path.name + ".quarantine")).exists()
 
-    def test_missing_result_reenqueued(self, tmp_path):
+    def test_missing_result_claim_withdrawn(self, tmp_path):
         _seed_cache(str(tmp_path))
         manifest = SweepManifest(str(tmp_path), salt=SALT)
         config = MeasurementConfig()
@@ -155,14 +137,12 @@ class TestDiagnoseAndRepair:
         assert finding.context["missing"] == {"GHOST": "g" * 64}
 
         assert repair(str(tmp_path), salt=SALT).healthy
-        # The claim is withdrawn and the form queued for re-measurement.
+        # The claim is withdrawn, so the next sweep re-measures it.
         survivors = SweepManifest(str(tmp_path), salt=SALT).entries_for(
             "SKL", config
         )
         assert "GHOST" not in survivors
         assert "U0" in survivors
-        queue = WorkQueue(str(tmp_path), "SKL", salt=SALT)
-        assert queue.snapshot()["counts"]["pending"] == 1
 
     def test_memo_store_is_scanned_too(self, tmp_path):
         memo = MeasurementMemo(str(tmp_path), salt=SALT)
@@ -181,28 +161,16 @@ class TestDiagnoseAndRepair:
             handle.write(b'{"torn')
         (tmp_path / "HSW.jsonl.lock").write_text("")
         (tmp_path / "SKL.jsonl.tmp.99").write_text("{")
-        queue_path = tmp_path / f"NHM{WorkQueue.SUFFIX}"
-        queue_path.write_text("junk")
+        manifest_path = tmp_path / f"NHM{SweepManifest.SUFFIX}"
+        manifest_path.write_text("junk")
 
         report = diagnose(str(tmp_path), salt=SALT)
         assert _kinds(report) == [
-            "stale-lock", "stray-tmp", "torn-queue", "torn-tail",
+            "stale-lock", "stray-tmp", "torn-manifest", "torn-tail",
         ]
         assert MAX_REPAIR_PASSES >= 2
         assert repair(str(tmp_path), salt=SALT).healthy
         assert diagnose(str(tmp_path), salt=SALT).healthy
-
-    def test_repair_refuses_under_live_lease(self, tmp_path):
-        queue = WorkQueue(str(tmp_path), "SKL", salt=SALT)
-        queue.enqueue([WorkUnit(key="k" * 64, uid="NOP")])
-        queue.lease("live-owner", lease_seconds=60.0)
-        (tmp_path / "SKL.jsonl.tmp.1").write_text("{")
-
-        with pytest.raises(LiveLeaseError):
-            repair(str(tmp_path), salt=SALT)
-        # Diagnosis stays safe, and force overrides the guard.
-        assert diagnose(str(tmp_path), salt=SALT).live_leases == 1
-        assert repair(str(tmp_path), salt=SALT, force=True).healthy
 
 
 class TestDoctorCli:
@@ -257,51 +225,9 @@ class TestDoctorCli:
         ]) == 0
 
 
-class TestCacheGcLeaseGuard:
-    """Satellite a: ``cache gc`` must not compact under live drainers."""
-
-    def _live_lease(self, root):
-        cache = ResultCache(root)
-        cache.put("a" * 64, "NOP", "SKL", {"i": 0})
-        queue = WorkQueue(root, "SKL")
-        queue.enqueue([WorkUnit(key="b" * 64, uid="ADD_R64_R64")])
-        queue.lease("live-owner", lease_seconds=60.0)
-
-    def test_collect_garbage_raises(self, tmp_path):
-        self._live_lease(str(tmp_path))
-        with pytest.raises(LiveLeaseError) as excinfo:
-            collect_garbage(str(tmp_path))
-        assert "lease" in str(excinfo.value)
-
-    def test_cli_exits_one_with_message(self, tmp_path, capsys):
-        self._live_lease(str(tmp_path))
-        assert cli.main(["cache", "gc", "--cache-dir",
-                         str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert "refusing to compact" in err
-        assert "--force" in err
-
-    def test_force_overrides(self, tmp_path, capsys):
-        self._live_lease(str(tmp_path))
-        assert cli.main([
-            "cache", "gc", "--cache-dir", str(tmp_path), "--force",
-        ]) == 0
-        assert "kept" in capsys.readouterr().out
-
-    def test_expired_lease_does_not_block(self, tmp_path):
-        root = str(tmp_path)
-        cache = ResultCache(root)
-        cache.put("a" * 64, "NOP", "SKL", {"i": 0})
-        queue = WorkQueue(root, "SKL")
-        queue.enqueue([WorkUnit(key="b" * 64, uid="ADD_R64_R64")])
-        queue.lease("dead-owner", lease_seconds=0.0)
-        time.sleep(0.01)
-        assert cli.main(["cache", "gc", "--cache-dir", root]) == 0
-
-
 @pytest.mark.slow
 class TestStrictSweep:
-    """Satellite c: ``sweep --strict`` exits 3 on quarantined forms."""
+    """``sweep --strict`` exits 3 on quarantined forms."""
 
     def _sampled_uid(self):
         from repro.analysis.sampling import stratified_sample
@@ -336,25 +262,3 @@ class TestStrictSweep:
             "--output", str(tmp_path / "out.xml"),
             "--cache-dir", str(tmp_path / "cache"),
         ]) == 0
-
-
-class TestStrictDrain:
-    def test_drain_strict_exit_three(self, tmp_path, db):
-        # Engine-level drain equivalent of the CLI path: enqueue two
-        # forms, permanently fail one, drain with strict semantics.
-        from repro.core.sweep import SweepEngine
-
-        root = str(tmp_path)
-        engine = SweepEngine(
-            "SKL", db, cache=ResultCache(root),
-            fault_spec="permanent=DIV_M16",
-        )
-        forms = [
-            f for f in engine.supported_forms()
-            if f.uid in ("NOP", "DIV_M16")
-        ]
-        assert len(forms) == 2
-        engine.enqueue_pending(forms)
-        engine.drain()
-        assert set(engine.failures) == {"DIV_M16"}
-        assert engine.statistics.units_acked >= 1

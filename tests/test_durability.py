@@ -6,7 +6,7 @@ reader tells a *torn tail* (truncate and continue) from *mid-file
 corruption* (quarantine and count) by per-line CRCs.  This suite pins
 the codec and scan classification directly, and then lets hypothesis
 truncate and garble real stores (result cache, measurement memo,
-manifest, work queue) at arbitrary offsets to prove the loaders never
+manifest) at arbitrary offsets to prove the loaders never
 crash, never fabricate data, and that ``repro doctor`` repairs every
 damaged store back to a healthy, appendable state.
 """
@@ -41,7 +41,6 @@ from repro.core.journal import (
     publish_blob,
     scan_journal,
 )
-from repro.core.workqueue import WorkQueue, WorkUnit, read_queue_state
 from repro.measure.backend import MeasurementConfig
 
 try:
@@ -257,10 +256,12 @@ class TestBoundedFlock:
 class TestPublishBlob:
     def test_publish_is_atomic_and_leaves_no_tmp(self, tmp_path):
         path = str(tmp_path / "state.json")
-        with open(path + ".lock", "a+") as lock, lock_scope(lock, "queue"):
-            publish_blob(path, {"salt": "s", "units": {}}, kind="queue")
+        with open(path + ".lock", "a+") as lock, lock_scope(
+            lock, "manifest"
+        ):
+            publish_blob(path, {"salt": "s", "units": {}}, kind="manifest")
             publish_blob(
-                path, {"salt": "s", "units": {"a": 1}}, kind="queue"
+                path, {"salt": "s", "units": {"a": 1}}, kind="manifest"
             )
         with open(path, "r", encoding="utf-8") as handle:
             state, problem = decode_blob(handle.read())
@@ -426,30 +427,34 @@ class TestTornWriteRecovery:
 
     @settings(max_examples=40, **_SETTINGS)
     @given(data=st.data())
-    def test_queue_damage_reads_as_reset_or_original(self, data):
+    def test_manifest_bitflip_reads_as_empty_or_original(self, data):
         with tempfile.TemporaryDirectory() as root:
-            queue = WorkQueue(root, "SKL", salt=SALT)
-            queue.enqueue([
-                WorkUnit(key=f"k{i}", uid=f"U{i}") for i in range(3)
-            ])
-            original = read_queue_state(queue.path, SALT)
-            assert original is not None
-            with open(queue.path, "rb") as handle:
+            manifest = SweepManifest(root, salt=SALT)
+            config = MeasurementConfig()
+            entries = {
+                f"U{i}": {"fingerprint": "f", "key": f"k{i}"}
+                for i in range(3)
+            }
+            manifest.update("SKL", config, entries)
+            path = manifest.path_for("SKL")
+            with open(path, "rb") as handle:
                 blob = handle.read()
             where = data.draw(
                 st.integers(0, len(blob) - 1), label="where"
             )
             flip = data.draw(st.integers(1, 255), label="flip")
-            with open(queue.path, "wb") as handle:
+            with open(path, "wb") as handle:
                 handle.write(
                     blob[:where]
                     + bytes([blob[where] ^ flip])
                     + blob[where + 1:]
                 )
 
-            state = read_queue_state(queue.path, SALT)
-            assert state in (None, original)
-            # A drainer attaching to the damaged queue resets to empty
-            # rather than trusting damaged bytes.
-            reattached = WorkQueue(root, "SKL", salt=SALT)
-            assert reattached.outstanding() in (0, 3)
+            # A damaged manifest reads as empty rather than trusting
+            # damaged bytes, and an update rebuilds it.
+            reread = SweepManifest(root, salt=SALT)
+            assert reread.entries_for("SKL", config) in ({}, entries)
+            reread.update("SKL", config, entries)
+            assert SweepManifest(root, salt=SALT).entries_for(
+                "SKL", config
+            ) == entries

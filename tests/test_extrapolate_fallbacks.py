@@ -187,7 +187,7 @@ class TestProbeRule:
     @pytest.mark.parametrize("targets, probes", [
         ((5, 25), [25]), ((10, 110), [2 * MIN_PROBE]),
     ])
-    def test_event_probes_simulated(self, targets, probes, monkeypatch):
+    def test_probes_scheduled(self, targets, probes, monkeypatch):
         """Each probe is scheduled once: the first probe is read off its
         doubling, which is the only stream scheduled."""
         seen = _scheduled_copies(monkeypatch)
@@ -335,7 +335,7 @@ class TestDeclineCounters:
         assert self._declines(core, _body("MOV_M64_R64")) == self._only(None)
 
 
-class TestRecurrenceAbort:
+class TestDividerReorder:
     """A divider reorder is the one stream the recurrence returns
     ``None`` on; the closed form then declines the body like its other
     guards, and the full rung runs every target — still bit-identical."""

@@ -3,9 +3,9 @@
 Every fault-tolerance mechanism is exercised against the seedable
 :mod:`repro.measure.faults` harness rather than against luck: executor
 retries recover bit-identical results from transient faults, permanent
-faults quarantine exactly the listed form, a killed sweep worker's unit
-is stolen by a sibling while a stalled but live one keeps its lease, and
-a crashed sweep resumes from the persistent cache.
+faults quarantine exactly the listed form, a form that keeps killing
+its pool workers is quarantined, and a crashed sweep resumes from the
+persistent cache.
 """
 
 import xml.etree.ElementTree as ET
@@ -99,7 +99,7 @@ class TestFaultPlan:
         plan = FaultPlan.parse(
             "seed=7, transient=0.25, transient_attempts=2, timeout=0.1,"
             "noise=0.5, noise_cycles=3, permanent=A+B, kill=C,"
-            "kill_once=D, stall=E:1.5+F:2"
+            "kill_once=D"
         )
         assert plan.seed == 7
         assert plan.transient == 0.25
@@ -110,7 +110,6 @@ class TestFaultPlan:
         assert plan.permanent == ("A", "B")
         assert plan.kill == ("C",)
         assert plan.kill_once == ("D",)
-        assert dict(plan.stall) == {"E": 1.5, "F": 2.0}
 
     def test_parse_defaults_and_empty(self):
         assert FaultPlan.parse("") == FaultPlan()
@@ -119,14 +118,12 @@ class TestFaultPlan:
     def test_parse_rejects_unknown_key(self):
         with pytest.raises(ValueError, match="unknown fault spec key"):
             FaultPlan.parse("explode=1")
+        with pytest.raises(ValueError, match="unknown fault spec key"):
+            FaultPlan.parse("stall=NOP:3")
 
     def test_parse_rejects_non_assignment(self):
         with pytest.raises(ValueError, match="not key=value"):
             FaultPlan.parse("transient")
-
-    def test_parse_rejects_stall_without_seconds(self):
-        with pytest.raises(ValueError, match="UID:SECONDS"):
-            FaultPlan.parse("stall=NOP")
 
     def test_kill_semantics(self):
         plan = FaultPlan.parse("kill=A,kill_once=B")
@@ -135,12 +132,6 @@ class TestFaultPlan:
         assert plan.should_kill("B", respawned=False)
         assert not plan.should_kill("B", respawned=True)
         assert not plan.should_kill("C", respawned=False)
-
-    def test_stall_respawn_exempt(self):
-        plan = FaultPlan.parse("stall=A:2.5")
-        assert plan.stall_seconds("A", respawned=False) == 2.5
-        assert plan.stall_seconds("A", respawned=True) == 0.0
-        assert plan.stall_seconds("B", respawned=False) == 0.0
 
     def test_permanent_matches_single_form_content(self, db):
         plan = FaultPlan.parse("permanent=NOP")
@@ -485,35 +476,17 @@ class TestQuarantine:
 
 
 # ---------------------------------------------------------------------------
-# Worker supervision on the queue path (multiprocess)
+# Worker supervision on the pool path (multiprocess)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.slow
-class TestShardSupervision:
-    """Queue-path supervision: lease renewal, stealing, resume.
+class TestPoolSupervision:
+    """Pool-path supervision: the resume after a lost form.
 
     Killed and poisoned workers are covered by
-    ``tests/test_sweep_engine.py::TestQueueChaos``; these tests pin the
-    heartbeat that keeps a live worker's lease and the resume after a
-    lost unit.
+    ``tests/test_sweep_engine.py::TestPool``.
     """
-
-    def test_stalled_worker_keeps_its_lease(
-        self, db, memo_dir, reference
-    ):
-        # NOP's worker sleeps three lease windows before measuring it.
-        # The worker is alive, so its heartbeat renews the lease and
-        # the sibling never steals the unit.
-        engine = _engine(
-            db, memo_dir, jobs=2, fault_spec="stall=NOP:3",
-            lease_timeout=1.0,
-        )
-        results = engine.sweep(_forms(db))
-        assert engine.statistics.units_stolen == 0
-        assert engine.statistics.leases_renewed >= 1
-        assert engine.failures == {}
-        assert results == reference
 
     def test_resume_after_worker_loss(
         self, db, memo_dir, reference, tmp_path

@@ -1,6 +1,6 @@
 """Incremental re-characterization and cache GC.
 
-The contract under test: a catalog edit re-enqueues *exactly* the
+The contract under test: a catalog edit re-measures *exactly* the
 affected forms (fingerprint diff against the sweep manifest), and
 :func:`~repro.core.cache.collect_garbage` never drops a key any
 recorded sweep still references.
@@ -27,7 +27,6 @@ from repro.core.cache import (
 from repro.core import sweep as sweep_module
 from repro.core.journal import decode_blob, encode_blob, encode_entry
 from repro.core.sweep import SweepEngine
-from repro.core.workqueue import WorkQueue, WorkUnit
 from repro.isa.database import InstructionDatabase
 from repro.isa.instruction import ATTR_UNSUPPORTED
 from repro.measure.backend import HardwareBackend, MeasurementConfig
@@ -159,8 +158,8 @@ class TestIncrementalSweep:
 
     def test_incremental_enqueues_only_diffed_forms(self, db, fast_skl,
                                                     tmp_path):
-        # The distributed planner applies the same diff: after an edit,
-        # --enqueue-only queues exactly the affected units.
+        # After an edit, the pending set of an incremental sweep is
+        # exactly the affected forms: only they miss and are measured.
         forms = _base_forms(db)
         base_db = InstructionDatabase(forms)
         _engine(base_db, fast_skl, str(tmp_path)).sweep(forms)
@@ -168,15 +167,15 @@ class TestIncrementalSweep:
         edited_uids = {"ADD_R64_R64", "XOR_R64_R64"}
         edited_db = InstructionDatabase(_edited(forms, edited_uids))
         edited_forms = [edited_db.by_uid(uid) for uid in BASE_UIDS]
-        planner = _engine(edited_db, fast_skl, str(tmp_path),
-                          incremental=True)
-        counts = planner.enqueue_pending(edited_forms)
-        assert counts["pending"] == len(edited_uids)
-        assert counts["enqueued"] == len(edited_uids)
-        work = WorkQueue(str(tmp_path), "SKL")
-        assert sorted(
-            unit.uid for unit in work.remaining_units()
-        ) == sorted(edited_uids)
+        engine = _engine(edited_db, fast_skl, str(tmp_path),
+                         incremental=True)
+        measured = []
+        engine.sweep(
+            edited_forms,
+            progress=lambda line: measured.append(line.split()[0]),
+        )
+        assert engine.statistics.cache_misses == len(edited_uids)
+        assert sorted(measured) == sorted(edited_uids)
 
 
 @pytest.fixture
@@ -396,22 +395,6 @@ class TestGarbageCollection:
         stats = collect_garbage(str(tmp_path))
         assert stats.result_dropped_orphan == 0
         assert stats.result_kept == len(forms) + 1
-
-    def test_gc_removes_only_drained_queues(self, tmp_path):
-        drained = WorkQueue(str(tmp_path), "SKL")
-        drained.enqueue([WorkUnit(key="k1", uid="ADD")])
-        (unit,) = drained.lease("w1")
-        drained.ack(unit.key, "w1")
-        busy = WorkQueue(str(tmp_path), "NHM")
-        busy.enqueue([WorkUnit(key="k2", uid="NOP")])
-
-        stats = collect_garbage(str(tmp_path))
-        assert stats.queues_removed == 1
-        import os
-
-        assert not os.path.exists(drained.path)
-        assert os.path.exists(busy.path)
-        assert busy.outstanding() == 1
 
     def test_gc_compacts_memo(self, db, fast_skl, tmp_path):
         self._sweep(db, fast_skl, str(tmp_path))

@@ -274,7 +274,7 @@ class TestSyntheticStreams:
 
     @given(data=st.data())
     @settings(max_examples=_BUDGET, **_SETTINGS)
-    def test_three_tiers_identical(self, uarch_name, data):
+    def test_two_tiers_identical(self, uarch_name, data):
         uarch = get_uarch(uarch_name)
         plan = data.draw(stream_plans(uarch.ports), label="stream")
         assert_two_tiers(uarch, plan, f"({uarch_name} stream)")
@@ -410,7 +410,7 @@ class TestSyntheticForms:
 
     @given(data=st.data())
     @settings(max_examples=max(_BUDGET * 4 // 5, 10), **_SETTINGS)
-    def test_three_tiers_identical(self, uarch_name, data):
+    def test_two_tiers_identical(self, uarch_name, data):
         uarch = get_uarch(uarch_name)
         form = DATABASE.by_uid(_HOST_UID)
         entry = data.draw(synthetic_entries(uarch.ports), label="entry")
@@ -502,7 +502,7 @@ class TestMeasureBodies:
 
     @given(data=st.data())
     @settings(max_examples=max(_BUDGET // 3 + 1, 10), **_SETTINGS)
-    def test_three_tiers_identical(self, uarch_name, data):
+    def test_two_tiers_identical(self, uarch_name, data):
         uarch = get_uarch(uarch_name)
         body = data.draw(
             measure_bodies(_body_forms(uarch_name)), label="body"
@@ -585,7 +585,7 @@ class TestStoreBodies:
 
     @given(data=st.data())
     @settings(max_examples=max(_BUDGET // 3 + 1, 10), **_SETTINGS)
-    def test_three_tiers_identical(self, uarch_name, data):
+    def test_two_tiers_identical(self, uarch_name, data):
         uarch = get_uarch(uarch_name)
         body = data.draw(
             store_bodies(_store_forms(uarch_name)), label="body"
@@ -681,7 +681,7 @@ class TestDividerBodies:
 
     @given(data=st.data())
     @settings(max_examples=max(_BUDGET // 3 + 1, 10), **_SETTINGS)
-    def test_slice_and_three_tiers(self, uarch_name, data):
+    def test_slice_and_two_tiers(self, uarch_name, data):
         uarch = get_uarch(uarch_name)
         code, init = data.draw(divider_bodies(), label="body")
         core = Core(uarch)

@@ -19,7 +19,7 @@ exact ``CounterValues`` equality against ``kernel="reference"``:
 * every divider form on SKL and NHM, with the default and the paper
   unroll targets, in its planner bodies;
 * the guards: written address registers and push/pop/call/ret bodies
-  decline the closed form and stay exact on the event probe; divider
+  decline the closed form and stay exact run at full length; divider
   bodies with a written memory base, a stack access or a class sequence
   that is not periodic within the snapshot budget keep ``Core.run``.
 

@@ -3,20 +3,32 @@
 The engine's contract is bit-identical results: serial runner, jobs=1,
 jobs=N, cold cache, and warm cache must all produce exactly the same
 characterizations, and a warm sweep must perform zero backend
-measurements.
+measurements.  The pool's own guarantees are pinned too: a form that
+kills its workers is quarantined without charging any other form, a
+transient worker loss is invisible in the results, and no worker
+outlives a killed parent.
 """
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import pickle
+import signal
+import time
+import xml.etree.ElementTree as ET
 from typing import Callable
 
 import pytest
 
-from repro.core.cache import ResultCache, cache_key
+from repro.cli import build_parser
+from repro.core import sweep as sweep_module
+from repro.core.cache import MeasurementMemo, ResultCache, cache_key
 from repro.core.experiment import ExperimentFailure
+from repro.core.journal import CRASH_POINT_ENV
 from repro.core.runner import CharacterizationRunner, FormFailure
-from repro.core.sweep import SweepEngine, _DrainPayload
+from repro.core.sweep import MAX_FORM_ATTEMPTS, SweepEngine, _WorkerPayload
+from repro.core.xml_output import results_to_xml
 from repro.measure import PermanentBackendError
 from repro.measure.backend import HardwareBackend, MeasurementConfig
 from repro.stats import RunStatistics
@@ -91,104 +103,105 @@ class TestDifferential:
                            cache=ResultCache(str(tmp_path)))
         assert warm.sweep(_forms(db, NHM_UIDS)) == serial
 
-    def test_queue_counters(self, db, serial_results):
-        engine = SweepEngine("SKL", db, jobs=2)
-        engine.sweep(_forms(db, SAMPLE_UIDS))
-        assert engine.statistics.units_leased == len(SAMPLE_UIDS)
-        assert engine.statistics.units_acked == len(SAMPLE_UIDS)
-        assert engine.statistics.units_stolen == 0
-        assert engine.statistics.lease_expirations == 0
+
+def _xml(db, results):
+    return ET.tostring(results_to_xml({"SKL": results}, db))
 
 
-@pytest.mark.slow
-class TestQueueChaos:
-    """Queue-mode fault tolerance: lease expiry and stealing recover
-    lost workers."""
+def _running(pid):
+    """Whether *pid* is a live process (an unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
-    def test_killed_worker_units_are_stolen(self, db, serial_results):
-        # One worker hard-crashes on NOP; the parent reaps it and
-        # force-expires its lease, so the surviving sibling steals the
-        # unit (kill_once does not re-fire on a stolen unit) and the
-        # sweep still completes with the full, bit-identical result set.
-        engine = SweepEngine(
-            "SKL", db, jobs=2, fault_spec="kill_once=NOP",
-            lease_timeout=120.0,
-        )
+
+def _crashing_sweep_child(root, pid_log, db):
+    """A jobs=2 sweep whose parent SIGKILLs itself on its first cache
+    write, after logging the pid of every worker it starts."""
+    real_worker = sweep_module._pool_worker
+
+    def logged_worker(*args):
+        with open(pid_log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        real_worker(*args)
+
+    sweep_module._pool_worker = logged_worker
+    os.environ[CRASH_POINT_ENV] = "cache.post-append"
+    SweepEngine(
+        "SKL", db, jobs=2,
+        cache=ResultCache(root), measure_memo=MeasurementMemo(root),
+    ).sweep(_forms(db, SAMPLE_UIDS))
+
+
+class TestPool:
+    """What the pool promises beyond bit-identical results."""
+
+    @pytest.mark.slow
+    def test_kill_quarantines_exactly_the_form(self, db, serial_results):
+        # NOP kills every worker it is handed to: it is quarantined
+        # after MAX_FORM_ATTEMPTS workers.  Three respawns means three
+        # charged attempts in all, so no other form was charged one.
+        engine = SweepEngine("SKL", db, jobs=2, fault_spec="kill=NOP")
         results = engine.sweep(_forms(db, SAMPLE_UIDS))
-        assert engine.failures == {}
-        assert results == serial_results
-        assert engine.statistics.units_stolen >= 1
-        assert engine.statistics.lease_expirations >= 1
-        assert engine.statistics.units_acked == len(SAMPLE_UIDS)
-
-    def test_poisoned_unit_quarantined_fleet_survives(self, db,
-                                                      serial_results):
-        # A unit that reliably kills its worker is quarantined after
-        # MAX_UNIT_LEASES claims; everything else still completes.
-        engine = SweepEngine(
-            "SKL", db, jobs=2, fault_spec="kill=NOP",
-            lease_timeout=120.0,
-        )
-        results = engine.sweep(_forms(db, SAMPLE_UIDS))
-        assert set(engine.failures) == {"NOP"}
+        assert list(engine.failures) == ["NOP"]
         failure = engine.failures["NOP"]
-        assert failure.error_type == "WorkerLost"
-        assert failure.phase == "queue"
-        assert results == {
+        assert (failure.error_type, failure.phase, failure.attempts) == (
+            "WorkerLost", "pool", MAX_FORM_ATTEMPTS,
+        )
+        assert engine.statistics.drainers_respawned == MAX_FORM_ATTEMPTS
+        survivors = {
             uid: outcome for uid, outcome in serial_results.items()
             if uid != "NOP"
         }
+        assert _xml(db, results) == _xml(db, survivors)
 
+    @pytest.mark.slow
+    def test_kill_once_gives_the_serial_result(self, db, serial_results):
+        # The worker holding NOP dies once; NOP goes to the next idle
+        # worker, which kill_once spares.
+        engine = SweepEngine("SKL", db, jobs=2, fault_spec="kill_once=NOP")
+        results = engine.sweep(_forms(db, SAMPLE_UIDS))
+        assert engine.failures == {}
+        assert engine.statistics.drainers_respawned == 1
+        assert engine.statistics.characterized == len(serial_results)
+        assert _xml(db, results) == _xml(db, serial_results)
 
-@pytest.mark.slow
-class TestDistributedDrain:
-    """The --enqueue-only / --drain API: independent processes sharing
-    one cache directory cooperate through the persistent queue."""
-
-    def test_enqueue_then_drain_round_trip(self, db, skl_backend,
-                                           tmp_path):
-        cache_dir = str(tmp_path)
-        forms = _forms(db, SAMPLE_UIDS)
-        planner = SweepEngine("SKL", db, cache=ResultCache(cache_dir))
-        counts = planner.enqueue_pending(forms)
-        assert counts == {
-            "requested": len(SAMPLE_UIDS),
-            "cached": 0,
-            "pending": len(SAMPLE_UIDS),
-            "enqueued": len(SAMPLE_UIDS),
-        }
-
-        drainer = SweepEngine("SKL", db, backend=skl_backend,
-                              cache=ResultCache(cache_dir))
-        drained = drainer.drain()
-        assert drainer.failures == {}
-        assert drainer.statistics.units_leased == len(SAMPLE_UIDS)
-        assert drainer.statistics.units_acked == len(SAMPLE_UIDS)
-        assert sorted(drained) == sorted(
-            uid for uid in SAMPLE_UIDS if uid != "UD2"  # skip marker
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process states in /proc"
+    )
+    def test_no_worker_outlives_a_killed_parent(self, db, tmp_path):
+        pid_log = str(tmp_path / "workers.log")
+        child = multiprocessing.get_context("fork").Process(
+            target=_crashing_sweep_child,
+            args=(str(tmp_path / "cache"), pid_log, db),
         )
+        child.start()
+        child.join(300.0)
+        assert child.exitcode == -signal.SIGKILL
+        with open(pid_log, encoding="utf-8") as handle:
+            pids = [int(line) for line in handle]
+        assert len(pids) == 2
+        # A worker finishes the form it holds, then sees end of file.
+        deadline = time.monotonic() + 60.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in pids if _running(pid)]
 
-        # A warm sweep over the same cache now serves everything —
-        # bit-identical to the serial reference.
-        warm = SweepEngine("SKL", db, cache=ResultCache(cache_dir))
-        results = warm.sweep(forms)
-        assert warm.statistics.cache_hits == len(SAMPLE_UIDS)
-        serial = CharacterizationRunner(
-            skl_backend, db
-        ).characterize_all(forms)
-        assert results == serial
-
-        # Re-planning finds nothing left to enqueue.
-        replanner = SweepEngine("SKL", db,
-                                cache=ResultCache(cache_dir))
-        assert replanner.enqueue_pending(forms)["enqueued"] == 0
-
-    def test_drain_requires_cache(self, db):
-        engine = SweepEngine("SKL", db)
-        with pytest.raises(ValueError):
-            engine.drain()
-        with pytest.raises(ValueError):
-            engine.enqueue_pending([])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--drain"],
+        ["sweep", "--enqueue-only"],
+        ["sweep", "--lease-timeout", "5"],
+        ["cache", "gc", "--force"],
+        ["doctor", "--force"],
+    ])
+    def test_removed_queue_flags_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestWarmCacheDoesNotMeasure:
@@ -267,9 +280,8 @@ class TestStatistics:
     @pytest.mark.slow
     def test_lock_retries_fold_every_store(self, db, tmp_path,
                                            monkeypatch):
-        """Drainers' memo appends and the coordinator's own queue
-        transactions count toward ``lock_retries``, not only the
-        drainers' cache and queue locks."""
+        """The workers' memo appends and the parent's cache and
+        manifest writes all count toward ``lock_retries``."""
         import os
 
         from repro.core import journal
@@ -288,7 +300,7 @@ class TestStatistics:
                 os.close(fd)
             return locked, 1
 
-        # Drainers are forked, so the patch reaches them.
+        # Workers are forked, so the patch reaches them.
         monkeypatch.setattr(journal, "flock_bounded", one_retry_each)
         engine = SweepEngine(
             "SKL", db, jobs=2, cache=ResultCache(str(tmp_path / "cache"))
@@ -393,10 +405,9 @@ class _LambdaPayload:
     transform: Callable
 
 
-class TestQueuePayloadsPickle:
-    """Everything that crosses the sweep's ``multiprocessing`` queues
-    (drainer payloads in, results, failures and counters out) survives
-    ``pickle`` unchanged."""
+class TestPoolPayloadsPickle:
+    """Everything that crosses the pool's pipes (the worker payload in,
+    results, failures and counters out) survives ``pickle`` unchanged."""
 
     def test_form_failure_from_a_real_backend_error(self):
         with pytest.raises(PermanentBackendError) as info:
@@ -427,10 +438,10 @@ class TestQueuePayloadsPickle:
     def test_measurement_config(self, config):
         assert _round_trip(config) == config
 
-    def test_drain_payload(self, tmp_path):
-        payload: _DrainPayload = (
-            "SKL", MeasurementConfig.paper(), str(tmp_path), "salt",
-            str(tmp_path), "memo-salt", "seed=3,kill_once=NOP", 60.0, 1,
+    def test_worker_payload(self, tmp_path):
+        payload: _WorkerPayload = (
+            "SKL", MeasurementConfig.paper(), str(tmp_path), "memo-salt",
+            "seed=3,kill_once=NOP",
         )
         assert _round_trip(payload) == payload
 
