@@ -71,9 +71,6 @@ class FormFailure:
     error_type: str
     message: str
     attempts: int = 1
-    #: Index of the pool worker that reported the failure, ``None`` on
-    #: the serial path and for ``pool`` failures.
-    shard: Optional[int] = None
 
     @classmethod
     def from_error(cls, uid: str, error: BaseException) -> "FormFailure":
@@ -94,15 +91,11 @@ class FormFailure:
             "error_type": self.error_type,
             "message": self.message,
             "attempts": self.attempts,
-            "shard": self.shard,
         }
 
     def summary(self) -> str:
-        where = (
-            f"shard {self.shard}" if self.shard is not None else self.phase
-        )
         return (
-            f"{self.uid}: quarantined in {where} after "
+            f"{self.uid}: quarantined in {self.phase} after "
             f"{self.attempts} attempt(s): {self.error_type}: {self.message}"
         )
 

@@ -45,7 +45,6 @@ seams; nothing is injected unless explicitly requested.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import os
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -164,8 +163,7 @@ def _pool_worker(payload: _WorkerPayload, conn, inherited=()) -> None:
 class _Worker:
     """The parent's view of one pool worker."""
 
-    def __init__(self, worker_id: int, process, conn):
-        self.worker_id = worker_id
+    def __init__(self, process, conn):
         self.process = process
         self.conn = conn
         #: The uid this worker was handed and has not answered, if any.
@@ -518,11 +516,9 @@ class SweepEngine:
         line = collections.deque(form.uid for form in pending)
         attempts: Dict[str, int] = {}
         workers: List[_Worker] = []
-        spawned = 0
         respawns_left = self.jobs
 
         def spawn() -> None:
-            nonlocal spawned
             parent_end, child_end = context.Pipe()
             inherited = (
                 tuple(worker.conn for worker in workers) + (parent_end,)
@@ -535,8 +531,7 @@ class SweepEngine:
             )
             process.start()
             child_end.close()
-            workers.append(_Worker(spawned, process, parent_end))
-            spawned += 1
+            workers.append(_Worker(process, parent_end))
 
         def hand_out(worker: _Worker) -> None:
             worker.form = line.popleft() if line else None
@@ -557,9 +552,7 @@ class SweepEngine:
             if kind != "ready":
                 self.statistics.merge(message[3])
             if kind == "failure":
-                self.failures[message[1]] = dataclasses.replace(
-                    message[2], shard=worker.worker_id
-                )
+                self.failures[message[1]] = message[2]
             elif kind == "result":
                 uid, data = message[1], message[2]
                 if data is not None:

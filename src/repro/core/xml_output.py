@@ -131,8 +131,6 @@ def _fill_failure(element: ET.Element, failure) -> None:
     element.set("phase", failure.phase)
     element.set("error_type", failure.error_type)
     element.set("attempts", str(failure.attempts))
-    if failure.shard is not None:
-        element.set("shard", str(failure.shard))
     element.set("message", failure.message)
 
 

@@ -10,8 +10,9 @@ factors from two rungs, cheapest first:
    *structurally* (no value emulation) copy by copy until two
    rename-state snapshots match — a proof that the renamed stream is
    periodic from there on.  The transient plus one period become
-   relative templates, the templates are synthesized into a probe-length
-   µop stream, and the analytic recurrence schedules it.  Counters of
+   relative templates, and the analytic recurrence schedules the probe
+   by playing them in order
+   (:func:`~repro.pipeline.analytic.schedule_analytic`).  Counters of
    each target are read off the probe as a prefix, or extrapolated from
    its periodic tail — in exact integer arithmetic, so the values are
    bit-identical to a full simulation.  The recurrence answers every
@@ -46,33 +47,36 @@ value-dependent case (Section 5.2.5): the closed form serves them by
 emulating only the backward slice of the divider operands
 (:func:`_value_slice`) to get each copy's value class, proving the
 rename period over the rename state *and* that class sequence, and
-scheduling the longest target's synthesized stream once; every target
-is read off it as a prefix.  A divider reorder declines the body,
+scheduling the longest target's stream once; every target is read off
+it as a prefix.  A divider reorder declines the body,
 counted in ``divider_reorders``, and the full rung serves it.
 
-Divider-free bodies extrapolate.  The timing period of the synthesized
-probe is detected on a trailing window and *verified* before use: the
-periodic prediction must reproduce a probe twice as long (capped at the
-longest unroll target) per-copy signature by signature.  A transient
-whose deltas merely look periodic for a while — e.g. a
-reservation-station fill pattern that repeats until the window drains —
-fails the check, and detection restarts on the longer probe.  Since the
-first probe is a prefix of its doubling, the doubled stream is scheduled
-once and both are read off it.  When no period survives, the longest
-target is scheduled and every target is a prefix.  When one doubling
-would reach the longest target anyway, the first probe is simply that
-long (:func:`_first_probe`) and every target is a prefix.
+Divider-free bodies extrapolate.  The timing period of the probe is
+detected on a trailing window and *verified* before use: the periodic
+prediction must reproduce a probe twice as long (capped at the longest
+unroll target) per-copy signature by signature.  A transient whose
+deltas merely look periodic for a while — e.g. a reservation-station
+fill pattern that repeats until the window drains — fails the check, and
+detection restarts on the longer probe.  The recurrence is resumable, so
+a longer probe schedules only the copies it adds to the shorter one.
+When no period survives, the stream is extended to the longest target
+and every target is a prefix.  When one doubling would reach the longest
+target anyway, the first probe is simply that long
+(:func:`_first_probe`) and every target is a prefix.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.isa.operands import Memory
-from repro.pipeline.analytic import schedule_arrays
+from repro.pipeline.analytic import (
+    ProbeResult,
+    encode_uops,
+    schedule_analytic,
+)
 from repro.pipeline.core import (
     KERNEL_REFERENCE,
     Core,
@@ -86,7 +90,7 @@ from repro.pipeline.state import MachineState
 from repro.stats import RunStatistics
 from repro.uarch.uops import KIND_STORE_ADDR, KIND_STORE_DATA
 
-#: Minimum number of copies in a synthesized probe.  Large enough that
+#: Minimum number of copies in a probe.  Large enough that
 #: issue-rate transients (ROB/RS fill, SSE/AVX transition stalls on the
 #: first copies, move-elimination phase-in) have settled and a trailing
 #: window of clean periods is observable.
@@ -109,25 +113,6 @@ SNAPSHOT_BUDGET = 12
 _MOVING_ACCESS_CATEGORIES = frozenset(
     ("push", "pop", "call", "ret", "string_rep")
 )
-
-
-@dataclass
-class ProbeResult:
-    """Per-copy observations of one scheduled unrolled stream.
-
-    Everything is an exact integer; index ``k`` describes copy ``k`` of
-    the unrolled block.  ``finish[k]`` is the cycle in which the last µop
-    of copy ``k`` retired, so the counters of a *prefix* of ``t`` copies
-    are ``cycles = finish[t-1] + 1`` plus the sums of the per-copy
-    columns (valid whenever younger copies cannot delay older ones — no
-    divider reorder, which has no closed form).
-    """
-
-    copies: int
-    finish: List[int]
-    ports: List[Dict[int, int]]
-    uops: List[int]
-    fused: List[int]
 
 
 def _first_probe(targets: Sequence[int]) -> int:
@@ -359,113 +344,26 @@ def _rename_snapshot(context: RenameContext) -> Tuple:
 def _copy_template(
     context: RenameContext, start: int, fr_base: int, fused_base: int
 ) -> Tuple:
-    """Relative encoding of one renamed copy, replayable at any offset.
-
-    Per µop: candidate ports (sorted — binding is order-independent),
-    completion latency, ``min_issue`` relative to the copy's starting
-    ``frontend_release``, deps as (age, offset) pairs, and divider
-    occupancy.  Per copy:
-    the ``frontend_release`` and fused-µop deltas.
-    """
-    items = []
-    for uop in context.uops[start:]:
-        items.append((
-            tuple(sorted(uop.ports)),
-            uop.complete_lat,
-            uop.min_issue - fr_base,
-            tuple(
-                (
-                    None if producer is None else uop.index - producer.index,
-                    offset,
-                )
-                for producer, offset in uop.deps
-            ),
-            uop.divider_cycles,
-        ))
+    """Relative encoding of one renamed copy, replayable at any offset:
+    its µops (:func:`~repro.pipeline.analytic.encode_uops`, ``min_issue``
+    relative to the copy's starting ``frontend_release``), then the
+    copy's ``frontend_release`` and fused-µop deltas."""
     return (
-        tuple(items),
+        encode_uops(context.uops[start:], fr_base),
         context.frontend_release - fr_base,
         context.fused_total - fused_base,
     )
 
 
-def _template_order(copies: int, transient: int, period: int) -> List[int]:
-    """Template index (0-based) for each of ``copies`` copies."""
+def _template_order(
+    start: int, copies: int, transient: int, period: int
+) -> List[int]:
+    """Template index (0-based) for copies ``start + 1`` to ``copies``."""
     base = transient - period
     return [
         c - 1 if c <= transient else base + (c - base - 1) % period
-        for c in range(1, copies + 1)
+        for c in range(start + 1, copies + 1)
     ]
-
-
-def _synthesize(templates: List[Tuple], order: List[int]):
-    """Parallel scheduling arrays for the given template sequence."""
-    ports: List[Tuple] = []
-    lat: List[int] = []
-    mins: List[int] = []
-    deps: List[List[Tuple[Optional[int], int]]] = []
-    divider: List[int] = []
-    boundaries: List[int] = []
-    frontend_release = 0
-    g = 0
-    for ti in order:
-        items, fr_delta, _fused = templates[ti]
-        for pset, complete_lat, min_rel, rel_deps, occupancy in items:
-            ports.append(pset)
-            lat.append(complete_lat)
-            mins.append(frontend_release + min_rel)
-            deps.append([
-                (None if rel is None else g - rel, offset)
-                for rel, offset in rel_deps
-            ])
-            divider.append(occupancy)
-            g += 1
-        frontend_release += fr_delta
-        boundaries.append(g)
-    return ports, lat, mins, deps, divider, boundaries
-
-
-def _probe_result(
-    templates: List[Tuple], order: List[int], scheduled: Tuple
-) -> ProbeResult:
-    """Per-copy columns of one scheduled synthesized stream."""
-    _cycles, _counts, finishes, bounds = scheduled
-    per_ports: List[Dict[int, int]] = []
-    per_uops: List[int] = []
-    per_fused: List[int] = []
-    g = 0
-    for ti in order:
-        items, _fr, fused_delta = templates[ti]
-        counts: Dict[int, int] = {}
-        for _ in items:
-            bound = bounds[g]
-            if bound is not None:
-                counts[bound] = counts.get(bound, 0) + 1
-            g += 1
-        per_ports.append(counts)
-        per_uops.append(len(items))
-        per_fused.append(fused_delta)
-    return ProbeResult(
-        copies=len(order),
-        finish=finishes,
-        ports=per_ports,
-        uops=per_uops,
-        fused=per_fused,
-    )
-
-
-def _probe_prefix(probe: ProbeResult, copies: int) -> ProbeResult:
-    """The first ``copies`` copies of *probe* — by the prefix property,
-    the probe a ``copies``-copy stream would yield."""
-    if copies == probe.copies:
-        return probe
-    return ProbeResult(
-        copies=copies,
-        finish=probe.finish[:copies],
-        ports=probe.ports[:copies],
-        uops=probe.uops[:copies],
-        fused=probe.fused[:copies],
-    )
 
 
 def _analytic_unrolled(
@@ -479,9 +377,9 @@ def _analytic_unrolled(
 
     The plan: structurally rename the block copy by copy until two
     rename-state snapshots match (proof of exact periodicity), encode
-    the transient plus one period as relative templates, synthesize the
-    probe-length µop stream from them, and schedule it with the analytic
-    recurrence — no kernel run, no value emulation, and rename cost
+    the transient plus one period as relative templates, and schedule
+    the probe by playing them through the analytic recurrence — no
+    kernel run, no value emulation, and rename cost
     bounded by :data:`SNAPSHOT_BUDGET` copies instead of the unroll
     factor.  Guards: stores or dividers whose addresses can move between
     copies (:func:`_fixed_addresses`) and the fusion/decoder extensions
@@ -568,17 +466,24 @@ def _analytic_unrolled(
         return results
 
     uarch_ports = core.uarch.ports
+    latest: Optional[ProbeResult] = None
 
     def schedule(copies: int) -> Optional[ProbeResult]:
-        """Synthesize ``copies`` copies off the templates and schedule
-        them in closed form; ``None`` on a divider reorder."""
-        order = _template_order(copies, transient, period)
-        *arrays, boundaries = _synthesize(templates, order)
-        scheduled = schedule_arrays(core.uarch, *arrays, boundaries)
-        if scheduled is None:
-            assert classes is not None, "only the divider reorders"
-            return None
-        return _probe_result(templates, order, scheduled)
+        """The stream extended to ``copies`` copies in closed form (as
+        scheduled when it has them); ``None`` on a divider reorder."""
+        nonlocal latest
+        done = latest.copies if latest is not None else 0
+        if copies > done:
+            latest = schedule_analytic(
+                core.uarch,
+                templates,
+                _template_order(done, copies, transient, period),
+                latest,
+            )
+            assert latest is not None or classes is not None, (
+                "only the divider reorders"
+            )
+        return latest
 
     served = RunStatistics()
     if classes is None:
@@ -610,33 +515,24 @@ def _periodic_targets(
 ) -> Dict[int, CounterValues]:
     """Every target of a divider-free body off one scheduled stream.
 
-    The first probe (:func:`_first_probe`) is a prefix of its doubling,
-    so the doubled stream (capped at the longest target) is scheduled
-    once and the first probe read off it.  Targets beyond the final
-    probe are extrapolated from its verified timing period and count in
+    *schedule* extends one stream, so each probe — the first
+    (:func:`_first_probe`), each doubling, the longest target —
+    schedules only the copies it adds.  Targets beyond the final probe
+    are extrapolated from its verified timing period and count in
     ``runs_extrapolated`` / ``cycles_extrapolated`` of *served*; with no
-    period, the longest target is scheduled and every target is a
-    prefix.
+    period, the stream is extended to the longest target and every
+    target is a prefix.
     """
-    first = _first_probe(targets)
-    longest = schedule(min(2 * first, targets[-1]))
-
-    def probe_of(copies: int) -> ProbeResult:
-        nonlocal longest
-        if copies > longest.copies:
-            longest = schedule(copies)
-        return _probe_prefix(longest, copies)
-
-    probe = probe_of(first)
+    probe = schedule(_first_probe(targets))
     timing_period = None
     if targets[-1] > probe.copies:
         probe, timing_period = _verified_period(
-            probe, probe_of, targets[-1]
+            probe, schedule, targets[-1]
         )
         if timing_period is None:
-            # Not periodic within the probe window: schedule the longest
-            # target exactly (cost is O(µops), not O(cycles)).
-            probe = probe_of(targets[-1])
+            # Not periodic within the probe window: extend the stream to
+            # the longest target (cost is O(µops), not O(cycles)).
+            probe = schedule(targets[-1])
     results: Dict[int, CounterValues] = {}
     for t in targets:
         if t <= probe.copies:

@@ -32,7 +32,7 @@ from typing import Dict, List, MutableMapping, Optional, Sequence, Tuple
 
 from repro.isa.instruction import ATTR_MOVE, Instruction
 from repro.isa.operands import Memory, OperandKind, RegisterOperand
-from repro.pipeline.analytic import schedule_analytic
+from repro.pipeline.analytic import schedule_analytic, stream_template
 from repro.pipeline.semantics import evaluate
 from repro.pipeline.state import MachineState
 from repro.uarch.model import UarchConfig
@@ -650,19 +650,21 @@ class Core:
         The closed-form recurrence answers where it can.  With
         ``kernel="reference"``, or on a divider reorder (a younger
         divider µop could take the divider first), the per-cycle
-        reference loop times the stream instead; the closed form writes
-        nothing but ``uop.index`` before it declines.  Both produce
+        reference loop times the stream instead.  The closed form plays
+        the stream as one template (:func:`stream_template`), which
+        writes nothing but ``uop.index``.  Both produce
         bit-identical counters (pinned by tests/test_sim_differential.py
         and tests/test_sim_fuzz.py).
         """
         if self.kernel != KERNEL_REFERENCE:
-            timed = schedule_analytic(self.uarch, uops)
+            timed = schedule_analytic(
+                self.uarch, (stream_template(uops),), (0,)
+            )
             if timed is not None:
-                cycles, port_counts = timed
-                self.cycles_simulated += cycles
+                self.cycles_simulated += timed.cycles
                 return CounterValues(
-                    cycles=cycles,
-                    port_uops=port_counts,
+                    cycles=timed.cycles,
+                    port_uops=timed.ports[0],
                     uops=len(uops),
                     instructions=0,
                 )

@@ -161,16 +161,16 @@ class TestStoresFallback:
 
 
 def _scheduled_copies(monkeypatch):
-    """Record the copies of each synthesized stream the closed form
-    schedules."""
+    """Record the copies each closed-form call schedules: a whole
+    stream, or the copies an extension adds to the stream it resumes."""
     seen = []
-    original = extrapolate.schedule_arrays
+    original = extrapolate.schedule_analytic
 
-    def spy(uarch, *arrays):
-        seen.append(len(arrays[5]))  # one boundary per copy
-        return original(uarch, *arrays)
+    def spy(uarch, templates, order, resume=None):
+        seen.append(len(order))
+        return original(uarch, templates, order, resume)
 
-    monkeypatch.setattr(extrapolate, "schedule_arrays", spy)
+    monkeypatch.setattr(extrapolate, "schedule_analytic", spy)
     return seen
 
 
@@ -185,18 +185,20 @@ class TestProbeRule:
         assert _first_probe(targets) == first
 
     @pytest.mark.parametrize("targets, probes", [
-        ((5, 25), [25]), ((10, 110), [2 * MIN_PROBE]),
+        ((5, 25), [25]), ((10, 110), [MIN_PROBE, MIN_PROBE]),
     ])
     def test_probes_scheduled(self, targets, probes, monkeypatch):
-        """Each probe is scheduled once: the first probe is read off its
-        doubling, which is the only stream scheduled."""
+        """Each copy is scheduled once: the doubling that verifies the
+        period resumes the first probe and schedules only the copies it
+        adds, 25 in all for 5/25 and 36 for 10/110."""
         seen = _scheduled_copies(monkeypatch)
         core = Core(get_uarch("SKL"))
         code = _body("ADD_R64_R64")
         results, stats = unrolled_counters(core, code, None, targets)
         assert seen == probes
+        assert sum(seen) == {25: 25, 110: 36}[targets[-1]]
         assert stats.runs_analytic == len(targets)
-        assert stats.runs_extrapolated == (targets[-1] > probes[-1])
+        assert stats.runs_extrapolated == (targets[-1] > sum(probes))
         assert stats.runs_full == 0
         assert core.cycles_simulated == 0
         expected = _expected("SKL", code, targets)
@@ -237,11 +239,10 @@ class TestNoPeriodFallback:
         assert _first_probe(self.TARGETS) == MIN_PROBE < self.TARGETS[-1]
 
     def test_probe_falls_back_to_full_length(self, monkeypatch):
-        """The doubled probe is scheduled first; with no period the long
-        target is synthesized at full length and serves both.  Pins the
-        copy counts of this rare path: the doubled stream (scheduled up
-        front so the common verified path schedules only it) is wasted
-        here."""
+        """The first probe is scheduled; with no period the stream is
+        extended to the long target, which serves both.  Pins the copy
+        counts of this rare path: the extension resumes the probe, so
+        the 40 copies are scheduled once, none twice."""
         monkeypatch.setattr(
             extrapolate, "_detect_period", lambda signatures: None
         )
@@ -249,7 +250,8 @@ class TestNoPeriodFallback:
         core, _results, stats = check_ladder(
             "SKL", "analytic", _body("ADD_R64_R64"), self.TARGETS
         )
-        assert seen == [2 * MIN_PROBE, self.TARGETS[-1]]
+        assert seen == [MIN_PROBE, self.TARGETS[-1] - MIN_PROBE]
+        assert sum(seen) == self.TARGETS[-1]
         assert stats.runs_analytic == 2
         assert stats.runs_full == 0
         assert stats.runs_extrapolated == 0
@@ -257,7 +259,7 @@ class TestNoPeriodFallback:
 
     def test_analytic_extends_exactly(self, monkeypatch):
         """The closed form needs no timing period for its own probe —
-        but beyond-probe targets without one are re-synthesized at full
+        but beyond-probe targets without one are scheduled at full
         length instead of extrapolated."""
         monkeypatch.setattr(
             extrapolate, "_detect_period", lambda signatures: None

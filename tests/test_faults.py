@@ -591,7 +591,7 @@ _FAILURE = FormFailure(
     uid="DIV_M16", phase="iso",
     error_type="PermanentBackendError",
     message="injected permanent fault on DIV_M16",
-    attempts=3, shard=1,
+    attempts=3,
 )
 
 
@@ -608,7 +608,7 @@ class TestAnnotatedOutputs:
         assert node.get("phase") == "iso"
         assert node.get("error_type") == "PermanentBackendError"
         assert node.get("attempts") == "3"
-        assert node.get("shard") == "1"
+        assert node.get("shard") is None
         assert "injected permanent fault" in node.get("message")
         # The quarantined form has no measurement element.
         assert root.find(
@@ -643,10 +643,10 @@ class TestAnnotatedOutputs:
             "uid": "DIV_M16", "phase": "iso",
             "error_type": "PermanentBackendError",
             "message": "injected permanent fault on DIV_M16",
-            "attempts": 3, "shard": 1,
+            "attempts": 3,
         }
         assert "DIV_M16" in _FAILURE.summary()
-        assert "shard 1" in _FAILURE.summary()
+        assert "quarantined in iso" in _FAILURE.summary()
 
 
 class TestCli:

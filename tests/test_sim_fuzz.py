@@ -16,7 +16,8 @@ over
   portless/load/store µops, divider occupancy, dependency DAGs), long
   streams that fill the reservation station and the ROB, and divider
   µops spread over several ports with idle divider gaps — plus the
-  prefix property the measurement ladder reads unroll targets by,
+  prefix property the measurement ladder reads unroll targets by and
+  the resumed schedule a longer probe extends a shorter one with,
 * synthetic instruction forms (1–4 µops per instruction, random port
   sets and latencies, divider value classes) injected into the ground
   truth entry cache, and
@@ -58,9 +59,8 @@ from repro.isa.operands import Memory
 from repro.measure.backend import HardwareBackend, MeasurementConfig
 from repro.measure.extrapolate import _divider_classes, _fixed_addresses
 from repro.pipeline.analytic import (
-    extract_arrays,
+    encode_uops,
     schedule_analytic,
-    schedule_arrays,
 )
 from repro.pipeline import core as core_module
 from repro.pipeline.core import (
@@ -81,7 +81,11 @@ from repro.uarch.uops import (
     UopSpec,
 )
 
-from tests.test_sim_differential import assert_identical, assert_tiers_agree
+from tests.test_sim_differential import (
+    assert_identical,
+    assert_tiers_agree,
+    closed_form,
+)
 
 DATABASE = load_default_database()
 
@@ -236,6 +240,40 @@ def divider_port_plans(draw, port_pool):
     return tuple(plan)
 
 
+def _any_stream_plans(port_pool):
+    """Any of the three synthetic stream strategies, dividers included."""
+    return st.one_of(
+        stream_plans(port_pool),
+        long_stream_plans(port_pool),
+        divider_port_plans(port_pool),
+    )
+
+
+def _draw_cuts(data, n):
+    """Sorted cut points that split ``n`` µops into 1–16 segments, the
+    last cut at ``n``; a segment may be empty."""
+    inner = data.draw(st.lists(st.integers(0, n), max_size=15), label="cuts")
+    return sorted(inner) + [n]
+
+
+def _segments(uops, cuts):
+    """The stream cut at *cuts*, one template per segment: ages reach
+    across segments, as they reach across the copies of a block, and
+    each later segment's ``min_issue`` is relative to the front-end
+    release the segments before it add up to (its first µop's)."""
+    for index, uop in enumerate(uops):
+        uop.index = index
+    starts = [0] + cuts[:-1]
+    bases = [0] + [
+        uops[min(start, len(uops) - 1)].min_issue for start in starts[1:]
+    ]
+    deltas = [b - a for a, b in zip(bases, bases[1:])] + [0]
+    return [
+        (encode_uops(uops[start:end], base), delta, 0)
+        for start, end, base, delta in zip(starts, cuts, bases, deltas)
+    ]
+
+
 def build_stream(plan):
     """Materialize a plan as fresh ``_RUop`` objects with deps wired."""
     uops = []
@@ -257,7 +295,7 @@ def assert_two_tiers(uarch, plan, context):
     reference loop mutates dispatch and completion state in place."""
     reference = Core(uarch, kernel="reference")._timing(build_stream(plan))
     expected = (reference.cycles, reference.port_uops)
-    analytic = schedule_analytic(uarch, build_stream(plan))
+    analytic = closed_form(uarch, build_stream(plan))
     assert analytic in (None, expected), f"{context}, analytic vs reference"
     if not any(step[3] for step in plan):
         assert analytic is not None, f"{context}: no divider, no abort"
@@ -282,32 +320,65 @@ class TestSyntheticStreams:
     @given(data=st.data())
     @settings(max_examples=max(_BUDGET // 4, 10), **_SETTINGS)
     def test_boundary_finishes_identical(self, uarch_name, data):
-        """The prefix property the ladder reads targets by: where the
-        recurrence answers, ``finishes[b] + 1`` is the reference cycle
-        count of the stream truncated at ``boundaries[b]``."""
+        """The prefix property the ladder reads targets by: a stream cut
+        into segments and played as templates in order is the stream,
+        and where the recurrence answers, ``finish[s] + 1`` is the
+        reference cycle count of the stream cut after segment ``s``."""
         uarch = get_uarch(uarch_name)
-        plan = data.draw(st.one_of(
-            stream_plans(uarch.ports),
-            long_stream_plans(uarch.ports),
-            divider_port_plans(uarch.ports),
-        ), label="stream")
-        n = len(plan)
-        cut = data.draw(st.integers(1, n), label="boundary")
-        boundaries = sorted({cut, n})
-        analytic = schedule_arrays(
-            uarch, *extract_arrays(build_stream(plan)), boundaries
+        plan = data.draw(_any_stream_plans(uarch.ports), label="stream")
+        cuts = _draw_cuts(data, len(plan))
+        scheduled = schedule_analytic(
+            uarch, _segments(build_stream(plan), cuts), range(len(cuts))
         )
-        if analytic is None:
+        if scheduled is None:
             return  # a divider reorder: the reference loop serves it
-        cycles, port_counts, finishes, _bounds = analytic
-        for boundary, finish in zip(boundaries, finishes):
+        for cut, finish in zip(cuts, scheduled.finish):
             prefix = Core(uarch, kernel="reference")._timing(
-                build_stream(plan[:boundary])
+                build_stream(plan[:cut])
             )
             assert finish + 1 == prefix.cycles, (
-                f"({uarch_name} prefix of {boundary}/{n} µops)"
+                f"({uarch_name} prefix of {cut}/{len(plan)} µops)"
             )
-        assert (cycles, port_counts) == (prefix.cycles, prefix.port_uops)
+        assert scheduled.cycles == prefix.cycles
+        assert {
+            p: sum(row[p] for row in scheduled.ports)
+            for p in uarch.ports
+        } == prefix.port_uops
+
+    @given(data=st.data())
+    @settings(max_examples=max(_BUDGET // 4, 10), **_SETTINGS)
+    def test_resumed_columns_identical(self, uarch_name, data):
+        """Scheduling ``m`` copies and then extending the stream to
+        ``n`` — in one or more steps, each resuming the last — gives
+        per-copy columns identical to scheduling the ``n`` copies in one
+        pass, and each step's result is the prefix of that pass."""
+        uarch = get_uarch(uarch_name)
+        plan = data.draw(_any_stream_plans(uarch.ports), label="stream")
+        cuts = _draw_cuts(data, len(plan))
+        n = len(cuts)
+        stops = sorted(set(data.draw(st.one_of(
+            st.lists(st.integers(0, n), max_size=8),
+            st.just(range(n)),  # resume at every boundary
+        ), label="resume at")) | {n})
+        templates = _segments(build_stream(plan), cuts)
+        whole = schedule_analytic(uarch, templates, range(n))
+        scheduled, done = None, 0
+        for stop in stops:
+            scheduled = schedule_analytic(
+                uarch, templates, range(done, stop), scheduled
+            )
+            if scheduled is None:
+                # The divider reorder lies in the copies up to stop.
+                assert whole is None
+                return
+            done = stop
+            if whole is not None:
+                assert scheduled[:5] == (
+                    whole.finish[stop - 1] + 1 if stop else 0,
+                    whole.finish[:stop], whole.ports[:stop],
+                    whole.uops[:stop], whole.fused[:stop],
+                ), f"({uarch_name} resumed at {stops})"
+        assert whole is not None, "the resumed stream missed a reorder"
 
     @given(data=st.data())
     @settings(max_examples=max(_BUDGET // 4, 10), **_SETTINGS)
@@ -808,8 +879,8 @@ def _answers(monkeypatch):
     """Record, per ``Core.run``, whether the closed form answered."""
     answers = []
 
-    def spy(uarch, uops):
-        timed = schedule_analytic(uarch, uops)
+    def spy(uarch, *args):
+        timed = schedule_analytic(uarch, *args)
         answers.append(timed is not None)
         return timed
 
@@ -835,6 +906,31 @@ def test_analytic_answers_common_shapes(uarch_name, monkeypatch):
         assert answers.pop(), (
             f"analytic tier never fired for {uid} on {uarch_name}"
         )
+
+
+@pytest.mark.parametrize("uarch_name", UARCH_NAMES)
+def test_resumed_stream_sees_the_divider_reorder(uarch_name):
+    """A divider reorder whose idle divider stretch ended before the
+    resume point: the third divider µop is ready at cycle 21 while the
+    second waits 30 cycles for the first.  Resumed after every µop, the
+    stream declines exactly as the one-pass schedule does, so the
+    divider state (here ``idle_end``) survives each resume."""
+    uarch = get_uarch(uarch_name)
+    plan = (
+        ((4,), 3, KIND_ALU, 1, 1, ()),
+        ((3,), 1, KIND_ALU, 5, 21, ((0, 30),)),
+        ((4,), 5, KIND_ALU, 2, 21, ()),
+    )
+    templates = _segments(build_stream(plan), [1, 2, 3])
+    assert schedule_analytic(uarch, templates, range(3)) is None
+    scheduled = None
+    for copy in range(3):
+        scheduled = schedule_analytic(
+            uarch, templates, (copy,), scheduled
+        )
+        if scheduled is None:
+            break
+    assert scheduled is None
 
 
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)

@@ -168,6 +168,26 @@ class TestPool:
         assert engine.statistics.characterized == len(serial_results)
         assert _xml(db, results) == _xml(db, serial_results)
 
+    def test_quarantine_output_names_no_worker(self, db):
+        # Which worker held the quarantined form must not show: the XML
+        # is byte-identical to the serial sweep's, and the summary names
+        # the phase that failed.
+        forms = _forms(db, ("ADD_R64_R64", "DIV_M16", "NOP"))
+        outputs = []
+        for jobs in (1, 2):
+            engine = SweepEngine(
+                "SKL", db, jobs=jobs, fault_spec="permanent=DIV_M16"
+            )
+            results = engine.sweep(forms)
+            assert list(engine.failures) == ["DIV_M16"]
+            summary = engine.failures["DIV_M16"].summary()
+            assert summary.startswith("DIV_M16: quarantined in iso "), summary
+            outputs.append(ET.tostring(results_to_xml(
+                {"SKL": results}, db, failures={"SKL": engine.failures}
+            )))
+        assert b"<failure " in outputs[0]
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.slow
     @pytest.mark.skipif(
         not os.path.isdir("/proc"), reason="reads process states in /proc"
@@ -415,9 +435,7 @@ class TestPoolPayloadsPickle:
                 error=PermanentBackendError("wedged"), key="k" * 12,
                 tag="lat:RAX", attempts=3,
             ).reraise()
-        failure = dataclasses.replace(
-            FormFailure.from_error("DIV_M16", info.value), shard=1
-        )
+        failure = FormFailure.from_error("DIV_M16", info.value)
         assert (failure.phase, failure.attempts) == ("lat", 3)
         assert _round_trip(failure) == failure
 
