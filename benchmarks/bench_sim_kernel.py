@@ -68,6 +68,10 @@ def _cold_sweep(db, kernel=None, memo=None):
         "runs_extrapolated": stats.runs_extrapolated,
         "runs_full": stats.runs_full,
         "divider_reorders": stats.divider_reorders,
+        # What the closed-form passes scheduled, and the streams they
+        # stopped at a proved timing period.
+        "copies_scheduled": stats.copies_scheduled,
+        "periods_proved": stats.periods_proved,
         "memo_hits": stats.memo_hits,
         "memo_misses": stats.memo_misses,
     }

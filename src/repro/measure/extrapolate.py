@@ -10,13 +10,14 @@ factors from two rungs, cheapest first:
    *structurally* (no value emulation) copy by copy until two
    rename-state snapshots match — a proof that the renamed stream is
    periodic from there on.  The transient plus one period become
-   relative templates, and the analytic recurrence schedules the probe
-   by playing them in order
-   (:func:`~repro.pipeline.analytic.schedule_analytic`).  Counters of
-   each target are read off the probe as a prefix, or extrapolated from
-   its periodic tail — in exact integer arithmetic, so the values are
-   bit-identical to a full simulation.  The recurrence answers every
-   stream but a divider reorder (see divider bodies below).
+   relative templates, and the analytic recurrence schedules the
+   longest target's stream by playing them in order
+   (:func:`~repro.pipeline.analytic.schedule_analytic`), stopping early
+   at a proved timing period.  Each target is read off the scheduled
+   copies as a prefix, or extrapolated from the last period of them — in
+   exact integer arithmetic, so the values are bit-identical to a full
+   simulation.  The recurrence answers every stream but a divider
+   reorder (see divider bodies below).
 2. **Full simulation**: ``core.run(code * t)`` per target, which is what
    the paper's protocol literally does.  It serves the bodies the
    closed form declines — addresses that move between copies
@@ -32,7 +33,7 @@ The observation that a repeated basic block settles into a periodic
 steady state is the same one uops.info's own loop-based throughput
 protocol and PALMED's saturating-kernel design rely on.
 
-Reading targets off one probe rests on the *prefix property* of the
+Reading targets off one stream rests on the *prefix property* of the
 simulated core: counters observed at a copy boundary of a longer unroll
 equal the counters of simulating exactly that many copies.  Port binding
 is a pure function of issue order, issue/retire are in order, and a port
@@ -47,29 +48,21 @@ value-dependent case (Section 5.2.5): the closed form serves them by
 emulating only the backward slice of the divider operands
 (:func:`_value_slice`) to get each copy's value class, proving the
 rename period over the rename state *and* that class sequence, and
-scheduling the longest target's stream once; every target is read off
-it as a prefix.  A divider reorder declines the body,
-counted in ``divider_reorders``, and the full rung serves it.
+scheduling them like any other body.  A divider reorder declines the
+body, counted in ``divider_reorders``, and the full rung serves it.
 
-Divider-free bodies extrapolate.  The timing period of the probe is
-detected on a trailing window and *verified* before use: the periodic
-prediction must reproduce a probe twice as long (capped at the longest
-unroll target) per-copy signature by signature.  A transient whose
-deltas merely look periodic for a while — e.g. a reservation-station
-fill pattern that repeats until the window drains — fails the check, and
-detection restarts on the longer probe.  The recurrence is resumable, so
-a longer probe schedules only the copies it adds to the shorter one.
-When no period survives, the stream is extended to the longest target
-and every target is a prefix.  When one doubling would reach the longest
-target anyway, the first probe is simply that long
-(:func:`_first_probe`) and every target is a prefix.
+The recurrence stops once two canonical snapshots of its state, ``p``
+copies apart, prove that every later copy repeats the copy ``p`` earlier
+(:class:`~repro.pipeline.analytic._SteadyState`).  Targets beyond the
+scheduled copies follow from its last ``p`` copies.  A stream with no
+proof is scheduled to the longest target, and every target is a prefix.
 """
 
 from __future__ import annotations
 
 import hashlib
 from itertools import chain
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.isa.operands import Memory
 from repro.pipeline.analytic import (
@@ -90,18 +83,8 @@ from repro.pipeline.state import MachineState
 from repro.stats import RunStatistics
 from repro.uarch.uops import KIND_STORE_ADDR, KIND_STORE_DATA
 
-#: Minimum number of copies in a probe.  Large enough that
-#: issue-rate transients (ROB/RS fill, SSE/AVX transition stalls on the
-#: first copies, move-elimination phase-in) have settled and a trailing
-#: window of clean periods is observable.
+#: Not used by the ladder; ``benchmarks/e2e`` still imports the name.
 MIN_PROBE = 18
-
-#: Longest per-copy period the detector searches for.
-MAX_PERIOD = 4
-
-#: Trailing copies that must repeat for a period to be accepted.
-def _window(period: int) -> int:
-    return max(6, 3 * period)
 
 
 #: Copies structurally renamed while searching for a rename-state period
@@ -113,19 +96,6 @@ SNAPSHOT_BUDGET = 12
 _MOVING_ACCESS_CATEGORIES = frozenset(
     ("push", "pop", "call", "ret", "string_rep")
 )
-
-
-def _first_probe(targets: Sequence[int]) -> int:
-    """Copies of the first probe for the sorted unroll *targets*.
-
-    The probe must be long enough for transients to settle
-    (:data:`MIN_PROBE`) and to cover the short target.  Verifying a
-    period doubles it, so when twice the probe reaches the longest
-    target anyway, one probe of exactly that length serves every
-    target as a prefix — exact with no period at all.
-    """
-    probe = min(targets[-1], max(MIN_PROBE, targets[0] + 2))
-    return targets[-1] if targets[-1] <= 2 * probe else probe
 
 
 def _form_blockers(core: Core, instruction) -> Tuple[bool, bool]:
@@ -160,10 +130,9 @@ def _uses_divider(core: Core, code: Sequence) -> bool:
     """Static guard: any µop of *code* can occupy the divider.
 
     Divider timing is operand-value dependent and its occupancy can
-    reorder divider µops, so these bodies never extrapolate: the
-    closed-form path schedules the longest target from its class-aware
-    templates and reads every target off it, and a declined body
-    simulates each target.
+    reorder divider µops, so these bodies emulate their divider
+    operands' slice (:func:`_divider_classes`) for class-aware
+    templates, and a reorder declines them to full simulation.
     """
     return any(_form_blockers(core, i)[0] for i in code)
 
@@ -355,14 +324,12 @@ def _copy_template(
     )
 
 
-def _template_order(
-    start: int, copies: int, transient: int, period: int
-) -> List[int]:
-    """Template index (0-based) for copies ``start + 1`` to ``copies``."""
+def _template_order(copies: int, transient: int, period: int) -> List[int]:
+    """Template index (0-based) for copies 1 to ``copies``."""
     base = transient - period
     return [
         c - 1 if c <= transient else base + (c - base - 1) % period
-        for c in range(start + 1, copies + 1)
+        for c in range(1, copies + 1)
     ]
 
 
@@ -378,8 +345,9 @@ def _analytic_unrolled(
     The plan: structurally rename the block copy by copy until two
     rename-state snapshots match (proof of exact periodicity), encode
     the transient plus one period as relative templates, and schedule
-    the probe by playing them through the analytic recurrence — no
-    kernel run, no value emulation, and rename cost
+    the longest target by playing them through the analytic recurrence,
+    which stops at a proved timing period — no kernel run, no value
+    emulation, and rename cost
     bounded by :data:`SNAPSHOT_BUDGET` copies instead of the unroll
     factor.  Guards: stores or dividers whose addresses can move between
     copies (:func:`_fixed_addresses`) and the fusion/decoder extensions
@@ -393,9 +361,7 @@ def _analytic_unrolled(
     slice (:func:`_divider_classes`); each copy is renamed with its own
     value classes, and a snapshot match counts only if the class
     sequence repeats with the same period up to the longest target.
-    Their timing step differs: the longest target's stream is scheduled
-    once and every target read off it as a prefix, with no period
-    extrapolation.  Otherwise values influence
+    Otherwise values influence
     neither the dependence graph nor any latency, so the counters are
     identical for every initial state.
     """
@@ -465,161 +431,29 @@ def _analytic_unrolled(
         stats.merge(served)
         return results
 
-    uarch_ports = core.uarch.ports
-    latest: Optional[ProbeResult] = None
-
-    def schedule(copies: int) -> Optional[ProbeResult]:
-        """The stream extended to ``copies`` copies in closed form (as
-        scheduled when it has them); ``None`` on a divider reorder."""
-        nonlocal latest
-        done = latest.copies if latest is not None else 0
-        if copies > done:
-            latest = schedule_analytic(
-                core.uarch,
-                templates,
-                _template_order(done, copies, transient, period),
-                latest,
-            )
-            assert latest is not None or classes is not None, (
-                "only the divider reorders"
-            )
-        return latest
-
-    served = RunStatistics()
-    if classes is None:
-        results = _periodic_targets(
-            schedule, targets, block_len, uarch_ports, served
-        )
-    else:
-        probe = schedule(targets[-1])
-        if probe is None:
-            stats.divider_reorders += 1
-            return None
-        results = {
-            t: _prefix_counters(probe, t, block_len, uarch_ports)
-            for t in targets
-        }
-    served.runs_analytic = len(targets)
-    served.cycles_analytic = sum(int(results[t].cycles) for t in targets)
-    stats.merge(served)
-    memo[key] = (results, served)
-    return results
-
-
-def _periodic_targets(
-    schedule: Callable[[int], ProbeResult],
-    targets: Sequence[int],
-    block_len: int,
-    ports: Sequence[int],
-    served: RunStatistics,
-) -> Dict[int, CounterValues]:
-    """Every target of a divider-free body off one scheduled stream.
-
-    *schedule* extends one stream, so each probe — the first
-    (:func:`_first_probe`), each doubling, the longest target —
-    schedules only the copies it adds.  Targets beyond the final probe
-    are extrapolated from its verified timing period and count in
-    ``runs_extrapolated`` / ``cycles_extrapolated`` of *served*; with no
-    period, the stream is extended to the longest target and every
-    target is a prefix.
-    """
-    probe = schedule(_first_probe(targets))
-    timing_period = None
-    if targets[-1] > probe.copies:
-        probe, timing_period = _verified_period(
-            probe, schedule, targets[-1]
-        )
-        if timing_period is None:
-            # Not periodic within the probe window: extend the stream to
-            # the longest target (cost is O(µops), not O(cycles)).
-            probe = schedule(targets[-1])
+    probe = schedule_analytic(
+        core.uarch, templates, _template_order(targets[-1], transient, period)
+    )
+    if probe is None:
+        assert classes is not None, "only the divider reorders"
+        stats.divider_reorders += 1
+        return None
+    stats.copies_scheduled += probe.copies
+    stats.periods_proved += probe.period > 0
+    ports = core.uarch.ports
+    served = RunStatistics(runs_analytic=len(targets))
     results: Dict[int, CounterValues] = {}
     for t in targets:
         if t <= probe.copies:
             results[t] = _prefix_counters(probe, t, block_len, ports)
         else:
-            results[t] = _extrapolated_counters(
-                probe, timing_period, t, block_len, ports
-            )
+            results[t] = _extrapolated_counters(probe, t, block_len, ports)
             served.runs_extrapolated += 1
-            served.cycles_extrapolated += (
-                results[t].cycles - probe.finish[-1] - 1
-            )
+            served.cycles_extrapolated += results[t].cycles - probe.cycles
+    served.cycles_analytic = sum(int(results[t].cycles) for t in targets)
+    stats.merge(served)
+    memo[key] = (results, served)
     return results
-
-
-def _signatures(probe: ProbeResult) -> List[Tuple]:
-    """Per-copy steady-state signature: everything that must repeat."""
-    signatures: List[Tuple] = []
-    previous = -1
-    for k in range(probe.copies):
-        finish = probe.finish[k]
-        signatures.append(
-            (
-                finish - previous,
-                tuple(sorted(probe.ports[k].items())),
-                probe.uops[k],
-                probe.fused[k],
-            )
-        )
-        previous = finish
-    return signatures
-
-
-def _detect_period(signatures: List[Tuple]) -> Optional[int]:
-    """Smallest period whose trailing window repeats exactly."""
-    n = len(signatures)
-    for period in range(1, MAX_PERIOD + 1):
-        window = _window(period)
-        if window + period > n:
-            break
-        if all(
-            signatures[j] == signatures[j - period]
-            for j in range(n - window, n)
-        ):
-            return period
-    return None
-
-
-def _continuation_matches(
-    probe: ProbeResult, period: int, bigger: ProbeResult
-) -> bool:
-    """Does *probe*'s periodic tail predict *bigger*'s extra copies?"""
-    pattern = _signatures(probe)[probe.copies - period:]
-    signatures = _signatures(bigger)
-    return all(
-        signatures[k] == pattern[(k - probe.copies) % period]
-        for k in range(probe.copies, bigger.copies)
-    )
-
-
-def _verified_period(
-    probe: ProbeResult,
-    make_probe: Callable[[int], ProbeResult],
-    limit: int,
-) -> Tuple[ProbeResult, Optional[int]]:
-    """Detect a period and require it to survive a doubled probe.
-
-    :func:`_detect_period` can be fooled by a transient whose per-copy
-    deltas are themselves periodic for a stretch — a reservation-station
-    fill pattern, say — before the true steady state appears.  A
-    candidate period is therefore accepted only if its periodic
-    prediction reproduces, signature by signature, a probe twice as
-    long; on a mismatch detection restarts on the longer probe.  Growth
-    is geometric and capped at ``limit`` (the longest unroll target),
-    where every target becomes an exact prefix and periodicity is moot.
-
-    Returns ``(probe, period)``: the final — possibly grown — probe and
-    the verified period (``None`` when no period survived).
-    """
-    while True:
-        period = _detect_period(_signatures(probe))
-        if period is None or probe.copies >= limit:
-            return probe, period
-        bigger = make_probe(min(2 * probe.copies, limit))
-        if _continuation_matches(probe, period, bigger):
-            return bigger, period
-        probe = bigger
 
 
 def _prefix_counters(
@@ -644,34 +478,29 @@ def _prefix_counters(
 
 
 def _extrapolated_counters(
-    probe: ProbeResult,
-    period: int,
-    copies: int,
-    block_len: int,
-    ports: Sequence[int],
+    probe: ProbeResult, copies: int, block_len: int, ports: Sequence[int]
 ) -> CounterValues:
-    """Counters of a run longer than the probe, via the periodic tail."""
-    base = _prefix_counters(probe, probe.copies, block_len, ports)
-    signatures = _signatures(probe)
-    pattern = signatures[probe.copies - period:]
+    """Counters of a run longer than the probe: its proved period, the
+    last ``probe.period`` copies, repeats until ``copies``."""
+    period = probe.period
+    first = probe.copies - period
     full, rem = divmod(copies - probe.copies, period)
-
-    cycles = base.cycles
-    port_uops = dict(base.port_uops)
-    uops = base.uops
-    fused = base.uops_fused
-    for weight, signature in chain(
-        ((full, s) for s in pattern),
-        ((1, s) for s in pattern[:rem]),
-    ):
-        delta, port_items, uop_count, fused_count = signature
-        cycles += weight * delta
-        for port, count in port_items:
+    counters = _prefix_counters(probe, probe.copies, block_len, ports)
+    port_uops = counters.port_uops
+    uops = counters.uops
+    fused = counters.uops_fused
+    for k in range(first, probe.copies):
+        weight = full + (k - first < rem)
+        for port, count in probe.ports[k].items():
             port_uops[port] += weight * count
-        uops += weight * uop_count
-        fused += weight * fused_count
+        uops += weight * probe.uops[k]
+        fused += weight * probe.fused[k]
+    finish = probe.finish
     return CounterValues(
-        cycles=cycles,
+        cycles=(
+            counters.cycles + full * (finish[-1] - finish[first - 1])
+            + finish[first - 1 + rem] - finish[first - 1]
+        ),
         port_uops=port_uops,
         uops=uops,
         instructions=copies * block_len,

@@ -37,10 +37,14 @@ so one template serves every copy it encodes and nothing is expanded.
 (:func:`stream_template`).  Because every µop's schedule depends only on
 older µops, the schedule of a prefix of a stream is the prefix of the
 stream's schedule: the counters gathered at a copy boundary equal the
-counters of scheduling just those copies.  The pass keeps its state in
-the :class:`ProbeResult` it returns, so a longer stream resumes a
-shorter one and schedules only the copies it adds; the measurement
-ladder reads every unroll target off one stream this way.
+counters of scheduling just those copies.
+
+The pass stops early at a *proved* steady state (:class:`_SteadyState`):
+two equal canonical snapshots of its state, ``p`` copies apart, before
+the same remaining template order, prove that every later copy repeats
+the copy ``p`` earlier, shifted in time.  The measurement ladder reads
+each unroll target off the scheduled copies as a prefix, or extrapolates
+it exactly from the last ``p`` of them.
 
 Equivalence contract: identical counters to the reference loop, pinned
 by tests/test_sim_differential.py and the generative harness in
@@ -49,6 +53,7 @@ tests/test_sim_fuzz.py.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from heapq import heappush, heapreplace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -93,13 +98,15 @@ class ProbeResult(NamedTuple):
     """Per-copy observations of one scheduled template stream.
 
     Everything is an exact integer; index ``k`` describes copy ``k``.
-    ``cycles`` is the stream's total as the reference loop counts it, and
-    ``finish[k]`` the cycle in which the last µop of copy ``k`` retired
-    (``-1`` before the first µop), so the counters of a *prefix* of
-    ``t`` copies are ``cycles = finish[t-1] + 1`` plus the sums of the
-    per-copy columns: ``ports[k]`` (µops bound to each port, every port
-    a key), ``uops[k]`` and ``fused[k]``.  ``state`` is what
-    :func:`schedule_analytic` resumes from.
+    ``cycles`` is the scheduled copies' total as the reference loop
+    counts it, and ``finish[k]`` the cycle in which the last µop of copy
+    ``k`` retired (``-1`` before the first µop), so the counters of a
+    *prefix* of ``t`` copies are ``cycles = finish[t-1] + 1`` plus the
+    sums of the per-copy columns: ``ports[k]`` (µops bound to each port,
+    every port a key), ``uops[k]`` and ``fused[k]``.  ``period`` is the
+    proved timing period (``0`` if none): the pass stopped after
+    ``copies`` copies, and every later copy of the order repeats the
+    copy ``period`` earlier — finish delta, ports, µops and fused µops.
     """
 
     cycles: int
@@ -107,60 +114,212 @@ class ProbeResult(NamedTuple):
     ports: List[Dict[int, int]]
     uops: List[int]
     fused: List[int]
-    state: "_Recurrence"
+    period: int
 
     @property
     def copies(self) -> int:
         return len(self.finish)
 
 
-class _Recurrence:
-    """Everything the pass carries from one µop to the next."""
+#: Longest timing period, in copies, the steady-state proof looks for.
+MAX_LAG = 12
 
-    __slots__ = (
-        "issue", "disp", "phase", "retire", "port_counts", "taken",
-        "rs_top", "divider_free", "idle_end", "divider_disp",
-        "frontend_release", "copies",
-    )
 
-    def __init__(self, port_order: Sequence[int]):
-        #: Per µop so far: issue, dispatch, dispatch phase, retire.
-        self.issue: List[int] = []
-        self.disp: List[int] = []
-        self.phase: List[int] = []
-        self.retire: List[int] = []
-        #: µops bound to each port so far (binding reads the loads).
-        self.port_counts: Dict[int, int] = {p: 0 for p in port_order}
-        #: Per port, the first-free-slot map of the cycles older µops
-        #: took (see :func:`schedule_analytic`).
-        self.taken: Dict[int, Dict[int, int]] = {p: {} for p in port_order}
-        #: The ``rs_size`` largest dispatch cycles of port-bound µops so far.
-        self.rs_top: List[int] = []
-        #: Divider state: the cycle it frees, the end of its latest idle
-        #: stretch, and the latest divider dispatch per port position.
-        self.divider_free = 0
-        self.idle_end = 0
-        self.divider_disp: Dict[int, int] = {}
-        self.frontend_release = 0
-        self.copies = 0
+class _Snapshot(NamedTuple):
+    """The pass's state at a copy boundary."""
+
+    copies: int
+    uops: int
+    #: B: the issue cycle of the latest µop.  Every later µop issues,
+    #: becomes ready and dispatches at or after it.
+    base: int
+    #: Everything but the port loads and the front-end release,
+    #: relative to ``base`` and clamped where no later decision can tell
+    #: values apart (:class:`_SteadyState`).
+    state: Tuple
+    loads: Dict[int, int]
+    frontend_release: int
+
+
+class _SteadyState:
+    """Proves a template stream periodic from two snapshots of the pass.
+
+    Let snapshots S1 and S2 be taken ``p`` copies apart, with the same
+    template order remaining after each.  Every input of a later µop's
+    issue, binding, dispatch, retire and divider test is read from
+    ``state`` (relative to B, so a shift of time preserves it), the port
+    loads, or the front-end release.  When the three agree in the sense
+    of :meth:`proves`, the copies after S2 are the copies after S1
+    shifted by ``B2 - B1``, and S3, ``p`` copies after S2, relates to S2
+    as S2 to S1: by induction every later copy repeats the copy ``p``
+    earlier.
+
+    ``state`` holds, relative to B:
+
+    * the window of the last ``window`` µops (every dependency age and
+      the ROB): dispatch cycle and phase, a dispatch at or below
+      ``B - reach`` (``reach`` = 1 + the largest dependency offset)
+      collapsed to one value, since it readies its consumers before B.
+      The µops older than the ROB retired by B, so each port's taken
+      cycles at or after B are the window's.  So are the reservation
+      station's: a µop that issues at ``c >= B`` waits for ``rs_size``
+      port-bound µops dispatching at ``c`` or later, all of them in the
+      window or younger, so the heap adds nothing;
+    * the retire cycles above B (retire is monotone, so they are a
+      suffix); a retire cycle at or below B never delays a later µop;
+    * the last ``issue_width`` issue cycles, clamped at ``B - 1``;
+    * ``divider_free`` and ``idle_end`` clamped at B, and the divider
+      dispatches at or after B.  A later divider µop is eligible at or
+      after B, so the reorder tests read nothing below it.  (With
+      ``divider_free`` at B, a dispatch at B leaves ``idle_end`` below B
+      instead of moving it to B: the same once clamped.)
+
+    Two quantities grow without bound, and may differ between S1 and S2
+    only away from any decision (:meth:`proves`): the port loads, and
+    the front-end lead ``frontend_release - B``.  A constant-ready input
+    (dependency age ``None``) must lie at or before B1.
+    """
+
+    def __init__(self, uarch, templates: Sequence[Tuple], order: Sequence[int]):
+        items = [item for ti in set(order) for item in templates[ti][0]]
+        deps = {dep for item in items for dep in item[3]}
+        ages = [age for age, _ in deps if age is not None]
+        self.order = order
+        self.issue_width = uarch.issue_width
+        self.window = max([uarch.rob_size] + ages)
+        self.reach = 1 + max(
+            (offset for age, offset in deps if age is not None), default=0
+        )
+        self.constant = max(
+            (offset for age, offset in deps if age is None), default=0
+        )
+        #: The front-end never binds a copy whose release lies this far
+        #: behind B (less the release the period adds).
+        self.lead = -1 - max((item[2] for item in items), default=0)
+        # Ports that share a candidate set, joined transitively: binding
+        # compares loads within a component only.
+        component = {p: {p} for p in uarch.ports}
+        for pset in {item[0] for item in items}:
+            merged = set().union(*(component[p] for p in pset))
+            for p in merged:
+                component[p] = merged
+        self.components = {
+            tuple(sorted(ports)) for ports in component.values()
+            if len(ports) > 1
+        }
+        #: The latest copy each per-copy signature was seen at.
+        self.seen: Dict[Tuple[int, int], int] = {}
+        self.snapshots: Dict[int, _Snapshot] = {}
+
+    def period(
+        self, finish: List[int], uops: int, k: int, disp, phase, retire,
+        issue, divider_free, idle_end, divider_disp, port_counts,
+        frontend_release,
+    ) -> int:
+        """The period proved at the boundary after ``k`` µops, or 0.
+
+        A snapshot is taken only when the last copy's ``(finish delta,
+        µops)`` repeats at some lag up to :data:`MAX_LAG`, once the
+        window is filled."""
+        copies = len(finish)
+        signature = (
+            finish[-1] - (finish[-2] if copies > 1 else -1), uops
+        )
+        last = self.seen.get(signature, -MAX_LAG)
+        self.seen[signature] = copies
+        if (
+            copies - last > MAX_LAG or k < self.window
+            or copies == len(self.order)
+        ):
+            return 0
+        base = issue[k - 1]
+        start = k - self.window
+        floor = base - self.reach
+        state = (
+            # Phases of the collapsed dispatches too: in a steady state
+            # they repeat anyway, and a finer state is still sound.
+            tuple(d - base if d > floor else None for d in disp[start:k]),
+            tuple(phase[start:k]),
+            tuple(
+                r - base
+                for r in retire[bisect_right(retire, base, start, k):k]
+            ),
+            tuple(max(c - base, -1) for c in issue[k - self.issue_width:k]),
+            max(divider_free - base, 0),
+            max(idle_end - base, 0),
+            tuple(sorted(
+                (pos, d - base) for pos, d in divider_disp.items()
+                if d >= base
+            )),
+        )
+        now = _Snapshot(
+            copies, k, base, state, dict(port_counts), frontend_release
+        )
+        snapshots = self.snapshots = {
+            c: s for c, s in self.snapshots.items() if c >= copies - MAX_LAG
+        }
+        snapshots[copies] = now
+        for lag in range(1, MAX_LAG + 1):
+            before = snapshots.get(copies - lag)
+            if before is not None and self.proves(before, now):
+                return lag
+        return 0
+
+    def proves(self, first: _Snapshot, second: _Snapshot) -> bool:
+        """Do the copies after *second* repeat those after *first*?
+
+        ``state`` must be equal, the remaining order too, and every
+        constant-ready input at or before B1.  Port loads: within each
+        component the ports sort alike by (load, id), and a gap between
+        consecutive ports may differ only if it was at least C (the
+        µops between the snapshots) at *first* and did not shrink; in
+        the C µops after either snapshot the lower port then stays
+        strictly below, and the gap keeps growing after *second*.
+        Front-end lead: it may differ only if it did not grow and at
+        *first* lay so far behind B that, over the period's release, no
+        µop's front-end bound reaches the issue cycle; it then keeps
+        falling.  (The release deltas of templates are non-negative,
+        as rename's front-end release never falls.)
+        """
+        if first.state != second.state or self.constant > first.base:
+            return False
+        order = self.order
+        rest = len(order) - second.copies
+        if order[second.copies:] != order[first.copies:first.copies + rest]:
+            return False
+        lead = first.frontend_release - first.base
+        later_lead = second.frontend_release - second.base
+        if later_lead != lead and not (later_lead < lead <= self.lead - (
+            second.frontend_release - first.frontend_release
+        )):
+            return False
+        between = second.uops - first.uops
+        before, after = first.loads, second.loads
+        for ports in self.components:
+            ranked = sorted(ports, key=lambda p: (before[p], p))
+            if ranked != sorted(ports, key=lambda p: (after[p], p)):
+                return False
+            for low, high in zip(ranked, ranked[1:]):
+                gap = before[high] - before[low]
+                later_gap = after[high] - after[low]
+                if later_gap != gap and not between <= gap <= later_gap:
+                    return False
+        return True
 
 
 def schedule_analytic(
     uarch,
     templates: Sequence[Tuple],
     order: Sequence[int],
-    resume: Optional[ProbeResult] = None,
 ) -> Optional[ProbeResult]:
     """One-pass closed-form schedule; ``None`` on a divider reorder.
 
-    Plays ``templates[i]`` for each ``i`` in *order*, one copy each.  A
-    template is ``(items, frontend_release delta, fused-µop delta)``,
-    its items as :func:`encode_uops` writes them; a copy's ``min_issue``
-    values are relative to the front-end release accumulated over the
-    copies before it.  With *resume*, the latest result of a stream, the
-    copies continue that stream and the result covers all of them; the
-    earlier result keeps its columns but cannot be resumed again.  On
-    ``None`` the state is spent.
+    Plays ``templates[i]`` for each ``i`` in *order*, one copy each, and
+    stops early once :class:`_SteadyState` proves the rest periodic
+    (``ProbeResult.period``).  A template is ``(items, frontend_release
+    delta, fused-µop delta)``, its items as :func:`encode_uops` writes
+    them; a copy's ``min_issue`` values are relative to the front-end
+    release accumulated over the copies before it.
 
     **Dispatch.**  Each port dispatches its oldest ready µop per cycle.
     A µop's effective ready cycle ``eff`` (inputs visible to its port's
@@ -209,6 +368,7 @@ def schedule_analytic(
     wherever it answers *R* never reorders the divider and ``S == R``.
     The test is conservative (it ignores whether ``j``'s own port was
     free), and older-only, so the prefix property holds throughout.
+    It reads the snapshot's state, so past a proof it never fires.
     """
     issue_width = uarch.issue_width
     retire_width = uarch.retire_width
@@ -216,42 +376,38 @@ def schedule_analytic(
     rs_size = uarch.rs_size
     port_order = tuple(uarch.ports)
     port_pos = {p: i for i, p in enumerate(port_order)}
+    steady = (
+        _SteadyState(uarch, templates, order) if len(order) > 1 else None
+    )
 
-    if resume is None:
-        state = _Recurrence(port_order)
-        finish: List[int] = []
-        per_ports: List[Dict[int, int]] = []
-        per_uops: List[int] = []
-        per_fused: List[int] = []
-    else:
-        state = resume.state
-        if state.copies != resume.copies:
-            raise ValueError("only the latest result of a stream resumes")
-        finish = list(resume.finish)
-        per_ports = list(resume.ports)
-        per_uops = list(resume.uops)
-        per_fused = list(resume.fused)
-
-    state.copies = -1  # spent until this call completes
-    issue = state.issue
-    disp = state.disp
-    phase = state.phase
-    retire = state.retire
-    k = len(issue)
-    added = [0] * sum(len(templates[ti][0]) for ti in order)
-    for column in (issue, disp, phase, retire):
-        column.extend(added)
-    port_counts = state.port_counts
-    taken = state.taken
-    rs_top = state.rs_top
-    rs_full = len(rs_top) == rs_size
-    divider_free = state.divider_free
-    idle_end = state.idle_end
-    divider_disp = state.divider_disp
-    frontend_release = state.frontend_release
+    finish: List[int] = []
+    per_ports: List[Dict[int, int]] = []
+    per_uops: List[int] = []
+    per_fused: List[int] = []
+    #: Per µop: issue, dispatch, dispatch phase, retire.
+    size = sum(len(templates[ti][0]) for ti in order)
+    issue = [0] * size
+    disp = [0] * size
+    phase = [0] * size
+    retire = [0] * size
+    k = 0
+    #: µops bound to each port so far (binding reads the loads), and per
+    #: port the first-free-slot map of the cycles older µops took.
+    port_counts: Dict[int, int] = {p: 0 for p in port_order}
+    taken: Dict[int, Dict[int, int]] = {p: {} for p in port_order}
+    #: The ``rs_size`` largest dispatch cycles of port-bound µops so far.
+    rs_top: List[int] = []
+    rs_full = False
+    #: Divider state: the cycle it frees, the end of its latest idle
+    #: stretch, and the latest divider dispatch per port position.
+    divider_free = 0
+    idle_end = 0
+    divider_disp: Dict[int, int] = {}
+    frontend_release = 0
     copy_start = dict(port_counts)
-    last_issue = issue[k - 1] if k else 0
-    last_retire = retire[k - 1] if k else 0
+    last_issue = 0
+    last_retire = 0
+    period = 0
 
     for ti in order:
         items, fr_delta, fused_delta = templates[ti]
@@ -394,16 +550,20 @@ def schedule_analytic(
         copy_start = copy_end
         per_uops.append(len(items))
         per_fused.append(fused_delta)
+        if steady is not None:
+            period = steady.period(
+                finish, len(items), k, disp, phase, retire, issue,
+                divider_free, idle_end, divider_disp, port_counts,
+                frontend_release,
+            )
+            if period:
+                break
 
-    state.divider_free = divider_free
-    state.idle_end = idle_end
-    state.frontend_release = frontend_release
-    state.copies = len(finish)
     return ProbeResult(
         retire[k - 1] + 1 if k else 0,
         finish,
         per_ports,
         per_uops,
         per_fused,
-        state,
+        period,
     )

@@ -54,7 +54,7 @@ class RunStatistics:
     #: Timing-kernel work split: cycles of the full-length runs the core
     #: timed (the full rung, or every run of the reference kernel), and
     #: the closed-form targets served beyond their scheduled stream by
-    #: its verified timing period, with the cycles that extrapolation
+    #: its proved timing period, with the cycles that extrapolation
     #: covered.
     cycles_simulated: int = _counter("simulation")
     cycles_extrapolated: int = _counter("simulation")
@@ -79,6 +79,11 @@ class RunStatistics:
     #: divider µop could take the divider first; like the other
     #: declines, each target ran at full length.
     divider_reorders: int = _counter("simulation")
+    #: Closed-form passes that ran (memo hits replay none of this):
+    #: the copies they scheduled, and the streams whose timing period
+    #: they proved before the longest target.
+    copies_scheduled: int = _counter("simulation")
+    periods_proved: int = _counter("simulation")
     #: Experiment-executor counters: how many experiments the plans
     #: emitted, how many were deduplicated away before reaching the
     #: backend, how many were actually dispatched, and the time split

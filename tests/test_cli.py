@@ -119,8 +119,12 @@ class TestCommands:
             f"{stats['declined_moving_addresses']}, "
             f"declined_front_end {stats['declined_front_end']}, "
             f"declined_no_period {stats['declined_no_period']}, "
-            f"divider_reorders {stats['divider_reorders']}"
+            f"divider_reorders {stats['divider_reorders']}, "
+            f"copies_scheduled {stats['copies_scheduled']}, "
+            f"periods_proved {stats['periods_proved']}"
         ]
+        # Some closed-form streams stop at a proved timing period.
+        assert stats["periods_proved"] > 0
 
         # A warm re-run serves everything from the cache and emits
         # byte-identical XML.

@@ -7,9 +7,9 @@ younger divider µop could take the divider first) — and every
 rung must (a) take the fallback it claims to take and (b) stay
 bit-identical to simulating each target outright.  Each edge gets a
 targeted test: reference-kernel opt-out, divider forms, store forms, the
-probe-size rule, sub-probe targets, undetected timing periods,
-rename-snapshot misses, divider reorders, the structural memo, and the
-rung accounting the backend reports.
+stop at a proved timing period, sub-probe targets, streams with no
+proof, rename-snapshot misses, divider reorders, the structural memo,
+and the rung accounting the backend reports.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from repro.analysis.sampling import stratified_sample
 from repro.core.codegen import independent_sequence, instantiate
 from repro.isa.assembler import parse_sequence
 from repro.isa.database import load_default_database
+from repro.core.port_usage import _blocking_code
 from repro.measure import extrapolate
 from repro.measure.backend import HardwareBackend, MeasurementConfig
 from repro.measure.extrapolate import (
-    MIN_PROBE,
     _fixed_addresses,
     _form_blockers,
-    _first_probe,
     _uses_divider,
     _uses_stores,
     unrolled_counters,
@@ -89,9 +88,9 @@ DIVIDER_REORDER = "SQRTSD XMM1, XMM1\nDIVSD XMM0, XMM1\nDIVSD XMM2, XMM3"
 
 
 class TestDividerFallback:
-    """Divider forms never extrapolate: the closed form reads every
-    target off the longest target's stream, and the reference kernel
-    simulates each."""
+    """Divider forms: the closed form schedules their class-aware
+    templates (20 copies prove no period here, so every target is a
+    prefix), and the reference kernel simulates each target."""
 
     @pytest.mark.parametrize("kernel", ["reference", "analytic"])
     def test_simulates_all(self, kernel):
@@ -160,59 +159,40 @@ class TestStoresFallback:
         ))
 
 
-def _scheduled_copies(monkeypatch):
-    """Record the copies each closed-form call schedules: a whole
-    stream, or the copies an extension adds to the stream it resumes."""
-    seen = []
-    original = extrapolate.schedule_analytic
-
-    def spy(uarch, templates, order, resume=None):
-        seen.append(len(order))
-        return original(uarch, templates, order, resume)
-
-    monkeypatch.setattr(extrapolate, "schedule_analytic", spy)
-    return seen
-
-
 class TestProbeRule:
-    """One probe when one doubling would reach the longest target."""
+    """A proved steady state stops the pass before the longest target.
 
-    @pytest.mark.parametrize("targets, first", [
-        ((5, 25), 25), ((10, 110), MIN_PROBE), ((3, 7), 7),
-        ((2, 36), 36), ((2, 37), MIN_PROBE),
-    ])
-    def test_first_probe(self, targets, first):
-        assert _first_probe(targets) == first
+    A port-bound blocker body (16 ``ADD`` blockers and an ``IMUL``, as
+    port-usage inference measures it) fills SKL's 224-µop ROB window in
+    14 copies and settles; the pass stops at the proof and the targets
+    beyond it are extrapolated from the proved period, bit-identical to
+    the reference loop."""
 
     @pytest.mark.parametrize("targets, probes", [
-        ((5, 25), [25]), ((10, 110), [MIN_PROBE, MIN_PROBE]),
+        ((5, 25), [18]), ((10, 110), [18]),
     ])
-    def test_probes_scheduled(self, targets, probes, monkeypatch):
-        """Each copy is scheduled once: the doubling that verifies the
-        period resumes the first probe and schedules only the copies it
-        adds, 25 in all for 5/25 and 36 for 10/110."""
-        seen = _scheduled_copies(monkeypatch)
-        core = Core(get_uarch("SKL"))
-        code = _body("ADD_R64_R64")
-        results, stats = unrolled_counters(core, code, None, targets)
-        assert seen == probes
-        assert sum(seen) == {25: 25, 110: 36}[targets[-1]]
+    def test_probes_scheduled(self, targets, probes):
+        """*probes*: the length of each stream scheduled, each stopped
+        at a proof."""
+        code = _blocking_code(
+            DATABASE.by_uid("IMUL_R64_R64"), DATABASE.by_uid("ADD_R64_R64"),
+            16,
+        )
+        core, _results, stats = check_ladder("SKL", "analytic", code, targets)
+        assert stats.copies_scheduled == sum(probes) < targets[-1]
+        assert stats.periods_proved == len(probes)
         assert stats.runs_analytic == len(targets)
-        assert stats.runs_extrapolated == (targets[-1] > sum(probes))
+        assert stats.runs_extrapolated == 1
         assert stats.runs_full == 0
         assert core.cycles_simulated == 0
-        expected = _expected("SKL", code, targets)
-        for t in targets:
-            assert_identical(results[t], expected[t], f"(x{t})")
 
 
 class TestShortProbes:
-    """Targets below MIN_PROBE are prefixes of one short probe: no
-    extrapolation, and the probe is clamped to the largest target."""
+    """Targets too short for a proof are prefixes of one short stream:
+    no extrapolation, and the stream is as long as the largest target."""
 
     def test_all_targets_prefix(self):
         targets = [3, 7]
-        assert targets[-1] < MIN_PROBE
         core, _results, stats = check_ladder(
             "SKL", "analytic", _body("IMUL_R64_R64"), targets
         )
@@ -220,50 +200,41 @@ class TestShortProbes:
         assert stats.runs_extrapolated == 0
         assert stats.cycles_extrapolated == 0
 
-    def test_probe_not_longer_than_largest_target(self, monkeypatch):
-        seen = _scheduled_copies(monkeypatch)
+    def test_probe_not_longer_than_largest_target(self):
         core = Core(get_uarch("SKL"))
-        unrolled_counters(core, _body("ADD_R64_R64"), None, [3, 7])
-        assert seen == [7]
+        _results, stats = unrolled_counters(
+            core, _body("ADD_R64_R64"), None, [3, 7]
+        )
+        assert stats.copies_scheduled == 7
+        assert stats.periods_proved == 0
 
 
 class TestNoPeriodFallback:
-    """When no timing period is detected the longest target is scheduled
-    at its own length and every target is read off it.  The long target
-    lies beyond one doubling of :data:`MIN_PROBE`, so the probe stays
-    short and the fallback is actually reached."""
+    """A stream with no proof is scheduled to the longest target and
+    every target is read off it.  Two ``ADD_R64_R64`` per copy never
+    fill SKL's ROB in 40 copies, and a snapshot needs a full ROB window,
+    so the pass never proves a period here."""
 
     TARGETS = [2, 40]
 
     def test_targets_need_a_period(self):
-        assert _first_probe(self.TARGETS) == MIN_PROBE < self.TARGETS[-1]
+        assert 2 * self.TARGETS[-1] < get_uarch("SKL").rob_size
 
-    def test_probe_falls_back_to_full_length(self, monkeypatch):
-        """The first probe is scheduled; with no period the stream is
-        extended to the long target, which serves both.  Pins the copy
-        counts of this rare path: the extension resumes the probe, so
-        the 40 copies are scheduled once, none twice."""
-        monkeypatch.setattr(
-            extrapolate, "_detect_period", lambda signatures: None
-        )
-        seen = _scheduled_copies(monkeypatch)
+    def test_probe_falls_back_to_full_length(self):
+        """Each of the 40 copies is scheduled once, none twice."""
         core, _results, stats = check_ladder(
             "SKL", "analytic", _body("ADD_R64_R64"), self.TARGETS
         )
-        assert seen == [MIN_PROBE, self.TARGETS[-1] - MIN_PROBE]
-        assert sum(seen) == self.TARGETS[-1]
+        assert stats.copies_scheduled == self.TARGETS[-1]
+        assert stats.periods_proved == 0
         assert stats.runs_analytic == 2
         assert stats.runs_full == 0
         assert stats.runs_extrapolated == 0
         assert stats.cycles_extrapolated == 0
 
-    def test_analytic_extends_exactly(self, monkeypatch):
-        """The closed form needs no timing period for its own probe —
-        but beyond-probe targets without one are scheduled at full
-        length instead of extrapolated."""
-        monkeypatch.setattr(
-            extrapolate, "_detect_period", lambda signatures: None
-        )
+    def test_analytic_extends_exactly(self):
+        """The closed form needs no timing period: without one, every
+        target is scheduled in full, not simulated."""
         core, _results, stats = check_ladder(
             "SKL", "analytic", _body("ADD_R64_R64"), self.TARGETS
         )
@@ -363,12 +334,16 @@ class TestDividerReorder:
             assert again == stats
 
     def test_served_divider_body_counts_no_reorder(self):
+        """A served divider body extrapolates like any other: its
+        period is proved after 20 of 110 copies."""
         code = [instantiate(DATABASE.by_uid("DIV_R64"))] * 3
         _core, _results, stats = check_ladder(
             "SKL", "analytic", code, [10, 110]
         )
         assert stats.divider_reorders == 0
         assert stats.runs_analytic == 2
+        assert (stats.copies_scheduled, stats.periods_proved) == (20, 1)
+        assert stats.runs_extrapolated == 1
 
 
 class TestStructuralMemo:

@@ -16,8 +16,11 @@ over
   portless/load/store µops, divider occupancy, dependency DAGs), long
   streams that fill the reservation station and the ROB, and divider
   µops spread over several ports with idle divider gaps — plus the
-  prefix property the measurement ladder reads unroll targets by and
-  the resumed schedule a longer probe extends a shorter one with,
+  prefix property the measurement ladder reads unroll targets by, and
+  the steady-state proof it stops scheduling at: each strategy's stream
+  played as a loop body (and a loop whose reservation station fills
+  slowly), every copy after a proved period equal to the copy a period
+  earlier,
 * synthetic instruction forms (1–4 µops per instruction, random port
   sets and latencies, divider value classes) injected into the ground
   truth entry cache, and
@@ -37,8 +40,9 @@ over
 asserting exact equality across all tiers on SKL and NHM.
 
 Budget: ``REPRO_FUZZ_EXAMPLES`` scales every strategy (default 100 →
-100 + 25 + 25 + 100 + 80 + 34 + 34 + 34 + 34 + 34 = 500 generated cases
-per microarchitecture; the CI ``sim-fuzz`` job raises it).  Failures
+100 + 25 + 50 + 25 + 25 + 100 + 80 + 34 + 34 + 34 + 34 + 34 = 575
+generated cases per microarchitecture; the CI ``sim-fuzz`` job raises
+it).  Failures
 print a ``@reproduce_failure`` blob (``print_blob``); run CI with
 ``--hypothesis-seed=random`` so the seed itself is printed too.
 """
@@ -49,7 +53,7 @@ import os
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.codegen import independent_sequence, instantiate
@@ -57,7 +61,12 @@ from repro.isa.assembler import parse_sequence
 from repro.isa.database import load_default_database
 from repro.isa.operands import Memory
 from repro.measure.backend import HardwareBackend, MeasurementConfig
-from repro.measure.extrapolate import _divider_classes, _fixed_addresses
+from repro.measure.extrapolate import (
+    _divider_classes,
+    _extrapolated_counters,
+    _fixed_addresses,
+    _prefix_counters,
+)
 from repro.pipeline.analytic import (
     encode_uops,
     schedule_analytic,
@@ -289,6 +298,192 @@ def build_stream(plan):
     return uops
 
 
+@st.composite
+def rs_fill_plans(draw, port_pool):
+    """One iteration of a loop with a long transient, and its carried
+    dependency: a spine µop of latency 8–60 reads the previous
+    iteration's spine, and the iteration's other µops hang off the spine
+    or are ready at once.  Issue runs ahead of the spine until the
+    reservation station (or the ROB) is full, so the finish delta of
+    every copy is the spine latency long before the schedule is
+    periodic."""
+    n = draw(st.integers(2, 24), label="uops")
+    hung = draw(st.integers(1, n - 1), label="hung")
+    plan = [(
+        tuple(sorted(draw(st.sets(
+            st.sampled_from(port_pool), min_size=1, max_size=2
+        ), label="spine ports"))),
+        draw(st.integers(8, 60), label="spine latency"),
+        KIND_ALU, 0, 0, (),
+    )]
+    for i in range(1, n):
+        ports = tuple(sorted(draw(st.sets(
+            st.sampled_from(port_pool), min_size=0, max_size=3
+        ), label="ports")))
+        deps = ((0, plan[0][1]),) if i <= hung else ()
+        plan.append((ports, draw(st.sampled_from((1, 1, 3, 5))), KIND_ALU,
+                     0, 0, deps))
+    return tuple(plan), ((0, 0, plan[0][1]),)
+
+
+@st.composite
+def small_loop_plans(draw, port_pool):
+    """A 1–9 µop loop iteration: few ports, independent long-latency
+    µops beside short chains, so retire comes in waves the dispatch
+    pattern does not show."""
+    plan = []
+    min_issue = 0
+    for i in range(draw(st.integers(1, 9), label="uops")):
+        ports = () if draw(st.integers(0, 9)) < 3 else tuple(sorted(draw(
+            st.sets(st.sampled_from(port_pool), min_size=1, max_size=2)
+        )))
+        deps = ()
+        if i and draw(st.booleans()):
+            deps = ((draw(st.integers(0, i - 1)),
+                     draw(st.sampled_from((0, 1, 3, 10, 30)))),)
+        min_issue += draw(st.sampled_from((0, 0, 0, 1, 2)))
+        plan.append((ports, draw(st.sampled_from((1, 1, 3, 5, 20, 60))),
+                     KIND_ALU, 0, min_issue, deps))
+    return tuple(plan)
+
+
+@st.composite
+def loop_plans(draw, port_pool):
+    """A stream of any synthetic strategy, or a small loop body, as one
+    loop iteration, with 0–3 carried dependencies ``(consumer,
+    producer, offset)`` on the previous iteration's µops."""
+    plan = draw(st.one_of(
+        _any_stream_plans(port_pool), small_loop_plans(port_pool)
+    ), label="iteration")
+    n = len(plan)
+    carried = tuple(draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 30),
+    ), max_size=3), label="carried"))
+    return plan, carried
+
+
+def _iterations(plan, carried, stride, count, start=0):
+    """*count* iterations of *plan* as one plan whose µops start at
+    index *start*: iteration ``r`` issues ``r * stride`` later and
+    reads, through each carried dependency, the producer of iteration
+    ``r - 1``."""
+    n = len(plan)
+    out = []
+    for r in range(count):
+        base = start + r * n
+        for i, (ports, latency, kind, divider, min_issue, deps) in (
+            enumerate(plan)
+        ):
+            deps = tuple(
+                (None if p is None else p + base, offset)
+                for p, offset in deps
+            )
+            if r:
+                deps += tuple(
+                    (base - n + producer, offset)
+                    for consumer, producer, offset in carried
+                    if consumer == i
+                )
+            out.append(
+                (ports, latency, kind, divider, min_issue + r * stride, deps)
+            )
+    return tuple(out)
+
+
+def loop_templates(plan, carried, cuts, stride, iterations, prologue=()):
+    """Templates and order of *plan* played *iterations* times.
+
+    *cuts* split the body into copies (the last cut is ``len(plan)``).
+    The templates are the *prologue*'s (played once first, if any), the
+    first iteration's copies (no carried input yet) and the second's,
+    and the order plays the prologue and the first iteration, then
+    cycles the second's copies.  Returns ``(templates, order)``."""
+    n = len(plan)
+    per = len(cuts)
+    head = [len(prologue)] if prologue else []
+    uops = build_stream(
+        prologue + _iterations(plan, carried, stride, 3, len(prologue))
+    )
+    templates = _segments(uops, head + [
+        len(prologue) + c + r * n for r in range(3) for c in cuts
+    ])[:len(head) + 2 * per]
+    steady = len(head) + per
+    order = list(range(steady)) + [
+        steady + c % per for c in range(per * (iterations - 1))
+    ]
+    return templates, order
+
+
+def draw_loop(data, loop):
+    """:func:`loop_templates` of a drawn loop, cut into 1–4 copies per
+    iteration.  An optional prologue is a burst of independent µops on
+    one of the body's ports: it loads that port ahead of the others and
+    holds issue back while it drains, so port gaps shrink and the
+    front-end lead grows for a while."""
+    plan, carried = loop
+    n = len(plan)
+    cuts = sorted(data.draw(
+        st.lists(st.integers(0, n), max_size=3), label="cuts"
+    )) + [n]
+    stride = plan[-1][4] - plan[0][4] + data.draw(
+        st.sampled_from((0, 0, 1, 2, 4, 8, 16, 32)), label="stride"
+    )
+    iterations = max(2, data.draw(
+        st.sampled_from((3000, 1000, 100)), label="uops"
+    ) // n)
+    prologue = ()
+    ports = sorted({p for step in plan for p in step[0]})
+    burst = data.draw(st.sampled_from((0, 0, 40, 300, 1000)), label="burst")
+    if burst and ports:
+        port = data.draw(st.sampled_from(ports), label="burst port")
+        prologue = (((port,), 1, KIND_ALU, 0, 0, ()),) * burst
+    return loop_templates(plan, carried, cuts, stride, iterations, prologue)
+
+
+def assert_proof_holds(uarch, templates, order, context):
+    """The pass's proof is sound on *order*: where it stops with period
+    ``p``, a pass that cannot stop (every copy its own template, so no
+    two boundaries see the same order ahead) schedules the same prefix
+    and then repeats, each later copy equal to the copy ``p`` earlier;
+    and every target extrapolates to that pass's counters.  Returns
+    the period (0 if none)."""
+    proved = schedule_analytic(uarch, templates, order)
+    whole = schedule_analytic(
+        uarch, [templates[i] for i in order], range(len(order))
+    )
+    if proved is None:
+        assert whole is None, f"{context}: reorder before the stop, alone"
+        return 0
+    assert whole is not None, f"{context}: a reorder after the proof"
+    assert whole.period == 0 and whole.copies == len(order)
+    n = proved.copies
+    assert proved[:5] == (
+        whole.finish[n - 1] + 1, whole.finish[:n], whole.ports[:n],
+        whole.uops[:n], whole.fused[:n],
+    ), f"{context}: the prefix property"
+    p = proved.period
+    if not p:
+        assert n == len(order), f"{context}: stopped without a proof"
+        return 0
+
+    def column(k):
+        return (
+            whole.finish[k] - whole.finish[k - 1], whole.ports[k],
+            whole.uops[k], whole.fused[k],
+        )
+
+    for k in range(n, len(order)):
+        assert column(k) == column(k - p), (
+            f"{context}: copy {k} differs from copy {k - p} "
+            f"(period {p} proved after {n} copies)"
+        )
+    for t in (n + 1, len(order)):
+        assert _extrapolated_counters(proved, t, 1, uarch.ports) == (
+            _prefix_counters(whole, t, 1, uarch.ports)
+        ), f"{context}: extrapolated x{t}"
+    return p
+
+
 def assert_two_tiers(uarch, plan, context):
     """The closed form (wherever it answers) and the default ``_timing``
     equal the reference loop on *plan*.  Each times a fresh stream: the
@@ -346,39 +541,27 @@ class TestSyntheticStreams:
         } == prefix.port_uops
 
     @given(data=st.data())
-    @settings(max_examples=max(_BUDGET // 4, 10), **_SETTINGS)
-    def test_resumed_columns_identical(self, uarch_name, data):
-        """Scheduling ``m`` copies and then extending the stream to
-        ``n`` — in one or more steps, each resuming the last — gives
-        per-copy columns identical to scheduling the ``n`` copies in one
-        pass, and each step's result is the prefix of that pass."""
+    @settings(max_examples=max(_BUDGET // 2, 10), **_SETTINGS)
+    def test_proved_period_repeats(self, uarch_name, data):
+        """The steady-state proof: a stream of any strategy played as a
+        loop body, each copy after a proved period equal to the copy a
+        period earlier (:func:`assert_proof_holds`)."""
         uarch = get_uarch(uarch_name)
-        plan = data.draw(_any_stream_plans(uarch.ports), label="stream")
-        cuts = _draw_cuts(data, len(plan))
-        n = len(cuts)
-        stops = sorted(set(data.draw(st.one_of(
-            st.lists(st.integers(0, n), max_size=8),
-            st.just(range(n)),  # resume at every boundary
-        ), label="resume at")) | {n})
-        templates = _segments(build_stream(plan), cuts)
-        whole = schedule_analytic(uarch, templates, range(n))
-        scheduled, done = None, 0
-        for stop in stops:
-            scheduled = schedule_analytic(
-                uarch, templates, range(done, stop), scheduled
-            )
-            if scheduled is None:
-                # The divider reorder lies in the copies up to stop.
-                assert whole is None
-                return
-            done = stop
-            if whole is not None:
-                assert scheduled[:5] == (
-                    whole.finish[stop - 1] + 1 if stop else 0,
-                    whole.finish[:stop], whole.ports[:stop],
-                    whole.uops[:stop], whole.fused[:stop],
-                ), f"({uarch_name} resumed at {stops})"
-        assert whole is not None, "the resumed stream missed a reorder"
+        loop = data.draw(loop_plans(uarch.ports), label="loop")
+        templates, order = draw_loop(data, loop)
+        period = assert_proof_holds(uarch, templates, order, uarch_name)
+        event("proved" if period else "not proved")
+
+    @given(data=st.data())
+    @settings(max_examples=max(_BUDGET // 4, 10), **_SETTINGS)
+    def test_rs_fill_proved_period_repeats(self, uarch_name, data):
+        """The proof across a long transient: a reservation-station fill
+        whose finish deltas repeat long before the schedule does."""
+        uarch = get_uarch(uarch_name)
+        loop = data.draw(rs_fill_plans(uarch.ports), label="loop")
+        templates, order = draw_loop(data, loop)
+        period = assert_proof_holds(uarch, templates, order, uarch_name)
+        event("proved" if period else "not proved")
 
     @given(data=st.data())
     @settings(max_examples=max(_BUDGET // 4, 10), **_SETTINGS)
@@ -909,12 +1092,84 @@ def test_analytic_answers_common_shapes(uarch_name, monkeypatch):
 
 
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)
-def test_resumed_stream_sees_the_divider_reorder(uarch_name):
-    """A divider reorder whose idle divider stretch ended before the
-    resume point: the third divider µop is ready at cycle 21 while the
-    second waits 30 cycles for the first.  Resumed after every µop, the
-    stream declines exactly as the one-pass schedule does, so the
-    divider state (here ``idle_end``) survives each resume."""
+def test_proof_waits_for_the_rob_fill(uarch_name):
+    """A loop of a 20-cycle carried spine and 11 µops hung off it
+    retires one iteration per 20 cycles from the first copy on, while
+    issue runs ahead until the ROB is full.  The proof comes only after
+    the fill, and holds."""
+    uarch = get_uarch(uarch_name)
+    plan = (((0,), 20, KIND_ALU, 0, 0, ()),) + (
+        ((1, 5), 1, KIND_ALU, 0, 0, ((0, 20),)),
+    ) * 11
+    templates, order = loop_templates(plan, ((0, 0, 20),), [12], 0, 200)
+    proved = schedule_analytic(uarch, templates, order)
+    finish = proved.finish
+    assert {b - a for a, b in zip(finish, finish[1:])} == {20}
+    assert proved.period == 2  # the {1, 5} binding alternates
+    assert 12 * proved.copies > uarch.rob_size
+    assert assert_proof_holds(uarch, templates, order, uarch_name) == 2
+
+
+@pytest.mark.parametrize("uarch_name", UARCH_NAMES)
+def test_no_proof_from_the_dispatch_window_alone(uarch_name):
+    """A loop of four independent µops, one of them 60 cycles long:
+    every copy dispatches alike, but retire comes in waves a ROB apart
+    (56 copies on SKL, 32 on NHM), a period too long to prove.  Only
+    the retire cycles in the snapshot tell the copies apart."""
+    uarch = get_uarch(uarch_name)
+    plan = (
+        ((), 1, KIND_ALU, 0, 0, ()),
+        ((0,), 1, KIND_ALU, 0, 0, ()),
+        ((), 1, KIND_ALU, 0, 0, ()),
+        ((1,), 60, KIND_ALU, 0, 0, ()),
+    )
+    templates, order = loop_templates(plan, (), [4], 0, 300)
+    scheduled = schedule_analytic(uarch, templates, order)
+    assert (scheduled.copies, scheduled.period) == (300, 0)
+    assert assert_proof_holds(uarch, templates, order, uarch_name) == 0
+
+
+#: 300 independent µops on port 0, played once before a loop.
+_BURST = (((0,), 1, KIND_ALU, 0, 0, ()),) * 300
+
+
+@pytest.mark.parametrize("uarch_name", UARCH_NAMES)
+def test_proof_waits_for_the_port_gap_to_close(uarch_name):
+    """After a burst on port 0, a loop of four µops that may take port 0
+    or 1 binds all of them to port 1 until its load catches up, 75
+    iterations later; the gap shrinks meanwhile, so no proof comes
+    before it closes."""
+    uarch = get_uarch(uarch_name)
+    plan = (((0, 1), 1, KIND_ALU, 0, 0, ()),) * 4
+    templates, order = loop_templates(plan, (), [4], 0, 400, _BURST)
+    assert schedule_analytic(uarch, templates, order).copies > 76
+    assert assert_proof_holds(uarch, templates, order, uarch_name) == 1
+
+
+@pytest.mark.parametrize("uarch_name", UARCH_NAMES)
+def test_proof_waits_for_the_front_end_to_bind(uarch_name):
+    """A loop the front end releases every 3 cycles runs at one
+    iteration per cycle behind a burst that held issue back: the
+    front-end lead grows every iteration until the front end binds, and
+    no proof comes before."""
+    uarch = get_uarch(uarch_name)
+    plan = tuple(
+        ((p,), 1, KIND_ALU, 0, 0, ()) for p in uarch.ports[:4]
+    )
+    templates, order = loop_templates(plan, (), [4], 3, 400, _BURST)
+    proved = schedule_analytic(uarch, templates, order)
+    finish = proved.finish
+    assert finish[-1] - finish[-1 - proved.period] == 3 * proved.period
+    assert assert_proof_holds(uarch, templates, order, uarch_name)
+
+
+@pytest.mark.parametrize("uarch_name", UARCH_NAMES)
+def test_divider_reorder_after_an_idle_stretch(uarch_name):
+    """A divider reorder whose idle divider stretch ended two copies
+    earlier: the third divider µop is ready at cycle 21 while the second
+    waits 30 cycles for the first.  Played as one template per µop, the
+    stream declines, so the divider state (here ``idle_end``) carries
+    across copy boundaries."""
     uarch = get_uarch(uarch_name)
     plan = (
         ((4,), 3, KIND_ALU, 1, 1, ()),
@@ -923,14 +1178,6 @@ def test_resumed_stream_sees_the_divider_reorder(uarch_name):
     )
     templates = _segments(build_stream(plan), [1, 2, 3])
     assert schedule_analytic(uarch, templates, range(3)) is None
-    scheduled = None
-    for copy in range(3):
-        scheduled = schedule_analytic(
-            uarch, templates, (copy,), scheduled
-        )
-        if scheduled is None:
-            break
-    assert scheduled is None
 
 
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)
