@@ -167,11 +167,13 @@ def test_cold_sweep_executor_dedup(db, benchmark, emit):
     """The batched executor performs fewer backend dispatches than the
     inline path on a cold sweep.
 
-    Unlike the backend's own ``(code, init)`` cache — which serves a
-    repeated measurement but still counts a ``measure()`` call — the
-    executor's dedup memo keeps duplicated experiments (latency
+    The executor's memo is the one in-process cache of finished
+    measurements: it keeps duplicated experiments (latency
     calibrations, blocking sequences, isolation runs shared across
-    forms) from reaching the backend at all.  Both sweeps below run the
+    forms) from reaching the backend at all, while the inline side
+    sends every planned experiment to ``measure()`` (the backend keeps
+    no cache of its own, so each duplicate is measured again).  Both
+    sweeps below run the
     paper measurement configuration cold on NHM; the batched side must
     cut ``HardwareBackend.measure_calls`` by at least 20% while staying
     bit-identical, and the dedup rate lands in the benchmark JSON.

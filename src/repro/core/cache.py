@@ -308,6 +308,7 @@ class MeasurementMemo:
                 f"{self.cache_dir}"
             )
         self.salt = salt if salt is not None else cache_salt()
+        #: Entries loaded under a different salt, dropped on load.
         self.invalidations = 0
         #: Mid-file undecodable lines skipped on load — see
         #: :class:`ResultCache`.
@@ -342,7 +343,7 @@ class MeasurementMemo:
 
     def stats(self) -> RunStatistics:
         """This memo's counters so far, in the run's counter record."""
-        return _store_stats(self)
+        return _store_stats(self, memo_invalidations=self.invalidations)
 
     def key_for(
         self,

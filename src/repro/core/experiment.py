@@ -15,9 +15,11 @@ backend in hand), receives a :class:`ResultMap` for each batch, and finally
 The executor between the phases
 (:class:`~repro.measure.executor.ExperimentExecutor`) content-hashes
 experiments and dedupes identical ``(code, init)`` pairs across algorithms
-and across the forms of a sweep shard; any backend — the simulator, the
-IACA analyzer, or a future remote service — can execute batches through
-the optional ``measure_many`` protocol.
+and across the forms one runner characterizes; its memo is the one
+in-process cache of finished measurements.  It executes a batch by
+calling ``measure(code, init)`` once per distinct experiment, so any
+backend — the simulator, the IACA analyzer, or a future remote
+service — needs that one entry point only.
 
 A plan in this module's sense is any generator with the signature
 
@@ -83,8 +85,8 @@ class Experiment:
         init: Optional[Dict[str, int]] = None,
         tag: str = "",
     ) -> "Experiment":
-        """Normalize *code*/*init* exactly like the backends' cache keys
-        do (an empty ``init`` is the same measurement as no ``init``)."""
+        """Normalize *code*/*init* (an empty ``init`` is the same
+        measurement as no ``init``)."""
         return cls(
             tuple(code),
             tuple(sorted(init.items())) if init else None,

@@ -242,15 +242,24 @@ def trace_event(event: str, **fields) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _retry_delay(attempt: int, salt: str) -> float:
+def retry_delay(
+    attempt: int,
+    salt: str,
+    base: float = LOCK_RETRY_BASE,
+    cap: float = LOCK_RETRY_MAX,
+    jitter: float = LOCK_RETRY_JITTER,
+) -> float:
     """Deterministic backoff-plus-jitter delay for retry *attempt*
-    (1-based).  Mirrors ``RetryPolicy.delay_for``: the jitter fraction
-    is drawn from a digest of (attempt, salt), so two writers contending
-    for the same lock de-synchronize identically on every run."""
-    delay = min(LOCK_RETRY_MAX, LOCK_RETRY_BASE * 2 ** (attempt - 1))
+    (1-based): ``min(cap, base * 2**(attempt-1))`` stretched by up to
+    *jitter* of itself.  The jitter fraction is drawn from a digest of
+    (attempt, salt), so two writers contending for the same lock — or
+    two workers retrying the same flaky measurement — de-synchronize
+    identically on every run.  The defaults are the lock's; the
+    executor's ``RetryPolicy.delay_for`` passes its own fields."""
+    delay = min(cap, base * 2 ** (attempt - 1))
     digest = hashlib.sha256(f"{attempt}:{salt}".encode("utf-8")).digest()
     fraction = int.from_bytes(digest[:4], "big") / 2**32
-    return delay * (1.0 + LOCK_RETRY_JITTER * fraction)
+    return delay * (1.0 + jitter * fraction)
 
 
 def flock_bounded(
@@ -266,7 +275,7 @@ def flock_bounded(
     deadline).  A plain blocking ``flock`` can park a sweep forever
     behind a worker that died while holding the lock; polling a
     non-blocking attempt with capped exponential backoff (plus the
-    deterministic jitter of :func:`_retry_delay`) bounds the damage
+    deterministic jitter of :func:`retry_delay`) bounds the damage
     without stampeding the lock.
 
     The raw primitive: a successful acquisition is traced under the
@@ -288,7 +297,7 @@ def flock_bounded(
                 return False, attempt
             attempt += 1
             time.sleep(
-                min(_retry_delay(attempt, salt), deadline - now)
+                min(retry_delay(attempt, salt), deadline - now)
             )
 
 

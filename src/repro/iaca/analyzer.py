@@ -14,9 +14,8 @@ scheduler is assumed perfect.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.experiment import Experiment, ExperimentFailure
 from repro.iaca.tables import IacaEntry, iaca_entry
 from repro.isa.instruction import Instruction, InstructionForm
 from repro.pipeline.core import CounterValues
@@ -114,26 +113,3 @@ class IacaBackend:
             uops=total_uops,
             instructions=len(code),
         )
-
-    def measure_many(self, experiments: Sequence[Experiment]) -> List:
-        """Batch protocol of the experiment executor (see
-        :class:`~repro.measure.executor.ExperimentExecutor`): analyze
-        each experiment, capturing per-experiment failures instead of
-        aborting the batch."""
-        outcomes: List = []
-        for experiment in experiments:
-            try:
-                outcomes.append(
-                    self.measure(
-                        list(experiment.code), experiment.init_dict()
-                    )
-                )
-            except Exception as error:
-                outcomes.append(
-                    ExperimentFailure(
-                        error,
-                        key=experiment.content_key(),
-                        tag=experiment.tag,
-                    )
-                )
-        return outcomes

@@ -14,6 +14,11 @@ a full simulation of each unroll factor.  ``kernel="reference"`` runs
 the seed measurement loop verbatim instead, as the differential tests'
 oracle.
 
+Every backend has one entry point, ``measure(code, init)``.  It keeps no
+in-process cache of finished measurements: the experiment executor's
+memo (:mod:`repro.measure.executor`) is the one, so a repeat reaches a
+backend only when a caller measures outside an executor.
+
 Contract (enforced by ``repro lint``, RPR130): measurement entry points
 here raise only the :class:`BackendError` taxonomy (transient /
 permanent / timeout) — the executor's retry logic and the sweep
@@ -23,19 +28,9 @@ exception escaping a backend bypasses both.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Optional, Protocol, Sequence, Tuple
 
-from repro.core.experiment import Experiment, ExperimentFailure
 from repro.core.result import decode_counters, encode_counters
 from repro.isa.instruction import Instruction, InstructionForm
 from repro.measure.extrapolate import unrolled_counters
@@ -51,20 +46,12 @@ class MeasurementConfig:
     The paper uses ``unroll_small=10``, ``unroll_large=110`` and 100
     repetitions; the defaults here are scaled down because the simulator is
     deterministic and cycle-exact, which the tests verify.
-
-    ``max_cached_measurements`` bounds the backend's two in-process
-    stores (final per-copy averages and the core's structural
-    closed-form memo) with LRU eviction, so a full-catalog sweep cannot
-    grow memory without limit.  It is a resource knob, not part of the
-    measurement protocol: persistent cache keys are derived from
-    :meth:`protocol_fields` only.
     """
 
     unroll_small: int = 5
     unroll_large: int = 25
     repeats: int = 1
     warmup: bool = True
-    max_cached_measurements: Optional[int] = 100_000
 
     #: The paper's exact configuration, for protocol-fidelity tests.
     @classmethod
@@ -83,48 +70,13 @@ class MeasurementConfig:
         }
 
 
-class LRUDict(OrderedDict):
-    """A mapping bounded by least-recently-used eviction.
-
-    Reads refresh recency; inserting beyond ``max_entries`` evicts the
-    stalest entry and counts it in ``evictions``.  ``max_entries=None``
-    is unbounded (but still counts recency, so bounds can be compared
-    against an unbounded baseline in tests).
-    """
-
-    def __init__(self, max_entries: Optional[int] = None):
-        super().__init__()
-        self.max_entries = max_entries
-        self.evictions = 0
-
-    def __getitem__(self, key):
-        value = super().__getitem__(key)
-        self.move_to_end(key)
-        return value
-
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.move_to_end(key)
-        if self.max_entries is not None and len(self) > self.max_entries:
-            self.popitem(last=False)
-            self.evictions += 1
-
-
 class MeasurementBackend(Protocol):
     """What the inference algorithms need from an execution substrate.
 
-    Backends may additionally provide the optional batch entry point
-    ``measure_many(experiments) -> list`` of the executor protocol
-    (:class:`~repro.measure.executor.ExperimentExecutor`); when absent,
-    the executor's default implementation loops over :meth:`measure`.
-    Both concrete backends (:class:`HardwareBackend` and
-    :class:`~repro.iaca.analyzer.IacaBackend`) provide it.
+    :meth:`measure` is the one measurement entry point: the executor
+    (:class:`~repro.measure.executor.ExperimentExecutor`) calls it once
+    per distinct experiment and keeps the outcome, so a backend holds
+    no cache of finished measurements of its own.
     """
 
     name: str
@@ -144,15 +96,14 @@ class MeasurementBackend(Protocol):
 class HardwareBackend:
     """Measurements on the simulated hardware via performance counters.
 
-    Three result layers sit in front of the simulator, checked in order:
+    Each :meth:`measure` call that reaches the backend is one the
+    executor's memo has not answered yet.  It is served, in order, by
 
-    1. an in-process cache of final per-copy averages, keyed by the
-       hoisted ``(code, init)`` tuple,
-    2. an optional persistent, cross-process
+    1. an optional persistent, cross-process
        :class:`~repro.core.cache.MeasurementMemo` (injected — typically
-       by the sweep engine — so worker shards share the blocking/chain
+       by the sweep engine — so pool workers share the blocking/chain
        sub-measurements instead of each re-simulating them),
-    3. the simulator itself.  Both unroll factors of Algorithm 2 come
+    2. the simulator itself.  Both unroll factors of Algorithm 2 come
        from one pass down the measurement ladder
        (:func:`~repro.measure.extrapolate.unrolled_counters`): closed
        form where the analytic tier answers, else full simulation of
@@ -172,12 +123,7 @@ class HardwareBackend:
         self.uarch = uarch
         self.name = f"hw-{uarch.name}"
         self.config = config or MeasurementConfig()
-        bound = self.config.max_cached_measurements
-        self._cache = LRUDict(bound)
-        #: The core's structural closed-form memo, bounded alike.
-        self._analytic_memo = LRUDict(bound)
-        self._core = Core(uarch, kernel=kernel,
-                          analytic_memo=self._analytic_memo)
+        self._core = Core(uarch, kernel=kernel)
         self.memo = memo
         #: Number of measure() invocations over the backend's lifetime.
         #: The sweep engine's tests use this to prove that a warm-cache
@@ -189,23 +135,12 @@ class HardwareBackend:
         #: :func:`~repro.measure.extrapolate.unrolled_counters` call.
         self._ladder = RunStatistics()
 
-    @property
-    def kernel(self) -> str:
-        """The active timing kernel (read through to the core, which the
-        fusion/decoder extensions replace)."""
-        return self._core.kernel
-
-    @property
-    def cache_evictions(self) -> int:
-        return self._cache.evictions + self._analytic_memo.evictions
-
     def snapshot(self) -> RunStatistics:
         """This backend's counters so far (fold deltas of two of them)."""
         snapshot = RunStatistics(
             memo_hits=self.memo_hits,
             memo_misses=self.memo_misses,
             cycles_simulated=self._core.cycles_simulated,
-            cache_evictions=self.cache_evictions,
         )
         snapshot.merge(self._ladder)
         return snapshot
@@ -215,59 +150,11 @@ class HardwareBackend:
         code: Sequence[Instruction],
         init: Optional[Dict[str, int]] = None,
     ) -> CounterValues:
-        """Per-copy average counters using the unroll-difference protocol."""
+        """Per-copy average counters using the unroll-difference protocol:
+        the persistent memo's entry when it has one, else a simulation
+        (recorded in the memo)."""
         self.measure_calls += 1
         code = tuple(code)
-        key = (
-            code,
-            tuple(sorted(init.items())) if init else None,
-        )
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        return self._measure_miss(key, code, init)
-
-    def measure_many(self, experiments: Sequence[Experiment]) -> List[Any]:
-        """Batch entry point of the executor protocol.
-
-        An :class:`~repro.core.experiment.Experiment`'s identity tuple is
-        already the backend's cache key (same normalization), so the
-        per-call key construction of :meth:`measure` is hoisted away;
-        per-experiment errors become
-        :class:`~repro.core.experiment.ExperimentFailure` outcomes so one
-        bad chain cannot abort the rest of a batch.
-        """
-        outcomes: List[Any] = []
-        for experiment in experiments:
-            self.measure_calls += 1
-            key = (experiment.code, experiment.init)
-            cached = self._cache.get(key)
-            if cached is not None:
-                outcomes.append(cached)
-                continue
-            try:
-                outcomes.append(
-                    self._measure_miss(
-                        key, experiment.code, experiment.init_dict()
-                    )
-                )
-            except Exception as error:
-                outcomes.append(
-                    ExperimentFailure(
-                        error,
-                        key=experiment.content_key(),
-                        tag=experiment.tag,
-                    )
-                )
-        return outcomes
-
-    def _measure_miss(
-        self,
-        key,
-        code: Tuple[Instruction, ...],
-        init: Optional[Dict[str, int]],
-    ) -> CounterValues:
-        """Resolve a cache miss: memo probe, then simulation."""
         memo_key = None
         if self.memo is not None:
             memo_key = self.memo.key_for(
@@ -276,15 +163,12 @@ class HardwareBackend:
             data = self.memo.get(memo_key, self.uarch.name)
             if not self.memo.is_miss(data):
                 self.memo_hits += 1
-                per_copy = decode_counters(data)
-                self._cache[key] = per_copy
-                return per_copy
+                return decode_counters(data)
             self.memo_misses += 1
         if self._core.kernel == KERNEL_REFERENCE:
             per_copy = self._measure_reference(code, init)
         else:
             per_copy = self._measure_extrapolating(code, init)
-        self._cache[key] = per_copy
         if self.memo is not None:
             self.memo.put(
                 memo_key, self.uarch.name, encode_counters(per_copy)

@@ -2,19 +2,18 @@
 
 :class:`ExperimentExecutor` sits between the inference algorithms' plans
 (:mod:`repro.core.experiment`) and a measurement backend.  It owns the
-third caching layer of the stack (after the persistent result cache and
-the cross-process measurement memo): a content-addressed dedup memo over
-:class:`~repro.core.experiment.Experiment` identity, so an identical
-``(code, init)`` pair planned by two algorithms — or by two forms of the
-same sweep shard — is dispatched to the backend once.
+one in-process cache of finished measurements: a content-addressed memo
+over :class:`~repro.core.experiment.Experiment` identity, so an
+identical ``(code, init)`` pair planned by two algorithms — or by two
+forms characterized by the same runner — is measured once.  Below it
+sit only the persistent stores (the result cache and the cross-process
+measurement memo) and the core's structural closed-form memo.
 
-Dispatch goes through the optional ``measure_many`` protocol when the
-backend provides it (both :class:`~repro.measure.backend.HardwareBackend`
-and :class:`~repro.iaca.analyzer.IacaBackend` do), falling back to a loop
-over ``measure()``.  Per-experiment exceptions are captured as
-:class:`~repro.core.experiment.ExperimentFailure` and re-raised only when
-an interpreter reads the failed experiment, so batched execution keeps
-the inline path's exception semantics.
+:meth:`ExperimentExecutor._dispatch` is the one loop that calls the
+backend's ``measure(code, init)``.  It captures each experiment's
+exception as an :class:`~repro.core.experiment.ExperimentFailure`, which
+is re-raised only when an interpreter reads the failed experiment, so
+batched execution keeps the inline path's exception semantics.
 
 ``ExperimentExecutor(mode="inline")`` disables deduplication: every
 planned experiment is dispatched in plan order, replaying the seed
@@ -26,7 +25,6 @@ and the dedup benchmark's reference; sweeps always run batched.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 import time
 from typing import Any, Dict, List, Optional, Sequence
@@ -38,6 +36,7 @@ from repro.core.experiment import (
     Plan,
     ResultMap,
 )
+from repro.core.journal import retry_delay
 from repro.stats import RunStatistics
 
 #: Execution modes (see the module docstring).
@@ -70,14 +69,9 @@ class RetryPolicy:
 
     def delay_for(self, attempt: int, salt: str) -> float:
         """Backoff before retry round *attempt* (1-based)."""
-        base = min(
-            self.max_delay, self.base_delay * (2 ** (attempt - 1))
+        return retry_delay(
+            attempt, salt, self.base_delay, self.max_delay, self.jitter
         )
-        digest = hashlib.sha256(
-            f"{attempt}:{salt}".encode("utf-8")
-        ).digest()
-        fraction = int.from_bytes(digest[:4], "big") / 2**32
-        return base * (1.0 + self.jitter * fraction)
 
     @classmethod
     def from_env(cls) -> "RetryPolicy":
@@ -120,8 +114,9 @@ class ExperimentExecutor:
     """Deduplicating dispatcher of experiment batches to one backend.
 
     The dedup memo spans the executor's lifetime, which is what makes
-    sharing an executor across a whole sweep shard (see
-    :class:`~repro.core.sweep.SweepEngine`) collapse repeated chain,
+    sharing one executor across every form a
+    :class:`~repro.core.runner.CharacterizationRunner` characterizes
+    (one per sweep process, or per pool worker) collapse repeated chain,
     isolation, and blocking sub-measurements across forms — the inline
     algorithms could only ever reuse them per call site.
     """
@@ -222,15 +217,14 @@ class ExperimentExecutor:
         return outcomes
 
     def _dispatch(self, pending: Sequence[Experiment]) -> List[Any]:
-        measure_many = getattr(self.backend, "measure_many", None)
-        if measure_many is not None:
-            return list(measure_many(pending))
+        """Measure each experiment, capturing its error as an outcome so
+        one bad chain cannot abort the rest of a batch."""
         outcomes: List[Any] = []
         for experiment in pending:
             try:
                 outcomes.append(
                     self.backend.measure(
-                        list(experiment.code), experiment.init_dict()
+                        experiment.code, experiment.init_dict()
                     )
                 )
             except Exception as error:

@@ -78,10 +78,9 @@ import dataclasses
 import hashlib
 import os
 import signal
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro import measure as _measure
-from repro.core.experiment import Experiment, ExperimentFailure
 from repro.core.journal import CRASH_POINT_ENV
 # The registry of named crash points, derived in the journal.
 from repro.core.journal import CRASH_SITES as CRASH_SITES
@@ -241,8 +240,7 @@ def _content_key(code: Sequence, init) -> str:
     (form uid + concrete operands + init), minus uarch/config/salt."""
     parts = [f"{instruction.form.uid}|{instruction}" for instruction in code]
     if init:
-        items = init if isinstance(init, tuple) else tuple(sorted(init.items()))
-        parts.append(repr(items))
+        parts.append(repr(tuple(sorted(init.items()))))
     return ";".join(parts)
 
 
@@ -251,7 +249,7 @@ class FaultyBackend:
 
     Wraps any backend implementing the
     :class:`~repro.measure.backend.MeasurementBackend` protocol; every
-    attribute other than the measurement entry points delegates to the
+    attribute other than :meth:`measure` delegates to the
     wrapped backend, so statistics, configuration, and ``supports``
     behave exactly as without faults.
 
@@ -276,14 +274,13 @@ class FaultyBackend:
 
     # -- fault core ----------------------------------------------------
 
-    def _fault_for(self, key: str, tag: str, code) -> Optional[Exception]:
+    def _fault_for(self, key: str, code) -> Optional[Exception]:
         """The exception to inject for one dispatch, or ``None``."""
         permanent_uid = self.plan.permanent_fault(code)
         if permanent_uid is not None:
             self.faults_injected += 1
             return _measure.PermanentBackendError(
                 f"injected permanent fault on {permanent_uid}"
-                + (f": {tag}" if tag else "")
             )
         attempt = self._attempts.get(key, 0)
         self._attempts[key] = attempt + 1
@@ -295,13 +292,13 @@ class FaultyBackend:
             self.faults_injected += 1
             return error_class(
                 f"injected {error_class.__name__} "
-                f"(attempt {attempt + 1}): {tag or key[:60]}"
+                f"(attempt {attempt + 1}): {key[:60]}"
             )
         return None
 
     def _perturb(self, key: str, counters):
         delta = self.plan.noisy(key)
-        if not delta or not isinstance(counters, CounterValues):
+        if not delta:
             return counters
         self.faults_injected += 1
         return CounterValues(
@@ -316,43 +313,10 @@ class FaultyBackend:
 
     def measure(self, code, init=None):
         key = _content_key(code, init)
-        fault = self._fault_for(key, "", code)
+        fault = self._fault_for(key, code)
         if fault is not None:
             raise fault
         return self._perturb(key, self.inner.measure(code, init))
-
-    def measure_many(self, experiments: Sequence[Experiment]) -> List:
-        outcomes: List = []
-        for experiment in experiments:
-            key = _content_key(experiment.code, experiment.init)
-            fault = self._fault_for(key, experiment.tag, experiment.code)
-            if fault is not None:
-                outcomes.append(
-                    ExperimentFailure(
-                        fault,
-                        key=experiment.content_key(),
-                        tag=experiment.tag,
-                    )
-                )
-                continue
-            inner_many = getattr(self.inner, "measure_many", None)
-            if inner_many is not None:
-                outcome = inner_many([experiment])[0]
-            else:
-                try:
-                    outcome = self.inner.measure(
-                        list(experiment.code), experiment.init_dict()
-                    )
-                except Exception as error:
-                    outcome = ExperimentFailure(
-                        error,
-                        key=experiment.content_key(),
-                        tag=experiment.tag,
-                    )
-            if not isinstance(outcome, ExperimentFailure):
-                outcome = self._perturb(key, outcome)
-            outcomes.append(outcome)
-        return outcomes
 
 
 def maybe_faulty(backend, spec: Optional[str] = None):

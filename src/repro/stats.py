@@ -48,9 +48,11 @@ class RunStatistics:
     cache_misses: int = _counter("cache")
     cache_invalidations: int = _counter("cache")
     #: Measurement-memo counters (persistent raw-measurement memo shared
-    #: across pool workers; see :class:`~repro.core.cache.MeasurementMemo`).
+    #: across pool workers; see :class:`~repro.core.cache.MeasurementMemo`),
+    #: and the memo entries dropped on load as written under another salt.
     memo_hits: int = _counter("memo")
     memo_misses: int = _counter("memo")
+    memo_invalidations: int = _counter("memo")
     #: Timing-kernel work split: cycles of the full-length runs the core
     #: timed (the full rung, or every run of the reference kernel), and
     #: the closed-form targets served beyond their scheduled stream by
@@ -94,9 +96,6 @@ class RunStatistics:
     batches_dispatched: int = _counter("executor")
     plan_seconds: float = _counter("executor", 0.0)
     execute_seconds: float = _counter("executor", 0.0)
-    #: Entries evicted from the backend's bounded in-process caches (see
-    #: ``MeasurementConfig.max_cached_measurements``).
-    cache_evictions: int = _counter("executor")
     #: Fault-tolerance counters: transient-failure re-dispatches, the
     #: experiments that exhausted the retry budget, forms quarantined
     #: instead of characterized, and pool workers started to replace dead

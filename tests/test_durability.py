@@ -42,6 +42,7 @@ from repro.core.journal import (
     scan_journal,
 )
 from repro.measure.backend import MeasurementConfig
+from repro.measure.executor import RetryPolicy
 
 try:
     import fcntl
@@ -245,12 +246,31 @@ class TestBoundedFlock:
 
     def test_retry_delay_deterministic_and_capped(self):
         for attempt in (1, 3, 10):
-            a = journal._retry_delay(attempt, "salt")
-            b = journal._retry_delay(attempt, "salt")
+            a = journal.retry_delay(attempt, "salt")
+            b = journal.retry_delay(attempt, "salt")
             assert a == b
             assert 0 < a <= LOCK_RETRY_MAX * (1 + LOCK_RETRY_JITTER)
-        assert (journal._retry_delay(2, "one")
-                != journal._retry_delay(2, "two"))
+        assert (journal.retry_delay(2, "one")
+                != journal.retry_delay(2, "two"))
+
+    def test_backoff_sequences_pinned(self):
+        """The lock's and the executor's backoff share one formula; both
+        sequences keep their values (doubling, capped, then jittered)."""
+        assert [journal.retry_delay(a, "store") for a in range(1, 9)] == [
+            0.005301024930085987, 0.012394860266358592,
+            0.02333051466732286, 0.04464490081183613,
+            0.09483732878696173, 0.11113315034890547,
+            0.11650214081746527, 0.10942688540089876,
+        ]
+        policy = RetryPolicy()
+        assert [
+            policy.delay_for(a, "0123456789ab") for a in range(1, 9)
+        ] == [
+            0.020858995233429597, 0.04813863653922454,
+            0.08410078197717667, 0.1832149926479906,
+            0.38187562450766566, 0.6607264218851924,
+            1.053148451144807, 1.1313941816915758,
+        ]
 
 
 class TestPublishBlob:

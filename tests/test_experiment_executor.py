@@ -23,11 +23,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.sampling import stratified_sample
 from repro.core.codegen import independent_sequence, instantiate
-from repro.core.experiment import (
-    Experiment,
-    ExperimentBatch,
-    ExperimentFailure,
-)
+from repro.core.experiment import Experiment, ExperimentBatch
 from repro.core.result import encode_characterization
 from repro.core.runner import CharacterizationRunner
 from repro.isa.database import load_default_database
@@ -167,8 +163,7 @@ TABLE = {
 
 
 class TableBackend:
-    """Looks measurements up in TABLE; no ``measure_many``, so the
-    executor exercises its fallback dispatch loop."""
+    """Looks measurements up in TABLE, counting the executor's calls."""
 
     def __init__(self, fail=()):
         self.measure_calls = 0
@@ -241,17 +236,6 @@ def test_failure_captured_per_experiment_and_reraised_on_read():
     # The failure is memoized like any outcome: no retry on replan.
     executor.execute(ExperimentBatch([POOL[2]]))
     assert backend.measure_calls == 4
-
-
-def test_failure_outcomes_dedupe_in_hardware_measure_many():
-    backend = HardwareBackend(get_uarch("SKL"))
-    bogus = Experiment.make(
-        independent_sequence(DATABASE.by_uid("ADD_R64_R64"), 2)
-    )
-    outcomes = backend.measure_many([bogus])
-    assert len(outcomes) == 1
-    assert not isinstance(outcomes[0], ExperimentFailure)
-    assert outcomes[0].instructions == 2
 
 
 def test_executor_mode_resolution():

@@ -379,20 +379,15 @@ class TestStructuralMemo:
         )
         assert len(core.analytic_memo) == 2
 
-    def test_backend_memo_is_bounded_and_digest_keyed(self):
+    def test_backend_memo_is_digest_keyed(self):
         uarch = get_uarch("SKL")
-        backend = HardwareBackend(
-            uarch, MeasurementConfig(max_cached_measurements=1)
-        )
+        backend = HardwareBackend(uarch)
         form = DATABASE.by_uid("ADD_R64_R64")
         backend.measure(independent_sequence(form, 2))
         backend.measure([instantiate(form)] * 2)
         memo = backend._core.analytic_memo
-        assert len(memo) == 1 and memo.evictions == 1
+        assert len(memo) == 2
         assert all(isinstance(k, bytes) and len(k) == 32 for k in memo)
-        # Evictions of both bounded stores are reported together.
-        assert backend.cache_evictions == 2
-        assert backend.snapshot().cache_evictions == 2
 
 
 class TestFormBlockerCache:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.cache import MeasurementMemo, ResultCache
 from repro.core.codegen import independent_sequence
-from repro.core.experiment import ExperimentBatch, ExperimentFailure
+from repro.core.experiment import ExperimentBatch
 from repro.core.html_output import results_to_html
 from repro.core.runner import CharacterizationRunner, FormFailure
 from repro.core.sweep import SweepEngine
@@ -217,7 +217,10 @@ class TestFaultyBackend:
         assert noisy.uops == clean.uops
         assert noisy.port_uops == clean.port_uops
 
-    def test_measure_many_fallback_without_inner_batch(self, db):
+    def test_executor_tags_injected_failures(self, db):
+        """The executor turns an injected fault into a per-experiment
+        failure carrying the experiment's tag and content key; the rest
+        of the batch is measured."""
         faulty = FaultyBackend(
             _StubBackend(), FaultPlan.parse("permanent=NOP")
         )
@@ -229,13 +232,18 @@ class TestFaultyBackend:
             independent_sequence(db.by_uid("ADD_R64_R64"), 4),
             tag="iso:ADD_R64_R64",
         )
-        outcomes = faulty.measure_many(list(batch))
-        assert isinstance(outcomes[0], ExperimentFailure)
-        assert isinstance(outcomes[0].error, PermanentBackendError)
-        assert outcomes[0].tag == "iso:NOP"
-        assert outcomes[0].key == failing.content_key()
-        assert outcomes[1].cycles == 10.0
+        results = ExperimentExecutor(faulty).execute(batch)
+        assert results[passing].cycles == 10.0
         assert passing.content_key() != failing.content_key()
+        with pytest.raises(PermanentBackendError) as caught:
+            results[failing]
+        assert caught.value.experiment_tag == "iso:NOP"
+        assert caught.value.experiment_key == failing.content_key()
+        # The tag appears once, in the executor's context.
+        assert str(caught.value) == (
+            f"injected permanent fault on NOP (experiment "
+            f"{failing.content_key()} [iso:NOP] failed after 1 attempt(s))"
+        )
 
     def test_delegates_other_attributes(self):
         stub = _StubBackend()

@@ -36,12 +36,6 @@ class TestUnrollDifference:
         assert config.unroll_small == 10
         assert config.unroll_large == 110
 
-    def test_measurement_cached(self, db, skl_backend):
-        code = tuple(independent_sequence(db.by_uid("ADD_R64_I8"), 2))
-        first = skl_backend.measure(code)
-        second = skl_backend.measure(code)
-        assert first is second  # cache hit
-
     def test_init_values_respected(self, db, skl_backend):
         from repro.isa.operands import Immediate, RegisterOperand
         from repro.isa.registers import register_by_name

@@ -384,3 +384,4 @@ class TestMeasurementMemo:
         reader.measure(code)
         assert reader.memo_hits == 0
         assert stale.invalidations == 1
+        assert stale.stats().memo_invalidations == 1

@@ -1164,6 +1164,30 @@ def test_proof_waits_for_the_front_end_to_bind(uarch_name):
 
 
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)
+def test_proof_waits_for_the_issue_groups(uarch_name):
+    """A loop of a 10-cycle µop on port 0 and a portless µop reading it
+    one cycle after it dispatches, all released at once.  Issue runs
+    two copies a cycle until the reservation station fills, 2 ×
+    ``rs_size`` - 1 copies in; port 0 (one copy a cycle) and the
+    dependency bind every dispatch.  Until then the boundaries
+    alternate between a full issue group at B, after which the next
+    copy issues at B + 1, and a half one, after which it issues at B,
+    and two such boundaries agree in every other part of the snapshot
+    (on SKL, copies 112 and 113).  The proof waits for the issue groups
+    to settle at one copy a cycle."""
+    uarch = get_uarch(uarch_name)
+    plan = (
+        ((0,), 10, KIND_ALU, 0, 0, ()),
+        ((), 1, KIND_ALU, 0, 0, ((0, 1),)),
+    )
+    templates, order = loop_templates(plan, (), [2], 0, 300)
+    proved = schedule_analytic(uarch, templates, order)
+    assert proved.period == 1
+    assert proved.copies >= 2 * uarch.rs_size - 1
+    assert assert_proof_holds(uarch, templates, order, uarch_name) == 1
+
+
+@pytest.mark.parametrize("uarch_name", UARCH_NAMES)
 def test_divider_reorder_after_an_idle_stretch(uarch_name):
     """A divider reorder whose idle divider stretch ended two copies
     earlier: the third divider µop is ready at cycle 21 while the second
@@ -1178,6 +1202,36 @@ def test_divider_reorder_after_an_idle_stretch(uarch_name):
     )
     templates = _segments(build_stream(plan), [1, 2, 3])
     assert schedule_analytic(uarch, templates, range(3)) is None
+
+
+@pytest.mark.parametrize("uarch_name", UARCH_NAMES)
+def test_divider_reorder_after_an_idle_stretch_ending_at_b_plus_1(
+    uarch_name,
+):
+    """A loop of a 3-cycle divider µop A, then, five cycles later, a µop
+    X, a 1-cycle divider µop D that reads X one cycle after X
+    dispatches, and a 10-cycle portless µop; A and D share one port,
+    and the next copy's A issues in the same cycle B as the copy's last
+    µop.  A 100-cycle divider µop played first leaves a backlog that
+    drains one cycle per copy.  While it lasts, D takes the divider at
+    B + 1 right as A frees it.  In the first copy after it, A frees the
+    divider early and D takes it at B + 1 after an idle stretch, so the
+    next copy's A, ready at B, could take the divider first: a reorder.
+    The two boundaries differ only in where the divider's latest idle
+    stretch ended (at most B, or B + 1), so the proof must not match
+    them."""
+    uarch = get_uarch(uarch_name)
+    port, other = uarch.ports[:2]
+    plan = (
+        ((port,), 1, KIND_ALU, 3, 0, ()),
+        ((other,), 1, KIND_ALU, 0, 5, ()),
+        ((port,), 1, KIND_ALU, 1, 5, ((1, 1),)),
+        ((), 10, KIND_ALU, 0, 5, ()),
+    )
+    backlog = (((port,), 1, KIND_ALU, 100, 0, ()),)
+    templates, order = loop_templates(plan, (), [4], 5, 300, backlog)
+    assert schedule_analytic(uarch, templates, order) is None
+    assert assert_proof_holds(uarch, templates, order, uarch_name) == 0
 
 
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)

@@ -41,6 +41,7 @@ from repro.isa.assembler import parse_sequence
 from repro.isa.database import load_default_database
 from repro.measure import extrapolate
 from repro.measure.backend import HardwareBackend, MeasurementConfig
+from repro.measure.executor import ExperimentExecutor
 from repro.measure.extrapolate import (
     _analytic_unrolled,
     _fixed_addresses,
@@ -71,17 +72,18 @@ UNROLL_TARGETS = {
 _ALL_PORT_BODIES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "100")) >= 400
 
 
-class _RecordingBackend(HardwareBackend):
-    """A backend that keeps every experiment the planners dispatch."""
+class _RecordingExecutor(ExperimentExecutor):
+    """An executor that keeps every experiment the planners submit,
+    under the first tag seen for it."""
 
-    def __init__(self, uarch):
-        super().__init__(uarch)
+    def __init__(self, backend):
+        super().__init__(backend)
         self.experiments = {}
 
-    def measure_many(self, experiments):
-        for experiment in experiments:
+    def execute(self, batch):
+        for experiment in batch:
             self.experiments.setdefault(experiment, experiment.tag)
-        return super().measure_many(experiments)
+        return super().execute(batch)
 
 
 def _catalog_forms(core, keep):
@@ -116,18 +118,19 @@ _PLANNED = {}
 
 def _recorded(uarch_name, select_forms):
     """``(core, forms, [(tag, experiment)])``: every experiment the
-    planners dispatch for the selected forms, sorted by tag."""
-    backend = _RecordingBackend(get_uarch(uarch_name))
-    runner = CharacterizationRunner(backend, DATABASE)
+    planners submit for the selected forms, sorted by tag."""
+    backend = HardwareBackend(get_uarch(uarch_name))
+    recorder = _RecordingExecutor(backend)
+    runner = CharacterizationRunner(backend, DATABASE, executor=recorder)
     runner.blocking  # discovery bodies are not under test
-    backend.experiments.clear()
+    recorder.experiments.clear()
     core = backend._core
     forms = select_forms(core)
     for form in forms:
         runner.characterize(form)
     experiments = sorted(
         ((tag, experiment) for experiment, tag
-         in backend.experiments.items()),
+         in recorder.experiments.items()),
         key=lambda item: item[0],
     )
     return core, forms, experiments

@@ -21,7 +21,7 @@ from typing import Callable
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import _print_cache_stats, build_parser
 from repro.core import sweep as sweep_module
 from repro.core.cache import MeasurementMemo, ResultCache, cache_key
 from repro.core.experiment import ExperimentFailure
@@ -346,6 +346,27 @@ class TestCache:
         assert stale.statistics.cache_hits == 0
         assert stale.statistics.cache_misses == len(forms)
         assert stale.statistics.cache_invalidations == len(forms)
+
+    def test_memo_salt_invalidations_reported(self, db, tmp_path, capsys):
+        forms = _forms(db, ("ADD_R64_R64", "NOP"))
+        old = MeasurementMemo(str(tmp_path), salt="old")
+        SweepEngine("SKL", db, measure_memo=old).sweep(forms)
+        with open(old.path_for("SKL"), encoding="utf-8") as handle:
+            written = len(handle.read().splitlines())
+        assert written > 0
+        stale = SweepEngine(
+            "SKL", db, measure_memo=MeasurementMemo(str(tmp_path), salt="new")
+        )
+        stale.sweep(forms)
+        assert stale.statistics.memo_hits == 0
+        assert stale.statistics.memo_invalidations == written
+        # The stderr summary's memo row carries the count.
+        _print_cache_stats(stale.statistics)
+        memo_row = next(
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("memo:")
+        )
+        assert f"memo_invalidations {written}" in memo_row
 
     def test_key_depends_on_all_inputs(self):
         base = cache_key("ADD_R64_R64", "SKL", MeasurementConfig(), "s")
