@@ -54,10 +54,11 @@ they never reach a key.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.journal import (
     LOCK_TIMEOUT,
@@ -229,7 +230,6 @@ class ResultCache:
             "data": data,
         }
         self._entries[key] = entry
-        os.makedirs(self.cache_dir, exist_ok=True)
         append_entry(
             self.path_for(uarch_name), entry, kind="cache", stats=self
         )
@@ -250,17 +250,24 @@ def measurement_key(
     ``code`` is a sequence of instantiated instructions; the digest uses
     ``form.uid|<intel syntax>`` per instruction, which pins both the
     form and the concrete operand assignment (registers, immediates,
-    memory operands) that codegen chose.
+    memory operands) that codegen chose.  Each distinct instruction is
+    formatted once: a blocking body repeats one register cycle of
+    blockers ``blockRep`` times.
     """
+    formatted: Dict[Any, str] = {}
+    lines = []
+    for instruction in code:
+        line = formatted.get(instruction)
+        if line is None:
+            line = f"{instruction.form.uid}|{instruction}"
+            formatted[instruction] = line
+        lines.append(line)
     payload = json.dumps(
         {
             "uarch": uarch_name,
             "config": config.protocol_fields(),
             "salt": salt if salt is not None else cache_salt(),
-            "code": [
-                f"{instruction.form.uid}|{instruction}"
-                for instruction in code
-            ],
+            "code": lines,
             "init": sorted(init.items()) if init else None,
         },
         sort_keys=True,
@@ -284,11 +291,16 @@ class MeasurementMemo:
 
     Concurrency model: workers load the file once (lazily) and append
     new entries under an advisory ``flock``; appends are single
-    ``write()`` calls of one JSON line, so concurrent writers interleave
-    at line granularity and a torn tail line is dropped as an
+    ``write()`` calls of whole JSON lines, so concurrent writers
+    interleave at line granularity and a torn tail line is dropped as an
     invalidation on the next load.  Entries written by one worker become
     visible to *other* processes on their next load — the parent
     pre-warms shared measurements before forking so workers start hot.
+
+    Inside a :meth:`deferred` scope, :meth:`put` serves the new entry to
+    this process at once but holds its line back; the scope's exit
+    writes every held line in one append.  The sweep opens one scope
+    per form, so a form's measurements cost one durable write.
     """
 
     #: File suffix distinguishing memo files from result-cache files.
@@ -322,6 +334,9 @@ class MeasurementMemo:
         self.lock_retries = 0
         self._entries: Dict[str, Any] = {}
         self._loaded: set = set()
+        #: Lines held back by an open :meth:`deferred` scope, per uarch;
+        #: ``None`` outside one.
+        self._pending: Optional[Dict[str, List[Dict[str, Any]]]] = None
 
     def path_for(self, uarch_name: str) -> str:
         return os.path.join(self.cache_dir, f"{uarch_name}{self.SUFFIX}")
@@ -368,13 +383,33 @@ class MeasurementMemo:
         if key in self._entries:
             return
         self._entries[key] = data
-        os.makedirs(self.cache_dir, exist_ok=True)
+        entry = {"salt": self.salt, "key": key, "data": data}
+        if self._pending is not None:
+            self._pending.setdefault(uarch_name, []).append(entry)
+            return
         append_entry(
-            self.path_for(uarch_name),
-            {"salt": self.salt, "key": key, "data": data},
-            kind="memo",
-            stats=self,
+            self.path_for(uarch_name), entry, kind="memo", stats=self
         )
+
+    @contextlib.contextmanager
+    def deferred(self) -> Iterator[None]:
+        """Hold this memo's appends for the ``with`` body, then write
+        each store's new lines in one append (a nested scope joins the
+        outer one).  The lines are written even when the body raises:
+        they are finished measurements."""
+        if self._pending is not None:
+            yield
+            return
+        self._pending = {}
+        try:
+            yield
+        finally:
+            pending, self._pending = self._pending, None
+            for uarch_name, entries in pending.items():
+                append_entry(
+                    self.path_for(uarch_name), *entries,
+                    kind="memo", stats=self,
+                )
 
     def __len__(self) -> int:
         return len(self._entries)

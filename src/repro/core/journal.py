@@ -14,10 +14,11 @@ is implemented (and chaos-tested) exactly once:
   which quarantines the damaged bytes rather than silently dropping
   them.  Whole-file JSON states (the manifest) get the same
   treatment via :func:`encode_blob` / :func:`decode_blob`.
-* **One append path** (:func:`append_entry`): single-``write()`` line
-  appends under a bounded advisory flock, with a *self-healing* check
-  that the file currently ends in a newline — so an append after a torn
-  write can never merge into the garbage tail and lose its own record.
+* **One append path** (:func:`append_entry`): single-``write()``
+  appends of one or more whole lines under a bounded advisory flock,
+  with a *self-healing* check that the file currently ends in a
+  newline — so an append after a torn write can never merge into the
+  garbage tail and lose its own record.
   In-place rewrites (GC compaction, doctor repair) share one primitive,
   :func:`rewrite_store`.  ``repro lint`` RPR150 forbids raw append-mode
   and ``r+`` ``open()`` calls anywhere else in the package.
@@ -141,10 +142,10 @@ LOCK_ORDER = frozenset({("store", "quarantine")})
 
 #: Crash-site suffixes of each writer, declared once.  ``pre-append``
 #: fires before the store is even opened, ``mid-append`` splits the
-#: one-line write to manufacture a torn tail, ``pre-fsync`` fires after
-#: the write but before durability, ``post-append`` after the lock is
-#: released; ``pre-rename``/``post-rename`` bracket the atomic publish
-#: of whole-file states.  The quarantine sidecar appends raw (already
+#: append's one write to manufacture a torn tail, ``pre-fsync`` fires
+#: after the write but before durability, ``post-append`` after the
+#: lock is released; ``pre-rename``/``post-rename`` bracket the atomic
+#: publish of whole-file states.  The quarantine sidecar appends raw (already
 #: damaged) bytes in one write — no split worth manufacturing, no fsync
 #: barrier worth naming — and in-place rewrites run only under an
 #: explicit ``gc``/``doctor --repair``, so neither carries more.
@@ -526,12 +527,13 @@ def scan_blob(blob: bytes) -> JournalScan:
 
 def append_entry(
     path: str,
-    entry: Dict[str, Any],
+    *entries: Dict[str, Any],
     kind: str = "cache",
     stats=None,
     durability: Optional[str] = None,
 ) -> None:
-    """Append one checksummed entry to the JSONL store at *path*.
+    """Append checksummed *entries*, one line each, to the JSONL store
+    at *path*.
 
     *kind* names the store for crash-point sites (``cache``, ``memo``;
     any other kind is a ``ValueError``).  *stats* is any object carrying
@@ -539,15 +541,18 @@ def append_entry(
     :class:`~repro.core.cache.ResultCache`); the bounded flock's retries
     and timeouts are folded into it.
 
-    Crash safety: the record is a single ``write()`` of one line, taken
-    after self-healing a missing trailing newline — so a predecessor's
-    torn tail can corrupt at most *itself*, never a later append.  The
-    armed ``{kind}.mid-append`` site deliberately splits the write to
-    manufacture the torn-tail case the readers must recover from.
+    Crash safety: the records are a single ``write()`` of whole lines,
+    taken after self-healing a missing trailing newline — so a
+    predecessor's torn tail can corrupt at most *itself*, never a later
+    append.  A write cut short leaves complete lines and at most one
+    torn tail.  The armed ``{kind}.mid-append`` site deliberately splits
+    the write to manufacture the torn-tail case the readers must recover
+    from.
     """
     lock = _lock_for(kind, "append")
-    line = encode_entry(entry)
-    payload = (line + "\n").encode("utf-8")
+    payload = "".join(
+        encode_entry(entry) + "\n" for entry in entries
+    ).encode("utf-8")
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)

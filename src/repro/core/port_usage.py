@@ -9,6 +9,12 @@ execute on exactly that combination.
 The two optimizations described in the paper are implemented: combinations
 that share no port with the isolation run are skipped, and the loop exits
 early once all of the instruction's µops are attributed.
+
+The ``blockRep`` blockers of one measurement are built once per register
+cycle, not once per copy (:func:`_blocking_code`): the blocker depends on
+the instruction under test only through the registers it reserves, so
+one allocator's run of distinct instances, repeated, is the whole
+stream.
 """
 
 from __future__ import annotations
@@ -143,28 +149,32 @@ def _blocking_code(
     """``blockRep`` independent copies of the blocker, then the instruction.
 
     Blocker operands are chosen independent of the instruction under test
-    and of subsequent blocker instances (Section 5.1.2).
+    and of subsequent blocker instances (Section 5.1.2).  The blockers are
+    one *register cycle* repeated: the instances one fresh allocator,
+    reserving the instruction's registers and the blocker's fixed ones,
+    builds until it runs out of registers (or ``blockRep`` are built),
+    then the same instances again from the start.  A blocker with no
+    allocatable operand (``NOP``, ``CMC``, ...) never runs out, so the
+    cycle is capped at ``blockRep``.  The repeats share their
+    :class:`~repro.isa.instruction.Instruction` objects.
     """
     allocator = RegisterAllocator(
         form_fixed_canonicals(form) | form_fixed_canonicals(blocker_form)
     )
     instruction = instantiate(form, allocator)
-    blockers = []
-    blocker_allocator = _looping_allocator(blocker_form, allocator)
-    for _ in range(block_rep):
-        blockers.append(next(blocker_allocator))
-    return blockers + [instruction]
-
-
-def _looping_allocator(blocker_form, base_allocator):
-    """Yields blocker instances, cycling register assignments."""
-    reserved = base_allocator.reserved()
-    while True:
-        allocator = RegisterAllocator(
-            reserved | form_fixed_canonicals(blocker_form)
-        )
+    cycle_allocator = RegisterAllocator(
+        allocator.reserved() | form_fixed_canonicals(blocker_form)
+    )
+    cycle: List[Instruction] = []
+    while len(cycle) < block_rep:
         try:
-            while True:
-                yield instantiate(blocker_form, allocator)
+            cycle.append(instantiate(blocker_form, cycle_allocator))
         except RuntimeError:
-            continue
+            break
+    if not cycle:
+        raise RuntimeError(
+            f"blocker {blocker_form.uid} has no free register beside "
+            f"{form.uid}"
+        )
+    blockers = [cycle[i % len(cycle)] for i in range(block_rep)]
+    return blockers + [instruction]

@@ -45,6 +45,7 @@ seams; nothing is injected unless explicitly requested.
 from __future__ import annotations
 
 import collections
+import contextlib
 import os
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -93,6 +94,13 @@ def _total(parts: Iterable[RunStatistics]) -> RunStatistics:
     return total
 
 
+def _form_scope(memo: Optional[MeasurementMemo]):
+    """The scope one form is characterized in: its new memo lines go
+    out in one append when it ends (see
+    :meth:`~repro.core.cache.MeasurementMemo.deferred`)."""
+    return memo.deferred() if memo is not None else contextlib.nullcontext()
+
+
 def _pool_worker(payload: _WorkerPayload, conn, inherited=()) -> None:
     """Characterize the forms the parent sends over *conn*.
 
@@ -138,7 +146,10 @@ def _pool_worker(payload: _WorkerPayload, conn, inherited=()) -> None:
             uid, attempts = order
             if plan is not None and plan.should_kill(uid, attempts > 0):
                 os._exit(KILL_EXIT_CODE)
-            outcome = runner.characterize_resilient(database.by_uid(uid))
+            with _form_scope(memo):
+                outcome = runner.characterize_resilient(
+                    database.by_uid(uid)
+                )
             totals = _total([
                 runner.statistics,
                 backend.snapshot(),
@@ -454,7 +465,10 @@ class SweepEngine:
     ) -> None:
         runner = self.runner
         for form in pending:
-            outcome = runner.characterize_resilient(form)
+            # Blocking discovery runs inside the first form's scope, so
+            # its lines join that form's one append.
+            with _form_scope(self.measure_memo):
+                outcome = runner.characterize_resilient(form)
             if isinstance(outcome, FormFailure):
                 # Quarantined — and deliberately NOT cached, so the next
                 # run against this cache re-attempts exactly this form.
@@ -501,7 +515,9 @@ class SweepEngine:
             # Pre-warm the measurements every worker would otherwise
             # repeat — the blocking-instruction discovery walks the
             # whole catalog (Section 5.1.1) and is identical in all
-            # workers.
+            # workers.  Outside any form scope, so it appends once per
+            # measurement: the parent's memo crash sites keep firing at
+            # every hit count.
             _ = self.runner.blocking
 
         forked = "fork" in multiprocessing.get_all_start_methods()

@@ -36,7 +36,7 @@ from repro.pipeline.analytic import schedule_analytic, stream_template
 from repro.pipeline.semantics import evaluate
 from repro.pipeline.state import MachineState
 from repro.uarch.model import UarchConfig
-from repro.uarch.tables import build_entry
+from repro.uarch.tables import build_entry, has_entry
 from repro.uarch.uops import DOMAIN_INT, KIND_LOAD, UarchEntry
 
 #: Values at or below this are "fast" divider operands (Section 5.2.5).
@@ -851,7 +851,7 @@ class Core:
 
     def supports(self, instruction_or_form) -> bool:
         form = getattr(instruction_or_form, "form", instruction_or_form)
-        return build_entry(form, self.uarch) is not None
+        return has_entry(form, self.uarch)
 
 
 def split_accesses(accesses) -> Tuple[Dict, Dict]:

@@ -1720,20 +1720,29 @@ def _finalize(
     return tuple(loads + kernel + stores)
 
 
-def build_entry(
-    form: InstructionForm, uarch: UarchConfig
-) -> Optional[UarchEntry]:
-    """Ground-truth entry for *form* on *uarch*; ``None`` if unavailable."""
-    if not supported_on(form, uarch):
-        return None
-    if form.has_attribute(ATTR_UNSUPPORTED):
-        return None
-    rule_fn = _RULES.get(form.category)
-    if rule_fn is None:
+def has_entry(form: InstructionForm, uarch: UarchConfig) -> bool:
+    """Whether :func:`build_entry` returns an entry for *form* on
+    *uarch*, without building it; ``KeyError`` for a category without a
+    table rule, as there."""
+    if not supported_on(form, uarch) or form.has_attribute(
+        ATTR_UNSUPPORTED
+    ):
+        return False
+    if form.category not in _RULES:
         raise KeyError(
             f"no table rule for category {form.category!r} ({form.uid})"
         )
-    result = rule_fn(form, uarch)
+    return True
+
+
+def build_entry(
+    form: InstructionForm, uarch: UarchConfig
+) -> Optional[UarchEntry]:
+    """Ground-truth entry for *form* on *uarch*; ``None`` if unavailable
+    (exactly where :func:`has_entry` is false)."""
+    if not has_entry(form, uarch):
+        return None
+    result = _RULES[form.category](form, uarch)
     if isinstance(result, tuple):
         plan, same_reg_plan = result
     else:

@@ -399,6 +399,43 @@ SWEEP_SITES = tuple(
 )
 
 
+#: The memo's append sites, which a serial sweep reaches inside the
+#: one multi-line append of a form's measurements.
+MEMO_SITES = tuple(site for site in CRASH_SITES if site.startswith("memo"))
+
+
+def _assert_reconverges(root, db, reference_xml):
+    """Doctor repairs *root*; a fault-free resume then matches the
+    never-crashed reference byte for byte, and a warm sweep serves
+    every form from the cache."""
+    assert repair(root).healthy
+
+    # Fault-free resume: byte-identical XML to the never-crashed run.
+    engine = SweepEngine(
+        "SKL", db,
+        cache=ResultCache(root),
+        measure_memo=MeasurementMemo(root),
+    )
+    results = engine.sweep(_forms(db))
+    assert ET.tostring(
+        results_to_xml({"SKL": results}, db)
+    ) == reference_xml
+
+    # Warm pin: every form served from cache, nothing re-measured —
+    # zero lost stored results, zero double-measured forms.
+    warm = SweepEngine(
+        "SKL", db,
+        cache=ResultCache(root),
+        measure_memo=MeasurementMemo(root),
+    )
+    warm_results = warm.sweep(_forms(db))
+    assert ET.tostring(
+        results_to_xml({"SKL": warm_results}, db)
+    ) == reference_xml
+    assert warm.statistics.cache_hits == len(UIDS)
+    assert warm.statistics.characterized == 0
+
+
 @pytest.mark.slow
 class TestSweepCrashRecovery:
     @pytest.mark.parametrize("site", SWEEP_SITES)
@@ -420,30 +457,24 @@ class TestSweepCrashRecovery:
         serial = site.startswith("manifest")
         code = _run_child(_sweep_child, (root, site, serial, db))
         assert code == SIGKILLED, f"site {site} never fired"
+        _assert_reconverges(root, db, reference_xml)
 
-        assert repair(root).healthy
-
-        # Fault-free resume: byte-identical XML to the never-crashed run.
-        engine = SweepEngine(
-            "SKL", db,
-            cache=ResultCache(root),
-            measure_memo=MeasurementMemo(root),
+    @pytest.mark.parametrize("site", MEMO_SITES)
+    def test_serial_kill_inside_a_form_append(
+        self, site, tmp_path, db, reference_xml
+    ):
+        """A cold serial sweep writes the first form's measurements,
+        blocking discovery included, in one multi-line append; a kill
+        at any of its sites still repairs and resumes."""
+        root = str(tmp_path)
+        code = _run_child(_sweep_child, (root, site, True, db))
+        assert code == SIGKILLED, f"site {site} never fired"
+        scan = scan_journal(
+            os.path.join(root, "SKL" + MeasurementMemo.SUFFIX)
         )
-        results = engine.sweep(_forms(db))
-        assert ET.tostring(
-            results_to_xml({"SKL": results}, db)
-        ) == reference_xml
-
-        # Warm pin: every form served from cache, nothing re-measured —
-        # zero lost stored results, zero double-measured forms.
-        warm = SweepEngine(
-            "SKL", db,
-            cache=ResultCache(root),
-            measure_memo=MeasurementMemo(root),
-        )
-        warm_results = warm.sweep(_forms(db))
-        assert ET.tostring(
-            results_to_xml({"SKL": warm_results}, db)
-        ) == reference_xml
-        assert warm.statistics.cache_hits == len(UIDS)
-        assert warm.statistics.characterized == 0
+        if site == "memo.mid-append":
+            # Half of one write: whole lines, then one torn tail.
+            assert scan.torn and len(scan.entries()) > 1
+        elif site != "memo.pre-append":
+            assert not scan.torn and len(scan.entries()) > 1
+        _assert_reconverges(root, db, reference_xml)

@@ -3,8 +3,17 @@ ground-truth port usage from counter measurements alone."""
 
 import pytest
 
-from repro.core.port_usage import infer_port_usage
+from repro.core.blocking import BlockingInstructions
+from repro.core.codegen import (
+    RegisterAllocator,
+    form_fixed_canonicals,
+    instantiate,
+)
+from repro.core.port_usage import _blocking_code, infer_port_usage
 from repro.core.result import PortUsage
+from repro.core.runner import CharacterizationRunner, FormFailure
+from repro.isa.instruction import InstructionForm
+from repro.isa.operands import OperandKind, OperandSpec
 from repro.uarch.tables import build_entry
 from tests.conftest import backend_for, blocking_for
 
@@ -114,3 +123,115 @@ class TestBroadSample:
         b = PortUsage({frozenset({0}): 1})
         assert a == b and hash(a) == hash(b)
         assert a != PortUsage({frozenset({1}): 1})
+
+
+def _reference_blocking_code(form, blocker_form, block_rep):
+    """The per-instance construction ``_blocking_code`` replaced: a
+    fresh allocator after every exhaustion, one instance per copy."""
+    allocator = RegisterAllocator(
+        form_fixed_canonicals(form) | form_fixed_canonicals(blocker_form)
+    )
+    instruction = instantiate(form, allocator)
+    reserved = allocator.reserved()
+
+    def looping():
+        while True:
+            cycle = RegisterAllocator(
+                reserved | form_fixed_canonicals(blocker_form)
+            )
+            try:
+                while True:
+                    yield instantiate(blocker_form, cycle)
+            except RuntimeError:
+                continue
+
+    blockers = looping()
+    return [next(blockers) for _ in range(block_rep)] + [instruction]
+
+
+#: Forms under test: register, fixed-register, memory, vector, AVX and
+#: MMX operands, so the reservations the blockers see differ.
+BLOCKED_UIDS = (
+    "ADD_R64_R64", "IMUL_R64_R64", "SHL_R64_CL", "DIV_R64", "MUL_R64",
+    "ADD_M64_R64", "LEA_R64_AGEN", "SHLD_R64_R64_I8", "CMPXCHG_R64_R64",
+    "PADDB_XMM_XMM", "PBLENDVB_XMM_XMM", "VHADDPD_XMM_XMM_XMM",
+    "MOVQ2DQ_XMM_MM", "NOP",
+)
+
+#: Blockers with no allocatable operand: they never exhaust an
+#: allocator, so only the ``blockRep`` cap ends their cycle.
+NOP_LIKE_UIDS = ("NOP", "CMC", "STC", "ADD_AL_I8")
+
+
+class TestBlockingCode:
+    """``_blocking_code`` repeats one register cycle; the result equals
+    the per-instance construction it replaced."""
+
+    @pytest.mark.parametrize("uarch_name", ["SKL", "NHM"])
+    def test_equals_the_per_instance_construction(self, db, uarch_name):
+        blocking = blocking_for(uarch_name, db)
+        blockers = {
+            form.uid: form
+            for per_context in blocking.by_combination.values()
+            for form in per_context.values()
+        }
+        blockers[blocking.store_blocker.uid] = blocking.store_blocker
+        for uid in NOP_LIKE_UIDS:
+            blockers[uid] = db.by_uid(uid)
+        forms = [db.by_uid(uid) for uid in BLOCKED_UIDS]
+        for blocker_uid in sorted(blockers):
+            for form in forms:
+                for block_rep in (8, 16, 40, 208):
+                    code = _blocking_code(
+                        form, blockers[blocker_uid], block_rep
+                    )
+                    assert code == _reference_blocking_code(
+                        form, blockers[blocker_uid], block_rep
+                    ), (blocker_uid, form.uid, block_rep)
+
+    def test_repeats_share_instructions(self, db):
+        code = _blocking_code(
+            db.by_uid("IMUL_R64_R64"), db.by_uid("ADD_R64_R64"), 40
+        )
+        assert len(code) == 41
+        # IMUL takes two of the 14 GPRs, so one cycle is six ADDs.
+        assert code[6] is code[0]
+        assert code[6] == code[12] != code[5]
+
+
+def _register_hog():
+    """A synthetic blocker with more GPR operands than the allocator
+    has registers: no instance can ever be built."""
+    return InstructionForm(
+        mnemonic="HOG",
+        operands=tuple(
+            OperandSpec(OperandKind.GPR, 64, written=True)
+            for _ in range(15)
+        ),
+    )
+
+
+class TestBlockerWithoutRegisters:
+    def test_raises_naming_blocker_and_form(self, db):
+        form = db.by_uid("ADD_R64_R64")
+        hog = _register_hog()
+        with pytest.raises(RuntimeError) as raised:
+            _blocking_code(form, hog, 8)
+        assert hog.uid in str(raised.value)
+        assert form.uid in str(raised.value)
+
+    def test_becomes_a_form_failure(self, db):
+        backend = backend_for("SKL")
+        runner = CharacterizationRunner(backend, db)
+        hog = _register_hog()
+        runner._blocking = BlockingInstructions(
+            by_combination={
+                context: {frozenset({port}): hog for port in range(8)}
+                for context in ("sse", "avx")
+            }
+        )
+        outcome = runner.characterize_resilient(db.by_uid("ADD_R64_R64"))
+        assert isinstance(outcome, FormFailure)
+        assert outcome.error_type == "RuntimeError"
+        assert hog.uid in outcome.message
+        assert "ADD_R64_R64" in outcome.message

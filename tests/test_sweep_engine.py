@@ -22,6 +22,7 @@ from typing import Callable
 import pytest
 
 from repro.cli import _print_cache_stats, build_parser
+from repro.core import cache as cache_module
 from repro.core import sweep as sweep_module
 from repro.core.cache import MeasurementMemo, ResultCache, cache_key
 from repro.core.experiment import ExperimentFailure
@@ -435,6 +436,61 @@ class TestCache:
         assert by_uid["ADD_R64_R64"]["data"]["uop_count"] == 1
         assert by_uid["UD2"]["data"] is None  # skip marker
         assert all(entry["uarch"] == "SKL" for entry in lines)
+
+
+class TestMemoBatching:
+    """A serial sweep writes each form's new memo lines in one append."""
+
+    UIDS = ("ADD_R64_R64", "CPUID", "IMUL_R64_R64", "NOP", "UD2")
+
+    def test_one_append_per_form_serves_a_repeat(self, db, tmp_path,
+                                                 monkeypatch):
+        appends = []
+        real_append = cache_module.append_entry
+
+        def counting_append(path, *entries, **kwargs):
+            if kwargs.get("kind") == "memo":
+                appends.append(len(entries))
+            real_append(path, *entries, **kwargs)
+
+        monkeypatch.setattr(cache_module, "append_entry", counting_append)
+        forms = _forms(db, self.UIDS)
+        cold = SweepEngine("SKL", db, cache=ResultCache(str(tmp_path)))
+        cold_results = cold.sweep(forms)
+        memo = cold.measure_memo
+        with open(memo.path_for("SKL"), encoding="utf-8") as handle:
+            written = len(handle.read().splitlines())
+        assert 0 < len(appends) <= len(forms)
+        assert sum(appends) == written == cold.statistics.memo_misses
+        # The first form's append carries blocking discovery too.
+        assert appends[0] > 1000
+
+        repeat = SweepEngine(
+            "SKL", db, measure_memo=MeasurementMemo(str(tmp_path))
+        )
+        assert repeat.sweep(forms) == cold_results
+        assert repeat.statistics.memo_misses == 0
+        assert repeat.statistics.memo_hits > 0
+        assert repeat.statistics.cycles_simulated == 0
+        assert cold.statistics.copies_scheduled > 0
+        assert repeat.statistics.copies_scheduled == 0
+
+    def test_scope_serves_its_own_puts_and_flushes_on_error(self, tmp_path):
+        memo = MeasurementMemo(str(tmp_path))
+        with pytest.raises(ValueError):
+            with memo.deferred():
+                memo.put("a", "SKL", {"i": 1})
+                with memo.deferred():  # joins the outer scope
+                    memo.put("b", "SKL", {"i": 2})
+                assert memo.get("b", "SKL") == {"i": 2}
+                assert not os.path.exists(memo.path_for("SKL"))
+                raise ValueError("form failed")
+        fresh = MeasurementMemo(str(tmp_path))
+        assert fresh.get("a", "SKL") == {"i": 1}
+        assert fresh.get("b", "SKL") == {"i": 2}
+        # Outside a scope every put appends at once.
+        memo.put("c", "SKL", {"i": 3})
+        assert MeasurementMemo(str(tmp_path)).get("c", "SKL") == {"i": 3}
 
 
 def _round_trip(obj):

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.blocking import _find_store_blocker, _is_candidate
 from repro.iaca.analyzer import ALL_VERSIONS
+from repro.pipeline.core import Core
 from repro.uarch.configs import ALL_UARCHES, SKYLAKE, get_uarch
 from repro.uarch.tables import build_entry, supported_on
 from repro.uarch.uops import KIND_LOAD, KIND_STORE_ADDR, KIND_STORE_DATA
@@ -266,6 +267,36 @@ class TestBlockingFeasibility:
             assert missing_store_units(uarch) == [], uarch.name
         assert _find_store_blocker(db, None) is not None
         assert any(_is_candidate(form) for form in db)
+
+
+def _outcome(call):
+    """*call*'s result, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as error:
+        return type(error), str(error)
+
+
+class TestSupportWithoutEntry:
+    """``Core.supports`` decides support without building the entry and
+    agrees with ``build_entry(...) is not None`` everywhere."""
+
+    @pytest.mark.parametrize("uarch", ALL_UARCHES, ids=lambda u: u.name)
+    def test_supports_matches_build_entry(self, db, uarch):
+        core = Core(uarch)
+        for form in db:
+            assert _outcome(lambda: core.supports(form)) == _outcome(
+                lambda: build_entry(form, uarch) is not None
+            ), (uarch.name, form.uid)
+
+    def test_category_without_rule_raises_alike(self, db):
+        form = dataclasses.replace(
+            db.by_uid("ADD_R64_R64"), category="no_such_category"
+        )
+        core = Core(SKYLAKE)
+        supported = _outcome(lambda: core.supports(form))
+        assert supported[0] is KeyError
+        assert supported == _outcome(lambda: build_entry(form, SKYLAKE))
 
 
 class TestUarchConfigs:
